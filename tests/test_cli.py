@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from psl2kit.cli import main
 from psl2kit.psl2 import psl2_perm_group
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -210,3 +214,19 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])
     assert exc.value.code == 4
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("psl2_q8_simplicity", ["psl2", "--q", "8", "--check", "simplicity"]),
+        ("psl2_q9_simplicity", ["psl2", "--q", "9", "--check", "simplicity"]),
+        ("psl2_q13_simplicity", ["psl2", "--q", "13", "--check", "simplicity"]),
+        ("classify_p13_psl2", ["classify", "--p", "13", "--group", "psl2"]),
+        ("classify_p7_exceptional3", ["classify", "--p", "7", "--group", "exceptional:3"]),
+    ],
+)
+def test_golden_reports(capsys, name, argv):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
