@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 # Tables are materialized eagerly, so cap the order at desk scale.
 MAX_FIELD_ORDER = 1 << 16
@@ -364,7 +365,7 @@ class QuadraticClasses:
             raise ValueError("0 is neither a square nor a non-square unit")
         return a in self._square_set
 
-    @property
+    @cached_property  # computed once; not a field, so eq and hash ignore it
     def _square_set(self) -> frozenset[int]:
         return frozenset(self.squares)
 

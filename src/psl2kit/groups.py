@@ -1,11 +1,15 @@
 """Finite permutation groups via a deterministic stabilizer chain.
 
 A PermGroup keeps a base and strong generating set built by a
-non-randomized Schreier-Sims pass: base points are the smallest moved
-points encountered, orbits are explored breadth-first in sorted order, and
-every Schreier generator is sifted until the chain is closed.  That makes
-orders, membership tests, element enumerations and everything downstream
-reproducible run to run.
+non-randomized Schreier-Sims pass over its generators (callers pass a few
+generators, never an element list): base points are the smallest moved
+points encountered, every Schreier generator is sifted until the chain is
+closed, and each strong generator's inverse is computed once.  Orbits grow
+in place: a new strong generator appends the points it reaches to the
+transversals and leaves every existing entry as it was, so an element that
+sifted once keeps sifting, and each (orbit point, generator) pair is tested
+only once.  That makes orders, membership tests, element enumerations and
+everything downstream reproducible run to run.
 
 Enumeration-backed queries (conjugacy classes, setwise stabilizers, Sylow
 counting, simplicity) refuse to run past ``enumeration_cap`` rather than
@@ -37,6 +41,10 @@ class SeedNotInGroup(ValueError):
 
 
 class PrimeDoesNotDivideOrder(ValueError):
+    pass
+
+
+class SylowGrowthFails(RuntimeError):
     pass
 
 
@@ -72,13 +80,19 @@ def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]]
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "tested")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, ident: tuple[int, ...]):
         self.point = point
         self.gens: list[tuple[int, ...]] = []
-        # orbit point -> (u, u_inv) with u(base point) = orbit point
-        self.transversal: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # orbit point -> (u, u_inv) with u(base point) = orbit point; entries
+        # are only ever added, in discovery order
+        self.transversal: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+            point: (ident, ident)
+        }
+        # strong generator -> how many leading orbit points its Schreier
+        # generators have been sifted for
+        self.tested: dict[tuple[int, ...], int] = {}
 
 
 @dataclass(frozen=True)
@@ -89,7 +103,11 @@ class ConjugacyClass:
 
 
 class PermGroup:
-    """Permutation group on a projective line, queried through its chain."""
+    """Permutation group on a projective line, queried through its chain.
+
+    The chain is built from ``generators`` by Schreier-Sims with in-place
+    orbit extension; see the module docstring.
+    """
 
     def __init__(
         self,
@@ -108,110 +126,95 @@ class PermGroup:
         self.line: ProjLine = line
         self.degree: int = line.size
         self.enumeration_cap = enumeration_cap
-        gen_images = list(dict.fromkeys(g.images for g in generators))
-        ident = identity_images(self.degree)
-        self.generators: tuple[Permutation, ...] = tuple(
-            Permutation(line, img) for img in gen_images
-        )
-        self._levels: list[_Level] = []
-        for pt in base_prefix:
-            self._levels.append(_Level(pt))
-            self._levels[-1].transversal = {pt: (ident, ident)}
-        for img in gen_images:
-            self._place_generator(img)
-        self._close_chain()
-        self._element_cache: tuple[tuple[int, ...], ...] | None = None
+        self._ident = identity_images(self.degree)
+        self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._levels = [_Level(pt, self._ident) for pt in base_prefix]
+        self.generators: tuple[Permutation, ...] = ()
+        self._extend(generators)
 
     # -- chain construction --
 
-    def _place_generator(self, img: tuple[int, ...]) -> None:
-        ident = identity_images(self.degree)
-        if img == ident:
+    def _extend(self, perms) -> tuple[Permutation, ...]:
+        """Add generators and re-close the chain; returns the new ones."""
+        known = {g.images for g in self.generators}
+        fresh = tuple(
+            Permutation(self.line, img)
+            for img in dict.fromkeys(g.images for g in perms)
+            if img not in known
+        )
+        self.generators += fresh
+        for g in fresh:
+            self._insert(g.images, 0)
+        self._close_chain()
+        self._element_cache: tuple[tuple[int, ...], ...] | None = None
+        return fresh
+
+    def _inverse(self, img: tuple[int, ...]) -> tuple[int, ...]:
+        inv = self._inverses.get(img)
+        if inv is None:
+            inv = self._inverses[img] = invert_images(img)
+        return inv
+
+    def _insert(self, img: tuple[int, ...], start: int) -> None:
+        """Make img a strong generator at the first level from ``start`` on
+        whose base point it moves, opening a new level if it moves none."""
+        if img == self._ident:
             return
-        for idx, level in enumerate(self._levels):
-            if img[level.point] != level.point:
-                if img not in level.gens:
-                    level.gens.append(img)
-                    self._rebuild_transversal(idx)
-                return
-        moved = min(i for i, j in enumerate(img) if i != j)
-        level = _Level(moved)
-        level.gens.append(img)
-        self._levels.append(level)
-        self._rebuild_transversal(len(self._levels) - 1)
+        for idx in range(start, len(self._levels)):
+            if img[self._levels[idx].point] != self._levels[idx].point:
+                break
+        else:
+            moved = min(i for i, j in enumerate(img) if i != j)
+            self._levels.append(_Level(moved, self._ident))
+            idx = len(self._levels) - 1
+        self._levels[idx].gens.append(img)
+        self._extend_orbit(idx)
 
-    def _level_gens(self, idx: int):
-        out = []
-        for level in self._levels[idx:]:
-            out.extend(level.gens)
-        return out
+    def _level_gens(self, idx: int) -> list[tuple[int, ...]]:
+        return [g for level in self._levels[idx:] for g in level.gens]
 
-    def _rebuild_transversal(self, idx: int) -> None:
-        level = self._levels[idx]
-        ident = identity_images(self.degree)
+    def _extend_orbit(self, idx: int) -> None:
+        """Append the points the level's generators newly reach."""
         gens = self._level_gens(idx)
-        pairs = [(g, invert_images(g)) for g in gens]
-        trans = {level.point: (ident, ident)}
-        queue = [level.point]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        trans = self._levels[idx].transversal
+        queue = list(trans)
+        for x in queue:
             ux, ux_inv = trans[x]
-            for g, g_inv in pairs:
+            for g in gens:
                 y = g[x]
                 if y not in trans:
-                    trans[y] = (compose_images(g, ux), compose_images(ux_inv, g_inv))
+                    trans[y] = (compose_images(g, ux), compose_images(ux_inv, self._inverse(g)))
                     queue.append(y)
-        level.transversal = trans
 
-    def _sift_images(self, img: tuple[int, ...], start: int = 0):
-        """Reduce img through the chain; returns (residue, drop level)."""
-        for idx in range(start, len(self._levels)):
-            level = self._levels[idx]
+    def _sift_images(self, img: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
+        """Reduce img through the chain from level ``start``; returns the residue."""
+        for level in self._levels[start:]:
             x = img[level.point]
             if x == level.point:
                 continue
             entry = level.transversal.get(x)
             if entry is None:
-                return img, idx
+                return img
             img = compose_images(entry[1], img)
-        return img, len(self._levels)
+        return img
 
     def _close_level(self, idx: int) -> bool:
-        self._rebuild_transversal(idx)
+        self._extend_orbit(idx)
         level = self._levels[idx]
-        ident = identity_images(self.degree)
+        trans = level.transversal
+        points = list(trans)
         changed = False
-        gens = self._level_gens(idx)
-        pairs = [(g, invert_images(g)) for g in gens]
-        for x in sorted(level.transversal):
-            ux, _ = level.transversal[x]
-            for g, g_inv in pairs:
-                y = g[x]
-                uy, uy_inv = level.transversal[y]
-                schreier = compose_images(uy_inv, compose_images(g, ux))
-                if schreier == ident:
+        for g in self._level_gens(idx):
+            for x in points[level.tested.get(g, 0):]:
+                schreier = compose_images(trans[g[x]][1], compose_images(g, trans[x][0]))
+                if schreier == self._ident:
                     continue
-                residue, _ = self._sift_images(schreier, idx + 1)
-                if residue != ident:
-                    self._place_residue(residue, idx + 1)
+                residue = self._sift_images(schreier, idx + 1)
+                if residue != self._ident:
+                    self._insert(residue, idx + 1)
                     changed = True
+            level.tested[g] = len(points)
         return changed
-
-    def _place_residue(self, img: tuple[int, ...], start: int) -> None:
-        for idx in range(start, len(self._levels)):
-            level = self._levels[idx]
-            if img[level.point] != level.point:
-                if img not in level.gens:
-                    level.gens.append(img)
-                    self._rebuild_transversal(idx)
-                return
-        moved = min(i for i, j in enumerate(img) if i != j)
-        level = _Level(moved)
-        level.gens.append(img)
-        self._levels.append(level)
-        self._rebuild_transversal(len(self._levels) - 1)
 
     def _close_chain(self) -> None:
         i = len(self._levels) - 1
@@ -236,8 +239,7 @@ class PermGroup:
     def contains(self, perm: Permutation) -> bool:
         if perm.line != self.line:
             raise DomainMismatch("permutation lives on a different line")
-        residue, _ = self._sift_images(perm.images)
-        return residue == identity_images(self.degree)
+        return self._sift_images(perm.images) == self._ident
 
     def element_images(self, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
         cap = self.enumeration_cap if cap is None else cap
@@ -246,7 +248,7 @@ class PermGroup:
                 f"order {self.order()} exceeds enumeration cap {cap}"
             )
         if self._element_cache is None:
-            elems = [identity_images(self.degree)]
+            elems = [self._ident]
             for level in reversed(self._levels):
                 reps = [level.transversal[x][0] for x in sorted(level.transversal)]
                 elems = [compose_images(u, e) for u in reps for e in elems]
@@ -266,10 +268,7 @@ class PermGroup:
         gens = [g.images for g in self.generators]
         seen = {point}
         queue = [point]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        for x in queue:
             for g in gens:
                 y = g[x]
                 if y not in seen:
@@ -316,23 +315,12 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         elems = self.element_images()
         keep_members = self.order() <= 5000
-        gen_pairs = [(g.images, invert_images(g.images)) for g in self.generators]
         seen: set[tuple[int, ...]] = set()
         classes = []
         for e in elems:
             if e in seen:
                 continue
-            members = {e}
-            queue = [e]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                for g, g_inv in gen_pairs:
-                    y = compose_images(g, compose_images(x, g_inv))
-                    if y not in members:
-                        members.add(y)
-                        queue.append(y)
+            members = self._conjugates(e)
             seen.update(members)
             classes.append(
                 ConjugacyClass(
@@ -348,21 +336,23 @@ class PermGroup:
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
         if not self.contains(perm):
             raise SeedNotInGroup(f"{perm} is not in the group")
-        gen_pairs = [(g.images, invert_images(g.images)) for g in self.generators]
-        members = {perm.images}
-        queue = [perm.images]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        return frozenset(self._conjugates(perm.images))
+
+    def _conjugates(self, img: tuple[int, ...]) -> set[tuple[int, ...]]:
+        gen_pairs = [(g.images, self._inverse(g.images)) for g in self.generators]
+        members = {img}
+        queue = [img]
+        for x in queue:
             for g, g_inv in gen_pairs:
                 y = compose_images(g, compose_images(x, g_inv))
                 if y not in members:
                     members.add(y)
                     queue.append(y)
-        return frozenset(members)
+        return members
 
     def normal_closure(self, seeds) -> "PermGroup":
+        """Smallest normal subgroup containing the seeds: one chain, grown
+        by the conjugates of each round's new generators until closed."""
         seeds = list(seeds)
         for s in seeds:
             if not self.contains(s):
@@ -372,17 +362,16 @@ class PermGroup:
             return PermGroup([self.line.identity()], enumeration_cap=self.enumeration_cap)
         group = PermGroup(closure_gens, enumeration_cap=self.enumeration_cap)
         gen_pairs = [(g, g.inverse()) for g in self.generators]
-        while True:
+        frontier = group.generators
+        while frontier:
             new = []
             for g, g_inv in gen_pairs:
-                for s in closure_gens:
+                for s in frontier:
                     t = g * s * g_inv
                     if not group.contains(t):
                         new.append(t)
-            if not new:
-                return group
-            closure_gens.extend(dict.fromkeys(new))
-            group = PermGroup(closure_gens, enumeration_cap=self.enumeration_cap)
+            frontier = group._extend(new)
+        return group
 
     def is_normal(self, subgroup: "PermGroup") -> bool:
         for h in subgroup.generators:
@@ -459,7 +448,8 @@ class PermGroup:
             if Permutation(self.line, e).order() == ell:
                 seed = e
                 break
-        assert seed is not None
+        if seed is None:
+            raise SylowGrowthFails(f"no element of order {ell} to start from")
         gens = [seed]
         current = closure_images(gens)
         while len(current) < target:
@@ -480,7 +470,7 @@ class PermGroup:
                     current = grown
                     break
             else:
-                raise AssertionError("Sylow growth stalled")  # unreachable
+                raise SylowGrowthFails("Sylow growth stalled")  # unreachable
         return frozenset(current)
 
     def sylow_count(self, ell: int) -> int:

@@ -33,6 +33,14 @@ class DecompositionFails(RuntimeError):
     pass
 
 
+class SeedsOutsideSL2(ValueError):
+    pass
+
+
+class NotInClosure(RuntimeError):
+    pass
+
+
 @dataclass(frozen=True)
 class Mat2:
     """A 2x2 matrix over a finite field, entries as element indices."""
@@ -146,26 +154,21 @@ class SL2Group:
     matrices: tuple[Mat2, ...]
     perm_group: PermGroup
 
-    def to_permutation(self, mat: Mat2) -> Permutation:
-        return moebius_permutation(mat, self.line)
-
 
 def sl2_group(q: int) -> SL2Group:
     if q > MAX_MATRIX_FIELD:
         raise FieldTooLarge(f"full SL(2,{q}) enumeration is capped at q={MAX_MATRIX_FIELD}")
     field = field_of_order(q)
     line = ProjLine(field)
-    matrices = sl2_matrices(field)
-    images = dict.fromkeys(moebius_permutation(m, line).images for m in matrices)
-    gens = [Permutation(line, img) for img in images]
-    return SL2Group(field, line, matrices, PermGroup(gens))
+    gens = [moebius_permutation(m, line) for m in sl2_generators(field)]
+    return SL2Group(field, line, sl2_matrices(field), PermGroup(gens))
 
 
 def psl2_perm_group(q: int) -> PermGroup:
     """PSL(2,q) acting on the q+1 projective points.
 
     Prime q up to 19 uses the unit translation and z -> -1/z as generators;
-    prime powers up to the matrix cap go through the full matrix image.
+    prime powers up to the matrix cap use the images of the shear generators.
     """
     field = field_of_order(q)
     if field.degree == 1:
@@ -216,7 +219,8 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
     group_gens = sl2_generators(sl2.field)
     gens = list(dict.fromkeys(seeds))
     closure = mat_closure(gens, limit)
-    assert closure is not None
+    if closure is None:
+        raise SeedsOutsideSL2("the seeds generate more than SL(2,q)")
     while True:
         added = False
         for g in group_gens:
@@ -226,7 +230,8 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
                 if t not in closure:
                     gens.append(t)
                     closure = mat_closure(gens, limit)
-                    assert closure is not None
+                    if closure is None:
+                        raise SeedsOutsideSL2("the seeds' conjugates generate more than SL(2,q)")
                     added = True
         if not added:
             return closure
@@ -260,7 +265,8 @@ def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[Mat2]) -> Mat
     diagonal = next(m for m in nonscalar if m.b == 0 and m.c == 0)
     shear = Mat2(sl2.field, 1, 1, 0, 1)
     witness = shear.mul(diagonal).mul(shear.inverse())
-    assert witness.b != 0 and witness in subgroup
+    if witness.b == 0 or witness not in subgroup:
+        raise NotInClosure(f"conjugated witness {witness} is not in the subgroup")
     return witness
 
 
@@ -413,7 +419,8 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         commutators = set()
         for shear in lower_shears:
             comm = shear.mul(B).mul(shear.inverse()).mul(B_inv)
-            assert comm in closure
+            if comm not in closure:
+                raise NotInClosure(f"commutator {comm} is not in the normal closure")
             pairs.append((shear, comm))
             commutators.add(comm)
         entries.append(

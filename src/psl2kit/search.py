@@ -7,7 +7,10 @@ subgroup transitive, its stabilizer of inf already holds the p*(p-1)/2
 translation-scaling maps, so the subgroup has order at least
 (p+1)*p*(p-1)/2 and must be the whole group.  The search therefore
 enumerates candidate swaps, closes each candidate generating set, and
-keeps exactly the closures of the right order.
+keeps exactly the closures of the right order.  The same argument lets
+each found group be rebuilt as a stabilizer chain from those three
+generators (the first swap that produced it); the chain's order is
+cross-checked against the closure's size.
 
 Two candidate spaces are provided.  The constrained space uses the derived
 shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
@@ -37,6 +40,10 @@ FULL_SEARCH_PRIMES = (5, 7)
 
 
 class PTooLarge(ValueError):
+    pass
+
+
+class SearchInvariantError(RuntimeError):
     pass
 
 
@@ -100,10 +107,12 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
 
     base_closure = closure_images(base_images)
     base_order = len(base_closure)
-    assert base_order == p * (p - 1) // 2
+    if base_order != p * (p - 1) // 2:
+        raise SearchInvariantError(f"base subgroup has order {base_order}")
 
     examined = 0
-    found: dict[str, frozenset] = {}
+    # digest -> (first swap that produced the group, its element set)
+    found: dict[str, tuple[tuple[int, ...], frozenset]] = {}
     for swap_images in swap_candidates:
         examined += 1
         if swap_images is None:
@@ -113,16 +122,20 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
             continue
         digest = element_set_hash(closure)
         if digest not in found:
-            found[digest] = closure
+            found[digest] = (swap_images, closure)
 
     neg_recip = line.neg_reciprocal().images
     groups = []
     for digest in sorted(found):
-        closure = found[digest]
-        members = [Permutation(line, img) for img in sorted(closure)]
-        group = PermGroup(members)
+        swap_images, closure = found[digest]
+        group = PermGroup(base + [Permutation(line, swap_images)])
+        if group.order() != len(closure):
+            raise SearchInvariantError(
+                f"chain order {group.order()} disagrees with closure size {len(closure)}"
+            )
         report = classify(group, p)
-        assert report.checks[0].passed, "found group fails the hypotheses"
+        if not report.checks[0].passed:
+            raise SearchInvariantError("found group fails the hypotheses")
         groups.append(
             FoundGroup(
                 element_set_sha256=digest,

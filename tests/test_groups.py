@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
@@ -8,11 +10,12 @@ from psl2kit.groups import (
     PermGroup,
     PrimeDoesNotDivideOrder,
     SeedNotInGroup,
+    SylowGrowthFails,
     closure_images,
 )
-from psl2kit.projline import DomainMismatch
+from psl2kit.projline import DomainMismatch, Permutation
 
-from conftest import brute_closure, exceptional_cached, psl2_cached
+from conftest import brute_closure, exceptional_cached, line_over, psl2_cached
 
 
 def symmetric_group(line):
@@ -43,6 +46,15 @@ def test_order_against_closure_oracle(line7, line5):
         PermGroup([line7.translation(1)]),
         symmetric_group(line5),
         psl2_cached(7).point_stabilizer(line7.infinity),
+        # the second level's orbit grows after that level was closed once, so
+        # its old generators must be re-tested on the new orbit points
+        PermGroup(
+            [
+                line5.perm((0, 4, 2, 3, 1, 5)),
+                line5.perm((3, 4, 2, 5, 1, 0)),
+                line5.perm((0, 1, 3, 2, 4, 5)),
+            ]
+        ),
     ]
     for group in catalog:
         if group.order() > 5000:
@@ -291,3 +303,32 @@ def test_generators_must_share_line(line5, line7):
         PermGroup([line5.translation(1), line7.translation(1)])
     with pytest.raises(ValueError):
         PermGroup([])
+
+
+def test_sylow_growth_without_seed_raises(monkeypatch):
+    # no element reports order 2, so the growth has nothing to start from
+    monkeypatch.setattr(Permutation, "order", lambda self: 1)
+    with pytest.raises(SylowGrowthFails):
+        psl2_cached(7).sylow_subgroups(2)
+
+
+@st.composite
+def random_generators(draw):
+    """1-4 random permutations of the 6-point (p=5) or 8-point (p=7) line."""
+    line = line_over(draw(st.sampled_from((5, 7))))
+    gens = draw(st.lists(st.permutations(range(line.size)), min_size=1, max_size=4))
+    non_members = draw(st.lists(st.permutations(range(line.size)), max_size=5))
+    return line, [tuple(g) for g in gens], [tuple(x) for x in non_members]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_generators())
+def test_chain_against_brute_closure(data):
+    line, gens, others = data
+    group = PermGroup([line.perm(g) for g in gens])
+    oracle = brute_closure(gens)
+    assert group.order() == len(oracle)
+    assert all(group.contains(Permutation(line, img)) for img in oracle)
+    for img in others:
+        assert group.contains(Permutation(line, img)) == (img in oracle)
+    assert group.point_stabilizer(0).order() * len(group.orbit(0)) == group.order()

@@ -3,11 +3,14 @@ import json
 import pytest
 
 from psl2kit.fields import Field, FieldTooLarge, NotPrime, field_of_order
+from psl2kit import psl2
 from psl2kit.psl2 import (
     DecompositionFails,
     FieldTooSmall,
     Mat2,
+    NotInClosure,
     OnlyScalars,
+    SeedsOutsideSL2,
     find_nonzero_corner_witness,
     factor_with_lower_shear,
     mat_closure,
@@ -196,3 +199,51 @@ def test_certificate_json_round_trip():
     assert parsed["q"] == 5 and parsed["verdict"] is True
     assert len(parsed["classes"]) == len(certificate.entries)
     assert all(c["commutators_cover_shears"] for c in parsed["classes"])
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_sl2_perm_group_built_from_shears(q):
+    data = sl2_group(q)
+    assert len(data.perm_group.generators) <= 2 * data.field.degree
+    images = {moebius_permutation(m, data.line).images for m in sl2_matrices(data.field)}
+    assert data.perm_group.element_set() == images
+
+
+def test_normal_closure_of_seeds_outside_sl2_raises():
+    data = sl2_group(5)
+    f = data.field
+    diagonal = Mat2(f, 2, 0, 0, 1)  # determinant 2
+    # the seeds alone already generate more than SL(2,5)
+    with pytest.raises(SeedsOutsideSL2):
+        matrix_normal_closure(
+            data, [diagonal, Mat2(f, 1, 1, 0, 1), Mat2(f, 1, 0, 1, 1)]
+        )
+    # the seed's own closure fits; its conjugates outgrow SL(2,5)
+    assert len(mat_closure([diagonal])) <= len(data.matrices)
+    with pytest.raises(SeedsOutsideSL2):
+        matrix_normal_closure(data, [diagonal])
+
+
+def test_corner_witness_outside_subgroup_raises(monkeypatch):
+    data = sl2_group(5)
+    f = data.field
+    not_normal = frozenset({mat_identity(f), Mat2(f, 2, 0, 0, 3)})
+    monkeypatch.setattr(psl2, "_verify_normal", lambda sl2, subgroup: True)
+    with pytest.raises(NotInClosure):
+        find_nonzero_corner_witness(data, not_normal)
+
+
+def test_commutator_outside_closure_raises(monkeypatch):
+    data = sl2_group(5)
+    f = data.field
+    missing = Mat2(f, 1, 0, 1, 1)
+    monkeypatch.setattr(
+        psl2,
+        "matrix_normal_closure",
+        lambda sl2, seeds: frozenset(sl2.matrices) - {missing},
+    )
+    monkeypatch.setattr(
+        psl2, "find_nonzero_corner_witness", lambda sl2, closure: Mat2(f, 1, 1, 0, 1)
+    )
+    with pytest.raises(NotInClosure):
+        certify_simplicity(5)

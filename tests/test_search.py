@@ -1,9 +1,12 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from psl2kit import search
 from psl2kit.search import (
     PTooLarge,
+    SearchInvariantError,
     constrained_search,
     element_set_hash,
     expected_group_count,
@@ -109,3 +112,47 @@ def test_search_input_validation():
         constrained_search(37)
     with pytest.raises(PTooLarge):
         full_search(11)
+
+
+def test_found_groups_built_from_three_generators(monkeypatch):
+    sizes = []
+    real = search.PermGroup
+
+    def spy(generators, **kwargs):
+        generators = list(generators)
+        sizes.append(len(generators))
+        return real(generators, **kwargs)
+
+    monkeypatch.setattr(search, "PermGroup", spy)
+    found = len(constrained_search(7).groups) + len(full_search(5).groups)
+    assert len(sizes) == found == 4
+    assert all(n <= 3 for n in sizes)
+
+
+def test_wrong_base_subgroup_raises(monkeypatch):
+    monkeypatch.setattr(
+        search, "_base_generators", lambda line, p: [line.translation(1)]
+    )
+    with pytest.raises(SearchInvariantError):
+        constrained_search(5)
+
+
+def test_chain_order_disagreeing_with_closure_raises(monkeypatch):
+    real = search.PermGroup
+    # drop the swap: the chain then has the base subgroup's order
+    monkeypatch.setattr(search, "PermGroup", lambda gens: real(list(gens)[:2]))
+    with pytest.raises(SearchInvariantError):
+        constrained_search(5)
+
+
+def test_found_group_failing_hypotheses_raises(monkeypatch):
+    real = search.classify
+
+    def failing(group, p):
+        report = real(group, p)
+        first = dataclasses.replace(report.checks[0], passed=False)
+        return dataclasses.replace(report, checks=(first,) + report.checks[1:])
+
+    monkeypatch.setattr(search, "classify", failing)
+    with pytest.raises(SearchInvariantError):
+        constrained_search(5)
