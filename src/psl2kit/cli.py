@@ -1,8 +1,8 @@
 """Command-line front end: construction, verification, certification and
 search, with deterministic JSON or text reports.
 
-Exit codes: 0 all checks pass, 2 hypotheses fail, 3 some check fails,
-4 usage or input error.
+Exit codes: 0 all checks pass, 2 hypotheses fail, 3 some check fails or an
+internal invariant breaks, 4 usage or input error.
 """
 
 from __future__ import annotations
@@ -11,12 +11,25 @@ import argparse
 import json
 import sys
 
-from .fields import is_prime
-from .groups import PermGroup
+from .fields import Gf8LabelingFails, NoPrimitiveElement, is_prime
+from .groups import PermGroup, SylowGrowthFails
 from .projline import ProjLine
-from .psl2 import certify_simplicity, psl2_expected_order, psl2_perm_group
-from .search import constrained_search, expected_group_count, full_search
+from .psl2 import (
+    DecompositionFails,
+    NotInClosure,
+    certify_simplicity,
+    psl2_expected_order,
+    psl2_perm_group,
+)
+from .search import (
+    SearchInvariantError,
+    constrained_search,
+    expected_group_count,
+    full_search,
+)
 from .verify import (
+    NoTwistExponent,
+    SpecialCaseContradiction,
     build_exceptional,
     classify,
     corollary_check,
@@ -28,6 +41,18 @@ EXIT_OK = 0
 EXIT_HYPOTHESES = 2
 EXIT_CHECK_FAILED = 3
 EXIT_USAGE = 4
+
+# the package's broken-invariant errors: the computation went wrong, not the input
+INVARIANT_ERRORS = (
+    DecompositionFails,
+    Gf8LabelingFails,
+    NoPrimitiveElement,
+    NoTwistExponent,
+    NotInClosure,
+    SearchInvariantError,
+    SpecialCaseContradiction,
+    SylowGrowthFails,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,6 +304,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"psl2kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except INVARIANT_ERRORS as exc:
+        print(f"psl2kit: invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def entrypoint() -> None:

@@ -43,6 +43,14 @@ class FieldTooLarge(ValueError):
     pass
 
 
+class NoPrimitiveElement(RuntimeError):
+    pass
+
+
+class Gf8LabelingFails(RuntimeError):
+    pass
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test, exact for the sizes used here."""
     if n < 2:
@@ -206,7 +214,8 @@ class Field:
             if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in factors):
                 gen = cand
                 break
-        assert gen is not None
+        if gen is None:
+            raise NoPrimitiveElement(f"GF({q}) has no generator of its unit group")
         exp = [1] * (q - 1)
         log = [-1] * q
         log[1] = 0
@@ -326,7 +335,7 @@ class Field:
         for cand in range(2, self.order):
             if self.multiplicative_order(cand) == self.order - 1:
                 return cand
-        raise AssertionError("unit group has no generator")  # unreachable
+        raise NoPrimitiveElement("unit group has no generator")  # unreachable
 
 
 def field_of_order(q: int) -> Field:
@@ -438,7 +447,8 @@ def gf8_labeling(modulus: tuple[int, ...] = CUBIC_X3_X_1) -> Gf8Labeling:
         raise ReduciblePolynomial(f"{modulus} is reducible over GF(2)")
     field = Field(2, 3, modulus)
     zeta = field.p  # the class of x, a root of the modulus; both cubics are primitive
-    assert field.multiplicative_order(zeta) == 7
+    if field.multiplicative_order(zeta) != 7:
+        raise Gf8LabelingFails(f"x does not have order 7 modulo {modulus}")
     to_point = [0] * 8
     to_point[0] = _GF8_POINT_AT_INFINITY
     power = 1
@@ -450,7 +460,7 @@ def gf8_labeling(modulus: tuple[int, ...] = CUBIC_X3_X_1) -> Gf8Labeling:
         from_point[pt] = e
     labeling = Gf8Labeling(field, zeta, tuple(to_point), tuple(from_point))
     if labeling.transport(labeling.mul_generator_map()) != _GF8_SHIFT:
-        raise AssertionError("generator multiplication did not transport to z->z+1")
+        raise Gf8LabelingFails("generator multiplication did not transport to z->z+1")
     if labeling.transport(labeling.frobenius_map()) != _GF8_DOUBLE:
-        raise AssertionError("squaring did not transport to z->2z")
+        raise Gf8LabelingFails("squaring did not transport to z->2z")
     return labeling

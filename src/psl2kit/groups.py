@@ -14,6 +14,12 @@ everything downstream reproducible run to run.
 Enumeration-backed queries (conjugacy classes, setwise stabilizers, Sylow
 counting, simplicity) refuse to run past ``enumeration_cap`` rather than
 degrade; the default cap covers every group this package builds in anger.
+
+A chain built with ``order_limit`` gives up as soon as it proves the group
+larger: while the chain is partial, each level's orbit under the generators
+placed so far lies inside that level's true orbit, so the product of the
+orbit lengths is a lower bound on the order.  Checking it after every orbit
+growth raises ``OrderLimitExceeded`` exactly when the order exceeds the limit.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ class PrimeDoesNotDivideOrder(ValueError):
 
 class SylowGrowthFails(RuntimeError):
     pass
+
+
+class OrderLimitExceeded(Exception):
+    """A chain built with ``order_limit`` proved its group larger than that."""
 
 
 def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]] | None:
@@ -106,7 +116,8 @@ class PermGroup:
     """Permutation group on a projective line, queried through its chain.
 
     The chain is built from ``generators`` by Schreier-Sims with in-place
-    orbit extension; see the module docstring.
+    orbit extension; see the module docstring.  With ``order_limit`` set,
+    construction raises OrderLimitExceeded if the order would exceed it.
     """
 
     def __init__(
@@ -115,6 +126,7 @@ class PermGroup:
         *,
         base_prefix: tuple[int, ...] = (),
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+        order_limit: int | None = None,
     ):
         generators = list(generators)
         if not generators:
@@ -126,6 +138,7 @@ class PermGroup:
         self.line: ProjLine = line
         self.degree: int = line.size
         self.enumeration_cap = enumeration_cap
+        self._order_limit = order_limit
         self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._levels = [_Level(pt, self._ident) for pt in base_prefix]
@@ -174,10 +187,12 @@ class PermGroup:
         return [g for level in self._levels[idx:] for g in level.gens]
 
     def _extend_orbit(self, idx: int) -> None:
-        """Append the points the level's generators newly reach."""
+        """Append the points the level's generators newly reach; raises
+        OrderLimitExceeded once the order's lower bound passes the limit."""
         gens = self._level_gens(idx)
         trans = self._levels[idx].transversal
         queue = list(trans)
+        known = len(queue)
         for x in queue:
             ux, ux_inv = trans[x]
             for g in gens:
@@ -185,6 +200,9 @@ class PermGroup:
                 if y not in trans:
                     trans[y] = (compose_images(g, ux), compose_images(ux_inv, self._inverse(g)))
                     queue.append(y)
+        limit = self._order_limit
+        if limit is not None and len(queue) > known and self.order() > limit:
+            raise OrderLimitExceeded(f"order exceeds {limit}")
 
     def _sift_images(self, img: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
         """Reduce img through the chain from level ``start``; returns the residue."""

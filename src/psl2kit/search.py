@@ -6,11 +6,15 @@ any single element swapping 0 and inf: the swap makes the generated
 subgroup transitive, its stabilizer of inf already holds the p*(p-1)/2
 translation-scaling maps, so the subgroup has order at least
 (p+1)*p*(p-1)/2 and must be the whole group.  The search therefore
-enumerates candidate swaps, closes each candidate generating set, and
-keeps exactly the closures of the right order.  The same argument lets
-each found group be rebuilt as a stabilizer chain from those three
-generators (the first swap that produced it); the chain's order is
-cross-checked against the closure's size.
+enumerates candidate swaps and decides each one in at most two steps.  A
+swap that lies in a group already found regenerates that group, so one
+sift into each found group settles it as a duplicate.  Otherwise the
+three generators are built into a stabilizer chain capped at (p^3-p)/2:
+the chain gives up as soon as its partial order passes the cap, and a
+complete chain of exactly that order is a new group.  Each new group is
+then closed once by frontier multiplication, independently of the chain:
+the closure must have the chain's order, and it supplies the element-set
+hash and the membership of z -> -1/z.
 
 Two candidate spaces are provided.  The constrained space uses the derived
 shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
@@ -31,7 +35,7 @@ import time
 from dataclasses import dataclass
 
 from .fields import is_prime, primitive_root, quadratic_classes
-from .groups import PermGroup, closure_images
+from .groups import OrderLimitExceeded, PermGroup, closure_images
 from .projline import Permutation, ProjLine
 from .verify import classify
 
@@ -45,6 +49,10 @@ class PTooLarge(ValueError):
 
 class SearchInvariantError(RuntimeError):
     pass
+
+
+# how a candidate swap is decided
+NEW, DUPLICATE, REJECTED = "new", "duplicate", "rejected"
 
 
 @dataclass(frozen=True)
@@ -98,41 +106,60 @@ def _base_generators(line: ProjLine, p: int) -> list[Permutation]:
     return [line.translation(1), line.scaling(square_gen)]
 
 
+def _decide_candidates(line: ProjLine, base: list[Permutation], target: int, swap_candidates):
+    """Decide each candidate swap in turn, yielding (decision, found):
+    ``found`` is (chain, closure) for a NEW group and None otherwise.
+    Non-bijective candidates arrive as None and are REJECTED."""
+    base_images = [g.images for g in base]
+    groups: list[PermGroup] = []
+    for swap_images in swap_candidates:
+        if swap_images is None:
+            yield REJECTED, None
+            continue
+        swap = Permutation(line, swap_images)
+        if any(group.contains(swap) for group in groups):
+            yield DUPLICATE, None
+            continue
+        try:
+            group = PermGroup(base + [swap], order_limit=target)
+        except OrderLimitExceeded:
+            yield REJECTED, None
+            continue
+        if group.order() != target:
+            yield REJECTED, None
+            continue
+        closure = closure_images(base_images + [swap_images], limit=target)
+        if closure is None or len(closure) != group.order():
+            size = "more than the limit" if closure is None else len(closure)
+            raise SearchInvariantError(
+                f"chain order {group.order()} disagrees with closure size {size}"
+            )
+        groups.append(group)
+        yield NEW, (group, closure)
+
+
 def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
     start = time.perf_counter()
     line = ProjLine.over_prime(p)
     target = (p**3 - p) // 2
     base = _base_generators(line, p)
-    base_images = [g.images for g in base]
 
-    base_closure = closure_images(base_images)
+    base_closure = closure_images([g.images for g in base])
     base_order = len(base_closure)
     if base_order != p * (p - 1) // 2:
         raise SearchInvariantError(f"base subgroup has order {base_order}")
 
     examined = 0
-    # digest -> (first swap that produced the group, its element set)
-    found: dict[str, tuple[tuple[int, ...], frozenset]] = {}
-    for swap_images in swap_candidates:
+    found: dict[str, tuple[PermGroup, frozenset]] = {}
+    for decision, new in _decide_candidates(line, base, target, swap_candidates):
         examined += 1
-        if swap_images is None:
-            continue
-        closure = closure_images(base_images + [swap_images], limit=target)
-        if closure is None or len(closure) != target:
-            continue
-        digest = element_set_hash(closure)
-        if digest not in found:
-            found[digest] = (swap_images, closure)
+        if decision == NEW:
+            found[element_set_hash(new[1])] = new
 
     neg_recip = line.neg_reciprocal().images
     groups = []
     for digest in sorted(found):
-        swap_images, closure = found[digest]
-        group = PermGroup(base + [Permutation(line, swap_images)])
-        if group.order() != len(closure):
-            raise SearchInvariantError(
-                f"chain order {group.order()} disagrees with closure size {len(closure)}"
-            )
+        group, closure = found[digest]
         report = classify(group, p)
         if not report.checks[0].passed:
             raise SearchInvariantError("found group fails the hypotheses")

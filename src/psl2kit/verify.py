@@ -38,10 +38,6 @@ class NoTwistExponent(RuntimeError):
     pass
 
 
-class NoUniqueLambda(RuntimeError):
-    pass
-
-
 class SpecialCaseContradiction(RuntimeError):
     pass
 
@@ -429,16 +425,6 @@ def check_inversion_from_constant(
 
 
 # --- the branch for p = 3 mod 4 --------------------------------------------
-
-
-def find_normalized_swap(dec: StabilizerDecomposition, p: int) -> Permutation:
-    """The unique swap with -swap(1)*swap(-1) = 1; raises if not unique."""
-    matches = [
-        s for s in dec.swapping if (p - s(1) * s(p - 1)) % p == 1 % p
-    ]
-    if len(matches) != 1:
-        raise NoUniqueLambda(f"{len(matches)} candidates instead of one")
-    return matches[0]
 
 
 def check_unique_normalized_swap(

@@ -1,8 +1,11 @@
+import importlib
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from psl2kit import cli, search
 from psl2kit.cli import main
 from psl2kit.psl2 import psl2_perm_group
 
@@ -109,6 +112,28 @@ def test_search_rejects_bad_p(capsys):
     assert code == 4
     code, _ = run_cli(capsys, "search", "--p", "11", "--mode", "full")
     assert code == 4
+
+
+def test_search_invariant_error_exits_3_without_traceback(capsys, monkeypatch):
+    # drop the square scalings: the base subgroup then has the wrong order
+    monkeypatch.setattr(search, "_base_generators", lambda line, p: [line.translation(1)])
+    code = main(["search", "--p", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "psl2kit: invariant violated: SearchInvariantError: base subgroup has order 5\n"
+
+
+def test_every_runtime_invariant_maps_to_exit_3():
+    defined = {
+        cls
+        for name in ("fields", "projline", "groups", "psl2", "verify", "search", "cli")
+        for _, cls in inspect.getmembers(
+            importlib.import_module(f"psl2kit.{name}"), inspect.isclass
+        )
+        if issubclass(cls, RuntimeError) and cls.__module__.startswith("psl2kit.")
+    }
+    assert defined == set(cli.INVARIANT_ERRORS)
 
 
 def test_psl2_order_command(capsys):

@@ -5,8 +5,10 @@ from psl2kit.fields import (
     CUBIC_X3_X_1,
     Field,
     FieldTooLarge,
+    Gf8LabelingFails,
     IndexOutOfRange,
     InversionOfZero,
+    NoPrimitiveElement,
     NotOddPrime,
     NotPrime,
     ReduciblePolynomial,
@@ -211,3 +213,16 @@ def test_gf8_labeling_rejects_reducible_cubic():
         gf8_labeling((1, 1, 1, 1))
     with pytest.raises(ValueError):
         gf8_labeling((1, 1, 1))  # not a cubic
+
+
+def test_missing_primitive_element_raises(monkeypatch):
+    # every candidate then looks like it has a proper-divisor order
+    monkeypatch.setattr(Field, "_raw_pow", lambda self, x, e: 1)
+    with pytest.raises(NoPrimitiveElement):
+        Field(2, 3, CUBIC_X3_X_1)
+
+
+def test_gf8_labeling_with_wrong_root_order_raises(monkeypatch):
+    monkeypatch.setattr(Field, "multiplicative_order", lambda self, x: 1)
+    with pytest.raises(Gf8LabelingFails):
+        gf8_labeling(CUBIC_X3_X_1)

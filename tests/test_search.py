@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from psl2kit import search
+from psl2kit.groups import closure_images
+from psl2kit.projline import ProjLine
 from psl2kit.search import (
+    DUPLICATE,
+    NEW,
+    REJECTED,
     PTooLarge,
     SearchInvariantError,
     constrained_search,
@@ -115,6 +120,7 @@ def test_search_input_validation():
 
 
 def test_found_groups_built_from_three_generators(monkeypatch):
+    # every chain the search builds, kept or not, gets exactly three generators
     sizes = []
     real = search.PermGroup
 
@@ -125,8 +131,53 @@ def test_found_groups_built_from_three_generators(monkeypatch):
 
     monkeypatch.setattr(search, "PermGroup", spy)
     found = len(constrained_search(7).groups) + len(full_search(5).groups)
-    assert len(sizes) == found == 4
-    assert all(n <= 3 for n in sizes)
+    assert found == 4
+    assert len(sizes) > found  # rejected candidates build chains too
+    assert all(n == 3 for n in sizes)
+
+
+def reference_decisions(p, swap_candidates):
+    """Decide every candidate the way the search did before it sifted and
+    capped chains: close it up to (p^3-p)/2 and compare element-set hashes."""
+    line = ProjLine.over_prime(p)
+    base_images = [g.images for g in search._base_generators(line, p)]
+    target = (p**3 - p) // 2
+    seen = set()
+    for swap_images in swap_candidates:
+        closure = None
+        if swap_images is not None:
+            closure = closure_images(base_images + [swap_images], limit=target)
+        if closure is None or len(closure) != target:
+            yield REJECTED
+            continue
+        digest = element_set_hash(closure)
+        yield DUPLICATE if digest in seen else NEW
+        seen.add(digest)
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11)],
+)
+def test_candidate_decisions_match_closure_reference(mode, p):
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    line = ProjLine.over_prime(p)
+    base = search._base_generators(line, p)
+    decided = [
+        decision
+        for decision, _ in search._decide_candidates(line, base, (p**3 - p) // 2, candidates(p))
+    ]
+    assert decided == list(reference_decisions(p, candidates(p)))
+    assert decided.count(NEW) == expected_group_count(p)
+    assert {NEW, DUPLICATE, REJECTED} <= set(decided)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_constrained_search_larger_primes(p):
+    outcome = constrained_search(p)
+    assert len(outcome.groups) == expected_group_count(p)
+    assert all(g.verdict == "a" for g in outcome.groups)
+    assert all(g.order == (p**3 - p) // 2 for g in outcome.groups)
 
 
 def test_wrong_base_subgroup_raises(monkeypatch):
@@ -138,11 +189,18 @@ def test_wrong_base_subgroup_raises(monkeypatch):
 
 
 def test_chain_order_disagreeing_with_closure_raises(monkeypatch):
-    real = search.PermGroup
-    # drop the swap: the chain then has the base subgroup's order
-    monkeypatch.setattr(search, "PermGroup", lambda gens: real(list(gens)[:2]))
-    with pytest.raises(SearchInvariantError):
-        constrained_search(5)
+    real = search.closure_images
+    # a found group's closure reported one element short, then as outgrowing the limit
+    for wrong in (lambda closure: frozenset(sorted(closure)[1:]), lambda closure: None):
+
+        def lying(gens, limit=None, wrong=wrong):
+            closure = real(gens, limit=limit)
+            # the base subgroup's closure stays honest
+            return closure if limit is None else wrong(closure)
+
+        monkeypatch.setattr(search, "closure_images", lying)
+        with pytest.raises(SearchInvariantError, match="disagrees with closure size"):
+            constrained_search(5)
 
 
 def test_found_group_failing_hypotheses_raises(monkeypatch):

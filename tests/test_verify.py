@@ -8,9 +8,9 @@ from psl2kit.verify import (
     BadVariant,
     EXCEPTIONAL_INVOLUTIONS,
     NoTwistExponent,
-    NoUniqueLambda,
     build_exceptional,
     check_hypotheses,
+    check_unique_normalized_swap,
     check_stabilizer_scalings,
     classify,
     compute_twist,
@@ -18,7 +18,6 @@ from psl2kit.verify import (
     decompose_stabilizers,
     decomposition_check,
     exceptional_report,
-    find_normalized_swap,
     p3_case_check,
     twist_exponent,
 )
@@ -170,7 +169,8 @@ def test_find_normalized_swap():
     for p in (7, 11):
         group = psl2_cached(p)
         dec = decompose_stabilizers(group)
-        lam = find_normalized_swap(dec, p)
+        result, lam = check_unique_normalized_swap(dec, p)
+        assert result.passed and result.witness["candidates"] == 1
         assert lam == group.line.neg_reciprocal()
     # S6 on the 6-point line has many pair-swapping elements hitting the
     # normalization, so uniqueness fails
@@ -179,8 +179,9 @@ def test_find_normalized_swap():
     swap = line5.perm((1, 0) + tuple(range(2, n)))
     cycle = line5.perm(tuple(range(1, n)) + (0,))
     dec = decompose_stabilizers(PermGroup([swap, cycle]))
-    with pytest.raises(NoUniqueLambda):
-        find_normalized_swap(dec, 5)
+    result, lam = check_unique_normalized_swap(dec, 5)
+    assert result.witness["candidates"] != 1
+    assert not result.passed and lam is None
 
 
 def test_twist_rejects_non_normalizing_map(line7):
