@@ -249,6 +249,10 @@ def test_usage_errors(capsys):
         ("psl2_q13_simplicity", ["psl2", "--q", "13", "--check", "simplicity"]),
         ("classify_p13_psl2", ["classify", "--p", "13", "--group", "psl2"]),
         ("classify_p7_exceptional3", ["classify", "--p", "7", "--group", "exceptional:3"]),
+        ("psl2_q4_simplicity", ["psl2", "--q", "4", "--check", "simplicity"]),
+        ("psl2_q5_simplicity", ["psl2", "--q", "5", "--check", "simplicity"]),
+        ("psl2_q7_simplicity", ["psl2", "--q", "7", "--check", "simplicity"]),
+        ("psl2_q11_simplicity", ["psl2", "--q", "11", "--check", "simplicity"]),
     ],
 )
 def test_golden_reports(capsys, name, argv):
