@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .fields import Gf8LabelingFails, NoPrimitiveElement, is_prime
+from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement, is_prime
 from .groups import PermGroup, SylowGrowthFails
 from .projline import ProjLine
 from .psl2 import (
@@ -46,6 +46,7 @@ EXIT_USAGE = 4
 INVARIANT_ERRORS = (
     DecompositionFails,
     Gf8LabelingFails,
+    NoIrreduciblePolynomial,
     NoPrimitiveElement,
     NoTwistExponent,
     NotInClosure,

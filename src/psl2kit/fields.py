@@ -5,8 +5,10 @@ field the index is the residue itself.  In GF(p^k) the index encodes the
 representative polynomial's coefficients in base p with the constant term
 in the least significant digit, so index 0 is the additive zero and index 1
 the multiplicative one.  Multiplication, inversion and powers run through
-exp/log tables over a fixed primitive element; addition is digit-wise and
-needs no table.
+exp/log tables over a fixed primitive element; addition is digit-wise.
+For fields with q*q <= MAX_FIELD_ORDER, full q-by-q addition and
+multiplication tables are built on first use from those operations; the
+2x2 matrix kernel in ``psl2`` runs on them.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class NoPrimitiveElement(RuntimeError):
 
 
 class Gf8LabelingFails(RuntimeError):
+    pass
+
+
+class NoIrreduciblePolynomial(RuntimeError):
     pass
 
 
@@ -145,7 +151,7 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
         cand = tuple(reversed(descending)) + (1,)
         if poly_is_irreducible(cand, p):
             return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise NoIrreduciblePolynomial(f"no monic irreducible of degree {degree} over GF({p})")
 
 
 class Field:
@@ -306,6 +312,25 @@ class Field:
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
+
+    # -- operation tables --
+
+    @cached_property
+    def add_table(self) -> tuple[int, ...]:
+        """Sums by lookup: ``add_table[x * q + y] == add(x, y)``."""
+        return self._operation_table(self.add)
+
+    @cached_property
+    def mul_table(self) -> tuple[int, ...]:
+        """Products by lookup: ``mul_table[x * q + y] == mul(x, y)``."""
+        return self._operation_table(self.mul)
+
+    def _operation_table(self, op) -> tuple[int, ...]:
+        # Built from the validated operation, so the table agrees with it.
+        q = self.order
+        if q * q > MAX_FIELD_ORDER:
+            raise FieldTooLarge(f"operation tables need q*q <= {MAX_FIELD_ORDER}, not q={q}")
+        return tuple(op(x, y) for x in range(q) for y in range(q))
 
     # -- structure queries --
 

@@ -305,19 +305,24 @@ class MoebiusMap:
         return MoebiusMap(f, f.neg(self.a), f.neg(self.b), f.neg(self.c), f.neg(self.d))
 
     def permutation(self, line: ProjLine) -> Permutation:
-        if line.field != self.field:
-            raise DomainMismatch("map and line use different fields")
-        f = self.field
-        images = []
-        for z in f.elements():
-            den = f.add(f.mul(self.c, z), self.d)
-            if den == 0:
-                images.append(line.infinity)
-            else:
-                num = f.add(f.mul(self.a, z), self.b)
-                images.append(f.div(num, den))
-        if self.c == 0:
+        return moebius_permutation(self, line)
+
+
+def moebius_permutation(mat, line: ProjLine) -> Permutation:
+    """The permutation z -> (az+b)/(cz+d) of ``line``.
+
+    ``mat`` is any 2x2 matrix with ``field``, ``a``, ``b``, ``c`` and ``d``
+    attributes: a ``MoebiusMap`` or a ``psl2.Mat2``.
+    """
+    if line.field != mat.field:
+        raise DomainMismatch("map and line use different fields")
+    f = mat.field
+    images = []
+    for z in f.elements():
+        den = f.add(f.mul(mat.c, z), mat.d)
+        if den == 0:
             images.append(line.infinity)
         else:
-            images.append(f.div(self.a, self.c))
-        return Permutation(line, tuple(images))
+            images.append(f.div(f.add(f.mul(mat.a, z), mat.b), den))
+    images.append(line.infinity if mat.c == 0 else f.div(mat.a, mat.c))
+    return Permutation(line, tuple(images))

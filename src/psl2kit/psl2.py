@@ -10,11 +10,11 @@ lower unitriangular subgroup, hence everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import Field, FieldTooLarge, field_of_order
 from .groups import PermGroup
-from .projline import Permutation, ProjLine
+from .projline import DomainMismatch, ProjLine, moebius_permutation
 
 # Full matrix enumeration stays under q^3 entries only at desk scale.
 MAX_MATRIX_FIELD = 13
@@ -41,35 +41,68 @@ class NotInClosure(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix over a finite field, entries as element indices."""
+    """A 2x2 matrix over a finite field, entries as element indices.
 
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
-    det: int = dc_field(init=False)
+    An immutable value: equal entries over equal fields compare equal, and
+    the hash is that of the entries alone.  The constructor validates the
+    entries and computes ``det`` with the field's operations; ``mul`` reads
+    the field's add and mul tables, so a product needs no re-validation and
+    its ``det`` is the product of the two determinants.
+    """
 
-    def __post_init__(self):
-        f = self.field
-        object.__setattr__(
-            self, "det", f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
+    __slots__ = ("field", "a", "b", "c", "d", "det")
+
+    def __init__(self, field: Field, a: int, b: int, c: int, d: int):
+        det = field.sub(field.mul(a, d), field.mul(b, c))  # range-checks a..d
+        _set_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_det(self, det)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mat2 is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Mat2 is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Mat2, (self.field, self.a, self.b, self.c, self.d))
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return (
+            self.a == other.a
+            and self.b == other.b
+            and self.c == other.c
+            and self.d == other.d
+            and (self.field is other.field or self.field == other.field)
         )
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
     def mul(self, other: "Mat2") -> "Mat2":
         f = self.field
-        return Mat2(
-            f,
-            f.add(f.mul(self.a, other.a), f.mul(self.b, other.c)),
-            f.add(f.mul(self.a, other.b), f.mul(self.b, other.d)),
-            f.add(f.mul(self.c, other.a), f.mul(self.d, other.c)),
-            f.add(f.mul(self.c, other.b), f.mul(self.d, other.d)),
-        )
+        if other.field is not f and other.field != f:
+            raise DomainMismatch("matrices over different fields")
+        add, mul, q = f.add_table, f.mul_table, f.order
+        aq, bq, cq, dq = self.a * q, self.b * q, self.c * q, self.d * q
+        e, g, h, k = other.a, other.b, other.c, other.d
+        out = _new(Mat2)
+        _set_field(out, f)
+        _set_a(out, add[mul[aq + e] * q + mul[bq + h]])
+        _set_b(out, add[mul[aq + g] * q + mul[bq + k]])
+        _set_c(out, add[mul[cq + e] * q + mul[dq + h]])
+        _set_d(out, add[mul[cq + g] * q + mul[dq + k]])
+        _set_det(out, mul[self.det * q + other.det])
+        return out
 
     def inverse(self) -> "Mat2":
         f = self.field
@@ -94,6 +127,13 @@ class Mat2:
 
     def __repr__(self):
         return f"Mat2({self.a},{self.b};{self.c},{self.d})"
+
+
+# Slot setters that bypass the immutability guard.
+_new = object.__new__
+_set_field, _set_a, _set_b, _set_c, _set_d, _set_det = (
+    Mat2.__dict__[name].__set__ for name in Mat2.__slots__
+)
 
 
 def mat_identity(field: Field) -> Mat2:
@@ -130,19 +170,6 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
     gens = [Mat2(field, 1, b, 0, 1) for b in basis]
     gens += [Mat2(field, 1, 0, b, 1) for b in basis]
     return tuple(gens)
-
-
-def moebius_permutation(mat: Mat2, line: ProjLine) -> Permutation:
-    f = mat.field
-    images = []
-    for z in f.elements():
-        den = f.add(f.mul(mat.c, z), mat.d)
-        if den == 0:
-            images.append(line.infinity)
-        else:
-            images.append(f.div(f.add(f.mul(mat.a, z), mat.b), den))
-    images.append(line.infinity if mat.c == 0 else f.div(mat.a, mat.c))
-    return Permutation(line, tuple(images))
 
 
 @dataclass(frozen=True)

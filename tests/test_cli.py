@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psl2kit import cli, search
+from psl2kit import cli, fields, search
 from psl2kit.cli import main
 from psl2kit.psl2 import psl2_perm_group
 
@@ -122,6 +122,15 @@ def test_search_invariant_error_exits_3_without_traceback(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "psl2kit: invariant violated: SearchInvariantError: base subgroup has order 5\n"
+
+
+def test_missing_irreducible_polynomial_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(fields, "poly_is_irreducible", lambda coeffs, p: False)
+    code = main(["psl2", "--q", "8", "--check", "order"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("psl2kit: invariant violated: NoIrreduciblePolynomial: ")
 
 
 def test_every_runtime_invariant_maps_to_exit_3():

@@ -1,5 +1,6 @@
 import pytest
 
+from psl2kit import fields
 from psl2kit.fields import (
     CUBIC_X3_X2_1,
     CUBIC_X3_X_1,
@@ -8,6 +9,7 @@ from psl2kit.fields import (
     Gf8LabelingFails,
     IndexOutOfRange,
     InversionOfZero,
+    NoIrreduciblePolynomial,
     NoPrimitiveElement,
     NotOddPrime,
     NotPrime,
@@ -226,3 +228,20 @@ def test_gf8_labeling_with_wrong_root_order_raises(monkeypatch):
     monkeypatch.setattr(Field, "multiplicative_order", lambda self, x: 1)
     with pytest.raises(Gf8LabelingFails):
         gf8_labeling(CUBIC_X3_X_1)
+
+
+def test_missing_irreducible_polynomial_raises(monkeypatch):
+    monkeypatch.setattr(fields, "poly_is_irreducible", lambda coeffs, p: False)
+    with pytest.raises(NoIrreduciblePolynomial):
+        default_modulus(2, 3)
+
+
+def test_operation_tables_capped_at_order_256():
+    f = field_of_order(256)
+    assert len(f.add_table) == len(f.mul_table) == 256 * 256
+    for q in (257, 512):
+        f = field_of_order(q)
+        with pytest.raises(FieldTooLarge):
+            f.add_table
+        with pytest.raises(FieldTooLarge):
+            f.mul_table

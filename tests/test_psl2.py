@@ -1,8 +1,13 @@
+import copy
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psl2kit.fields import Field, FieldTooLarge, NotPrime, field_of_order
+from psl2kit.fields import Field, FieldTooLarge, IndexOutOfRange, NotPrime, field_of_order
+from psl2kit.projline import DomainMismatch
 from psl2kit import psl2
 from psl2kit.psl2 import (
     DecompositionFails,
@@ -38,6 +43,78 @@ def test_mat2_algebra():
     assert not m.is_scalar()
     assert Mat2(f, 3, 0, 0, 3).is_scalar()
     assert m.neg().entries() == (5, 4, 6, 5)
+
+
+KERNEL_ORDERS = (4, 5, 7, 8, 9, 11, 13)
+
+
+def _reference_mul(f, x, y):
+    """The product entry by entry through the validated field operations."""
+    return (
+        f.add(f.mul(x.a, y.a), f.mul(x.b, y.c)),
+        f.add(f.mul(x.a, y.b), f.mul(x.b, y.d)),
+        f.add(f.mul(x.c, y.a), f.mul(x.d, y.c)),
+        f.add(f.mul(x.c, y.b), f.mul(x.d, y.d)),
+    )
+
+
+def _reference_det(f, a, b, c, d):
+    return f.add(f.mul(a, d), f.neg(f.mul(b, c)))
+
+
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mat2_kernel_matches_field_operations(q, data):
+    f = field_of_order(q)
+    entries = st.tuples(*[st.integers(0, q - 1)] * 4)
+    x, y = Mat2(f, *data.draw(entries)), Mat2(f, *data.draw(entries))
+    assert x.det == _reference_det(f, *x.entries())
+    product = x.mul(y)
+    assert product.entries() == _reference_mul(f, x, y)
+    assert product.det == _reference_det(f, *product.entries())
+    assert product == Mat2(f, *_reference_mul(f, x, y))
+    if x.det != 0:
+        inverse = x.inverse()
+        assert _reference_mul(f, x, inverse) == (1, 0, 0, 1)
+        assert _reference_mul(f, inverse, x) == (1, 0, 0, 1)
+
+
+def test_mat2_equal_over_equal_distinct_fields():
+    for make in (lambda: Field(13), lambda: field_of_order(9)):
+        f, g = make(), make()
+        assert f is not g and f == g
+        x, y = Mat2(f, 2, 3, 1, 2), Mat2(g, 2, 3, 1, 2)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert x.mul(y) == y.mul(x) == Mat2(f, *_reference_mul(f, x, y))
+    assert Mat2(Field(5), 1, 1, 0, 1) != Mat2(Field(7), 1, 1, 0, 1)
+
+
+def test_mat2_is_immutable():
+    m = Mat2(Field(7), 2, 3, 1, 2)
+    for name in ("a", "det", "field", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m.entries() == (2, 3, 1, 2) and m.det == 1
+    assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
+
+
+def test_mat2_cross_field_product_raises():
+    x, y = Mat2(Field(5), 1, 1, 0, 1), Mat2(Field(7), 1, 1, 0, 1)
+    with pytest.raises(DomainMismatch):
+        x.mul(y)
+    with pytest.raises(DomainMismatch):
+        y.mul(x)
+
+
+def test_mat2_entry_out_of_range_raises():
+    f = Field(5)
+    for entries in ((5, 0, 0, 1), (1, -1, 0, 1), (1, 0, 7, 1), (1, 0, 0, 25)):
+        with pytest.raises(IndexOutOfRange):
+            Mat2(f, *entries)
 
 
 def test_sl2_matrix_counts():

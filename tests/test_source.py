@@ -8,12 +8,27 @@ import psl2kit
 SOURCE_DIR = Path(psl2kit.__file__).parent
 
 
+def _nodes():
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_package():
     # assert vanishes under python -O; invariants raise named exceptions
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_raise_assertion_error_in_package():
+    # a bare AssertionError escapes cli.INVARIANT_ERRORS as a traceback
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE_DIR.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None and raises_assertion_error(node)
     ]
     assert found == []
