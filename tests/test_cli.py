@@ -262,6 +262,14 @@ def test_usage_errors(capsys):
         ("psl2_q5_simplicity", ["psl2", "--q", "5", "--check", "simplicity"]),
         ("psl2_q7_simplicity", ["psl2", "--q", "7", "--check", "simplicity"]),
         ("psl2_q11_simplicity", ["psl2", "--q", "11", "--check", "simplicity"]),
+        ("classify_p11_psl2", ["classify", "--p", "11", "--group", "psl2"]),
+        ("classify_p17_psl2", ["classify", "--p", "17", "--group", "psl2"]),
+        ("classify_p7_exceptional5", ["classify", "--p", "7", "--group", "exceptional:5"]),
+        # --group psl2 stops at p = 19; these files hold conjugated PSL(2,p) generators
+        ("classify_p29_gens",
+         ["classify", "--p", "29", "--group", str(GOLDEN_DIR / "classify_p29.gens")]),
+        ("classify_p31_gens",
+         ["classify", "--p", "31", "--group", str(GOLDEN_DIR / "classify_p31.gens")]),
     ],
 )
 def test_golden_reports(capsys, name, argv):
