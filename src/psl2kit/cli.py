@@ -8,6 +8,7 @@ internal invariant breaks, 4 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -75,7 +76,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every ``main`` call can share it."""
     parser = _Parser(prog="psl2kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

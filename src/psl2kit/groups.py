@@ -25,6 +25,7 @@ growth raises ``OrderLimitExceeded`` exactly when the order exceeds the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .projline import (
     DomainMismatch,
@@ -260,6 +261,14 @@ class PermGroup:
         return self._sift_images(perm.images) == self._ident
 
     def element_images(self, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """All elements as image tuples, in canonical (sorted) order.
+
+        Enumerated from the chain bottom up: if H is the stabilizer below a
+        level and u_x its transversal entries, the products e * u_x^-1 over
+        e in H cover the level's stabilizer exactly once (one right coset
+        H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
+        one ``itemgetter``; the sort makes the order independent of that.
+        """
         cap = self.enumeration_cap if cap is None else cap
         if self.order() > cap:
             raise GroupTooLargeForEnumeration(
@@ -268,8 +277,9 @@ class PermGroup:
         if self._element_cache is None:
             elems = [self._ident]
             for level in reversed(self._levels):
-                reps = [level.transversal[x][0] for x in sorted(level.transversal)]
-                elems = [compose_images(u, e) for u in reps for e in elems]
+                below, elems = elems, []
+                for _, u_inv in level.transversal.values():
+                    elems += map(itemgetter(*u_inv), below)
             self._element_cache = tuple(sorted(elems))
         return self._element_cache
 
@@ -357,12 +367,16 @@ class PermGroup:
         return frozenset(self._conjugates(perm.images))
 
     def _conjugates(self, img: tuple[int, ...]) -> set[tuple[int, ...]]:
-        gen_pairs = [(g.images, self._inverse(g.images)) for g in self.generators]
+        # g * x * g^-1: x * g^-1 by one itemgetter, then g applied on the left
+        conjugators = [
+            (g.images.__getitem__, itemgetter(*self._inverse(g.images)))
+            for g in self.generators
+        ]
         members = {img}
         queue = [img]
         for x in queue:
-            for g, g_inv in gen_pairs:
-                y = compose_images(g, compose_images(x, g_inv))
+            for left, right_inv in conjugators:
+                y = tuple(map(left, right_inv(x)))
                 if y not in members:
                     members.add(y)
                     queue.append(y)

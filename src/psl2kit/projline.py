@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from .fields import Field, field_of_order
 
@@ -187,7 +189,7 @@ class Permutation:
         return Permutation(self.line, invert_images(self.images))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == identity_images(len(self.images))
 
     def __eq__(self, other):
         return (
@@ -221,7 +223,8 @@ class Permutation:
         return tuple(out)
 
     def fixed_points(self) -> frozenset[int]:
-        return frozenset(i for i, j in enumerate(self.images) if i == j)
+        points = range(len(self.images))
+        return frozenset(compress(points, map(eq, self.images, points)))
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()), 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
+from operator import eq, itemgetter
 
 from .fields import (
     CUBIC_X3_X2_1,
@@ -26,7 +27,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import PermGroup
-from .projline import Permutation, ProjLine
+from .projline import Permutation, ProjLine, identity_images
 from .psl2 import psl2_perm_group
 
 
@@ -193,23 +194,24 @@ def check_stabilizer_scalings(
     line = group.line
     expected = {line.scaling(a) for a in quad.squares}
     scalings_ok = set(dec.fixing) == expected
-    worst: Permutation | None = None
+    n = group.degree
+    ident = identity_images(n)
+    worst_img: tuple[int, ...] | None = None
     worst_fixed = -1
     for img in group.element_images():
-        perm = Permutation(line, img)
-        if perm.is_identity():
-            continue
-        fixed = len(perm.fixed_points())
-        if fixed > worst_fixed:
+        fixed = sum(map(eq, img, ident))
+        # only the identity fixes all n points; strict > keeps the first worst
+        if fixed > worst_fixed and fixed != n:
             worst_fixed = fixed
-            worst = perm
+            worst_img = img
     bound_ok = worst_fixed <= 2
     witness = {
         "fixing_equals_square_scalings": scalings_ok,
         "max_fixed_points_nonidentity": worst_fixed,
     }
     counterexample = None
-    if not bound_ok and worst is not None:
+    if not bound_ok:  # so worst_fixed > 2 and worst_img is set
+        worst = Permutation(line, worst_img)
         counterexample = {
             "element": str(worst),
             "fixed_points": sorted(line.point_name(x) for x in worst.fixed_points()),
@@ -333,11 +335,13 @@ def check_twist_exponents(
 
 
 def check_pair_orbit_count(group: PermGroup, p: int) -> CheckResult:
-    count = 0
+    # the points on g's 2-cycles are those g^2 fixes and g does not
+    ident = identity_images(group.degree)
+    on_two_cycles = 0
     for img in group.element_images():
-        count += sum(
-            1 for c in Permutation(group.line, img).cycles() if len(c) == 2
-        )
+        square = itemgetter(*img)(img)
+        on_two_cycles += sum(map(eq, square, ident)) - sum(map(eq, img, ident))
+    count = on_two_cycles // 2
     expected = ((p * p + p) // 2) * ((p - 1) // 2)
     witness = {"pair_orbit_count": count, "expected": expected}
     return CheckResult("lemma-3.2", count == expected, witness)

@@ -5,7 +5,9 @@ to see the per-criterion lines."""
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
+from psl2kit.cli import load_generators_file
 from psl2kit.fields import CUBIC_X3_X_1, Field
 from psl2kit.groups import PermGroup, closure_images
 from psl2kit.projline import MoebiusMap, NonUnitDeterminant, ProjLine
@@ -182,6 +184,18 @@ def test_criterion_8_property_suites():
             for e in psl2_perm_group(p).elements():
                 if not e.is_identity():
                     assert len(e.fixed_points()) <= 2
+
+
+def test_criterion_9_generator_files_at_large_primes():
+    golden = Path(__file__).parent / "golden"
+    with budget("9 generator-files-p29-p31", 10):
+        for p, branch in ((29, "lemma-3.2"), (31, "lemma-4.1")):
+            group = load_generators_file(str(golden / f"classify_p{p}.gens"), p, None)
+            assert group.order() == (p**3 - p) // 2
+            report = classify(group, p)
+            assert report.verdict == "a"
+            assert report.all_passed()
+            assert branch in {c.id for c in report.checks}
 
 
 def _random_sl2(field, rng) -> MoebiusMap:

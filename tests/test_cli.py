@@ -1,6 +1,9 @@
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,33 @@ def test_every_runtime_invariant_maps_to_exit_3():
         if issubclass(cls, RuntimeError) and cls.__module__.startswith("psl2kit.")
     }
     assert defined == set(cli.INVARIANT_ERRORS)
+
+
+def test_shared_parser_matches_fresh_processes(capsys):
+    """main reuses one parser per process; a run of calls, a usage error
+    among them, must each match the same call in a fresh interpreter."""
+    runs = [
+        ["classify", "--p", "7", "--group", "psl2", "--format", "json"],
+        ["search", "--p", "5", "--format", "json"],
+        ["classify", "--p", "seven", "--group", "psl2"],
+        ["classify", "--p", "7", "--group", "psl2", "--format", "json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "psl2kit.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 4, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_psl2_order_command(capsys):
