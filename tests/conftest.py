@@ -29,6 +29,14 @@ def brute_closure(gen_images):
     return elements
 
 
+def symmetric_group(line):
+    """The full symmetric group on the line's points."""
+    n = line.size
+    swap = line.perm((1, 0) + tuple(range(2, n)))
+    cycle = line.perm(tuple(range(1, n)) + (0,))
+    return PermGroup([swap, cycle])
+
+
 @lru_cache(maxsize=None)
 def line_over(p: int) -> ProjLine:
     return ProjLine.over_prime(p)

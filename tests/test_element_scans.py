@@ -21,7 +21,7 @@ from psl2kit.verify import (
     decompose_stabilizers,
 )
 
-from conftest import exceptional_cached, line_over, psl2_cached
+from conftest import exceptional_cached, line_over, psl2_cached, symmetric_group
 
 
 # --- reference definitions ---------------------------------------------------
@@ -55,9 +55,9 @@ def reference_stabilizer_scalings(group, dec, quad) -> CheckResult:
     worst = None
     worst_fixed = -1
     for img in sorted(closure_images([g.images for g in group.generators])):
-        if len(reference_fixed_points(img)) == len(img):
-            continue
         fixed = len(reference_fixed_points(img))
+        if fixed == len(img):  # the identity
+            continue
         if fixed > worst_fixed:
             worst_fixed = fixed
             worst = Permutation(line, img)
@@ -147,8 +147,10 @@ def scan_groups(draw):
     kind = draw(st.sampled_from(("trivial", "random", "cyclic", "order-168")))
     if kind == "trivial":
         return PermGroup([line.identity()])
-    if kind == "order-168" and p == 7:
-        base = draw(st.sampled_from((psl2_cached(7), exceptional_cached(3), exceptional_cached(5))))
+    if kind == "order-168" and p == 7:  # on other lines, random generators instead
+        base = draw(
+            st.sampled_from((psl2_cached(7), exceptional_cached(3), exceptional_cached(5)))
+        )
         return conjugated(base, draw(st.permutations(range(n))))
     if kind == "cyclic":
         return PermGroup([line.perm(draw(st.permutations(range(n))))])
@@ -168,13 +170,6 @@ def test_scans_match_references(group):
     assert_scans_match_references(group)
 
 
-def symmetric_group(line):
-    n = line.size
-    return PermGroup(
-        [line.perm((1, 0) + tuple(range(2, n))), line.perm(tuple(range(1, n)) + (0,))]
-    )
-
-
 @pytest.mark.parametrize(
     "name,build,counterexample",
     [
@@ -187,7 +182,7 @@ def symmetric_group(line):
         ("exceptional:3", lambda: exceptional_cached(3), False),
         (
             "fixes 5 of 8 points",
-            lambda: PermGroup([line_over(7).from_cycles("(0 1)"), line_over(7).from_cycles("(1 2)")]),
+            lambda: PermGroup([line_over(7).from_cycles(c) for c in ("(0 1)", "(1 2)")]),
             True,
         ),
         # (0 1)(2 3 4) has mixed cycle type; its cube (0 1) fixes 6 points

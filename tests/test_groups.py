@@ -16,15 +16,13 @@ from psl2kit.groups import (
 )
 from psl2kit.projline import DomainMismatch, Permutation
 
-from conftest import brute_closure, exceptional_cached, line_over, psl2_cached
-
-
-def symmetric_group(line):
-    """The full symmetric group on the line's points."""
-    n = line.size
-    swap = line.perm((1, 0) + tuple(range(2, n)))
-    cycle = line.perm(tuple(range(1, n)) + (0,))
-    return PermGroup([swap, cycle])
+from conftest import (
+    brute_closure,
+    exceptional_cached,
+    line_over,
+    psl2_cached,
+    symmetric_group,
+)
 
 
 def test_build_group_examples(line7):
