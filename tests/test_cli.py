@@ -300,6 +300,13 @@ def test_usage_errors(capsys):
          ["classify", "--p", "29", "--group", str(GOLDEN_DIR / "classify_p29.gens")]),
         ("classify_p31_gens",
          ["classify", "--p", "31", "--group", str(GOLDEN_DIR / "classify_p31.gens")]),
+        ("corollary_p5", ["corollary", "--p", "5"]),
+        ("corollary_p7", ["corollary", "--p", "7"]),
+        ("corollary_p11", ["corollary", "--p", "11"]),
+        ("corollary_p13", ["corollary", "--p", "13"]),
+        ("exceptional_variant3", ["exceptional", "--variant", "3"]),
+        ("exceptional_variant5", ["exceptional", "--variant", "5"]),
+        ("p3", ["p3"]),
     ],
 )
 def test_golden_reports(capsys, name, argv):
