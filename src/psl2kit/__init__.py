@@ -14,7 +14,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import DEFAULT_ENUMERATION_CAP, ConjugacyClass, PermGroup, closure_images
-from .projline import MoebiusMap, Permutation, ProjLine
+from .projline import Permutation, ProjLine
 from .psl2 import (
     Mat2,
     SimplicityCertificate,
@@ -50,7 +50,6 @@ __all__ = [
     "Dichotomy",
     "Field",
     "Mat2",
-    "MoebiusMap",
     "PermGroup",
     "Permutation",
     "ProjLine",

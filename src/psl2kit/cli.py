@@ -62,6 +62,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
@@ -69,7 +75,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="override the enumeration cap for group queries",

@@ -11,9 +11,14 @@ sifted once keeps sifting, and each (orbit point, generator) pair is tested
 only once.  That makes orders, membership tests, element enumerations and
 everything downstream reproducible run to run.
 
-Enumeration-backed queries (conjugacy classes, setwise stabilizers, Sylow
-counting, simplicity) refuse to run past ``enumeration_cap`` rather than
-degrade; the default cap covers every group this package builds in anger.
+Enumeration-backed queries (conjugacy classes, Sylow counting, simplicity)
+refuse to run past ``enumeration_cap`` rather than degrade; the default cap
+covers every group this package builds in anger.
+
+``orbit`` is the one breadth-first search over generators: product closures
+(the orbit of the identity), point orbits and conjugacy classes all run
+through it.  The chain does not: its orbits resume from earlier state and
+record transversals, and ``closure_images`` must stay independent of it.
 
 A chain built with ``order_limit`` gives up as soon as it proves the group
 larger: while the chain is partial, each level's orbit under the generators
@@ -59,8 +64,29 @@ class OrderLimitExceeded(Exception):
     """A chain built with ``order_limit`` proved its group larger than that."""
 
 
+def orbit(seeds, gens, act, limit: int | None = None) -> frozenset | None:
+    """Everything reachable from ``seeds`` by ``act(x, g)``, g in ``gens``.
+
+    Breadth-first; returns None as soon as more than ``limit`` items are seen.
+    """
+    seen = set(seeds)
+    if limit is not None and len(seen) > limit:
+        return None
+    queue = list(seen)
+    for x in queue:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                if limit is not None and len(seen) > limit:
+                    return None
+                queue.append(y)
+    return frozenset(seen)
+
+
 def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]] | None:
-    """Exhaustive product closure of image tuples (frontier multiplication).
+    """Exhaustive product closure of image tuples: the orbit of the identity
+    under right multiplication by the generators.
 
     Returns the full element set, or None as soon as it outgrows ``limit``.
     Independent of the stabilizer chain; used as its order oracle and by the
@@ -69,25 +95,13 @@ def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]]
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0])
-    ident = identity_images(n)
-    seen = {ident}
-    seen.update(gens)
-    if limit is not None and len(seen) > limit:
-        return None
-    frontier = [g for g in gens if g != ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose_images(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if limit is not None and len(seen) > limit:
-                        return None
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
+    return orbit([identity_images(len(gens[0]))], gens, compose_images, limit)
+
+
+def _conjugate(x: tuple[int, ...], conjugator) -> tuple[int, ...]:
+    # g * x * g^-1: x * g^-1 by one itemgetter, then g applied on the left
+    left, right_inv = conjugator
+    return tuple(map(left, right_inv(x)))
 
 
 class _Level:
@@ -293,16 +307,7 @@ class PermGroup:
     # -- orbits and transitivity --
 
     def orbit(self, point: int) -> frozenset[int]:
-        gens = [g.images for g in self.generators]
-        seen = {point}
-        queue = [point]
-        for x in queue:
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return orbit([point], [g.images for g in self.generators], lambda x, g: g[x])
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -328,15 +333,6 @@ class PermGroup:
         if not gens:
             gens = [self.line.identity()]
         return PermGroup(gens, enumeration_cap=self.enumeration_cap)
-
-    def setwise_stabilizer(self, points) -> "PermGroup":
-        target = frozenset(points)
-        kept = [
-            Permutation(self.line, img)
-            for img in self.element_images()
-            if frozenset(img[p] for p in target) == target
-        ]
-        return PermGroup(kept, enumeration_cap=self.enumeration_cap)
 
     # -- conjugacy and normality --
 
@@ -364,23 +360,17 @@ class PermGroup:
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
         if not self.contains(perm):
             raise SeedNotInGroup(f"{perm} is not in the group")
-        return frozenset(self._conjugates(perm.images))
+        return self._conjugates(perm.images)
 
-    def _conjugates(self, img: tuple[int, ...]) -> set[tuple[int, ...]]:
-        # g * x * g^-1: x * g^-1 by one itemgetter, then g applied on the left
-        conjugators = [
+    def _conjugators(self) -> list:
+        """Per generator g, the pair that ``_conjugate`` needs for g * x * g^-1."""
+        return [
             (g.images.__getitem__, itemgetter(*self._inverse(g.images)))
             for g in self.generators
         ]
-        members = {img}
-        queue = [img]
-        for x in queue:
-            for left, right_inv in conjugators:
-                y = tuple(map(left, right_inv(x)))
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        return members
+
+    def _conjugates(self, img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        return orbit([img], self._conjugators(), _conjugate)
 
     def normal_closure(self, seeds) -> "PermGroup":
         """Smallest normal subgroup containing the seeds: one chain, grown
@@ -433,42 +423,16 @@ class PermGroup:
         n = self.order()
         if n % ell:
             raise PrimeDoesNotDivideOrder(f"{ell} does not divide {n}")
-        multiplicity = 0
-        m = n
-        while m % ell == 0:
-            m //= ell
-            multiplicity += 1
+        target = 1
+        while n % (target * ell) == 0:
+            target *= ell
         elems = self.element_images()
-        if multiplicity == 1:
-            subgroups = set()
-            for e in elems:
-                perm = Permutation(self.line, e)
-                if perm.order() == ell:
-                    members = [identity_images(self.degree)]
-                    cur = e
-                    for _ in range(ell - 1):
-                        members.append(cur)
-                        cur = compose_images(cur, e)
-                    subgroups.add(frozenset(members))
-            found = subgroups
-        else:
-            target = ell**multiplicity
-            sylow = self._grow_sylow(ell, target, elems)
-            found = set()
-            queue = [sylow]
-            found.add(sylow)
-            gen_pairs = [(g.images, invert_images(g.images)) for g in self.generators]
-            qi = 0
-            while qi < len(queue):
-                s = queue[qi]
-                qi += 1
-                for g, g_inv in gen_pairs:
-                    conj = frozenset(
-                        compose_images(g, compose_images(x, g_inv)) for x in s
-                    )
-                    if conj not in found:
-                        found.add(conj)
-                        queue.append(conj)
+        # Sylow's theorem: every Sylow subgroup is conjugate to the grown one
+        found = orbit(
+            [self._grow_sylow(ell, target, elems)],
+            self._conjugators(),
+            lambda s, c: frozenset(_conjugate(x, c) for x in s),
+        )
         ordered = sorted(found, key=lambda s: sorted(s))
         return tuple(
             frozenset(Permutation(self.line, img) for img in s) for s in ordered

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq
 
@@ -161,7 +160,12 @@ class ProjLine:
         return Permutation(self, tuple(images))
 
     def moebius(self, a: int, b: int, c: int, d: int) -> "Permutation":
-        return MoebiusMap(self.field, a, b, c, d).permutation(self)
+        """The determinant-one map z -> (az+b)/(cz+d)."""
+        f = self.field
+        det = f.sub(f.mul(a, d), f.mul(b, c))
+        if det != 1:
+            raise NonUnitDeterminant(f"determinant is {det}, not 1")
+        return _moebius_images(self, a, b, c, d)
 
     def neg_reciprocal(self) -> "Permutation":
         """The involution z -> -1/z."""
@@ -272,60 +276,25 @@ def _parse_cycle_text(text: str) -> list[list[str]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    """A determinant-one fractional-linear map z -> (az+b)/(cz+d)."""
-
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.det != 1:
-            raise NonUnitDeterminant(f"determinant is {self.det}, not 1")
-
-    @property
-    def det(self) -> int:
-        f = self.field
-        return f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
-
-    def __mul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        if self.field != other.field:
-            raise DomainMismatch("matrices over different fields")
-        f = self.field
-        return MoebiusMap(
-            f,
-            f.add(f.mul(self.a, other.a), f.mul(self.b, other.c)),
-            f.add(f.mul(self.a, other.b), f.mul(self.b, other.d)),
-            f.add(f.mul(self.c, other.a), f.mul(self.d, other.c)),
-            f.add(f.mul(self.c, other.b), f.mul(self.d, other.d)),
-        )
-
-    def neg(self) -> "MoebiusMap":
-        f = self.field
-        return MoebiusMap(f, f.neg(self.a), f.neg(self.b), f.neg(self.c), f.neg(self.d))
-
-    def permutation(self, line: ProjLine) -> Permutation:
-        return moebius_permutation(self, line)
-
-
 def moebius_permutation(mat, line: ProjLine) -> Permutation:
     """The permutation z -> (az+b)/(cz+d) of ``line``.
 
     ``mat`` is any 2x2 matrix with ``field``, ``a``, ``b``, ``c`` and ``d``
-    attributes: a ``MoebiusMap`` or a ``psl2.Mat2``.
+    attributes, such as a ``psl2.Mat2``.
     """
     if line.field != mat.field:
         raise DomainMismatch("map and line use different fields")
-    f = mat.field
+    return _moebius_images(line, mat.a, mat.b, mat.c, mat.d)
+
+
+def _moebius_images(line: ProjLine, a: int, b: int, c: int, d: int) -> Permutation:
+    f = line.field
     images = []
     for z in f.elements():
-        den = f.add(f.mul(mat.c, z), mat.d)
+        den = f.add(f.mul(c, z), d)
         if den == 0:
             images.append(line.infinity)
         else:
-            images.append(f.div(f.add(f.mul(mat.a, z), mat.b), den))
-    images.append(line.infinity if mat.c == 0 else f.div(mat.a, mat.c))
+            images.append(f.div(f.add(f.mul(a, z), b), den))
+    images.append(line.infinity if c == 0 else f.div(a, c))
     return Permutation(line, tuple(images))

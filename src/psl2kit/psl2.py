@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field, FieldTooLarge, field_of_order
-from .groups import PermGroup
+from .groups import PermGroup, orbit
 from .projline import DomainMismatch, ProjLine, moebius_permutation
 
 # Full matrix enumeration stays under q^3 entries only at desk scale.
@@ -216,28 +216,12 @@ def psl2_expected_order(q: int) -> int:
 
 
 def mat_closure(gens, limit: int | None = None) -> frozenset[Mat2] | None:
-    """Product closure of matrices; None once it exceeds ``limit``."""
+    """Product closure of matrices, the orbit of the identity under right
+    multiplication; None once it exceeds ``limit``."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
-    ident = mat_identity(gens[0].field)
-    seen = {ident}
-    seen.update(gens)
-    if limit is not None and len(seen) > limit:
-        return None
-    frontier = [g for g in gens if g != ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x.mul(g)
-                if y not in seen:
-                    seen.add(y)
-                    if limit is not None and len(seen) > limit:
-                        return None
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
+    return orbit([mat_identity(gens[0].field)], gens, Mat2.mul, limit)
 
 
 def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
@@ -396,22 +380,15 @@ def matrix_conjugacy_representatives(sl2: SL2Group) -> tuple[Mat2, ...]:
     seen: set[Mat2] = set()
     reps = []
     for m in sl2.matrices:
-        if m in seen:
-            continue
-        members = {m}
-        queue = [m]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g, g_inv in gen_pairs:
-                y = g.mul(x).mul(g_inv)
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        seen.update(members)
-        reps.append(m)
+        if m not in seen:
+            seen.update(orbit([m], gen_pairs, _conjugate))
+            reps.append(m)
     return tuple(reps)
+
+
+def _conjugate(x: Mat2, pair: tuple[Mat2, Mat2]) -> Mat2:
+    g, g_inv = pair
+    return g.mul(x).mul(g_inv)
 
 
 def certify_simplicity(q: int) -> SimplicityCertificate:

@@ -24,10 +24,11 @@ from .fields import (
     CUBIC_X3_X_1,
     QuadraticClasses,
     gf8_labeling,
+    is_prime,
     quadratic_classes,
 )
 from .groups import PermGroup
-from .projline import Permutation, ProjLine, identity_images
+from .projline import Permutation, ProjLine, identity_images, invert_images
 from .psl2 import psl2_perm_group
 
 
@@ -839,6 +840,8 @@ def corollary_check(p: int) -> CheckResult:
     """Simplicity forces the projective group: verify the Sylow count and
     that relabeling the conjugation action on Sylow subgroups reproduces
     the projective-line action."""
+    if not is_prime(p):
+        raise ValueError(f"the corollary needs a prime p, got {p}")
     if not 3 < p <= 13:
         raise ValueError("the corollary pipeline runs for 3 < p <= 13")
     group = psl2_perm_group(p)
@@ -899,7 +902,7 @@ def corollary_check(p: int) -> CheckResult:
             relabeled = tuple(images)
             action_gens.append(Permutation(line, relabeled))
             expected = tuple(
-                beta_t[g(x)] for x in _beta_inverse_order(beta_t)
+                beta_t[g(x)] for x in invert_images(beta_t)
             )
             if relabeled != expected:
                 intertwines = False
@@ -931,13 +934,6 @@ def _powers_of(perm: Permutation, order: int, line: ProjLine):
         out.append(cur)
         cur = cur * perm
     return out
-
-
-def _beta_inverse_order(beta: tuple[int, ...]):
-    inverse = [0] * len(beta)
-    for x, lbl in enumerate(beta):
-        inverse[lbl] = x
-    return inverse
 
 
 def exceptional_report(variant: int) -> CheckResult:

@@ -230,6 +230,14 @@ def test_corollary_command(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("p", ["4", "8", "9"])
+def test_corollary_rejects_prime_powers(capsys, p):
+    code = main(["corollary", "--p", p])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == [f"psl2kit: error: the corollary needs a prime p, got {p}"]
+
+
 def test_exceptional_command(capsys):
     code, out = run_cli(capsys, "exceptional", "--variant", "5", "--format", "json")
     assert code == 0
@@ -269,6 +277,18 @@ def test_max_order_flag(capsys):
         capsys, "classify", "--p", "7", "--group", "psl2", "--max-order", "100"
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_order_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "7", "--group", "psl2", f"--max-order={value}"])
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"psl2kit classify: error: argument --max-order: "
+        f"expected a positive integer, got '{value}'"
+    ]
 
 
 def test_usage_errors(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from psl2kit.fields import is_prime
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
     GroupTooLargeForEnumeration,
@@ -14,7 +15,7 @@ from psl2kit.groups import (
     SylowGrowthFails,
     closure_images,
 )
-from psl2kit.projline import DomainMismatch, Permutation
+from psl2kit.projline import DomainMismatch, Permutation, compose_images
 
 from conftest import (
     brute_closure,
@@ -141,14 +142,6 @@ def test_point_stabilizer(line7):
     assert trivial.order() == 1
     for pt in group.base:
         assert group.order() == len(group.orbit(pt)) * group.point_stabilizer(pt).order()
-
-
-def test_setwise_stabilizer(line7):
-    group = psl2_cached(7)
-    pair = group.setwise_stabilizer([0, line7.infinity])
-    assert pair.order() == 6
-    for g in pair.generators:
-        assert {g(0), g(line7.infinity)} == {0, line7.infinity}
 
 
 def test_conjugacy_classes_psl2_5():
@@ -304,6 +297,37 @@ def test_generators_must_share_line(line5, line7):
         PermGroup([])
 
 
+def _cyclic_sylows(group, ell):
+    """Direct definition for a prime dividing the order exactly once: the
+    cyclic subgroups generated by the elements of order ell."""
+    subgroups = set()
+    for e in group.elements():
+        if e.order() == ell:
+            members = [group.line.identity().images]
+            cur = e.images
+            for _ in range(ell - 1):
+                members.append(cur)
+                cur = compose_images(cur, e.images)
+            subgroups.add(frozenset(members))
+    return sorted(subgroups, key=sorted)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [("psl2", 5), ("psl2", 7), ("psl2", 11), ("psl2", 13), ("exceptional", 3), ("exceptional", 5)],
+    ids=lambda g: f"{g[0]}-{g[1]}",
+)
+def test_sylow_subgroups_match_cyclic_definition(group):
+    kind, arg = group
+    group = psl2_cached(arg) if kind == "psl2" else exceptional_cached(arg)
+    n = group.order()
+    once = [ell for ell in range(2, n + 1) if is_prime(ell) and n % ell == 0 and n % (ell * ell)]
+    assert once
+    for ell in once:
+        found = [frozenset(x.images for x in s) for s in group.sylow_subgroups(ell)]
+        assert found == _cyclic_sylows(group, ell)
+
+
 def test_sylow_growth_without_seed_raises(monkeypatch):
     # no element reports order 2, so the growth has nothing to start from
     monkeypatch.setattr(Permutation, "order", lambda self: 1)
@@ -351,6 +375,20 @@ def test_order_limit_raises_iff_closure_exceeds(data, draws):
     else:
         assert closure is not None
         assert group.order() == order == len(closure)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_generators(), st.data())
+def test_closure_limit_against_brute_closure(data, draws):
+    _, gens, _ = data
+    size = len(brute_closure(gens))
+    limit = draws.draw(
+        st.one_of(st.integers(0, size + 2), st.sampled_from((size - 1, size, size + 1)))
+    )
+    closure = closure_images(gens, limit=limit)
+    assert (closure is None) == (limit < size)
+    if closure is not None:
+        assert closure == frozenset(brute_closure(gens))
 
 
 def test_order_limit_examples(line7, line5):

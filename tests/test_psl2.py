@@ -133,6 +133,18 @@ def test_sl2_generators_generate():
         assert mat_closure(sl2_generators(field)) == frozenset(sl2_matrices(field))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((4, 5, 7)), st.data())
+def test_mat_closure_limit(q, draws):
+    field = field_of_order(q)
+    size = len(sl2_matrices(field))
+    limit = draws.draw(
+        st.one_of(st.integers(0, size + 2), st.sampled_from((size - 1, size, size + 1)))
+    )
+    closure = mat_closure(sl2_generators(field), limit)
+    assert (closure is None) == (limit < size)
+
+
 def test_sl2_group_examples():
     data = sl2_group(7)
     assert len(data.matrices) == 336

@@ -20,6 +20,13 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_public_names_resolve():
+    # a name dropped from the package must leave __all__ with it
+    assert len(psl2kit.__all__) == len(set(psl2kit.__all__))
+    missing = [name for name in psl2kit.__all__ if not hasattr(psl2kit, name)]
+    assert missing == []
+
+
 def test_no_raise_assertion_error_in_package():
     # a bare AssertionError escapes cli.INVARIANT_ERRORS as a traceback
     def raises_assertion_error(node):
