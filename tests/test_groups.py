@@ -313,13 +313,13 @@ def _cyclic_sylows(group, ell):
 
 
 @pytest.mark.parametrize(
-    "group",
-    [("psl2", 5), ("psl2", 7), ("psl2", 11), ("psl2", 13), ("exceptional", 3), ("exceptional", 5)],
-    ids=lambda g: f"{g[0]}-{g[1]}",
+    "build,arg",
+    [(psl2_cached, 5), (psl2_cached, 7), (psl2_cached, 11), (psl2_cached, 13),
+     (exceptional_cached, 3), (exceptional_cached, 5)],
+    ids=["psl2-5", "psl2-7", "psl2-11", "psl2-13", "exceptional-3", "exceptional-5"],
 )
-def test_sylow_subgroups_match_cyclic_definition(group):
-    kind, arg = group
-    group = psl2_cached(arg) if kind == "psl2" else exceptional_cached(arg)
+def test_sylow_subgroups_match_cyclic_definition(build, arg):
+    group = build(arg)
     n = group.order()
     once = [ell for ell in range(2, n + 1) if is_prime(ell) and n % ell == 0 and n % (ell * ell)]
     assert once
