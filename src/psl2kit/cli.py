@@ -16,6 +16,7 @@ from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElemen
 from .groups import PermGroup, SylowGrowthFails
 from .projline import ProjLine
 from .psl2 import (
+    MAX_MATRIX_FIELD,
     DecompositionFails,
     NotInClosure,
     certify_simplicity,
@@ -73,6 +74,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _max_order_flag(parser: argparse.ArgumentParser) -> None:
+    # only the subcommands that enumerate a group they build take the flag
     parser.add_argument(
         "--max-order",
         type=_positive_int,
@@ -97,6 +102,7 @@ def build_parser() -> _Parser:
         help="psl2, exceptional:3, exceptional:5, or a generators file path",
     )
     _common_flags(p_classify)
+    _max_order_flag(p_classify)
 
     p_search = sub.add_parser("search")
     p_search.add_argument("--p", type=int, required=True)
@@ -111,6 +117,7 @@ def build_parser() -> _Parser:
         "--check", choices=("order", "simplicity", "generation"), required=True
     )
     _common_flags(p_psl2)
+    _max_order_flag(p_psl2)
 
     p_corollary = sub.add_parser("corollary")
     p_corollary.add_argument("--p", type=int, required=True)
@@ -166,7 +173,7 @@ def _render_text(payload: dict) -> str:
 # --- group sources ----------------------------------------------------------
 
 
-def load_generators_file(path: str, p: int, max_order: int | None) -> PermGroup:
+def load_generators_file(path: str, p: int) -> PermGroup:
     with open(path, encoding="ascii") as handle:
         raw_lines = [line.strip() for line in handle]
     lines = [line for line in raw_lines if line]
@@ -179,24 +186,26 @@ def load_generators_file(path: str, p: int, max_order: int | None) -> PermGroup:
     perms = [line_obj.from_cycles(text) for text in lines[1:]]
     if not perms:
         raise ValueError("generators file lists no permutations")
-    kwargs = {"enumeration_cap": max_order} if max_order else {}
-    return PermGroup(perms, **kwargs)
+    return PermGroup(perms)
+
+
+def _capped(group: PermGroup, args) -> PermGroup:
+    """The group with the user's ``--max-order`` as its enumeration cap."""
+    if args.max_order:
+        group.enumeration_cap = args.max_order
+    return group
 
 
 def _resolve_group(args) -> PermGroup:
     source = args.group
     if source == "psl2":
-        group = psl2_perm_group(args.p)
-    elif source.startswith("exceptional:"):
+        return psl2_perm_group(args.p)
+    if source.startswith("exceptional:"):
         variant = int(source.split(":", 1)[1])
         if args.p != 7:
             raise ValueError("the exceptional groups exist only at p=7")
-        group = build_exceptional(variant)
-    else:
-        return load_generators_file(source, args.p, args.max_order)
-    if args.max_order:
-        group.enumeration_cap = args.max_order
-    return group
+        return build_exceptional(variant)
+    return load_generators_file(source, args.p)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -205,7 +214,7 @@ def _resolve_group(args) -> PermGroup:
 def cmd_classify(args) -> int:
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"--p must be an odd prime, got {args.p}")
-    group = _resolve_group(args)
+    group = _capped(_resolve_group(args), args)
     report = classify(group, args.p)
     _emit(report.to_json_dict(), args)
     if report.verdict == "hypotheses-failed":
@@ -227,40 +236,22 @@ def cmd_search(args) -> int:
 
 def cmd_psl2(args) -> int:
     q = args.q
-    if args.check == "order":
-        group = psl2_perm_group(q)
-        payload = {
-            "q": q,
-            "check": "order",
-            "order": group.order(),
-            "expected_order": psl2_expected_order(q),
-        }
-        payload["pass"] = payload["order"] == payload["expected_order"]
-    elif args.check == "generation":
-        if not is_prime(q):
-            raise ValueError("the two-generator claim is checked for prime q")
-        group = psl2_perm_group(q)
-        payload = {
-            "q": q,
-            "check": "generation",
-            "generators": ["z -> z+1", "z -> -1/z"],
-            "order": group.order(),
-            "expected_order": (q**3 - q) // 2,
-        }
+    if args.check == "generation" and not is_prime(q):
+        raise ValueError("the two-generator claim is checked for prime q")
+    group = _capped(psl2_perm_group(q), args)
+    payload = {"q": q, "check": args.check}
+    if args.check in ("order", "generation"):
+        if args.check == "generation":
+            payload["generators"] = ["z -> z+1", "z -> -1/z"]
+        payload["order"] = group.order()
+        payload["expected_order"] = psl2_expected_order(q)
         payload["pass"] = payload["order"] == payload["expected_order"]
     else:
-        group = psl2_perm_group(q)
-        if args.max_order:
-            group.enumeration_cap = args.max_order
         brute = group.is_simple()
         expected_simple = q > 3
-        payload = {
-            "q": q,
-            "check": "simplicity",
-            "simple": brute,
-            "expected_simple": expected_simple,
-        }
-        if 3 < q <= 13:
+        payload["simple"] = brute
+        payload["expected_simple"] = expected_simple
+        if 3 < q <= MAX_MATRIX_FIELD:
             certificate = certify_simplicity(q)
             payload["certificate"] = certificate.to_json_dict()
             payload["certificate_reverified"] = certificate.reverify()

@@ -11,6 +11,12 @@ sifted once keeps sifting, and each (orbit point, generator) pair is tested
 only once.  That makes orders, membership tests, element enumerations and
 everything downstream reproducible run to run.
 
+Transitivity is read off the closed chain rather than recomputed: level 0
+records the orbit of the first base point under G, and level 1 the orbit of
+the second under that point's stabilizer (Seress, *Permutation Group
+Algorithms*, 2003, section 4.1).  ``point_stabilizer`` builds a separate
+group and is kept for callers that need that subgroup itself.
+
 Enumeration-backed queries (conjugacy classes, Sylow counting, simplicity)
 refuse to run past ``enumeration_cap`` rather than degrade; the default cap
 covers every group this package builds in anger.
@@ -156,7 +162,8 @@ class PermGroup:
         self._order_limit = order_limit
         self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._levels = [_Level(pt, self._ident) for pt in base_prefix]
+        # a repeated base point would open a level with a one-point orbit
+        self._levels = [_Level(pt, self._ident) for pt in dict.fromkeys(base_prefix)]
         self.generators: tuple[Permutation, ...] = ()
         self._extend(generators)
 
@@ -274,7 +281,7 @@ class PermGroup:
             raise DomainMismatch("permutation lives on a different line")
         return self._sift_images(perm.images) == self._ident
 
-    def element_images(self, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    def element_images(self) -> tuple[tuple[int, ...], ...]:
         """All elements as image tuples, in canonical (sorted) order.
 
         Enumerated from the chain bottom up: if H is the stabilizer below a
@@ -283,10 +290,9 @@ class PermGroup:
         H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
         one ``itemgetter``; the sort makes the order independent of that.
         """
-        cap = self.enumeration_cap if cap is None else cap
-        if self.order() > cap:
+        if self.order() > self.enumeration_cap:
             raise GroupTooLargeForEnumeration(
-                f"order {self.order()} exceeds enumeration cap {cap}"
+                f"order {self.order()} exceeds enumeration cap {self.enumeration_cap}"
             )
         if self._element_cache is None:
             elems = [self._ident]
@@ -297,27 +303,34 @@ class PermGroup:
             self._element_cache = tuple(sorted(elems))
         return self._element_cache
 
-    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All elements, canonically sorted by image sequence."""
-        return tuple(Permutation(self.line, img) for img in self.element_images(cap))
+        return tuple(Permutation(self.line, img) for img in self.element_images())
 
-    def element_set(self, cap: int | None = None) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.element_images(cap))
+    def element_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.element_images())
 
     # -- orbits and transitivity --
 
     def orbit(self, point: int) -> frozenset[int]:
         return orbit([point], [g.images for g in self.generators], lambda x, g: g[x])
 
+    def _basic_orbit_length(self, idx: int) -> int:
+        """Length of the orbit recorded at chain level ``idx``; a level the
+        chain does not have is the trivial group's orbit, of length 1."""
+        return len(self._levels[idx].transversal) if idx < len(self._levels) else 1
+
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        """Read off the closed chain: its strong generators from level i on
+        generate the pointwise stabilizer of the base points before level i,
+        so level 0 records the orbit of the first base point under G."""
+        return self._basic_orbit_length(0) == self.degree
 
     def is_doubly_transitive(self) -> bool:
-        if not self.is_transitive():
-            return False
-        stab = self.point_stabilizer(0)
-        other = 1 if self.degree > 1 else 0
-        return len(stab.orbit(other) - {0}) == self.degree - 1
+        """Transitive, and the stabilizer of the first base point, which
+        level 1 of the closed chain generates, is transitive on the other
+        degree - 1 points."""
+        return self.is_transitive() and self._basic_orbit_length(1) == self.degree - 1
 
     # -- derived subgroups --
 

@@ -191,7 +191,7 @@ def test_criterion_9_generator_files_at_large_primes():
     golden = Path(__file__).parent / "golden"
     with budget("9 generator-files-p29-p31", 10):
         for p, branch in ((29, "lemma-3.2"), (31, "lemma-4.1")):
-            group = load_generators_file(str(golden / f"classify_p{p}.gens"), p, None)
+            group = load_generators_file(str(golden / f"classify_p{p}.gens"), p)
             assert group.order() == (p**3 - p) // 2
             report = classify(group, p)
             assert report.verdict == "a"

@@ -291,6 +291,37 @@ def test_max_order_must_be_positive(capsys, value):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--p", "5"],
+        ["corollary", "--p", "7"],
+        ["exceptional", "--variant", "3"],
+        ["p3"],
+    ],
+    ids=["search", "corollary", "exceptional", "p3"],
+)
+def test_max_order_only_where_read(capsys, argv):
+    # only classify and psl2 enumerate a group the user's cap applies to
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-order", "1"])
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "psl2kit: error: unrecognized arguments: --max-order 1"
+    ]
+
+
+def test_psl2_generation_at_q2(capsys):
+    # <z+1, -1/z> is PSL(2,2), of order 6 = psl2_expected_order(2)
+    code, out = run_cli(capsys, "psl2", "--q", "2", "--check", "generation", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == payload["expected_order"] == 6
+    assert payload["pass"] is True
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -114,7 +114,7 @@ def test_elements_sorted_and_capped(line5):
     assert images == sorted(images)
     assert len(set(images)) == 60
     with pytest.raises(GroupTooLargeForEnumeration):
-        group.elements(cap=59)
+        PermGroup(group.generators, enumeration_cap=59).elements()
     small_cap = PermGroup(group.generators, enumeration_cap=10)
     with pytest.raises(GroupTooLargeForEnumeration):
         small_cap.elements()
@@ -130,6 +130,67 @@ def test_orbits_and_transitivity(line7):
     assert psl2_cached(7).is_doubly_transitive()
     assert exceptional_cached(3).is_doubly_transitive()
     assert not translations.is_doubly_transitive()
+
+
+def _transitivity_by_definition(group):
+    """Both properties from their definitions: the orbit of 0 under G, and
+    the orbit of 1 under the separately built stabilizer of 0."""
+    transitive = len(group.orbit(0)) == group.degree
+    doubly = transitive and len(group.point_stabilizer(0).orbit(1)) == group.degree - 1
+    return transitive, doubly
+
+
+def _stabilizer_of_3_based_at_3():
+    # fixes its first base point, and is transitive on the other 7 points
+    return PermGroup(psl2_cached(7).point_stabilizer(3).generators, base_prefix=(3,))
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (lambda: PermGroup([line_over(7).identity()]), (False, False)),
+        (lambda: PermGroup([line_over(7).translation(1)]), (False, False)),
+        (lambda: PermGroup([line_over(7).from_cycles("(0 1 2 3 4 5 6 inf)")]), (True, False)),
+        (lambda: psl2_cached(7), (True, True)),
+        (lambda: exceptional_cached(3), (True, True)),
+        (lambda: exceptional_cached(5), (True, True)),
+        (lambda: symmetric_group(line_over(5)), (True, True)),
+        (lambda: PermGroup(psl2_cached(7).generators, base_prefix=(3,)), (True, True)),
+        (lambda: PermGroup(psl2_cached(7).generators, base_prefix=(3, 3)), (True, True)),
+        (
+            lambda: PermGroup(
+                [line_over(7).from_cycles("(0 1 2 3 4 5 6 inf)")], base_prefix=(3,)
+            ),
+            (True, False),
+        ),
+        (_stabilizer_of_3_based_at_3, (False, False)),
+    ],
+    ids=[
+        "identity", "translations", "8-cycle", "psl2-7", "exceptional-3",
+        "exceptional-5", "S6", "psl2-7-base-3", "psl2-7-base-3-3",
+        "8-cycle-base-3", "stabilizer-base-3",
+    ],
+)
+def test_transitivity_named_cases(build, expected):
+    group = build()
+    assert (group.is_transitive(), group.is_doubly_transitive()) == expected
+    assert _transitivity_by_definition(group) == expected
+
+
+def test_transitivity_builds_no_group(monkeypatch):
+    group = psl2_cached(7)
+    built = []
+    init = PermGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", spy)
+    assert group.is_transitive() and group.is_doubly_transitive()
+    assert built == []
+    group.point_stabilizer(0)  # builds two groups, and the spy sees both
+    assert len(built) == 2
 
 
 def test_point_stabilizer(line7):
@@ -355,6 +416,16 @@ def test_chain_against_brute_closure(data):
     for img in others:
         assert group.contains(Permutation(line, img)) == (img in oracle)
     assert group.point_stabilizer(0).order() * len(group.orbit(0)) == group.order()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_generators())
+def test_transitivity_against_definitions(data):
+    line, gens, _ = data
+    group = PermGroup([line.perm(g) for g in gens])
+    assert (group.is_transitive(), group.is_doubly_transitive()) == (
+        _transitivity_by_definition(group)
+    )
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

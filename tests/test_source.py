@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import psl2kit
@@ -39,3 +41,25 @@ def test_no_raise_assertion_error_in_package():
         if isinstance(node, ast.Raise) and node.exc is not None and raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_every_package_exception_is_raised():
+    # an exception class that nothing raises is dead API that callers still catch
+    defined = set()
+    for info in pkgutil.iter_modules(psl2kit.__path__):
+        module = importlib.import_module(f"psl2kit.{info.name}")
+        defined.update(
+            name
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        )
+    raised = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    assert defined
+    assert sorted(defined - raised) == []
