@@ -5,7 +5,8 @@ field the index is the residue itself.  In GF(p^k) the index encodes the
 representative polynomial's coefficients in base p with the constant term
 in the least significant digit, so index 0 is the additive zero and index 1
 the multiplicative one.  Multiplication, inversion and powers run through
-exp/log tables over a fixed primitive element; addition is digit-wise.
+exp/log tables over a fixed primitive element; addition is digit-wise,
+which in characteristic 2 is the XOR of the indices.
 For fields with q*q <= MAX_FIELD_ORDER, full q-by-q addition and
 multiplication tables are built on first use from those operations; the
 2x2 matrix kernel in ``psl2`` runs on them.
@@ -261,6 +262,8 @@ class Field:
         self._check(x, y)
         if self.degree == 1:
             return (x + y) % self.p
+        if self.p == 2:
+            return x ^ y
         out, mult = 0, 1
         while x or y:
             out += ((x % self.p + y % self.p) % self.p) * mult
@@ -273,6 +276,8 @@ class Field:
         self._check(x)
         if self.degree == 1:
             return (-x) % self.p
+        if self.p == 2:
+            return x
         out, mult = 0, 1
         while x:
             out += ((self.p - x % self.p) % self.p) * mult

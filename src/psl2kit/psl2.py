@@ -6,11 +6,17 @@ non-scalar matrix we record a witness with nonzero upper-right entry, a
 decomposition of a diagonal matrix as (lower unitriangular) * (closure
 member), and the commutator sweep showing the closure swallows the whole
 lower unitriangular subgroup, hence everything.
+
+Matrix subgroups (closures, normal closures) are frozensets of packed
+integer codes, ``Mat2.code``; right multiplication by a generator acts on
+codes through that generator's row map.  ``Mat2`` values are built only for
+what enters a certificate: seeds, conjugators, witnesses and factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field, FieldTooLarge, field_of_order
 from .groups import PermGroup, orbit
@@ -88,6 +94,13 @@ class Mat2:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
+    @property
+    def code(self) -> int:
+        """The entries packed base q, ``a`` most significant, so codes sort
+        as ``entries()`` does; ``_entries_of`` unpacks them."""
+        q = self.field.order
+        return ((self.a * q + self.b) * q + self.c) * q + self.d
+
     def mul(self, other: "Mat2") -> "Mat2":
         f = self.field
         if other.field is not f and other.field != f:
@@ -140,6 +153,23 @@ def mat_identity(field: Field) -> Mat2:
     return Mat2(field, 1, 0, 0, 1)
 
 
+def _entries_of(code: int, q: int) -> tuple[int, int, int, int]:
+    top, bottom = divmod(code, q * q)
+    return divmod(top, q) + divmod(bottom, q)
+
+
+def _row_map(g: Mat2) -> tuple[int, ...]:
+    """v -> v*g on the q*q row vectors v = (x, y), each coded x*q + y."""
+    f = g.field
+    add, mul, q = f.add_table, f.mul_table, f.order
+    return tuple(
+        add[mul[x * q + g.a] * q + mul[y * q + g.c]] * q
+        + add[mul[x * q + g.b] * q + mul[y * q + g.d]]
+        for x in range(q)
+        for y in range(q)
+    )
+
+
 def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
     """All determinant-one matrices, sorted by entry tuple."""
     f = field
@@ -181,6 +211,11 @@ class SL2Group:
     matrices: tuple[Mat2, ...]
     perm_group: PermGroup
 
+    @cached_property
+    def codes(self) -> frozenset[int]:
+        """The codes of all of SL(2,q)."""
+        return frozenset(m.code for m in self.matrices)
+
 
 def sl2_group(q: int) -> SL2Group:
     if q > MAX_MATRIX_FIELD:
@@ -215,17 +250,30 @@ def psl2_expected_order(q: int) -> int:
 # --- matrix subgroups and normal closures ----------------------------------
 
 
-def mat_closure(gens, limit: int | None = None) -> frozenset[Mat2] | None:
-    """Product closure of matrices, the orbit of the identity under right
-    multiplication; None once it exceeds ``limit``."""
+def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
+    """Product closure of matrices as codes, the orbit of the identity's code
+    under right multiplication; None once it exceeds ``limit``.
+
+    Right multiplication by g maps each row v of a matrix to v*g, so the
+    product of a code with g is two lookups in g's row map."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
-    return orbit([mat_identity(gens[0].field)], gens, Mat2.mul, limit)
+    field = gens[0].field
+    if any(g.field != field for g in gens):
+        raise DomainMismatch("matrices over different fields")
+    qq = field.order**2
+    return orbit(
+        [mat_identity(field).code],
+        [_row_map(g) for g in gens],
+        lambda x, rho: rho[x // qq] * qq + rho[x % qq],
+        limit,
+    )
 
 
-def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
-    """Smallest normal subgroup of SL(2,q) containing the seed matrices."""
+def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
+    """Codes of the smallest normal subgroup of SL(2,q) containing the seed
+    matrices."""
     limit = len(sl2.matrices)
     group_gens = sl2_generators(sl2.field)
     gens = list(dict.fromkeys(seeds))
@@ -238,7 +286,7 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
             g_inv = g.inverse()
             for s in list(gens):
                 t = g.mul(s).mul(g_inv)
-                if t not in closure:
+                if t.code not in closure:
                     gens.append(t)
                     closure = mat_closure(gens, limit)
                     if closure is None:
@@ -248,47 +296,59 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[Mat2]:
             return closure
 
 
-def _verify_normal(sl2: SL2Group, subgroup: frozenset[Mat2]) -> bool:
-    for g in sl2_generators(sl2.field):
+def _verify_normal(sl2: SL2Group, subgroup: frozenset[int]) -> bool:
+    """Whether the code set is closed under conjugation by SL(2,q).
+
+    SL(2,q) is normal in itself, so a set equal to ``sl2.codes`` needs no
+    conjugation loop; that equality is the count q**3 - q together with
+    membership in SL(2,q).  Any other set, a full-size one holding a matrix
+    outside SL(2,q) included, runs the loop."""
+    if subgroup == sl2.codes:
+        return True
+    f = sl2.field
+    members = [Mat2(f, *_entries_of(x, f.order)) for x in subgroup]
+    for g in sl2_generators(f):
         g_inv = g.inverse()
-        for m in subgroup:
-            if g.mul(m).mul(g_inv) not in subgroup:
+        for m in members:
+            if g.mul(m).mul(g_inv).code not in subgroup:
                 return False
     return True
 
 
-def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[Mat2]) -> Mat2:
-    """An element of the normal subgroup with nonzero upper-right entry.
+def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2:
+    """The member with the smallest code among those with nonzero upper-right
+    entry, in a normal subgroup given by codes.
 
-    If every member is diagonal, one is produced by conjugating a
-    non-scalar diagonal member with the unit upper shear.
+    If every non-scalar member is diagonal, one is produced by conjugating
+    the smallest with the unit upper shear.
     """
     if not _verify_normal(sl2, subgroup):
         raise ValueError("subgroup is not normal in SL(2,q)")
-    nonscalar = sorted(
-        (m for m in subgroup if not m.is_scalar()), key=Mat2.entries
-    )
+    f = sl2.field
+    members = (_entries_of(x, f.order) for x in subgroup)
+    nonscalar = [e for e in members if not (e[1] == 0 == e[2] and e[0] == e[3])]
     if not nonscalar:
         raise OnlyScalars("subgroup is central")
-    for m in nonscalar:
-        if m.b != 0:
-            return m
-    diagonal = next(m for m in nonscalar if m.b == 0 and m.c == 0)
-    shear = Mat2(sl2.field, 1, 1, 0, 1)
+    corner = [e for e in nonscalar if e[1] != 0]
+    if corner:
+        return Mat2(f, *min(corner))
+    diagonal = Mat2(f, *min(e for e in nonscalar if e[2] == 0))
+    shear = Mat2(f, 1, 1, 0, 1)
     witness = shear.mul(diagonal).mul(shear.inverse())
-    if witness.b == 0 or witness not in subgroup:
+    if witness.b == 0 or witness.code not in subgroup:
         raise NotInClosure(f"conjugated witness {witness} is not in the subgroup")
     return witness
 
 
 def factor_with_lower_shear(
-    sl2: SL2Group, target: Mat2, subgroup: frozenset[Mat2]
+    sl2: SL2Group, target: Mat2, subgroup: frozenset[int]
 ) -> tuple[Mat2, Mat2]:
-    """Write target = u * B with u lower unitriangular and B in the subgroup."""
+    """Write target = u * B with u lower unitriangular and B in the subgroup,
+    given by codes."""
     for r in sl2.field.elements():
         u = Mat2(sl2.field, 1, 0, r, 1)
         candidate = u.inverse().mul(target)
-        if candidate in subgroup:
+        if candidate.code in subgroup:
             return u, candidate
     raise DecompositionFails(
         f"{target} does not factor through the normal subgroup"
@@ -320,6 +380,8 @@ class SimplicityCertificate:
 
     def reverify(self) -> bool:
         """Recheck every recorded identity by direct matrix arithmetic."""
+        if self.group_order != self.q**3 - self.q:
+            return False
         field = field_of_order(self.q)
         lower_shears = frozenset(Mat2(field, 1, 0, r, 1) for r in field.elements())
         for entry in self.entries:
@@ -408,7 +470,8 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     f = sl2.field
     lower_shears = [Mat2(f, 1, 0, r, 1) for r in f.elements()]
     lower_set = frozenset(lower_shears)
-    upper_set = frozenset(Mat2(f, 1, r, 0, 1) for r in f.elements())
+    lower_codes = frozenset(m.code for m in lower_shears)
+    upper_codes = frozenset(Mat2(f, 1, r, 0, 1).code for r in f.elements())
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
     diagonal = Mat2(f, a, 0, 0, f.inv(a))
     entries = []
@@ -420,13 +483,11 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         u, B = factor_with_lower_shear(sl2, diagonal, closure)
         B_inv = B.inverse()
         pairs = []
-        commutators = set()
         for shear in lower_shears:
             comm = shear.mul(B).mul(shear.inverse()).mul(B_inv)
-            if comm not in closure:
+            if comm.code not in closure:
                 raise NotInClosure(f"commutator {comm} is not in the normal closure")
             pairs.append((shear, comm))
-            commutators.add(comm)
         entries.append(
             ClosureCertificate(
                 representative=rep,
@@ -436,8 +497,8 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
                 unitriangular=u,
                 closure_member=B,
                 commutator_pairs=tuple(pairs),
-                lower_shears_in_closure=lower_set <= closure,
-                upper_shears_in_closure=upper_set <= closure,
+                lower_shears_in_closure=lower_codes <= closure,
+                upper_shears_in_closure=upper_codes <= closure,
                 closure_order=len(closure),
             )
         )

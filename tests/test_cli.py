@@ -175,6 +175,16 @@ def test_shared_parser_matches_fresh_processes(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "psl2kit", "p3", "--format", "json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["checks"]
+
+
 def test_psl2_order_command(capsys):
     code, out = run_cli(capsys, "psl2", "--q", "7", "--check", "order", "--format", "json")
     assert code == 0

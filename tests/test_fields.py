@@ -96,6 +96,14 @@ def test_index_bounds_checked():
         f.add(1, 5)
     with pytest.raises(IndexOutOfRange):
         f.mul(-1, 2)
+    # characteristic-2 addition is an XOR, which would not notice by itself
+    for f in (field_of_order(8), field_of_order(9)):
+        with pytest.raises(IndexOutOfRange):
+            f.add(1, f.order)
+        with pytest.raises(IndexOutOfRange):
+            f.add(-1, 2)
+        with pytest.raises(IndexOutOfRange):
+            f.neg(f.order)
 
 
 def test_field_construction_errors():

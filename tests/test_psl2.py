@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import itertools
 import json
 import pickle
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2kit.fields import Field, FieldTooLarge, IndexOutOfRange, NotPrime, field_of_order
+from psl2kit.groups import orbit
 from psl2kit.projline import DomainMismatch
 from psl2kit import psl2
 from psl2kit.psl2 import (
@@ -32,6 +35,10 @@ from psl2kit.psl2 import (
 )
 
 from conftest import psl2_cached
+
+
+def _codes(matrices) -> frozenset[int]:
+    return frozenset(m.code for m in matrices)
 
 
 def test_mat2_algebra():
@@ -130,7 +137,7 @@ def test_sl2_matrix_counts():
 def test_sl2_generators_generate():
     for q in (2, 3, 4, 5, 7, 8, 9):
         field = field_of_order(q)
-        assert mat_closure(sl2_generators(field)) == frozenset(sl2_matrices(field))
+        assert mat_closure(sl2_generators(field)) == _codes(sl2_matrices(field))
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,6 +150,34 @@ def test_mat_closure_limit(q, draws):
     )
     closure = mat_closure(sl2_generators(field), limit)
     assert (closure is None) == (limit < size)
+
+
+def test_mat2_code_keeps_entry_order():
+    for q in (2, 4, 5, 7):
+        f = field_of_order(q)
+        codes = [Mat2(f, *e).code for e in itertools.product(range(q), repeat=4)]
+        assert codes == list(range(q**4))
+    f = field_of_order(9)
+    assert sorted(sl2_matrices(f), key=lambda m: m.code) == list(sl2_matrices(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5, 7, 8, 9)), st.data())
+def test_mat_closure_matches_matrix_orbit(q, draws):
+    """Closures of 1-3 arbitrary matrices, singular and det != 1 ones
+    included, against the orbit of the identity under ``Mat2.mul``."""
+    f = field_of_order(q)
+    entries = st.tuples(*[st.integers(0, q - 1)] * 4)
+    gens = [Mat2(f, *e) for e in draws.draw(st.lists(entries, min_size=1, max_size=3))]
+    reference = frozenset(m.code for m in orbit([mat_identity(f)], gens, Mat2.mul))
+    assert mat_closure(gens) == reference
+    size = len(reference)
+    limit = draws.draw(
+        st.one_of(st.integers(0, size + 2), st.sampled_from((size - 1, size, size + 1)))
+    )
+    closure = mat_closure(gens, limit)
+    assert (closure is None) == (size > limit)
+    assert closure is None or closure == reference
 
 
 def test_sl2_group_examples():
@@ -190,18 +225,18 @@ def test_shear_subgroups_generate():
         lower = [Mat2(field, 1, 0, r, 1) for r in field.elements()]
         upper = [Mat2(field, 1, r, 0, 1) for r in field.elements()]
         assert len(set(lower)) == q and len(set(upper)) == q
-        assert mat_closure(lower + upper) == frozenset(sl2_matrices(field))
+        assert mat_closure(lower + upper) == _codes(sl2_matrices(field))
 
 
 def test_find_nonzero_corner_witness():
     data = sl2_group(5)
-    everything = frozenset(data.matrices)
+    everything = _codes(data.matrices)
     witness = find_nonzero_corner_witness(data, everything)
-    assert witness.b != 0 and witness in everything
+    assert witness.b != 0 and witness.code in everything
     shear = Mat2(data.field, 1, 1, 0, 1)
     closure = matrix_normal_closure(data, [shear])
     assert find_nonzero_corner_witness(data, closure).b != 0
-    center = frozenset({mat_identity(data.field), mat_identity(data.field).neg()})
+    center = _codes([mat_identity(data.field), mat_identity(data.field).neg()])
     with pytest.raises(OnlyScalars):
         find_nonzero_corner_witness(data, center)
 
@@ -216,9 +251,30 @@ def test_find_nonzero_corner_witness_from_diagonal_only_subgroup():
     assert witness.b != 0
 
 
+def test_verify_normal_rejects_upper_triangular_subgroup():
+    data = sl2_group(5)
+    upper = _codes(m for m in data.matrices if m.c == 0)
+    assert len(upper) == 20 and upper == mat_closure(
+        [Mat2(data.field, 2, 0, 0, 3), Mat2(data.field, 1, 1, 0, 1)]
+    )
+    assert not psl2._verify_normal(data, upper)
+    with pytest.raises(ValueError, match="not normal"):
+        find_nonzero_corner_witness(data, upper)
+    assert psl2._verify_normal(data, data.codes)
+
+
+def test_verify_normal_checks_a_full_size_set_outside_sl2():
+    """|SL(2,5)| matrices, one of determinant 2: the size alone is no proof."""
+    data = sl2_group(5)
+    f = data.field
+    swapped = data.codes - {Mat2(f, 1, 1, 0, 1).code} | {Mat2(f, 2, 0, 0, 1).code}
+    assert len(swapped) == len(data.matrices)
+    assert not psl2._verify_normal(data, swapped)
+
+
 def test_factor_with_lower_shear():
     data = sl2_group(5)
-    everything = frozenset(data.matrices)
+    everything = _codes(data.matrices)
     inside = Mat2(data.field, 2, 3, 3, 0)
     u, B = factor_with_lower_shear(data, inside, everything)
     assert u.mul(B) == inside
@@ -230,7 +286,7 @@ def test_factor_with_lower_shear():
     assert B.b == 0  # shape (a 0; ra d)
     with pytest.raises(DecompositionFails):
         factor_with_lower_shear(
-            data, diagonal, frozenset({mat_identity(data.field)})
+            data, diagonal, _codes([mat_identity(data.field)])
         )
 
 
@@ -240,7 +296,7 @@ def test_factor_with_lower_shear_exhaustive_q7():
     closure = matrix_normal_closure(data, [shear])
     for target in data.matrices:
         u, B = factor_with_lower_shear(data, target, closure)
-        assert u.mul(B) == target and B in closure
+        assert u.mul(B) == target and B.code in closure
 
 
 def test_matrix_conjugacy_representatives():
@@ -281,6 +337,17 @@ def test_certificate_agrees_with_brute_force():
         assert not psl2_cached(q).is_simple()
 
 
+def test_reverify_rejects_wrong_group_order():
+    certificate = certify_simplicity(5)
+    tampered = dataclasses.replace(
+        certificate,
+        group_order=7,
+        entries=tuple(dataclasses.replace(e, closure_order=7) for e in certificate.entries),
+    )
+    assert certificate.reverify()
+    assert not tampered.reverify()
+
+
 def test_certificate_json_round_trip():
     certificate = certify_simplicity(5)
     blob = json.dumps(certificate.to_json_dict(), sort_keys=True)
@@ -316,7 +383,7 @@ def test_normal_closure_of_seeds_outside_sl2_raises():
 def test_corner_witness_outside_subgroup_raises(monkeypatch):
     data = sl2_group(5)
     f = data.field
-    not_normal = frozenset({mat_identity(f), Mat2(f, 2, 0, 0, 3)})
+    not_normal = _codes([mat_identity(f), Mat2(f, 2, 0, 0, 3)])
     monkeypatch.setattr(psl2, "_verify_normal", lambda sl2, subgroup: True)
     with pytest.raises(NotInClosure):
         find_nonzero_corner_witness(data, not_normal)
@@ -329,7 +396,7 @@ def test_commutator_outside_closure_raises(monkeypatch):
     monkeypatch.setattr(
         psl2,
         "matrix_normal_closure",
-        lambda sl2, seeds: frozenset(sl2.matrices) - {missing},
+        lambda sl2, seeds: sl2.codes - {missing.code},
     )
     monkeypatch.setattr(
         psl2, "find_nonzero_corner_witness", lambda sl2, closure: Mat2(f, 1, 1, 0, 1)
