@@ -7,10 +7,12 @@ decomposition of a diagonal matrix as (lower unitriangular) * (closure
 member), and the commutator sweep showing the closure swallows the whole
 lower unitriangular subgroup, hence everything.
 
-Matrix subgroups (closures, normal closures) are frozensets of packed
-integer codes, ``Mat2.code``; right multiplication by a generator acts on
-codes through that generator's row map.  ``Mat2`` values are built only for
-what enters a certificate: seeds, conjugators, witnesses and factors.
+SL(2,q) and its subgroups (closures, normal closures) are frozensets of
+packed integer codes, ``Mat2.code``; SL(2,q) itself is the closure of its
+shears.  Right multiplication by a matrix acts on codes through its row map,
+and conjugation by a shear through two row maps and transposes.  ``Mat2``
+values are built only for what enters a certificate: class representatives,
+seeds, conjugators, witnesses and factors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .fields import Field, FieldTooLarge, field_of_order
 from .groups import PermGroup, orbit
 from .projline import DomainMismatch, ProjLine, moebius_permutation
 
-# Full matrix enumeration stays under q^3 entries only at desk scale.
+# Matrix groups of order q^3 - q stay at desk scale.
 MAX_MATRIX_FIELD = 13
 MAX_TWO_GENERATOR_PRIME = 19
 
@@ -47,49 +49,28 @@ class NotInClosure(RuntimeError):
     pass
 
 
+@dataclass(frozen=True, repr=False)
 class Mat2:
     """A 2x2 matrix over a finite field, entries as element indices.
 
-    An immutable value: equal entries over equal fields compare equal, and
-    the hash is that of the entries alone.  The constructor validates the
-    entries and computes ``det`` with the field's operations; ``mul`` reads
-    the field's add and mul tables, so a product needs no re-validation and
-    its ``det`` is the product of the two determinants.
+    An immutable value: equal entries over equal fields compare equal.  The
+    constructor range-checks the entries; ``mul`` reads the field's add and
+    mul tables.
     """
 
-    __slots__ = ("field", "a", "b", "c", "d", "det")
+    field: Field
+    a: int
+    b: int
+    c: int
+    d: int
 
-    def __init__(self, field: Field, a: int, b: int, c: int, d: int):
-        det = field.sub(field.mul(a, d), field.mul(b, c))  # range-checks a..d
-        _set_field(self, field)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-        _set_det(self, det)
+    def __post_init__(self):
+        self.field._check(self.a, self.b, self.c, self.d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Mat2 is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Mat2 is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (Mat2, (self.field, self.a, self.b, self.c, self.d))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-            and (self.field is other.field or self.field == other.field)
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+    @property
+    def det(self) -> int:
+        f = self.field
+        return f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -108,14 +89,13 @@ class Mat2:
         add, mul, q = f.add_table, f.mul_table, f.order
         aq, bq, cq, dq = self.a * q, self.b * q, self.c * q, self.d * q
         e, g, h, k = other.a, other.b, other.c, other.d
-        out = _new(Mat2)
-        _set_field(out, f)
-        _set_a(out, add[mul[aq + e] * q + mul[bq + h]])
-        _set_b(out, add[mul[aq + g] * q + mul[bq + k]])
-        _set_c(out, add[mul[cq + e] * q + mul[dq + h]])
-        _set_d(out, add[mul[cq + g] * q + mul[dq + k]])
-        _set_det(out, mul[self.det * q + other.det])
-        return out
+        return Mat2(
+            f,
+            add[mul[aq + e] * q + mul[bq + h]],
+            add[mul[aq + g] * q + mul[bq + k]],
+            add[mul[cq + e] * q + mul[dq + h]],
+            add[mul[cq + g] * q + mul[dq + k]],
+        )
 
     def inverse(self) -> "Mat2":
         f = self.field
@@ -142,13 +122,6 @@ class Mat2:
         return f"Mat2({self.a},{self.b};{self.c},{self.d})"
 
 
-# Slot setters that bypass the immutability guard.
-_new = object.__new__
-_set_field, _set_a, _set_b, _set_c, _set_d, _set_det = (
-    Mat2.__dict__[name].__set__ for name in Mat2.__slots__
-)
-
-
 def mat_identity(field: Field) -> Mat2:
     return Mat2(field, 1, 0, 0, 1)
 
@@ -170,27 +143,6 @@ def _row_map(g: Mat2) -> tuple[int, ...]:
     )
 
 
-def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
-    """All determinant-one matrices, sorted by entry tuple."""
-    f = field
-    out = []
-    for a in f.elements():
-        if a == 0:
-            # -bc = 1, d free
-            for b in f.units():
-                c = f.neg(f.inv(b))
-                for d in f.elements():
-                    out.append(Mat2(f, 0, b, c, d))
-        else:
-            a_inv = f.inv(a)
-            for b in f.elements():
-                for c in f.elements():
-                    d = f.mul(a_inv, f.add(1, f.mul(b, c)))
-                    out.append(Mat2(f, a, b, c, d))
-    out.sort(key=Mat2.entries)
-    return tuple(out)
-
-
 def sl2_generators(field: Field) -> tuple[Mat2, ...]:
     """Unitriangular generators: shears by each monomial basis element.
 
@@ -204,26 +156,25 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
 
 @dataclass(frozen=True)
 class SL2Group:
-    """SL(2,q) as a matrix list together with its projective-line image."""
+    """SL(2,q) from its shear generators, with its projective-line image."""
 
     field: Field
     line: ProjLine
-    matrices: tuple[Mat2, ...]
     perm_group: PermGroup
 
     @cached_property
     def codes(self) -> frozenset[int]:
-        """The codes of all of SL(2,q)."""
-        return frozenset(m.code for m in self.matrices)
+        """The codes of all of SL(2,q), the closure of the shears."""
+        return mat_closure(sl2_generators(self.field))
 
 
 def sl2_group(q: int) -> SL2Group:
     if q > MAX_MATRIX_FIELD:
-        raise FieldTooLarge(f"full SL(2,{q}) enumeration is capped at q={MAX_MATRIX_FIELD}")
+        raise FieldTooLarge(f"SL(2,{q}) as a matrix group is capped at q={MAX_MATRIX_FIELD}")
     field = field_of_order(q)
     line = ProjLine(field)
     gens = [moebius_permutation(m, line) for m in sl2_generators(field)]
-    return SL2Group(field, line, sl2_matrices(field), PermGroup(gens))
+    return SL2Group(field, line, PermGroup(gens))
 
 
 def psl2_perm_group(q: int) -> PermGroup:
@@ -274,7 +225,7 @@ def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
 def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
     """Codes of the smallest normal subgroup of SL(2,q) containing the seed
     matrices."""
-    limit = len(sl2.matrices)
+    limit = len(sl2.codes)
     group_gens = sl2_generators(sl2.field)
     gens = list(dict.fromkeys(seeds))
     closure = mat_closure(gens, limit)
@@ -296,6 +247,30 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
             return closure
 
 
+def _conjugation(field: Field):
+    """The maps x -> g*x*g^-1 on codes, one per shear generator g, and the
+    action that applies one.
+
+    x*g^-1 is g^-1's row map.  g*y is (y^T * g^T)^T, and transposing a code
+    swaps its b and c digits."""
+    q = field.order
+    qq = q * q
+
+    def transpose(x: int) -> int:
+        return x + (x // q % q - x // qq % q) * (qq - q)
+
+    def act(x: int, maps: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        right, left = maps
+        y = transpose(right[x // qq] * qq + right[x % qq])
+        return transpose(left[y // qq] * qq + left[y % qq])
+
+    maps = [
+        (_row_map(g.inverse()), _row_map(Mat2(field, g.a, g.c, g.b, g.d)))
+        for g in sl2_generators(field)
+    ]
+    return maps, act
+
+
 def _verify_normal(sl2: SL2Group, subgroup: frozenset[int]) -> bool:
     """Whether the code set is closed under conjugation by SL(2,q).
 
@@ -305,14 +280,8 @@ def _verify_normal(sl2: SL2Group, subgroup: frozenset[int]) -> bool:
     outside SL(2,q) included, runs the loop."""
     if subgroup == sl2.codes:
         return True
-    f = sl2.field
-    members = [Mat2(f, *_entries_of(x, f.order)) for x in subgroup]
-    for g in sl2_generators(f):
-        g_inv = g.inverse()
-        for m in members:
-            if g.mul(m).mul(g_inv).code not in subgroup:
-                return False
-    return True
+    maps, act = _conjugation(sl2.field)
+    return all(act(x, m) in subgroup for m in maps for x in subgroup)
 
 
 def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2:
@@ -325,13 +294,14 @@ def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2
     if not _verify_normal(sl2, subgroup):
         raise ValueError("subgroup is not normal in SL(2,q)")
     f = sl2.field
-    members = (_entries_of(x, f.order) for x in subgroup)
+    q = f.order
+    corner = min((x for x in subgroup if x // (q * q) % q), default=None)
+    if corner is not None:
+        return Mat2(f, *_entries_of(corner, q))
+    members = (_entries_of(x, q) for x in subgroup)
     nonscalar = [e for e in members if not (e[1] == 0 == e[2] and e[0] == e[3])]
     if not nonscalar:
         raise OnlyScalars("subgroup is central")
-    corner = [e for e in nonscalar if e[1] != 0]
-    if corner:
-        return Mat2(f, *min(corner))
     diagonal = Mat2(f, *min(e for e in nonscalar if e[2] == 0))
     shear = Mat2(f, 1, 1, 0, 1)
     witness = shear.mul(diagonal).mul(shear.inverse())
@@ -437,20 +407,15 @@ class SimplicityCertificate:
 
 def matrix_conjugacy_representatives(sl2: SL2Group) -> tuple[Mat2, ...]:
     """One representative per conjugacy class of SL(2,q), smallest first."""
-    gens = sl2_generators(sl2.field)
-    gen_pairs = [(g, g.inverse()) for g in gens]
-    seen: set[Mat2] = set()
+    f = sl2.field
+    maps, act = _conjugation(f)
+    seen: set[int] = set()
     reps = []
-    for m in sl2.matrices:
-        if m not in seen:
-            seen.update(orbit([m], gen_pairs, _conjugate))
-            reps.append(m)
+    for x in sorted(sl2.codes):
+        if x not in seen:
+            seen.update(orbit([x], maps, act))
+            reps.append(Mat2(f, *_entries_of(x, f.order)))
     return tuple(reps)
-
-
-def _conjugate(x: Mat2, pair: tuple[Mat2, Mat2]) -> Mat2:
-    g, g_inv = pair
-    return g.mul(x).mul(g_inv)
 
 
 def certify_simplicity(q: int) -> SimplicityCertificate:
@@ -469,7 +434,6 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     sl2 = sl2_group(q)
     f = sl2.field
     lower_shears = [Mat2(f, 1, 0, r, 1) for r in f.elements()]
-    lower_set = frozenset(lower_shears)
     lower_codes = frozenset(m.code for m in lower_shears)
     upper_codes = frozenset(Mat2(f, 1, r, 0, 1).code for r in f.elements())
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
@@ -503,12 +467,12 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
             )
         )
     verdict = bool(entries) and all(
-        e.closure_order == len(sl2.matrices)
-        and frozenset(c for _, c in e.commutator_pairs) == lower_set
+        e.closure_order == len(sl2.codes)
+        and frozenset(c.code for _, c in e.commutator_pairs) == lower_codes
         and e.lower_shears_in_closure
         and e.upper_shears_in_closure
         for e in entries
     )
     return SimplicityCertificate(
-        q=q, group_order=len(sl2.matrices), entries=tuple(entries), verdict=verdict
+        q=q, group_order=len(sl2.codes), entries=tuple(entries), verdict=verdict
     )

@@ -6,9 +6,10 @@ from functools import lru_cache
 
 import pytest
 
+from psl2kit.fields import Field
 from psl2kit.groups import PermGroup
 from psl2kit.projline import ProjLine
-from psl2kit.psl2 import psl2_perm_group
+from psl2kit.psl2 import Mat2, psl2_perm_group
 from psl2kit.verify import build_exceptional
 
 
@@ -27,6 +28,27 @@ def brute_closure(gen_images):
                 elements.add(product)
                 pending.append(product)
     return elements
+
+
+def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
+    """All determinant-one matrices, sorted by entry tuple."""
+    f = field
+    out = []
+    for a in f.elements():
+        if a == 0:
+            # -bc = 1, d free
+            for b in f.units():
+                c = f.neg(f.inv(b))
+                for d in f.elements():
+                    out.append(Mat2(f, 0, b, c, d))
+        else:
+            a_inv = f.inv(a)
+            for b in f.elements():
+                for c in f.elements():
+                    d = f.mul(a_inv, f.add(1, f.mul(b, c)))
+                    out.append(Mat2(f, a, b, c, d))
+    out.sort(key=Mat2.entries)
+    return tuple(out)
 
 
 def symmetric_group(line):

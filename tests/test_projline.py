@@ -17,7 +17,9 @@ from psl2kit.projline import (
     ZeroScaling,
     moebius_permutation,
 )
-from psl2kit.psl2 import Mat2, sl2_matrices
+from psl2kit.psl2 import Mat2
+
+from conftest import sl2_matrices
 
 
 def test_perm_from_images(line7, line5):

@@ -13,6 +13,7 @@ from psl2kit.groups import orbit
 from psl2kit.projline import DomainMismatch
 from psl2kit import psl2
 from psl2kit.psl2 import (
+    MAX_MATRIX_FIELD,
     DecompositionFails,
     FieldTooSmall,
     Mat2,
@@ -31,10 +32,9 @@ from psl2kit.psl2 import (
     psl2_perm_group,
     sl2_generators,
     sl2_group,
-    sl2_matrices,
 )
 
-from conftest import psl2_cached
+from conftest import psl2_cached, sl2_matrices
 
 
 def _codes(matrices) -> frozenset[int]:
@@ -134,10 +134,13 @@ def test_sl2_matrix_counts():
         assert list(mats) == sorted(mats, key=Mat2.entries)
 
 
+MATRIX_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
+
 def test_sl2_generators_generate():
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        field = field_of_order(q)
-        assert mat_closure(sl2_generators(field)) == _codes(sl2_matrices(field))
+    assert MATRIX_ORDERS[-1] == MAX_MATRIX_FIELD
+    for q in MATRIX_ORDERS:
+        assert sl2_group(q).codes == _codes(sl2_matrices(field_of_order(q)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,7 +183,7 @@ def test_mat_closure_matches_matrix_orbit(q, draws):
 
 def test_sl2_group_examples():
     data = sl2_group(7)
-    assert len(data.matrices) == 336
+    assert len(data.codes) == 336
     assert data.perm_group.order() == 168
     assert sl2_group(8).perm_group.order() == 504
     assert sl2_group(2).perm_group.order() == 6
@@ -190,7 +193,7 @@ def test_sl2_group_examples():
 
 def test_moebius_image_homomorphism():
     data = sl2_group(5)
-    mats = data.matrices[:20]
+    mats = sl2_matrices(data.field)[:20]
     for a in mats:
         for b in mats:
             assert moebius_permutation(a.mul(b), data.line) == moebius_permutation(
@@ -228,7 +231,7 @@ def test_shear_subgroups_generate():
 
 def test_find_nonzero_corner_witness():
     data = sl2_group(5)
-    everything = _codes(data.matrices)
+    everything = _codes(sl2_matrices(data.field))
     witness = find_nonzero_corner_witness(data, everything)
     assert witness.b != 0 and witness.code in everything
     shear = Mat2(data.field, 1, 1, 0, 1)
@@ -251,7 +254,7 @@ def test_find_nonzero_corner_witness_from_diagonal_only_subgroup():
 
 def test_verify_normal_rejects_upper_triangular_subgroup():
     data = sl2_group(5)
-    upper = _codes(m for m in data.matrices if m.c == 0)
+    upper = _codes(m for m in sl2_matrices(data.field) if m.c == 0)
     assert len(upper) == 20 and upper == mat_closure(
         [Mat2(data.field, 2, 0, 0, 3), Mat2(data.field, 1, 1, 0, 1)]
     )
@@ -266,13 +269,13 @@ def test_verify_normal_checks_a_full_size_set_outside_sl2():
     data = sl2_group(5)
     f = data.field
     swapped = data.codes - {Mat2(f, 1, 1, 0, 1).code} | {Mat2(f, 2, 0, 0, 1).code}
-    assert len(swapped) == len(data.matrices)
+    assert len(swapped) == len(sl2_matrices(f))
     assert not psl2._verify_normal(data, swapped)
 
 
 def test_factor_with_lower_shear():
     data = sl2_group(5)
-    everything = _codes(data.matrices)
+    everything = _codes(sl2_matrices(data.field))
     inside = Mat2(data.field, 2, 3, 3, 0)
     u, B = factor_with_lower_shear(data, inside, everything)
     assert u.mul(B) == inside
@@ -292,18 +295,58 @@ def test_factor_with_lower_shear_exhaustive_q7():
     data = sl2_group(7)
     shear = Mat2(data.field, 1, 1, 0, 1)
     closure = matrix_normal_closure(data, [shear])
-    for target in data.matrices:
+    for target in sl2_matrices(data.field):
         u, B = factor_with_lower_shear(data, target, closure)
         assert u.mul(B) == target and B.code in closure
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5, 7, 8, 9)), st.data())
+def test_conjugation_on_codes_matches_matrices(q, draws):
+    """Any matrix, singular and det != 1 ones included, conjugated by each
+    shear generator."""
+    f = field_of_order(q)
+    x = Mat2(f, *draws.draw(st.tuples(*[st.integers(0, q - 1)] * 4)))
+    maps, act = psl2._conjugation(f)
+    for g, m in zip(sl2_generators(f), maps, strict=True):
+        assert act(x.code, m) == g.mul(x).mul(g.inverse()).code
+
+
+def _reference_class_representatives(field) -> tuple[Mat2, ...]:
+    """Every matrix of SL(2,q) conjugated through ``Mat2.mul`` by each shear."""
+    pairs = [(g, g.inverse()) for g in sl2_generators(field)]
+    seen: set[Mat2] = set()
+    reps = []
+    for m in sl2_matrices(field):
+        if m not in seen:
+            seen.update(orbit([m], pairs, lambda x, pair: pair[0].mul(x).mul(pair[1])))
+            reps.append(m)
+    return tuple(reps)
+
+
 def test_matrix_conjugacy_representatives():
-    data = sl2_group(5)
-    reps = matrix_conjugacy_representatives(data)
-    # SL2(q) has q+4 classes for odd q
-    assert len(reps) == 9
-    scalars = [r for r in reps if r.is_scalar()]
-    assert len(scalars) == 2
+    for q in KERNEL_ORDERS:
+        data = sl2_group(q)
+        reps = matrix_conjugacy_representatives(data)
+        assert reps == _reference_class_representatives(data.field)
+        # SL2(q) has q+4 classes for odd q, q+1 for even q
+        assert len(reps) == (q + 4 if q % 2 else q + 1)
+        scalars = [r for r in reps if r.is_scalar()]
+        assert len(scalars) == (2 if q % 2 else 1)
+
+
+def test_certify_builds_fewer_matrices_than_the_group(monkeypatch):
+    built = 0
+    init = Mat2.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Mat2, "__init__", counting_init)
+    assert certify_simplicity(13).verdict
+    assert 0 < built < 13**3 - 13
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
@@ -373,7 +416,7 @@ def test_normal_closure_of_seeds_outside_sl2_raises():
             data, [diagonal, Mat2(f, 1, 1, 0, 1), Mat2(f, 1, 0, 1, 1)]
         )
     # the seed's own closure fits; its conjugates outgrow SL(2,5)
-    assert len(mat_closure([diagonal])) <= len(data.matrices)
+    assert len(mat_closure([diagonal])) <= len(data.codes)
     with pytest.raises(SeedsOutsideSL2):
         matrix_normal_closure(data, [diagonal])
 
@@ -385,6 +428,10 @@ def test_corner_witness_outside_subgroup_raises(monkeypatch):
     monkeypatch.setattr(psl2, "_verify_normal", lambda sl2, subgroup: True)
     with pytest.raises(NotInClosure):
         find_nonzero_corner_witness(data, not_normal)
+    # lower triangular: members with c != 0 but none with b != 0
+    lower = mat_closure([Mat2(f, 2, 0, 0, 3), Mat2(f, 1, 0, 1, 1)])
+    with pytest.raises(NotInClosure):
+        find_nonzero_corner_witness(data, lower)
 
 
 def test_commutator_outside_closure_raises(monkeypatch):
