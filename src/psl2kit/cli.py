@@ -12,7 +12,8 @@ import functools
 import json
 import sys
 
-from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement, is_prime
+from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
+from .fields import check_field_order, is_prime
 from .groups import PermGroup, SylowGrowthFails
 from .projline import ProjLine
 from .psl2 import (
@@ -212,6 +213,7 @@ def _resolve_group(args) -> PermGroup:
 
 
 def cmd_classify(args) -> int:
+    check_field_order(args.p)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"--p must be an odd prime, got {args.p}")
     group = _capped(_resolve_group(args), args)
@@ -236,6 +238,7 @@ def cmd_search(args) -> int:
 
 def cmd_psl2(args) -> int:
     q = args.q
+    check_field_order(q)
     if args.check == "generation" and not is_prime(q):
         raise ValueError("the two-generator claim is checked for prime q")
     group = _capped(psl2_perm_group(q), args)

@@ -58,6 +58,12 @@ class NoIrreduciblePolynomial(RuntimeError):
     pass
 
 
+def check_field_order(q: int) -> None:
+    """The field size cap; cheap, so it runs before any trial division."""
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"field order {q} exceeds cap {MAX_FIELD_ORDER}")
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test, exact for the sizes used here."""
     if n < 2:
@@ -159,13 +165,12 @@ class Field:
     """GF(p^k) with table-driven arithmetic on element indices 0..q-1."""
 
     def __init__(self, p: int, degree: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if degree < 1:
             raise ValueError("degree must be >= 1")
         q = p**degree
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"field order {q} exceeds cap {MAX_FIELD_ORDER}")
+        check_field_order(q)
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.degree = degree
         self.order = q
@@ -372,6 +377,7 @@ def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, with the default modulus."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    check_field_order(q)
     p = min(distinct_prime_factors(q))
     degree = 0
     n = q

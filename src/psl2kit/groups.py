@@ -21,6 +21,10 @@ Enumeration-backed queries (conjugacy classes, Sylow counting, simplicity)
 refuse to run past ``enumeration_cap`` rather than degrade; the default cap
 covers every group this package builds in anger.
 
+Conjugation on image tuples is one routine, ``_conjugate`` with the pair
+``_conjugator`` builds: conjugacy classes, normal closures, normality and
+Sylow subgroups run through it and build no ``Permutation`` per product.
+
 ``orbit`` is the one breadth-first search over generators: product closures
 (the orbit of the identity), point orbits and conjugacy classes all run
 through it.  The chain does not: its orbits resume from earlier state and
@@ -104,6 +108,11 @@ def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]]
     return orbit([identity_images(len(gens[0]))], gens, compose_images, limit)
 
 
+def _conjugator(g: tuple[int, ...], g_inv: tuple[int, ...]):
+    """The pair ``_conjugate`` needs for g * x * g^-1."""
+    return g.__getitem__, itemgetter(*g_inv)
+
+
 def _conjugate(x: tuple[int, ...], conjugator) -> tuple[int, ...]:
     # g * x * g^-1: x * g^-1 by one itemgetter, then g applied on the left
     left, right_inv = conjugator
@@ -130,7 +139,6 @@ class _Level:
 class ConjugacyClass:
     representative: Permutation
     size: int
-    members: tuple[Permutation, ...] | None  # kept when the group order is <= 5000
 
 
 class PermGroup:
@@ -165,21 +173,18 @@ class PermGroup:
         # a repeated base point would open a level with a one-point orbit
         self._levels = [_Level(pt, self._ident) for pt in dict.fromkeys(base_prefix)]
         self.generators: tuple[Permutation, ...] = ()
-        self._extend(generators)
+        self._extend(g.images for g in generators)
 
     # -- chain construction --
 
-    def _extend(self, perms) -> tuple[Permutation, ...]:
-        """Add generators and re-close the chain; returns the new ones."""
+    def _extend(self, images) -> tuple[tuple[int, ...], ...]:
+        """Add generators, given as image tuples, and re-close the chain;
+        returns the new ones."""
         known = {g.images for g in self.generators}
-        fresh = tuple(
-            Permutation(self.line, img)
-            for img in dict.fromkeys(g.images for g in perms)
-            if img not in known
-        )
-        self.generators += fresh
-        for g in fresh:
-            self._insert(g.images, 0)
+        fresh = tuple(img for img in dict.fromkeys(images) if img not in known)
+        self.generators += tuple(Permutation(self.line, img) for img in fresh)
+        for img in fresh:
+            self._insert(img, 0)
         self._close_chain()
         self._element_cache: tuple[tuple[int, ...], ...] | None = None
         return fresh
@@ -350,24 +355,14 @@ class PermGroup:
     # -- conjugacy and normality --
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        elems = self.element_images()
-        keep_members = self.order() <= 5000
         seen: set[tuple[int, ...]] = set()
         classes = []
-        for e in elems:
+        for e in self.element_images():
             if e in seen:
                 continue
             members = self._conjugates(e)
             seen.update(members)
-            classes.append(
-                ConjugacyClass(
-                    representative=Permutation(self.line, e),
-                    size=len(members),
-                    members=tuple(Permutation(self.line, m) for m in sorted(members))
-                    if keep_members
-                    else None,
-                )
-            )
+            classes.append(ConjugacyClass(Permutation(self.line, e), len(members)))
         return tuple(classes)
 
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
@@ -377,10 +372,7 @@ class PermGroup:
 
     def _conjugators(self) -> list:
         """Per generator g, the pair that ``_conjugate`` needs for g * x * g^-1."""
-        return [
-            (g.images.__getitem__, itemgetter(*self._inverse(g.images)))
-            for g in self.generators
-        ]
+        return [_conjugator(g.images, self._inverse(g.images)) for g in self.generators]
 
     def _conjugates(self, img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         return orbit([img], self._conjugators(), _conjugate)
@@ -396,14 +388,14 @@ class PermGroup:
         if not closure_gens:
             return PermGroup([self.line.identity()], enumeration_cap=self.enumeration_cap)
         group = PermGroup(closure_gens, enumeration_cap=self.enumeration_cap)
-        gen_pairs = [(g, g.inverse()) for g in self.generators]
-        frontier = group.generators
+        conjugators = self._conjugators()
+        frontier = tuple(g.images for g in group.generators)
         while frontier:
             new = []
-            for g, g_inv in gen_pairs:
+            for c in conjugators:
                 for s in frontier:
-                    t = g * s * g_inv
-                    if not group.contains(t):
+                    t = _conjugate(s, c)
+                    if group._sift_images(t) != group._ident:
                         new.append(t)
             frontier = group._extend(new)
         return group
@@ -412,12 +404,11 @@ class PermGroup:
         for h in subgroup.generators:
             if not self.contains(h):
                 raise SeedNotInGroup("subgroup is not contained in the group")
-        for g in self.generators:
-            g_inv = g.inverse()
-            for h in subgroup.generators:
-                if not subgroup.contains(g * h * g_inv):
-                    return False
-        return True
+        return all(
+            subgroup._sift_images(_conjugate(h.images, c)) == subgroup._ident
+            for c in self._conjugators()
+            for h in subgroup.generators
+        )
 
     def is_simple(self) -> bool:
         if self.order() <= 1:
@@ -462,14 +453,11 @@ class PermGroup:
         gens = [seed]
         current = closure_images(gens)
         while len(current) < target:
-            normalizer = [
-                g
-                for g in elems
-                if all(
-                    compose_images(g, compose_images(x, invert_images(g))) in current
-                    for x in gens
-                )
-            ]
+            normalizer = []
+            for g in elems:
+                c = _conjugator(g, invert_images(g))
+                if all(_conjugate(x, c) in current for x in gens):
+                    normalizer.append(g)
             for y in normalizer:
                 if y in current:
                     continue

@@ -10,9 +10,10 @@ lower unitriangular subgroup, hence everything.
 SL(2,q) and its subgroups (closures, normal closures) are frozensets of
 packed integer codes, ``Mat2.code``; SL(2,q) itself is the closure of its
 shears.  Right multiplication by a matrix acts on codes through its row map,
-and conjugation by a shear through two row maps and transposes.  ``Mat2``
-values are built only for what enters a certificate: class representatives,
-seeds, conjugators, witnesses and factors.
+and conjugation by a shear through two row maps and transposes: that one
+routine, ``_conjugation``, serves conjugacy classes, normality and normal
+closures.  ``Mat2`` values are built only for class representatives, seeds,
+conjugates that join a closure's generators, witnesses and factors.
 """
 
 from __future__ import annotations
@@ -156,25 +157,27 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
 
 @dataclass(frozen=True)
 class SL2Group:
-    """SL(2,q) from its shear generators, with its projective-line image."""
+    """SL(2,q) from its shears, with its projective-line image; both lazy."""
 
     field: Field
     line: ProjLine
-    perm_group: PermGroup
 
     @cached_property
     def codes(self) -> frozenset[int]:
         """The codes of all of SL(2,q), the closure of the shears."""
         return mat_closure(sl2_generators(self.field))
 
+    @cached_property
+    def perm_group(self) -> PermGroup:
+        """PSL(2,q) on the projective line, from the shears' images."""
+        return PermGroup(moebius_permutation(m, self.line) for m in sl2_generators(self.field))
+
 
 def sl2_group(q: int) -> SL2Group:
     if q > MAX_MATRIX_FIELD:
         raise FieldTooLarge(f"SL(2,{q}) as a matrix group is capped at q={MAX_MATRIX_FIELD}")
     field = field_of_order(q)
-    line = ProjLine(field)
-    gens = [moebius_permutation(m, line) for m in sl2_generators(field)]
-    return SL2Group(field, line, PermGroup(gens))
+    return SL2Group(field, ProjLine(field))
 
 
 def psl2_perm_group(q: int) -> PermGroup:
@@ -225,20 +228,20 @@ def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
 def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
     """Codes of the smallest normal subgroup of SL(2,q) containing the seed
     matrices."""
+    f = sl2.field
     limit = len(sl2.codes)
-    group_gens = sl2_generators(sl2.field)
+    maps, act = _conjugation(f)
     gens = list(dict.fromkeys(seeds))
     closure = mat_closure(gens, limit)
     if closure is None:
         raise SeedsOutsideSL2("the seeds generate more than SL(2,q)")
     while True:
         added = False
-        for g in group_gens:
-            g_inv = g.inverse()
-            for s in list(gens):
-                t = g.mul(s).mul(g_inv)
-                if t.code not in closure:
-                    gens.append(t)
+        for m in maps:
+            for x in [g.code for g in gens]:
+                t = act(x, m)
+                if t not in closure:
+                    gens.append(Mat2(f, *_entries_of(t, f.order)))
                     closure = mat_closure(gens, limit)
                     if closure is None:
                         raise SeedsOutsideSL2("the seeds' conjugates generate more than SL(2,q)")
@@ -288,26 +291,19 @@ def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2
     """The member with the smallest code among those with nonzero upper-right
     entry, in a normal subgroup given by codes.
 
-    If every non-scalar member is diagonal, one is produced by conjugating
-    the smallest with the unit upper shear.
+    A set closed under conjugation that holds a non-scalar x = (a b; c d)
+    with b = 0 also holds one with b != 0: w*x*w^-1 = (d -c; -b a) for
+    w = (0 -1; 1 0) if c != 0, and conjugating by the unit upper shear gives
+    upper-right entry d - a != 0 if c = 0.  So a normal subgroup without such
+    a member is central.
     """
     if not _verify_normal(sl2, subgroup):
         raise ValueError("subgroup is not normal in SL(2,q)")
-    f = sl2.field
-    q = f.order
+    q = sl2.field.order
     corner = min((x for x in subgroup if x // (q * q) % q), default=None)
-    if corner is not None:
-        return Mat2(f, *_entries_of(corner, q))
-    members = (_entries_of(x, q) for x in subgroup)
-    nonscalar = [e for e in members if not (e[1] == 0 == e[2] and e[0] == e[3])]
-    if not nonscalar:
+    if corner is None:
         raise OnlyScalars("subgroup is central")
-    diagonal = Mat2(f, *min(e for e in nonscalar if e[2] == 0))
-    shear = Mat2(f, 1, 1, 0, 1)
-    witness = shear.mul(diagonal).mul(shear.inverse())
-    if witness.b == 0 or witness.code not in subgroup:
-        raise NotInClosure(f"conjugated witness {witness} is not in the subgroup")
-    return witness
+    return Mat2(sl2.field, *_entries_of(corner, q))
 
 
 def factor_with_lower_shear(
@@ -429,8 +425,6 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     """
     if q <= 3:
         raise FieldTooSmall("the argument needs more than 3 field elements")
-    if q > MAX_MATRIX_FIELD:
-        raise FieldTooLarge(f"certification is capped at q={MAX_MATRIX_FIELD}")
     sl2 = sl2_group(q)
     f = sl2.field
     lower_shears = [Mat2(f, 1, 0, r, 1) for r in f.elements()]

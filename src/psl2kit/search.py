@@ -227,10 +227,10 @@ def _full_candidates(p: int):
 
 def constrained_search(p: int) -> SearchOutcome:
     """Search the derived swap shapes for groups meeting the hypotheses."""
-    if not is_prime(p) or p == 2:
-        raise PTooLarge(f"{p} is not an odd prime")
     if p > MAX_SEARCH_PRIME:
         raise PTooLarge(f"constrained search is capped at p={MAX_SEARCH_PRIME}")
+    if not is_prime(p) or p == 2:
+        raise PTooLarge(f"{p} is not an odd prime")
     return _run_search(p, "constrained", _constrained_candidates(p))
 
 

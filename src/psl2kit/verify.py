@@ -621,6 +621,11 @@ def build_exceptional(variant: int) -> PermGroup:
     return PermGroup([line.translation(1), line.scaling(2), lam])
 
 
+def _same_group(a: PermGroup, b: PermGroup) -> bool:
+    """Equal orders and a's generators in b, read off the chains: a = b."""
+    return a.order() == b.order() and all(b.contains(g) for g in a.generators)
+
+
 def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, tuple[Permutation, ...]]:
     """Verify the order-168 presentation, the order-8 normal subgroup, and
     agreement with the transported GF(8) construction."""
@@ -628,7 +633,7 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
     lam = line.from_cycles(EXCEPTIONAL_INVOLUTIONS[variant])
     presented = build_exceptional(variant)
     order_ok = presented.order() == 168
-    same_set = presented.element_set() == group.element_set()
+    same_set = _same_group(presented, group)
 
     fpf = [
         e
@@ -656,7 +661,7 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
             line.perm(labeling.transport(labeling.frobenius_map())),
         ]
     )
-    transported_ok = transported.element_set() == group.element_set()
+    transported_ok = _same_group(transported, group)
     not_simple = not group.is_simple()
 
     witness = {
@@ -836,10 +841,10 @@ def corollary_check(p: int) -> CheckResult:
     """Simplicity forces the projective group: verify the Sylow count and
     that relabeling the conjugation action on Sylow subgroups reproduces
     the projective-line action."""
-    if not is_prime(p):
-        raise ValueError(f"the corollary needs a prime p, got {p}")
     if not 3 < p <= 13:
         raise ValueError("the corollary pipeline runs for 3 < p <= 13")
+    if not is_prime(p):
+        raise ValueError(f"the corollary needs a prime p, got {p}")
     group = psl2_perm_group(p)
     line = group.line
     simple = group.is_simple()

@@ -185,6 +185,32 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(run.stdout)["checks"]
 
 
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--p", HUGE_PRIME, "--group", "psl2"],
+        ["search", "--p", HUGE_PRIME],
+        ["corollary", "--p", HUGE_PRIME],
+        ["psl2", "--q", HUGE_PRIME, "--check", "order"],
+        ["psl2", "--q", HUGE_PRIME, "--check", "generation"],
+    ],
+)
+def test_huge_order_exits_4_before_trial_division(argv):
+    """A size cap fires before any primality test or factoring, which would
+    run for minutes on a 19-digit number."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "psl2kit", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=10,
+    )
+    assert run.returncode == 4
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("psl2kit: error: ") and "Traceback" not in run.stderr
+
+
 def test_psl2_order_command(capsys):
     code, out = run_cli(capsys, "psl2", "--q", "7", "--check", "order", "--format", "json")
     assert code == 0

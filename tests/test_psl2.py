@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2kit.fields import Field, FieldTooLarge, IndexOutOfRange, NotPrime, field_of_order
-from psl2kit.groups import orbit
+from psl2kit.groups import PermGroup, orbit
 from psl2kit.projline import DomainMismatch
 from psl2kit import psl2
 from psl2kit.psl2 import (
@@ -243,9 +243,9 @@ def test_find_nonzero_corner_witness():
 
 
 def test_find_nonzero_corner_witness_from_diagonal_only_subgroup():
-    # the diagonal fallback path: a normal subgroup with only b = 0 members
-    # does not exist in SL2, so feed the helper's scan a crafted case via
-    # the full group and confirm the chosen witness is a b != 0 element
+    # a diagonal seed: its normal closure is all of SL(2,7), so the witness
+    # is that closure's smallest member with b != 0 (no normal subgroup has
+    # b = 0 in every non-scalar member; see the orbit test below)
     data = sl2_group(7)
     closure = matrix_normal_closure(data, [Mat2(data.field, 3, 0, 0, 5)])
     witness = find_nonzero_corner_witness(data, closure)
@@ -422,16 +422,97 @@ def test_normal_closure_of_seeds_outside_sl2_raises():
 
 
 def test_corner_witness_outside_subgroup_raises(monkeypatch):
+    """With the normality test patched away, a set without a b != 0 member is
+    reported central; that is exact for the normal subgroups the witness is
+    asked of (see ``test_conjugation_orbits_of_nonscalars_hold_a_nonzero_corner``)."""
     data = sl2_group(5)
     f = data.field
     not_normal = _codes([mat_identity(f), Mat2(f, 2, 0, 0, 3)])
     monkeypatch.setattr(psl2, "_verify_normal", lambda sl2, subgroup: True)
-    with pytest.raises(NotInClosure):
+    with pytest.raises(OnlyScalars):
         find_nonzero_corner_witness(data, not_normal)
     # lower triangular: members with c != 0 but none with b != 0
     lower = mat_closure([Mat2(f, 2, 0, 0, 3), Mat2(f, 1, 0, 1, 1)])
-    with pytest.raises(NotInClosure):
+    with pytest.raises(OnlyScalars):
         find_nonzero_corner_witness(data, lower)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_conjugation_orbits_of_nonscalars_hold_a_nonzero_corner(q):
+    """Over all q^4 matrices: an SL(2,q)-conjugacy orbit with a non-scalar
+    member holds one with b != 0, so a normal set without one is central."""
+    f = field_of_order(q)
+    maps, act = psl2._conjugation(f)
+    seen: set[int] = set()
+    for x in range(q**4):
+        if x in seen:
+            continue
+        members = orbit([x], maps, act)
+        seen |= members
+        entries = [psl2._entries_of(y, q) for y in members]
+        if any(not (b == 0 == c and a == d) for a, b, c, d in entries):
+            assert any(b for _, b, _, _ in entries)
+
+
+def _reference_matrix_normal_closure(sl2, seeds, close):
+    """The ``Mat2`` loop: conjugate each generator by each shear through
+    ``Mat2.mul``, re-closing after every new conjugate; returns the closure
+    and the generator list of every ``close`` call."""
+    limit = len(sl2.codes)
+    gens = list(dict.fromkeys(seeds))
+    calls = [list(gens)]
+    closure = close(gens, limit)
+    while True:
+        added = False
+        for g in sl2_generators(sl2.field):
+            g_inv = g.inverse()
+            for s in list(gens):
+                t = g.mul(s).mul(g_inv)
+                if t.code not in closure:
+                    gens.append(t)
+                    calls.append(list(gens))
+                    closure = close(gens, limit)
+                    added = True
+        if not added:
+            return closure, calls
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_matrix_normal_closure_matches_the_matrix_loop(monkeypatch, q):
+    """Same closure, and the same generators closed in the same order, so the
+    number of ``mat_closure`` calls is unchanged too."""
+    data = sl2_group(q)
+    f = data.field
+    close = psl2.mat_closure
+    calls = []
+
+    def spy(gens, limit=None):
+        calls.append(list(gens))
+        return close(gens, limit)
+
+    monkeypatch.setattr(psl2, "mat_closure", spy)
+    a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
+    seed_sets = [[rep] for rep in matrix_conjugacy_representatives(data)]
+    seed_sets.append([Mat2(f, a, 0, 0, f.inv(a)), Mat2(f, 1, 1, 0, 1)])  # not normal
+    for seeds in seed_sets:
+        calls.clear()
+        closure = matrix_normal_closure(data, seeds)
+        assert (closure, calls) == _reference_matrix_normal_closure(data, seeds, close)
+
+
+@pytest.mark.parametrize("q", [4, 5, 8])
+def test_certify_builds_no_permutation_group(monkeypatch, q):
+    built = 0
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    assert certify_simplicity(q).verdict
+    assert built == 0
 
 
 def test_commutator_outside_closure_raises(monkeypatch):

@@ -8,6 +8,7 @@ from psl2kit.verify import (
     BadVariant,
     EXCEPTIONAL_INVOLUTIONS,
     NoTwistExponent,
+    _exceptional_structure,
     build_exceptional,
     check_hypotheses,
     check_unique_normalized_swap,
@@ -315,6 +316,11 @@ def test_build_exceptional():
         assert result.witness["fixed_point_free_involutions"] == 7
         assert result.witness["gf8_transport_matches"] is True
         assert result.witness["builtin_exceptional_matches"] is True
+        # PSL(2,7) has order 168 too, but it is neither variant
+        passed, witness, _ = _exceptional_structure(psl2_cached(7), variant)
+        assert not passed
+        assert witness["presentation_matches"] is False
+        assert witness["gf8_transport_matches"] is False
 
 
 def test_classify_requires_matching_line():
