@@ -280,9 +280,7 @@ def _reference_normal_closure_generators(group, seeds):
             for s in frontier
         ]
         frontier = [
-            t
-            for t in dict.fromkeys(new)
-            if not closure.contains(Permutation(group.line, t)) and t not in gens
+            t for t in dict.fromkeys(new) if not closure.contains(Permutation(group.line, t))
         ]
         gens += frontier
     return gens
