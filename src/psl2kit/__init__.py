@@ -6,6 +6,7 @@ that rediscovers the dichotomy."""
 from .fields import (
     CUBIC_X3_X2_1,
     CUBIC_X3_X_1,
+    DEFAULT_ENUMERATION_CAP,
     Field,
     QuadraticClasses,
     field_of_order,
@@ -13,7 +14,7 @@ from .fields import (
     primitive_root,
     quadratic_classes,
 )
-from .groups import DEFAULT_ENUMERATION_CAP, ConjugacyClass, PermGroup, closure_images
+from .groups import ConjugacyClass, PermGroup, closure_images
 from .projline import Permutation, ProjLine
 from .psl2 import (
     Mat2,
@@ -33,7 +34,6 @@ from .verify import (
     VerificationReport,
     build_exceptional,
     classify,
-    compute_twist,
     corollary_check,
     decompose_stabilizers,
     p3_case_check,
@@ -63,7 +63,6 @@ __all__ = [
     "build_exceptional",
     "classify",
     "closure_images",
-    "compute_twist",
     "constrained_search",
     "corollary_check",
     "decompose_stabilizers",

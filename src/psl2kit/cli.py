@@ -13,14 +13,14 @@ import json
 import sys
 
 from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
-from .fields import check_field_order, is_prime
+from .fields import MAX_FIELD_ORDER, check_cap, is_prime
 from .groups import PermGroup, SylowGrowthFails
 from .projline import ProjLine
 from .psl2 import (
-    MAX_MATRIX_FIELD,
     DecompositionFails,
     NotInClosure,
     certify_simplicity,
+    check_psl2_cap,
     psl2_expected_order,
     psl2_perm_group,
 )
@@ -213,7 +213,7 @@ def _resolve_group(args) -> PermGroup:
 
 
 def cmd_classify(args) -> int:
-    check_field_order(args.p)
+    check_cap("field order", args.p, "field cap", MAX_FIELD_ORDER)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"--p must be an odd prime, got {args.p}")
     group = _capped(_resolve_group(args), args)
@@ -238,7 +238,7 @@ def cmd_search(args) -> int:
 
 def cmd_psl2(args) -> int:
     q = args.q
-    check_field_order(q)
+    check_psl2_cap(q)
     if args.check == "generation" and not is_prime(q):
         raise ValueError("the two-generator claim is checked for prime q")
     group = _capped(psl2_perm_group(q), args)
@@ -254,7 +254,7 @@ def cmd_psl2(args) -> int:
         expected_simple = q > 3
         payload["simple"] = brute
         payload["expected_simple"] = expected_simple
-        if 3 < q <= MAX_MATRIX_FIELD:
+        if q > 3:
             certificate = certify_simplicity(q)
             payload["certificate"] = certificate.to_json_dict()
             payload["certificate_reverified"] = certificate.reverify()

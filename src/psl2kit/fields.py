@@ -10,6 +10,11 @@ which in characteristic 2 is the XOR of the indices.
 For fields with q*q <= MAX_FIELD_ORDER, full q-by-q addition and
 multiplication tables are built on first use from those operations; the
 2x2 matrix kernel in ``psl2`` runs on them.
+
+Every size cap of the package is defined here, each in the unit it
+counts, and ``check_cap`` enforces them all with one exception,
+``CapExceeded``.  A cap check is a comparison, so callers run it before
+any trial division or factoring.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-# Tables are materialized eagerly, so cap the order at desk scale.
+# Size caps, each in the unit it counts.  Entries of one field table: the
+# tables are materialized eagerly, so they stay at desk scale.
 MAX_FIELD_ORDER = 1 << 16
+# Group elements held in memory at once: enumerations, and which PSL(2,q)
+# and SL(2,q) get built at all.
+DEFAULT_ENUMERATION_CAP = 20000
+# The prime of a constrained search, and of a full search, which tries all
+# (p-1)! candidate swaps.
+MAX_SEARCH_PRIME = 31
+MAX_FULL_SEARCH_PRIME = 7
 
 
 class NotPrime(ValueError):
@@ -42,7 +55,7 @@ class IndexOutOfRange(ValueError):
     pass
 
 
-class FieldTooLarge(ValueError):
+class CapExceeded(ValueError):
     pass
 
 
@@ -58,10 +71,11 @@ class NoIrreduciblePolynomial(RuntimeError):
     pass
 
 
-def check_field_order(q: int) -> None:
-    """The field size cap; cheap, so it runs before any trial division."""
-    if q > MAX_FIELD_ORDER:
-        raise FieldTooLarge(f"field order {q} exceeds cap {MAX_FIELD_ORDER}")
+def check_cap(quantity: str, n: int, cap_name: str, cap: int) -> None:
+    """Raise ``CapExceeded`` if n exceeds the cap; cheap, so it runs before
+    any trial division."""
+    if n > cap:
+        raise CapExceeded(f"{quantity} {n} exceeds {cap_name} {cap}")
 
 
 def is_prime(n: int) -> bool:
@@ -168,7 +182,7 @@ class Field:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         q = p**degree
-        check_field_order(q)
+        check_cap("field order", q, "field cap", MAX_FIELD_ORDER)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
@@ -338,8 +352,7 @@ class Field:
     def _operation_table(self, op) -> tuple[int, ...]:
         # Built from the validated operation, so the table agrees with it.
         q = self.order
-        if q * q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"operation tables need q*q <= {MAX_FIELD_ORDER}, not q={q}")
+        check_cap("operation table size", q * q, "field cap", MAX_FIELD_ORDER)
         return tuple(op(x, y) for x in range(q) for y in range(q))
 
     # -- structure queries --
@@ -377,7 +390,7 @@ def field_of_order(q: int) -> Field:
     """GF(q) for a prime power q, with the default modulus."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    check_field_order(q)
+    check_cap("field order", q, "field cap", MAX_FIELD_ORDER)
     p = min(distinct_prime_factors(q))
     degree = 0
     n = q
@@ -443,7 +456,6 @@ class Gf8Labeling:
     field: Field
     generator: int
     to_point: tuple[int, ...]
-    from_point: tuple[int, ...]
 
     INFINITY = _GF8_POINT_AT_INFINITY
 
@@ -454,14 +466,6 @@ class Gf8Labeling:
         images = [0] * 8
         for e in range(8):
             images[self.to_point[e]] = self.to_point[field_map[e]]
-        return tuple(images)
-
-    def untransport(self, point_map: tuple[int, ...]) -> tuple[int, ...]:
-        if len(point_map) != 8:
-            raise ValueError("expected a map on the 8 projective points")
-        images = [0] * 8
-        for pt in range(8):
-            images[self.from_point[pt]] = self.from_point[point_map[pt]]
         return tuple(images)
 
     def add_one_map(self) -> tuple[int, ...]:
@@ -491,10 +495,7 @@ def gf8_labeling(modulus: tuple[int, ...] = CUBIC_X3_X_1) -> Gf8Labeling:
     for i in range(7):
         to_point[power] = i
         power = field.mul(power, zeta)
-    from_point = [0] * 8
-    for e, pt in enumerate(to_point):
-        from_point[pt] = e
-    labeling = Gf8Labeling(field, zeta, tuple(to_point), tuple(from_point))
+    labeling = Gf8Labeling(field, zeta, tuple(to_point))
     if labeling.transport(labeling.mul_generator_map()) != _GF8_SHIFT:
         raise Gf8LabelingFails("generator multiplication did not transport to z->z+1")
     if labeling.transport(labeling.frobenius_map()) != _GF8_DOUBLE:

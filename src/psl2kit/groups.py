@@ -18,8 +18,9 @@ Algorithms*, 2003, section 4.1).  ``point_stabilizer`` builds a separate
 group and is kept for callers that need that subgroup itself.
 
 Enumeration-backed queries (conjugacy classes, Sylow counting, simplicity)
-refuse to run past ``enumeration_cap`` rather than degrade; the default cap
-covers every group this package builds in anger.
+refuse to run past ``enumeration_cap`` rather than degrade.  The default,
+``fields.DEFAULT_ENUMERATION_CAP``, also decides which PSL(2,q) ``psl2``
+builds, so it covers every group this package builds itself.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .fields import DEFAULT_ENUMERATION_CAP, check_cap
 from .projline import (
     DomainMismatch,
     Permutation,
@@ -50,12 +52,6 @@ from .projline import (
     identity_images,
     invert_images,
 )
-
-DEFAULT_ENUMERATION_CAP = 20000
-
-
-class GroupTooLargeForEnumeration(ValueError):
-    pass
 
 
 class SeedNotInGroup(ValueError):
@@ -295,10 +291,7 @@ class PermGroup:
         H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
         one ``itemgetter``; the sort makes the order independent of that.
         """
-        if self.order() > self.enumeration_cap:
-            raise GroupTooLargeForEnumeration(
-                f"order {self.order()} exceeds enumeration cap {self.enumeration_cap}"
-            )
+        check_cap("order", self.order(), "enumeration cap", self.enumeration_cap)
         if self._element_cache is None:
             elems = [self._ident]
             for level in reversed(self._levels):

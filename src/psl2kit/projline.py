@@ -18,7 +18,7 @@ import re
 from itertools import compress
 from operator import eq
 
-from .fields import Field, field_of_order
+from .fields import Field
 
 
 class DomainMismatch(ValueError):
@@ -83,10 +83,6 @@ class ProjLine:
     @classmethod
     def over_prime(cls, p: int) -> "ProjLine":
         return cls(Field(p))
-
-    @classmethod
-    def of_order(cls, q: int) -> "ProjLine":
-        return cls(field_of_order(q))
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.field == other.field

@@ -14,6 +14,10 @@ and conjugation by a shear through two row maps and transposes: that one
 routine, ``_conjugation``, serves conjugacy classes, normality and normal
 closures.  ``Mat2`` values are built only for class representatives, seeds,
 conjugates that join a closure's generators, witnesses and factors.
+
+Which q get built is decided by one cap: the order of PSL(2,q) against
+``fields.DEFAULT_ENUMERATION_CAP``, checked before q is factored.  That
+admits exactly the prime powers q <= 31, for SL(2,q) and PSL(2,q) alike.
 """
 
 from __future__ import annotations
@@ -21,13 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import Field, FieldTooLarge, field_of_order
+from .fields import DEFAULT_ENUMERATION_CAP, Field, check_cap, field_of_order
 from .groups import PermGroup, orbit
 from .projline import DomainMismatch, ProjLine, moebius_permutation
-
-# Matrix groups of order q^3 - q stay at desk scale.
-MAX_MATRIX_FIELD = 13
-MAX_TWO_GENERATOR_PRIME = 19
 
 
 class FieldTooSmall(ValueError):
@@ -109,10 +109,6 @@ class Mat2:
             f.mul(det_inv, self.a),
         )
 
-    def neg(self) -> "Mat2":
-        f = self.field
-        return Mat2(f, f.neg(self.a), f.neg(self.b), f.neg(self.c), f.neg(self.d))
-
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
@@ -173,28 +169,30 @@ class SL2Group:
         return PermGroup(moebius_permutation(m, self.line) for m in sl2_generators(self.field))
 
 
+def check_psl2_cap(q: int) -> None:
+    """Build SL(2,q) and PSL(2,q) only while PSL(2,q) is within the
+    enumeration cap; a comparison, so it runs before q is factored."""
+    check_cap(f"PSL(2,{q}) order", psl2_expected_order(q), "enumeration cap",
+              DEFAULT_ENUMERATION_CAP)
+
+
 def sl2_group(q: int) -> SL2Group:
-    if q > MAX_MATRIX_FIELD:
-        raise FieldTooLarge(f"SL(2,{q}) as a matrix group is capped at q={MAX_MATRIX_FIELD}")
+    check_psl2_cap(q)
     field = field_of_order(q)
     return SL2Group(field, ProjLine(field))
 
 
 def psl2_perm_group(q: int) -> PermGroup:
-    """PSL(2,q) acting on the q+1 projective points.
+    """PSL(2,q) acting on the q+1 projective points, for the prime powers
+    q <= 31 that ``check_psl2_cap`` admits.
 
-    Prime q up to 19 uses the unit translation and z -> -1/z as generators;
-    prime powers up to the matrix cap use the images of the shear generators.
+    Prime q uses the unit translation and z -> -1/z as generators; other
+    prime powers use the images of the shear generators.
     """
-    field = field_of_order(q)
-    if field.degree == 1:
-        if q > MAX_TWO_GENERATOR_PRIME:
-            raise FieldTooLarge(
-                f"two-generator construction is capped at p={MAX_TWO_GENERATOR_PRIME}"
-            )
-        line = ProjLine(field)
-        return PermGroup([line.translation(1), line.neg_reciprocal()])
-    return sl2_group(q).perm_group
+    sl2 = sl2_group(q)
+    if sl2.field.degree == 1:
+        return PermGroup([sl2.line.translation(1), sl2.line.neg_reciprocal()])
+    return sl2.perm_group
 
 
 def psl2_expected_order(q: int) -> int:

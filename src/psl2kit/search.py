@@ -20,7 +20,7 @@ Two candidate spaces are provided.  The constrained space uses the derived
 shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
 (p-1)/2 dividing n^2-1.  The full space tries every bijection exchanging
 0 and inf, with arbitrary action on the units; it is feasible for
-p in {5, 7} and exists to confirm that the constrained shape loses
+p in {3, 5, 7} and exists to confirm that the constrained shape loses
 nothing.  Each found group is re-checked against the hypotheses and
 classified, and the swap-free base subgroup is re-verified to have order
 p*(p-1)/2 so the order argument above is honest.
@@ -34,17 +34,18 @@ import json
 import time
 from dataclasses import dataclass
 
-from .fields import is_prime, primitive_root, quadratic_classes
+from .fields import (
+    MAX_FULL_SEARCH_PRIME,
+    MAX_SEARCH_PRIME,
+    NotOddPrime,
+    check_cap,
+    is_prime,
+    primitive_root,
+    quadratic_classes,
+)
 from .groups import OrderLimitExceeded, PermGroup, closure_images
 from .projline import Permutation, ProjLine
 from .verify import classify
-
-MAX_SEARCH_PRIME = 31
-FULL_SEARCH_PRIMES = (5, 7)
-
-
-class PTooLarge(ValueError):
-    pass
 
 
 class SearchInvariantError(RuntimeError):
@@ -139,6 +140,10 @@ def _decide_candidates(line: ProjLine, base: list[Permutation], target: int, swa
 
 
 def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
+    """Decide every candidate the lazy ``swap_candidates`` yields; the odd
+    prime check runs here, after each mode's cap."""
+    if not is_prime(p) or p == 2:
+        raise NotOddPrime(f"{p} is not an odd prime")
     start = time.perf_counter()
     line = ProjLine.over_prime(p)
     target = (p**3 - p) // 2
@@ -227,17 +232,13 @@ def _full_candidates(p: int):
 
 def constrained_search(p: int) -> SearchOutcome:
     """Search the derived swap shapes for groups meeting the hypotheses."""
-    if p > MAX_SEARCH_PRIME:
-        raise PTooLarge(f"constrained search is capped at p={MAX_SEARCH_PRIME}")
-    if not is_prime(p) or p == 2:
-        raise PTooLarge(f"{p} is not an odd prime")
+    check_cap("search prime", p, "search cap", MAX_SEARCH_PRIME)
     return _run_search(p, "constrained", _constrained_candidates(p))
 
 
 def full_search(p: int) -> SearchOutcome:
-    """Search every 0/inf-exchanging bijection; feasible for p in {5, 7}."""
-    if p not in FULL_SEARCH_PRIMES:
-        raise PTooLarge(f"full search runs only for p in {FULL_SEARCH_PRIMES}")
+    """Search every 0/inf-exchanging bijection; feasible for p in {3, 5, 7}."""
+    check_cap("full search prime", p, "full search cap", MAX_FULL_SEARCH_PRIME)
     return _run_search(p, "full", _full_candidates(p))
 
 

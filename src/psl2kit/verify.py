@@ -29,7 +29,7 @@ from .fields import (
 )
 from .groups import PermGroup
 from .projline import Permutation, ProjLine, identity_images, invert_images
-from .psl2 import psl2_perm_group
+from .psl2 import check_psl2_cap, psl2_perm_group
 
 
 class NoTwistExponent(RuntimeError):
@@ -69,12 +69,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class StabilizerDecomposition:
-    """Elements fixing {0, inf} pointwise, swapping the pair, and their
-    union (the setwise stabilizer)."""
+    """Elements fixing {0, inf} pointwise, and elements swapping the pair."""
 
     fixing: tuple[Permutation, ...]
     swapping: tuple[Permutation, ...]
-    setwise: tuple[Permutation, ...]
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ class TwistAnalysis:
     swap: Permutation
     exponent: int
     constant: int
-    case: str  # p1mod4 | p3mod4-main | p3mod4-special
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,7 @@ def decompose_stabilizers(group: PermGroup) -> StabilizerDecomposition:
             fixing.append(Permutation(group.line, img))
         elif img[0] == inf and img[inf] == 0:
             swapping.append(Permutation(group.line, img))
-    both = sorted(fixing + swapping)
-    return StabilizerDecomposition(tuple(fixing), tuple(swapping), tuple(both))
+    return StabilizerDecomposition(tuple(fixing), tuple(swapping))
 
 
 def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
@@ -283,22 +279,6 @@ def primitive_square_generator(quad: QuadraticClasses) -> int:
     from .fields import primitive_root
 
     return pow(primitive_root(quad.p), 2, quad.p)
-
-
-def compute_twist(
-    group: PermGroup, dec: StabilizerDecomposition, swap: Permutation
-) -> TwistAnalysis:
-    if swap not in set(dec.swapping):
-        raise ValueError("chosen element does not swap 0 and infinity")
-    p = group.line.field.p
-    quad = quadratic_classes(p)
-    n = twist_exponent(swap, quad)
-    c = swap(1)
-    if p % 4 == 1:
-        case = "p1mod4"
-    else:
-        case = "p3mod4-main" if c == p - 1 else "p3mod4-special"
-    return TwistAnalysis(swap, n, c, case)
 
 
 def check_twist_exponents(
@@ -468,9 +448,7 @@ def check_swap_power_form(
     )
     power_identity = pow(c, n, p) == c
     passed = c_nonsquare and on_squares and on_nonsquares and power_identity
-    analysis = TwistAnalysis(
-        lam, n, c, "p3mod4-main" if c == p - 1 else "p3mod4-special"
-    )
+    analysis = TwistAnalysis(lam, n, c)
     witness = {
         "constant": c,
         "constant_is_nonsquare": c_nonsquare,
@@ -841,8 +819,9 @@ def corollary_check(p: int) -> CheckResult:
     """Simplicity forces the projective group: verify the Sylow count and
     that relabeling the conjugation action on Sylow subgroups reproduces
     the projective-line action."""
-    if not 3 < p <= 13:
-        raise ValueError("the corollary pipeline runs for 3 < p <= 13")
+    if p <= 3:
+        raise ValueError("the corollary pipeline runs for p > 3")
+    check_psl2_cap(p)
     if not is_prime(p):
         raise ValueError(f"the corollary needs a prime p, got {p}")
     group = psl2_perm_group(p)

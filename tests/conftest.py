@@ -51,6 +51,32 @@ def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
     return tuple(out)
 
 
+def mat_neg(m: Mat2) -> Mat2:
+    """-m, entry by entry."""
+    f = m.field
+    return Mat2(f, f.neg(m.a), f.neg(m.b), f.neg(m.c), f.neg(m.d))
+
+
+def untransport(labeling, point_map):
+    """Carry a self-map of the 8 projective points back to GF(8), through
+    the inverse of the labeling's ``to_point``."""
+    from_point = [0] * 8
+    for e, pt in enumerate(labeling.to_point):
+        from_point[pt] = e
+    images = [0] * 8
+    for pt in range(8):
+        images[from_point[pt]] = from_point[point_map[pt]]
+    return tuple(images)
+
+
+def twist_case(p: int, swap) -> str:
+    """The paper's case for a pair-swapping element: p = 1 mod 4, or for
+    p = 3 mod 4 the main case (swap(1) = -1) or the special one."""
+    if p % 4 == 1:
+        return "p1mod4"
+    return "p3mod4-main" if swap(1) == p - 1 else "p3mod4-special"
+
+
 def symmetric_group(line):
     """The full symmetric group on the line's points."""
     n = line.size

@@ -251,7 +251,8 @@ def test_psl2_generation_command(capsys):
 
 
 def test_psl2_field_too_large(capsys):
-    code, _ = run_cli(capsys, "psl2", "--q", "16", "--check", "order")
+    # 32 is the smallest prime power whose PSL(2,q) exceeds the enumeration cap
+    code, _ = run_cli(capsys, "psl2", "--q", "32", "--check", "order")
     assert code == 4
 
 
@@ -262,7 +263,7 @@ def test_corollary_command(capsys):
     check = payload["checks"][0]
     assert check["pass"] is True
     assert check["witness"]["sylow_count"] == 8
-    code, _ = run_cli(capsys, "corollary", "--p", "17")
+    code, _ = run_cli(capsys, "corollary", "--p", "37")
     assert code == 4
 
 
@@ -382,7 +383,8 @@ def test_usage_errors(capsys):
         ("classify_p11_psl2", ["classify", "--p", "11", "--group", "psl2"]),
         ("classify_p17_psl2", ["classify", "--p", "17", "--group", "psl2"]),
         ("classify_p7_exceptional5", ["classify", "--p", "7", "--group", "exceptional:5"]),
-        # --group psl2 stops at p = 19; these files hold conjugated PSL(2,p) generators
+        # these files hold conjugated PSL(2,p) generators; --group psl2 gives the
+        # same reports (the last two cases)
         ("classify_p29_gens",
          ["classify", "--p", "29", "--group", str(GOLDEN_DIR / "classify_p29.gens")]),
         ("classify_p31_gens",
@@ -394,6 +396,14 @@ def test_usage_errors(capsys):
         ("exceptional_variant3", ["exceptional", "--variant", "3"]),
         ("exceptional_variant5", ["exceptional", "--variant", "5"]),
         ("p3", ["p3"]),
+        ("psl2_q16_simplicity", ["psl2", "--q", "16", "--check", "simplicity"]),
+        ("psl2_q17_simplicity", ["psl2", "--q", "17", "--check", "simplicity"]),
+        ("psl2_q25_simplicity", ["psl2", "--q", "25", "--check", "simplicity"]),
+        ("psl2_q31_simplicity", ["psl2", "--q", "31", "--check", "simplicity"]),
+        ("corollary_p17", ["corollary", "--p", "17"]),
+        ("corollary_p31", ["corollary", "--p", "31"]),
+        ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
+        ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
     ],
 )
 def test_golden_reports(capsys, name, argv):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import is_prime
+from psl2kit.fields import CapExceeded, is_prime
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
-    GroupTooLargeForEnumeration,
     OrderLimitExceeded,
     PermGroup,
     PrimeDoesNotDivideOrder,
@@ -113,10 +112,10 @@ def test_elements_sorted_and_capped(line5):
     images = [e.images for e in elems]
     assert images == sorted(images)
     assert len(set(images)) == 60
-    with pytest.raises(GroupTooLargeForEnumeration):
+    with pytest.raises(CapExceeded):
         PermGroup(group.generators, enumeration_cap=59).elements()
     small_cap = PermGroup(group.generators, enumeration_cap=10)
-    with pytest.raises(GroupTooLargeForEnumeration):
+    with pytest.raises(CapExceeded):
         small_cap.elements()
     assert small_cap.enumeration_cap == 10
     assert DEFAULT_ENUMERATION_CAP == 20000

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import Field
+from psl2kit.fields import Field, field_of_order
 from psl2kit.projline import (
     DomainMismatch,
     NonUnitDeterminant,
@@ -19,7 +19,7 @@ from psl2kit.projline import (
 )
 from psl2kit.psl2 import Mat2
 
-from conftest import sl2_matrices
+from conftest import mat_neg, sl2_matrices
 
 
 def test_perm_from_images(line7, line5):
@@ -135,7 +135,7 @@ def test_moebius_kernel_is_center(line7):
     rng = random.Random(11)
     for _ in range(50):
         m = _random_sl2_map(line7.field, rng)
-        assert moebius_permutation(m, line7) == moebius_permutation(m.neg(), line7)
+        assert moebius_permutation(m, line7) == moebius_permutation(mat_neg(m), line7)
 
 
 def _random_sl2_map(field, rng) -> Mat2:
@@ -202,7 +202,7 @@ def test_group_axioms_random_triples(p):
 
 
 def test_extension_field_line():
-    line9 = ProjLine.of_order(9)
+    line9 = ProjLine(field_of_order(9))
     assert line9 == ProjLine(Field(3, 2))
     assert line9.size == 10
     t = line9.translation(1)

@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import Field, FieldTooLarge, IndexOutOfRange, NotPrime, field_of_order
+from psl2kit.fields import (
+    DEFAULT_ENUMERATION_CAP,
+    CapExceeded,
+    Field,
+    IndexOutOfRange,
+    NotPrime,
+    field_of_order,
+)
 from psl2kit.groups import PermGroup, orbit
 from psl2kit.projline import DomainMismatch
 from psl2kit import psl2
 from psl2kit.psl2 import (
-    MAX_MATRIX_FIELD,
     DecompositionFails,
     FieldTooSmall,
     Mat2,
@@ -34,7 +40,7 @@ from psl2kit.psl2 import (
     sl2_group,
 )
 
-from conftest import psl2_cached, sl2_matrices
+from conftest import mat_neg, psl2_cached, sl2_matrices
 
 
 def _codes(matrices) -> frozenset[int]:
@@ -49,7 +55,7 @@ def test_mat2_algebra():
     assert m.inverse().entries() == (2, 4, 6, 2)
     assert not m.is_scalar()
     assert Mat2(f, 3, 0, 0, 3).is_scalar()
-    assert m.neg().entries() == (5, 4, 6, 5)
+    assert mat_neg(m).entries() == (5, 4, 6, 5)
 
 
 KERNEL_ORDERS = (4, 5, 7, 8, 9, 11, 13)
@@ -134,11 +140,14 @@ def test_sl2_matrix_counts():
         assert list(mats) == sorted(mats, key=Mat2.entries)
 
 
-MATRIX_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+# the prime powers whose PSL(2,q) fits the enumeration cap
+MATRIX_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
 
 
 def test_sl2_generators_generate():
-    assert MATRIX_ORDERS[-1] == MAX_MATRIX_FIELD
+    # 32 is the next prime power
+    assert psl2_expected_order(MATRIX_ORDERS[-1]) <= DEFAULT_ENUMERATION_CAP
+    assert psl2_expected_order(32) > DEFAULT_ENUMERATION_CAP
     for q in MATRIX_ORDERS:
         assert sl2_group(q).codes == _codes(sl2_matrices(field_of_order(q)))
 
@@ -187,8 +196,8 @@ def test_sl2_group_examples():
     assert data.perm_group.order() == 168
     assert sl2_group(8).perm_group.order() == 504
     assert sl2_group(2).perm_group.order() == 6
-    with pytest.raises(FieldTooLarge):
-        sl2_group(16)
+    with pytest.raises(CapExceeded):
+        sl2_group(32)
 
 
 def test_moebius_image_homomorphism():
@@ -212,12 +221,33 @@ def test_psl2_orders():
 
 
 def test_psl2_unsupported_orders():
-    with pytest.raises(FieldTooLarge):
-        psl2_perm_group(23)
-    with pytest.raises(FieldTooLarge):
-        psl2_perm_group(16)
+    with pytest.raises(CapExceeded):
+        psl2_perm_group(37)
+    with pytest.raises(CapExceeded):
+        psl2_perm_group(32)
     with pytest.raises(NotPrime):
         psl2_perm_group(12)
+
+
+@pytest.mark.parametrize("build", [psl2_perm_group, sl2_group])
+def test_built_exactly_within_the_enumeration_cap(build):
+    """SL(2,q) and PSL(2,q) are refused with CapExceeded exactly when
+    PSL(2,q) is larger than the enumeration cap, so both admit exactly the
+    prime powers q <= 31."""
+    built = []
+    for q in range(2, 65):
+        over = psl2_expected_order(q) > DEFAULT_ENUMERATION_CAP
+        try:
+            build(q)
+        except CapExceeded:
+            assert over, q
+            continue
+        except NotPrime:  # q is not a prime power
+            assert not over, q
+            continue
+        assert not over, q
+        built.append(q)
+    assert tuple(built) == MATRIX_ORDERS
 
 
 def test_shear_subgroups_generate():
@@ -237,7 +267,7 @@ def test_find_nonzero_corner_witness():
     shear = Mat2(data.field, 1, 1, 0, 1)
     closure = matrix_normal_closure(data, [shear])
     assert find_nonzero_corner_witness(data, closure).b != 0
-    center = _codes([mat_identity(data.field), mat_identity(data.field).neg()])
+    center = _codes([mat_identity(data.field), mat_neg(mat_identity(data.field))])
     with pytest.raises(OnlyScalars):
         find_nonzero_corner_witness(data, center)
 
@@ -365,8 +395,8 @@ def test_certificate_bounds():
         certify_simplicity(3)
     with pytest.raises(FieldTooSmall):
         certify_simplicity(2)
-    with pytest.raises(FieldTooLarge):
-        certify_simplicity(16)
+    with pytest.raises(CapExceeded):
+        certify_simplicity(32)
     # q = 3 cross-check: the permutation group is genuinely not simple
     assert not psl2_cached(3).is_simple()
 

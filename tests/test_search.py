@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from psl2kit import search
+from psl2kit.fields import CapExceeded, NotOddPrime
 from psl2kit.groups import closure_images
 from psl2kit.projline import ProjLine
 from psl2kit.search import (
     DUPLICATE,
     NEW,
     REJECTED,
-    PTooLarge,
     SearchInvariantError,
     constrained_search,
     element_set_hash,
@@ -26,8 +26,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.fixture(scope="module")
 def outcomes():
     return {
+        ("full", 3): full_search(3),
         ("full", 5): full_search(5),
         ("full", 7): full_search(7),
+        ("constrained", 3): constrained_search(3),
         ("constrained", 5): constrained_search(5),
         ("constrained", 7): constrained_search(7),
         ("constrained", 11): constrained_search(11),
@@ -36,6 +38,7 @@ def outcomes():
 
 
 def test_full_search_candidate_counts(outcomes):
+    assert outcomes[("full", 3)].candidates_examined == 2  # 2! swap actions
     assert outcomes[("full", 5)].candidates_examined == 24  # 4! swap actions
     assert outcomes[("full", 7)].candidates_examined == 720  # 6!
 
@@ -46,7 +49,7 @@ def test_group_counts_match_dichotomy(outcomes):
 
 
 def test_full_and_constrained_agree(outcomes):
-    for p in (5, 7):
+    for p in (3, 5, 7):
         full_hashes = {g.element_set_sha256 for g in outcomes[("full", p)].groups}
         constrained_hashes = {
             g.element_set_sha256 for g in outcomes[("constrained", p)].groups
@@ -95,6 +98,7 @@ def test_outcome_json_deterministic(outcomes):
 @pytest.mark.parametrize(
     "name,mode,p",
     [
+        ("search_p3_full", "full", 3),
         ("search_p5_full", "full", 5),
         ("search_p7_full", "full", 7),
         ("search_p5_constrained", "constrained", 5),
@@ -109,14 +113,17 @@ def test_golden_outcomes(outcomes, name, mode, p):
 
 
 def test_search_input_validation():
-    with pytest.raises(PTooLarge):
-        constrained_search(9)
-    with pytest.raises(PTooLarge):
-        constrained_search(2)
-    with pytest.raises(PTooLarge):
-        constrained_search(37)
-    with pytest.raises(PTooLarge):
-        full_search(11)
+    # past its cap each mode refuses p, prime or not; below it, non-odd-primes
+    for search_fn, too_large, not_odd_prime in (
+        (constrained_search, (33, 37), (1, 2, 9)),
+        (full_search, (9, 11), (1, 2, 6)),
+    ):
+        for p in too_large:
+            with pytest.raises(CapExceeded):
+                search_fn(p)
+        for p in not_odd_prime:
+            with pytest.raises(NotOddPrime):
+                search_fn(p)
 
 
 def test_found_groups_built_from_three_generators(monkeypatch):

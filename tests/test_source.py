@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import psl2kit
@@ -63,3 +64,21 @@ def test_every_package_exception_is_raised():
                 raised.add(exc.id)
     assert defined
     assert sorted(defined - raised) == []
+
+
+def test_size_caps_live_in_fields():
+    # one table of caps: module-level MAX_* and *_CAP names, and exception
+    # classes named for a cap or for being too large, are defined in fields.py
+    caps, cap_errors = set(), set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                caps.update(
+                    path.name
+                    for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"MAX_\w+|\w+_CAP", t.id)
+                )
+            elif isinstance(node, ast.ClassDef) and re.search(r"Cap|TooLarge", node.name):
+                cap_errors.add(path.name)
+    assert caps == cap_errors == {"fields.py"}

@@ -14,7 +14,6 @@ from psl2kit.verify import (
     check_unique_normalized_swap,
     check_stabilizer_scalings,
     classify,
-    compute_twist,
     corollary_check,
     decompose_stabilizers,
     decomposition_check,
@@ -23,7 +22,7 @@ from psl2kit.verify import (
     twist_exponent,
 )
 
-from conftest import exceptional_cached, line_over, psl2_cached
+from conftest import exceptional_cached, line_over, psl2_cached, twist_case
 
 
 SECTION3_IDS = {"lemma-3.2", "lemma-3.3", "corollary-3.4", "corollary-3.5", "prop-3.6"}
@@ -94,7 +93,6 @@ def test_decompose_stabilizer_sizes():
     for p, size in [(5, 2), (7, 3), (11, 5), (13, 6)]:
         dec = decompose_stabilizers(psl2_cached(p))
         assert len(dec.fixing) == len(dec.swapping) == size
-        assert len(dec.setwise) == 2 * size
         assert decomposition_check(dec, p).passed
     dec3 = decompose_stabilizers(psl2_cached(3))
     assert len(dec3.fixing) == 1 and len(dec3.swapping) == 1
@@ -141,28 +139,27 @@ def test_twist_exponents():
 
 
 def test_twist_analysis_cases():
+    quad7 = quadratic_classes(7)
     group7 = psl2_cached(7)
-    dec7 = decompose_stabilizers(group7)
-    analysis = compute_twist(group7, dec7, line_over(7).neg_reciprocal())
-    assert analysis.case == "p3mod4-main"
-    assert analysis.constant == 6 and analysis.exponent == 5
+    lam7 = line_over(7).neg_reciprocal()
+    assert lam7 in decompose_stabilizers(group7).swapping
+    assert twist_case(7, lam7) == "p3mod4-main"
+    assert lam7(1) == 6 and twist_exponent(lam7, quad7) == 5
 
-    group13 = psl2_cached(13)
-    dec13 = decompose_stabilizers(group13)
+    dec13 = decompose_stabilizers(psl2_cached(13))
     lam13 = next(s for s in dec13.swapping if s(1) == 1)
-    analysis13 = compute_twist(group13, dec13, lam13)
-    assert analysis13.case == "p1mod4"
-    assert analysis13.constant == 1
+    assert twist_exponent(lam13, quadratic_classes(13)) == 5
+    assert twist_case(13, lam13) == "p1mod4"
+    assert lam13(1) == 1
 
     exceptional = exceptional_cached(3)
-    dec_exc = decompose_stabilizers(exceptional)
     lam = exceptional.line.from_cycles(EXCEPTIONAL_INVOLUTIONS[3])
-    analysis_exc = compute_twist(exceptional, dec_exc, lam)
-    assert analysis_exc.case == "p3mod4-special"
-    assert analysis_exc.constant == 3 and analysis_exc.exponent == 1
-    quad7 = quadratic_classes(7)
-    assert pow(analysis_exc.constant, analysis_exc.exponent, 7) == analysis_exc.constant
-    assert analysis_exc.constant in quad7.nonsquares
+    assert lam in decompose_stabilizers(exceptional).swapping
+    assert twist_case(7, lam) == "p3mod4-special"
+    constant, exponent = lam(1), twist_exponent(lam, quad7)
+    assert constant == 3 and exponent == 1
+    assert pow(constant, exponent, 7) == constant
+    assert constant in quad7.nonsquares
     assert pow(3, 3, 7) == 7 - 1  # the special-case constant cubes to -1
 
 
@@ -300,7 +297,7 @@ def test_corollary_range():
     with pytest.raises(ValueError):
         corollary_check(3)
     with pytest.raises(ValueError):
-        corollary_check(17)
+        corollary_check(37)
 
 
 def test_build_exceptional():
