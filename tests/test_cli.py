@@ -404,6 +404,16 @@ def test_usage_errors(capsys):
         ("corollary_p31", ["corollary", "--p", "31"]),
         ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
         ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
+        # past p = 31 the group exceeds the enumeration cap: these reports were
+        # written with --max-order 100000 and are read back with default flags
+        *(
+            pytest.param(
+                f"classify_p{p}_gens",
+                ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")],
+                marks=pytest.mark.xfail(strict=True, reason="classify enumerates the group"),
+            )
+            for p in (37, 41, 43)
+        ),
     ],
 )
 def test_golden_reports(capsys, name, argv):

@@ -1,8 +1,8 @@
 """The exhaustive element scans against per-Permutation reference versions.
 
-``check_stabilizer_scalings``, ``check_pair_orbit_count``,
-``PermGroup.element_images`` and ``PermGroup.conjugacy_class_of`` work on raw
-image tuples.  The oracles below are the straightforward definitions: one
+``decompose_stabilizers``, ``check_stabilizer_scalings``,
+``check_pair_orbit_count``, ``PermGroup.element_images`` and
+``PermGroup.conjugacy_class_of`` work on raw image tuples.  The oracles below are the straightforward definitions: one
 ``Permutation`` per element, fixed points and cycles found point by point,
 elements and conjugates from the frontier closure of the generators.
 """
@@ -16,6 +16,7 @@ from psl2kit.groups import PermGroup, closure_images
 from psl2kit.projline import Permutation, compose_images, invert_images
 from psl2kit.verify import (
     CheckResult,
+    StabilizerDecomposition,
     check_pair_orbit_count,
     check_stabilizer_scalings,
     decompose_stabilizers,
@@ -91,6 +92,17 @@ def reference_pair_orbit_count(group, p) -> CheckResult:
     return CheckResult("lemma-3.2", count == expected, witness)
 
 
+def reference_decomposition(group) -> StabilizerDecomposition:
+    inf = group.line.infinity
+    closure = sorted(closure_images([g.images for g in group.generators]))
+    fixing = [img for img in closure if img[0] == 0 and img[inf] == inf]
+    swapping = [img for img in closure if img[0] == inf and img[inf] == 0]
+    return StabilizerDecomposition(
+        tuple(Permutation(group.line, img) for img in fixing),
+        tuple(Permutation(group.line, img) for img in swapping),
+    )
+
+
 def reference_conjugates(elements, img) -> frozenset[tuple[int, ...]]:
     return frozenset(
         compose_images(h, compose_images(img, invert_images(h))) for h in elements
@@ -110,6 +122,7 @@ def assert_scans_match_references(group: PermGroup) -> None:
     assert group.element_images() == tuple(sorted(closure))
 
     dec = decompose_stabilizers(group)
+    assert dec == reference_decomposition(group)
     quad = square_classes(p)
     assert check_stabilizer_scalings(group, dec, quad) == reference_stabilizer_scalings(
         group, dec, quad
