@@ -17,10 +17,18 @@ the second under that point's stabilizer (Seress, *Permutation Group
 Algorithms*, 2003, section 4.1).  ``point_stabilizer`` builds a separate
 group and is kept for callers that need that subgroup itself.
 
-Enumeration-backed queries (conjugacy classes, Sylow counting, simplicity)
-refuse to run past ``enumeration_cap`` rather than degrade.  The default,
-``fields.DEFAULT_ENUMERATION_CAP``, also decides which PSL(2,q) ``psl2``
-builds, so it covers every group this package builds itself.
+``rebased`` gives a chain of the same group whose base starts with a given
+prefix, built once and kept on the group, so the pointwise stabilizer of
+those points is a chain level: its strong generators, order and elements
+(``stabilizer_generators``, ``stabilizer_order``, ``stabilizer_images``)
+come without enumerating the group.
+
+Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
+Sylow counting, simplicity) refuse to run past ``enumeration_cap`` rather
+than degrade; ``conjugacy_class_of`` stops its search once the class
+outgrows the cap.  The default, ``fields.DEFAULT_ENUMERATION_CAP``, also
+decides which PSL(2,q) ``psl2`` builds, so it covers every group this
+package builds itself.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -183,6 +191,7 @@ class PermGroup:
             self._insert(img, 0)
         self._close_chain()
         self._element_cache: tuple[tuple[int, ...], ...] | None = None
+        self._rebased: list[PermGroup] = []
         return fresh
 
     def _inverse(self, img: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,13 +215,10 @@ class PermGroup:
         self._levels[idx].gens.append(img)
         self._extend_orbit(idx)
 
-    def _level_gens(self, idx: int) -> list[tuple[int, ...]]:
-        return [g for level in self._levels[idx:] for g in level.gens]
-
     def _extend_orbit(self, idx: int) -> None:
         """Append the points the level's generators newly reach; raises
         OrderLimitExceeded once the order's lower bound passes the limit."""
-        gens = self._level_gens(idx)
+        gens = self.stabilizer_generators(idx)
         trans = self._levels[idx].transversal
         queue = list(trans)
         known = len(queue)
@@ -245,7 +251,7 @@ class PermGroup:
         trans = level.transversal
         points = list(trans)
         changed = False
-        for g in self._level_gens(idx):
+        for g in self.stabilizer_generators(idx):
             for x in points[level.tested.get(g, 0):]:
                 schreier = compose_images(trans[g[x]][1], compose_images(g, trans[x][0]))
                 if schreier == self._ident:
@@ -272,10 +278,7 @@ class PermGroup:
         return tuple(level.point for level in self._levels)
 
     def order(self) -> int:
-        n = 1
-        for level in self._levels:
-            n *= len(level.transversal)
-        return n
+        return self.stabilizer_order(0)
 
     def contains(self, perm: Permutation) -> bool:
         if perm.line != self.line:
@@ -283,22 +286,11 @@ class PermGroup:
         return self._sift_images(perm.images) == self._ident
 
     def element_images(self) -> tuple[tuple[int, ...], ...]:
-        """All elements as image tuples, in canonical (sorted) order.
-
-        Enumerated from the chain bottom up: if H is the stabilizer below a
-        level and u_x its transversal entries, the products e * u_x^-1 over
-        e in H cover the level's stabilizer exactly once (one right coset
-        H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
-        one ``itemgetter``; the sort makes the order independent of that.
-        """
+        """All elements as image tuples, in canonical (sorted) order: the
+        stabilizer below level 0, sorted."""
         check_cap("order", self.order(), "enumeration cap", self.enumeration_cap)
         if self._element_cache is None:
-            elems = [self._ident]
-            for level in reversed(self._levels):
-                below, elems = elems, []
-                for _, u_inv in level.transversal.values():
-                    elems += map(itemgetter(*u_inv), below)
-            self._element_cache = tuple(sorted(elems))
+            self._element_cache = tuple(sorted(self.stabilizer_images(0)))
         return self._element_cache
 
     def elements(self) -> tuple[Permutation, ...]:
@@ -307,6 +299,62 @@ class PermGroup:
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.element_images())
+
+    # -- chain levels --
+
+    def rebased(self, prefix: tuple[int, ...]) -> "PermGroup":
+        """A chain of this group whose base starts with ``prefix``, so that
+        its levels from i on generate the pointwise stabilizer of
+        ``prefix[:i]``.  That is this group itself when its base already
+        starts with ``prefix``, or else a chain kept from an earlier call
+        whose base does; only when neither does is one built, with
+        ``base_prefix``."""
+        prefix = tuple(prefix)
+        for chain in (self, *self._rebased):
+            if chain.base[: len(prefix)] == prefix:
+                break
+        else:
+            chain = PermGroup(self.generators, base_prefix=prefix)
+            self._rebased.append(chain)
+        chain.enumeration_cap = self.enumeration_cap
+        return chain
+
+    def stabilizer_generators(self, level: int) -> list[tuple[int, ...]]:
+        """The strong generators from ``level`` on: they generate the
+        pointwise stabilizer of the base points before that level."""
+        return [g for lvl in self._levels[level:] for g in lvl.gens]
+
+    def stabilizer_order(self, level: int) -> int:
+        """The order of the pointwise stabilizer of the base points before
+        ``level``: the product of the basic orbit lengths from there on."""
+        n = 1
+        for lvl in self._levels[level:]:
+            n *= len(lvl.transversal)
+        return n
+
+    def stabilizer_images(self, level: int) -> list[tuple[int, ...]]:
+        """The pointwise stabilizer of the base points before ``level``, as
+        image tuples in chain order; refused past ``enumeration_cap``.
+
+        Enumerated from the chain bottom up: if H is the stabilizer below a
+        level and u_x its transversal entries, the products e * u_x^-1 over
+        e in H cover the level's stabilizer exactly once (one right coset
+        H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
+        one ``itemgetter``.
+        """
+        check_cap("order", self.stabilizer_order(level), "enumeration cap", self.enumeration_cap)
+        elems = [self._ident]
+        for lvl in reversed(self._levels[level:]):
+            below, elems = elems, []
+            for _, u_inv in lvl.transversal.values():
+                elems += map(itemgetter(*u_inv), below)
+        return elems
+
+    def transversal_entry(self, level: int, point: int) -> tuple[int, ...] | None:
+        """An element of the stabilizer below ``level`` that maps the level's
+        base point to ``point``, or None if none does."""
+        entry = self._levels[level].transversal.get(point)
+        return None if entry is None else entry[0]
 
     # -- orbits and transitivity --
 
@@ -359,6 +407,9 @@ class PermGroup:
         return tuple(classes)
 
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
+        """The class of ``perm`` as image tuples.  A class larger than
+        ``enumeration_cap`` raises ``CapExceeded`` as soon as the search has
+        seen cap + 1 members, so the size the message names is a lower bound."""
         if not self.contains(perm):
             raise SeedNotInGroup(f"{perm} is not in the group")
         return self._conjugates(perm.images)
@@ -368,7 +419,11 @@ class PermGroup:
         return [_conjugator(g.images, self._inverse(g.images)) for g in self.generators]
 
     def _conjugates(self, img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-        return orbit([img], self._conjugators(), _conjugate)
+        cap = self.enumeration_cap
+        members = orbit([img], self._conjugators(), _conjugate, cap)
+        if members is None:
+            check_cap("conjugacy class size", cap + 1, "enumeration cap", cap)
+        return members
 
     def normal_closure(self, seeds) -> "PermGroup":
         """Smallest normal subgroup containing the seeds: one chain, grown

@@ -1,12 +1,22 @@
 """Executable checks for the classification of transitive permutation
 groups of order (p^3-p)/2 on Z/p + {inf} that contain all translations.
 
-Every check verifies a universally quantified statement by exhaustion over
-the relevant finite sets and returns a CheckResult carrying witness data
-(and a counterexample when it fails).  ``classify`` chains the checks and
-settles the dichotomy: either the group contains z -> -1/z and is the
-projective group, or p = 7 and the group is one of the two exceptional
-order-168 groups with a normal subgroup of order 8.
+Every check verifies a universally quantified statement over finite sets
+and returns a CheckResult carrying witness data (and a counterexample when
+it fails).  The three counts over the whole group are exact orbit-stabilizer
+counts on a stabilizer chain with base (0, inf), not scans: Definition 2.2
+reads the stabilizer of {0, inf} and its swapping coset off the chain,
+Lemma 2.4 decides the most fixed points from point stabilizer orders, and
+Lemma 3.2 sums over the orbits on unordered pairs.  Lemma 2.4 still scans
+every element when some non-identity element fixes more than 2 points, to
+name the first such element.  Checks on the swapping coset go through it
+element by element; Lemma 3.3 collects the class of -z, and the p = 7
+exceptional audit enumerates its 168 elements.
+
+``classify`` chains the checks and settles the dichotomy: either the group
+contains z -> -1/z and is the projective group, or p = 7 and the group is
+one of the two exceptional order-168 groups with a normal subgroup of
+order 8.
 
 Checks record failures instead of aborting, so a defective candidate group
 yields a maximal diagnostic report rather than an exception.
@@ -17,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from operator import eq, itemgetter
+from operator import eq
 
 from .fields import (
     CUBIC_X3_X2_1,
@@ -27,8 +37,8 @@ from .fields import (
     is_prime,
     quadratic_classes,
 )
-from .groups import PermGroup
-from .projline import Permutation, ProjLine, identity_images, invert_images
+from .groups import PermGroup, orbit
+from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
 from .psl2 import check_psl2_cap, psl2_perm_group
 
 
@@ -144,15 +154,31 @@ def check_double_transitivity(group: PermGroup) -> CheckResult:
     return CheckResult("lemma-2.1", ok, {"doubly_transitive": ok})
 
 
+def _pair_swapper(chain: PermGroup) -> tuple[int, ...] | None:
+    """An element swapping the chain's first two base points x and y, or
+    None if there is none.  u, level 0's entry at y, maps x to y; v, level
+    1's entry at u^-1(x), fixes x and maps y to u^-1(x), so u*v swaps the
+    two.  Every swap is u*h with h fixing x and mapping y to u^-1(x), so
+    one exists exactly when both entries do."""
+    x, y = chain.base[:2]
+    u = chain.transversal_entry(0, y)
+    v = None if u is None else chain.transversal_entry(1, u.index(x))
+    return None if v is None else compose_images(u, v)
+
+
 def decompose_stabilizers(group: PermGroup) -> StabilizerDecomposition:
-    inf = group.line.infinity
-    fixing, swapping = [], []
-    for img in group.element_images():
-        if img[0] == 0 and img[inf] == inf:
-            fixing.append(Permutation(group.line, img))
-        elif img[0] == inf and img[inf] == 0:
-            swapping.append(Permutation(group.line, img))
-    return StabilizerDecomposition(tuple(fixing), tuple(swapping))
+    """Definition 2.2 from a chain with base (0, inf): the elements fixing
+    both points are the stabilizer below level 2, and those swapping them
+    are its coset s*G_(0,inf) for any one swap s.  Both come sorted by
+    image tuple."""
+    chain = group.rebased((0, group.line.infinity))
+    fixing = sorted(chain.stabilizer_images(2))
+    swap = _pair_swapper(chain)
+    swapping = [] if swap is None else sorted(compose_images(swap, h) for h in fixing)
+    return StabilizerDecomposition(
+        tuple(Permutation(group.line, img) for img in fixing),
+        tuple(Permutation(group.line, img) for img in swapping),
+    )
 
 
 def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
@@ -181,22 +207,66 @@ def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
     return CheckResult("definition-2.2", passed, witness)
 
 
+def _point_image(x: int, g: tuple[int, ...]) -> int:
+    return g[x]
+
+
+def _max_fixed_points(group: PermGroup) -> int | None:
+    """The most points a non-identity element fixes (-1 for the trivial
+    group), or None if that is more than 2.
+
+    It is at least k exactly when some k-point pointwise stabilizer is
+    nontrivial, and conjugate point tuples have conjugate stabilizers, so
+    orbit representatives suffice: x of the G-orbits, y of the G_x-orbits,
+    z of the G_(x,y)-orbits.  Each stabilizer's order is its parent's over
+    the orbit length (Seress, *Permutation Group Algorithms*, 2003, ch. 9).
+    0 and then inf lead the points, so a 2-transitive group needs only the
+    chain with base (0, inf).
+    """
+    if group.order() == 1:
+        return -1
+    first = (0, group.line.infinity)
+    points = [*first, *(x for x in range(group.degree) if x not in first)]
+
+    def deepest(prefix: tuple[int, ...], order: int) -> int:
+        # the pointwise stabilizer of prefix has this order, more than 1
+        gens = group.rebased(prefix).stabilizer_generators(len(prefix))
+        best = len(prefix)
+        seen = set(prefix)
+        for x in points:
+            if x in seen:
+                continue
+            reach = orbit([x], gens, _point_image)
+            seen |= reach
+            if order // len(reach) > 1:
+                if len(prefix) == 2:
+                    return 3
+                best = max(best, deepest(prefix + (x,), order // len(reach)))
+        return best
+
+    most = deepest((), group.order())
+    return None if most == 3 else most
+
+
 def check_stabilizer_scalings(
     group: PermGroup, dec: StabilizerDecomposition, quad: QuadraticClasses
 ) -> CheckResult:
     line = group.line
     expected = {line.scaling(a) for a in quad.squares}
     scalings_ok = set(dec.fixing) == expected
-    n = group.degree
-    ident = identity_images(n)
     worst_img: tuple[int, ...] | None = None
-    worst_fixed = -1
-    for img in group.element_images():
-        fixed = sum(map(eq, img, ident))
-        # only the identity fixes all n points; strict > keeps the first worst
-        if fixed > worst_fixed and fixed != n:
-            worst_fixed = fixed
-            worst_img = img
+    worst_fixed = _max_fixed_points(group)
+    if worst_fixed is None:
+        # more than 2: scan, so the counterexample is the first worst element
+        n = group.degree
+        ident = identity_images(n)
+        worst_fixed = -1
+        for img in group.element_images():
+            fixed = sum(map(eq, img, ident))
+            # only the identity fixes all n points; strict > keeps the first worst
+            if fixed > worst_fixed and fixed != n:
+                worst_fixed = fixed
+                worst_img = img
     bound_ok = worst_fixed <= 2
     witness = {
         "fixing_equals_square_scalings": scalings_ok,
@@ -243,7 +313,12 @@ def check_square_class_action(
 
 def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
     """The odd exponent n with swap(a*z) = a^n * swap(z) for every square a
-    and unit z, determined exhaustively."""
+    and unit z.
+
+    The identity is checked at the square generator g for every unit z.
+    Holding there, it holds at every power of g, by induction, and so at
+    every square; only a failure runs the sweep over all (a, z), which
+    names the first failing pair."""
     p = quad.p
     half = (p - 1) // 2
     images = swap.images
@@ -262,13 +337,15 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
         power = power * generator % p
     if j is None:
         raise NoTwistExponent("no exponent matches on the square generator")
-    for a in quad.squares:
-        a_pow = pow(a, j, p)
-        for z in range(1, p):
-            if images[a * z % p] != a_pow * images[z] % p:
-                raise NoTwistExponent(
-                    f"exponent candidate {j} fails at a={a}, z={z}"
-                )
+    step = pow(generator, j, p)
+    if any(images[generator * z % p] != step * images[z] % p for z in range(1, p)):
+        for a in quad.squares:
+            a_pow = pow(a, j, p)
+            for z in range(1, p):
+                if images[a * z % p] != a_pow * images[z] % p:
+                    raise NoTwistExponent(
+                        f"exponent candidate {j} fails at a={a}, z={z}"
+                    )
     odd = [n for n in (j, j + half) if n % 2 == 1 and n > 0]
     if not odd:
         raise NoTwistExponent("no odd representative exists")
@@ -311,14 +388,29 @@ def check_twist_exponents(
 # --- the branch for p = 1 mod 4 --------------------------------------------
 
 
+def _pair_image(pair: tuple[int, int], g: tuple[int, ...]) -> tuple[int, int]:
+    x, y = g[pair[0]], g[pair[1]]
+    return (x, y) if x < y else (y, x)
+
+
 def check_pair_orbit_count(group: PermGroup, p: int) -> CheckResult:
-    # the points on g's 2-cycles are those g^2 fixes and g does not
-    ident = identity_images(group.degree)
-    on_two_cycles = 0
-    for img in group.element_images():
-        square = itemgetter(*img)(img)
-        on_two_cycles += sum(map(eq, square, ident)) - sum(map(eq, img, ident))
-    count = on_two_cycles // 2
+    """The 2-cycles of all elements, counted by the unordered pairs they
+    swap.  The elements swapping {x, y} are none or a coset of G_(x,y), and
+    conjugate pairs are swapped equally often, so each G-orbit O on pairs
+    adds |O| * |G_(x,y)| if its representative {x, y} is swapped at all.
+    {0, inf} comes first, so PSL(2,p) needs no chain but (0, inf)'s."""
+    gens = [g.images for g in group.generators]
+    first = (0, group.line.infinity)
+    seen: set[tuple[int, int]] = set()
+    count = 0
+    for pair in itertools.chain([first], itertools.combinations(range(group.degree), 2)):
+        if pair in seen:
+            continue
+        pairs = orbit([pair], gens, _pair_image)
+        seen |= pairs
+        chain = group.rebased(pair)
+        if _pair_swapper(chain) is not None:
+            count += len(pairs) * chain.stabilizer_order(2)
     expected = ((p * p + p) // 2) * ((p - 1) // 2)
     witness = {"pair_orbit_count": count, "expected": expected}
     return CheckResult("lemma-3.2", count == expected, witness)

@@ -199,6 +199,20 @@ def test_criterion_9_generator_files_at_large_primes():
             assert branch in {c.id for c in report.checks}
 
 
+def test_criterion_10_generator_file_past_the_enumeration_cap(tmp_path):
+    # PSL(2,97) has 456,288 elements; classify reads every lemma off the chain
+    p = 97
+    line = ProjLine.over_prime(p)
+    path = tmp_path / "psl2_p97.gens"
+    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    with budget("10 generator-file-p97", 5):
+        group = load_generators_file(str(path), p)
+        report = classify(group, p)
+        assert report.verdict == "a"
+        assert report.all_passed()
+        assert "lemma-3.2" in {c.id for c in report.checks}
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

@@ -309,11 +309,21 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def test_max_order_flag(capsys):
-    # a cap that the classification chain cannot respect is an input error
+    # a cap that the classification chain cannot respect is an input error:
+    # the audit of the exceptional group enumerates its 168 elements
     code, _ = run_cli(
-        capsys, "classify", "--p", "7", "--group", "psl2", "--max-order", "100"
+        capsys, "classify", "--p", "7", "--group", "exceptional:3", "--max-order", "100"
     )
     assert code == 4
+
+
+def test_max_order_caps_the_conjugacy_class(capsys):
+    # Lemma 3.3 collects the class of -z, which has 91 elements at p = 13
+    code = main(["classify", "--p", "13", "--group", "psl2", "--max-order", "50"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "psl2kit: error: conjugacy class size 51 exceeds enumeration cap 50"
+    ]
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -404,14 +414,11 @@ def test_usage_errors(capsys):
         ("corollary_p31", ["corollary", "--p", "31"]),
         ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
         ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
-        # past p = 31 the group exceeds the enumeration cap: these reports were
-        # written with --max-order 100000 and are read back with default flags
+        # past p = 31 the group exceeds the enumeration cap, which classify does
+        # not need: these reports were written with --max-order 100000
         *(
-            pytest.param(
-                f"classify_p{p}_gens",
-                ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")],
-                marks=pytest.mark.xfail(strict=True, reason="classify enumerates the group"),
-            )
+            (f"classify_p{p}_gens",
+             ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")])
             for p in (37, 41, 43)
         ),
     ],

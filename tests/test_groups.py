@@ -121,6 +121,17 @@ def test_elements_sorted_and_capped(line5):
     assert DEFAULT_ENUMERATION_CAP == 20000
 
 
+def test_conjugacy_class_capped(line7):
+    # PSL(2,7) has one class of involutions, of 21 elements
+    group = PermGroup(psl2_cached(7).generators, enumeration_cap=20)
+    involution = line7.neg_reciprocal()
+    with pytest.raises(CapExceeded, match="^conjugacy class size 21 exceeds enumeration cap 20$"):
+        group.conjugacy_class_of(involution)
+    group.enumeration_cap = 21
+    members = group.conjugacy_class_of(involution)
+    assert len(members) == 21 and involution.images in members
+
+
 def test_orbits_and_transitivity(line7):
     translations = PermGroup([line7.translation(1)])
     assert not translations.is_transitive()

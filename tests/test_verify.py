@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from psl2kit.cli import main
 from psl2kit.fields import quadratic_classes
 from psl2kit.groups import PermGroup
+from psl2kit.projline import Permutation
 from psl2kit.verify import (
     BadVariant,
     EXCEPTIONAL_INVOLUTIONS,
@@ -19,6 +24,7 @@ from psl2kit.verify import (
     decomposition_check,
     exceptional_report,
     p3_case_check,
+    primitive_square_generator,
     twist_exponent,
 )
 
@@ -188,6 +194,98 @@ def test_twist_rejects_non_normalizing_map(line7):
     fake = line7.from_cycles("(0 inf)(1 2)")
     with pytest.raises(NoTwistExponent):
         twist_exponent(fake, quad)
+
+
+def reference_twist_exponent(swap, quad) -> int:
+    """``twist_exponent`` as a sweep over every square a and unit z."""
+    p = quad.p
+    half = (p - 1) // 2
+    images = swap.images
+    for z in range(1, p):
+        if not 1 <= images[z] < p:
+            raise NoTwistExponent("element does not permute the units")
+    generator = primitive_square_generator(quad)
+    ratio = images[generator] * pow(images[1], p - 2, p) % p
+    j = None
+    power = 1
+    for cand in range(half):
+        if power == ratio:
+            j = cand
+            break
+        power = power * generator % p
+    if j is None:
+        raise NoTwistExponent("no exponent matches on the square generator")
+    for a in quad.squares:
+        a_pow = pow(a, j, p)
+        for z in range(1, p):
+            if images[a * z % p] != a_pow * images[z] % p:
+                raise NoTwistExponent(f"exponent candidate {j} fails at a={a}, z={z}")
+    odd = [n for n in (j, j + half) if n % 2 == 1 and n > 0]
+    if not odd:
+        raise NoTwistExponent("no odd representative exists")
+    return odd[0]
+
+
+@st.composite
+def unit_permutations(draw):
+    """Maps swapping 0 and inf that permute the units: at random, as
+    z -> c z^n with c depending on the square class of z (these have a
+    twist exponent), or such a map with two images exchanged."""
+    p = draw(st.sampled_from((5, 7, 11, 13, 17, 19, 23)))
+    quad = quadratic_classes(p)
+    units = list(range(1, p))
+    kind = draw(st.sampled_from(("random", "class-power", "perturbed")))
+    if kind == "random":
+        images = draw(st.permutations(units))
+    else:
+        n = draw(st.integers(1, p - 2))
+        c_square, c_nonsquare = draw(st.sampled_from(units)), draw(st.sampled_from(units))
+        images = [
+            (c_square if quad.is_square(z) else c_nonsquare) * pow(z, n, p) % p for z in units
+        ]
+        assume(sorted(images) == units)
+        if kind == "perturbed":
+            i, k = draw(st.lists(st.integers(0, p - 2), min_size=2, max_size=2, unique=True))
+            images[i], images[k] = images[k], images[i]
+    line = line_over(p)
+    return Permutation(line, (line.infinity, *images, 0)), quad
+
+
+def _twist_outcome(function, swap, quad):
+    try:
+        return function(swap, quad)
+    except NoTwistExponent as exc:
+        return f"raises: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_permutations())
+def test_twist_exponent_matches_full_sweep(case):
+    swap, quad = case
+    assert _twist_outcome(twist_exponent, swap, quad) == _twist_outcome(
+        reference_twist_exponent, swap, quad
+    )
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,p,source",
+    [
+        ("classify_p13_psl2", 13, "psl2"),
+        ("classify_p43_gens", 43, str(GOLDEN_DIR / "classify_p43.gens")),
+    ],
+)
+def test_classify_enumerates_no_element(monkeypatch, capsys, name, p, source):
+    def refuse(self):
+        raise AssertionError("classify enumerated the group")
+
+    monkeypatch.setattr(PermGroup, "element_images", refuse)
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    code = main(["classify", "--p", str(p), "--group", source, "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 def test_square_class_action_values():
