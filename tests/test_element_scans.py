@@ -1,10 +1,11 @@
-"""The exhaustive element scans against per-Permutation reference versions.
+"""The lemma counts and element queries against per-Permutation references.
 
-``decompose_stabilizers``, ``check_stabilizer_scalings``,
-``check_pair_orbit_count``, ``PermGroup.element_images`` and
-``PermGroup.conjugacy_class_of`` work on raw image tuples.  The oracles below are the straightforward definitions: one
-``Permutation`` per element, fixed points and cycles found point by point,
-elements and conjugates from the frontier closure of the generators.
+``decompose_stabilizers``, ``check_stabilizer_scalings`` and
+``check_pair_orbit_count`` count on the stabilizer chain, and
+``PermGroup.element_images`` and ``PermGroup.conjugacy_class_of`` work on
+raw image tuples.  The oracles below are the straightforward definitions:
+one ``Permutation`` per element, fixed points and cycles found point by
+point, elements and conjugates from the frontier closure of the generators.
 """
 
 import pytest
