@@ -10,7 +10,8 @@ Lemma 2.4 decides the most fixed points from point stabilizer orders, and
 Lemma 3.2 sums over the orbits on unordered pairs.  Lemma 2.4 still scans
 every element when some non-identity element fixes more than 2 points, to
 name the first such element.  Checks on the swapping coset go through it
-element by element; Lemma 3.3 collects the class of -z, and the p = 7
+element by element; Lemma 3.3 counts the class of -z as |G| over its
+centralizer, which lies in the stabilizer of {0, inf}, and the p = 7
 exceptional audit enumerates its 168 elements.
 
 ``classify`` chains the checks and settles the dichotomy: either the group
@@ -37,7 +38,7 @@ from .fields import (
     is_prime,
     quadratic_classes,
 )
-from .groups import PermGroup, orbit
+from .groups import PermGroup, closure_images, orbit
 from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
 from .psl2 import check_psl2_cap, psl2_perm_group
 
@@ -183,10 +184,18 @@ def decompose_stabilizers(group: PermGroup) -> StabilizerDecomposition:
 
 def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
     expected = (p - 1) // 2
-    fixing_set = set(dec.fixing)
-    subgroup = all(
-        (a * b) in fixing_set for a in dec.fixing for b in dec.fixing
-    ) and all(a.inverse() in fixing_set for a in dec.fixing)
+    fixing = {g.images for g in dec.fixing}
+    # a finite set is a subgroup exactly when it is the closure of generators
+    # picked greedily from it, each a member the earlier ones do not reach;
+    # the limit stops a closure that outgrows the set, so a forged set whose
+    # members generate a far larger group costs no more than the set
+    gens: list[tuple[int, ...]] = []
+    closure: frozenset[tuple[int, ...]] | None = frozenset()
+    for g in dec.fixing:
+        if closure is not None and g.images not in closure:
+            gens.append(g.images)
+            closure = closure_images(gens, limit=len(fixing))
+    subgroup = closure == fixing
     coset = True
     if dec.swapping:
         lead = dec.swapping[0]
@@ -425,7 +434,11 @@ def check_swaps_are_involutions(
     bound = (p * p + p) // 2
     bound_ok = True
     if group.contains(negation):
-        class_size = len(group.conjugacy_class_of(negation))
+        # -z fixes exactly 0 and inf, and an element commuting with it
+        # permutes its fixed points, so the centralizer lies in the
+        # stabilizer of {0, inf}: the fixing elements and the swapping coset
+        centralizer = [g for g in (*dec.fixing, *dec.swapping) if g * negation == negation * g]
+        class_size = group.order() // len(centralizer)
         bound_ok = class_size >= bound
     witness = {
         "all_order_two": not bad,

@@ -213,6 +213,22 @@ def test_criterion_10_generator_file_past_the_enumeration_cap(tmp_path):
         assert "lemma-3.2" in {c.id for c in report.checks}
 
 
+def test_criterion_11_negation_class_past_the_enumeration_cap(tmp_path):
+    # 229 is the first prime p = 1 mod 4 whose class of -z, (p^2 + p)/2
+    # elements, is larger than the enumeration cap; Lemma 3.3 counts it as
+    # |G| over the centralizer of -z
+    p = 229
+    line = ProjLine.over_prime(p)
+    path = tmp_path / "psl2_p229.gens"
+    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    with budget("11 negation-class-p229", 5):
+        report = classify(load_generators_file(str(path), p), p)
+        assert report.verdict == "a"
+        assert report.all_passed()
+        (lemma33,) = [c for c in report.checks if c.id == "lemma-3.3"]
+        assert lemma33.witness["negation_class_size"] == 26335
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

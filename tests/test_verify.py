@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psl2kit.cli import main
+from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
 from psl2kit.groups import PermGroup
 from psl2kit.projline import Permutation
@@ -13,9 +13,11 @@ from psl2kit.verify import (
     BadVariant,
     EXCEPTIONAL_INVOLUTIONS,
     NoTwistExponent,
+    StabilizerDecomposition,
     _exceptional_structure,
     build_exceptional,
     check_hypotheses,
+    check_swaps_are_involutions,
     check_unique_normalized_swap,
     check_stabilizer_scalings,
     classify,
@@ -102,6 +104,17 @@ def test_decompose_stabilizer_sizes():
         assert decomposition_check(dec, p).passed
     dec3 = decompose_stabilizers(psl2_cached(3))
     assert len(dec3.fixing) == 1 and len(dec3.swapping) == 1
+
+
+def test_decomposition_check_rejects_unclosed_fixing_set(line7):
+    # the right sizes, but scaling(2)^2 = scaling(4) is missing
+    dec = decompose_stabilizers(psl2_cached(7))
+    fixing = tuple(line7.scaling(3) if g == line7.scaling(4) else g for g in dec.fixing)
+    forged = StabilizerDecomposition(fixing, dec.swapping)
+    result = decomposition_check(forged, 7)
+    assert result.witness["fixing_size"] == result.witness["expected_size"] == 3
+    assert result.witness["fixing_is_subgroup"] is False
+    assert not result.passed
 
 
 def test_stabilizer_scalings_check(line7):
@@ -286,6 +299,26 @@ def test_classify_enumerates_no_element(monkeypatch, capsys, name, p, source):
     code = main(["classify", "--p", str(p), "--group", source, "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def _negation_class_oracle(group, p):
+    # the Lemma 3.3 count against a breadth-first search of the class
+    result = check_swaps_are_involutions(group, decompose_stabilizers(group), p)
+    size = result.witness["negation_class_size"]
+    assert size == len(group.conjugacy_class_of(group.line.scaling(p - 1)))
+    assert size == (p * p + p) // 2
+    assert result.passed
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 53, 101, 197])
+def test_negation_class_size_oracle(p):
+    line = line_over(p)
+    _negation_class_oracle(PermGroup([line.translation(1), line.neg_reciprocal()]), p)
+
+
+@pytest.mark.parametrize("p", [29, 37, 41])
+def test_negation_class_size_oracle_conjugated(p):
+    _negation_class_oracle(load_generators_file(str(GOLDEN_DIR / f"classify_p{p}.gens"), p), p)
 
 
 def test_square_class_action_values():
