@@ -64,28 +64,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument("--out", default=None, help="write the report to this path")
-
-
-def _max_order_flag(parser: argparse.ArgumentParser) -> None:
-    # only the subcommands that enumerate a group they build take the flag
-    parser.add_argument(
-        "--max-order",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the enumeration cap for group queries",
-    )
 
 
 @functools.cache
@@ -103,7 +86,6 @@ def build_parser() -> _Parser:
         help="psl2, exceptional:3, exceptional:5, or a generators file path",
     )
     _common_flags(p_classify)
-    _max_order_flag(p_classify)
 
     p_search = sub.add_parser("search")
     p_search.add_argument("--p", type=int, required=True)
@@ -118,7 +100,6 @@ def build_parser() -> _Parser:
         "--check", choices=("order", "simplicity", "generation"), required=True
     )
     _common_flags(p_psl2)
-    _max_order_flag(p_psl2)
 
     p_corollary = sub.add_parser("corollary")
     p_corollary.add_argument("--p", type=int, required=True)
@@ -190,13 +171,6 @@ def load_generators_file(path: str, p: int) -> PermGroup:
     return PermGroup(perms)
 
 
-def _capped(group: PermGroup, args) -> PermGroup:
-    """The group with the user's ``--max-order`` as its enumeration cap."""
-    if args.max_order:
-        group.enumeration_cap = args.max_order
-    return group
-
-
 def _resolve_group(args) -> PermGroup:
     source = args.group
     if source == "psl2":
@@ -216,7 +190,7 @@ def cmd_classify(args) -> int:
     check_cap("field order", args.p, "field cap", MAX_FIELD_ORDER)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"--p must be an odd prime, got {args.p}")
-    group = _capped(_resolve_group(args), args)
+    group = _resolve_group(args)
     report = classify(group, args.p)
     _emit(report.to_json_dict(), args)
     if report.verdict == "hypotheses-failed":
@@ -241,7 +215,7 @@ def cmd_psl2(args) -> int:
     check_psl2_cap(q)
     if args.check == "generation" and not is_prime(q):
         raise ValueError("the two-generator claim is checked for prime q")
-    group = _capped(psl2_perm_group(q), args)
+    group = psl2_perm_group(q)
     payload = {"q": q, "check": args.check}
     if args.check in ("order", "generation"):
         if args.check == "generation":

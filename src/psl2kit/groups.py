@@ -24,11 +24,11 @@ those points is a chain level: its strong generators, order and elements
 come without enumerating the group.
 
 Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
-Sylow counting, simplicity) refuse to run past ``enumeration_cap`` rather
-than degrade; ``conjugacy_class_of`` stops its search once the class
-outgrows the cap.  The default, ``fields.DEFAULT_ENUMERATION_CAP``, also
-decides which PSL(2,q) ``psl2`` builds, so it covers every group this
-package builds itself.
+Sylow counting, simplicity) refuse to run past
+``fields.DEFAULT_ENUMERATION_CAP`` rather than degrade;
+``conjugacy_class_of`` stops its search once the class outgrows the cap.
+The same cap decides which PSL(2,q) ``psl2`` builds, so it covers every
+group this package builds itself, and no caller can set another.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -158,7 +158,6 @@ class PermGroup:
         generators,
         *,
         base_prefix: tuple[int, ...] = (),
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         order_limit: int | None = None,
     ):
         generators = list(generators)
@@ -170,7 +169,6 @@ class PermGroup:
                 raise DomainMismatch("generators on different lines")
         self.line: ProjLine = line
         self.degree: int = line.size
-        self.enumeration_cap = enumeration_cap
         self._order_limit = order_limit
         self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -288,7 +286,7 @@ class PermGroup:
     def element_images(self) -> tuple[tuple[int, ...], ...]:
         """All elements as image tuples, in canonical (sorted) order: the
         stabilizer below level 0, sorted."""
-        check_cap("order", self.order(), "enumeration cap", self.enumeration_cap)
+        check_cap("order", self.order(), "enumeration cap", DEFAULT_ENUMERATION_CAP)
         if self._element_cache is None:
             self._element_cache = tuple(sorted(self.stabilizer_images(0)))
         return self._element_cache
@@ -316,7 +314,6 @@ class PermGroup:
         else:
             chain = PermGroup(self.generators, base_prefix=prefix)
             self._rebased.append(chain)
-        chain.enumeration_cap = self.enumeration_cap
         return chain
 
     def stabilizer_generators(self, level: int) -> list[tuple[int, ...]]:
@@ -334,7 +331,7 @@ class PermGroup:
 
     def stabilizer_images(self, level: int) -> list[tuple[int, ...]]:
         """The pointwise stabilizer of the base points before ``level``, as
-        image tuples in chain order; refused past ``enumeration_cap``.
+        image tuples in chain order; refused past the enumeration cap.
 
         Enumerated from the chain bottom up: if H is the stabilizer below a
         level and u_x its transversal entries, the products e * u_x^-1 over
@@ -342,7 +339,7 @@ class PermGroup:
         H u_x^-1 per orbit point).  Each u_x^-1 is applied to all of H by
         one ``itemgetter``.
         """
-        check_cap("order", self.stabilizer_order(level), "enumeration cap", self.enumeration_cap)
+        check_cap("order", self.stabilizer_order(level), "enumeration cap", DEFAULT_ENUMERATION_CAP)
         elems = [self._ident]
         for lvl in reversed(self._levels[level:]):
             below, elems = elems, []
@@ -381,9 +378,7 @@ class PermGroup:
     # -- derived subgroups --
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        rebased = PermGroup(
-            self.generators, base_prefix=(point,), enumeration_cap=self.enumeration_cap
-        )
+        rebased = PermGroup(self.generators, base_prefix=(point,))
         gens = [
             Permutation(self.line, img)
             for level in rebased._levels[1:]
@@ -391,7 +386,7 @@ class PermGroup:
         ]
         if not gens:
             gens = [self.line.identity()]
-        return PermGroup(gens, enumeration_cap=self.enumeration_cap)
+        return PermGroup(gens)
 
     # -- conjugacy and normality --
 
@@ -407,8 +402,8 @@ class PermGroup:
         return tuple(classes)
 
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
-        """The class of ``perm`` as image tuples.  A class larger than
-        ``enumeration_cap`` raises ``CapExceeded`` as soon as the search has
+        """The class of ``perm`` as image tuples.  A class larger than the
+        enumeration cap raises ``CapExceeded`` as soon as the search has
         seen cap + 1 members, so the size the message names is a lower bound."""
         if not self.contains(perm):
             raise SeedNotInGroup(f"{perm} is not in the group")
@@ -419,7 +414,7 @@ class PermGroup:
         return [_conjugator(g.images, self._inverse(g.images)) for g in self.generators]
 
     def _conjugates(self, img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-        cap = self.enumeration_cap
+        cap = DEFAULT_ENUMERATION_CAP
         members = orbit([img], self._conjugators(), _conjugate, cap)
         if members is None:
             check_cap("conjugacy class size", cap + 1, "enumeration cap", cap)
@@ -434,8 +429,8 @@ class PermGroup:
                 raise SeedNotInGroup(f"{s} is not in the group")
         closure_gens = [s for s in dict.fromkeys(seeds) if not s.is_identity()]
         if not closure_gens:
-            return PermGroup([self.line.identity()], enumeration_cap=self.enumeration_cap)
-        group = PermGroup(closure_gens, enumeration_cap=self.enumeration_cap)
+            return PermGroup([self.line.identity()])
+        group = PermGroup(closure_gens)
         conjugators = self._conjugators()
         frontier = tuple(g.images for g in group.generators)
         while frontier:

@@ -308,48 +308,20 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["checks"][0]["pass"] is True
 
 
-def test_max_order_flag(capsys):
-    # a cap that the classification chain cannot respect is an input error:
-    # the audit of the exceptional group enumerates its 168 elements
-    code, _ = run_cli(
-        capsys, "classify", "--p", "7", "--group", "exceptional:3", "--max-order", "100"
-    )
-    assert code == 4
-
-
-def test_max_order_caps_the_conjugacy_class(capsys):
-    # Lemma 3.3 collects the class of -z, which has 91 elements at p = 13
-    code = main(["classify", "--p", "13", "--group", "psl2", "--max-order", "50"])
-    assert code == 4
-    assert capsys.readouterr().err.splitlines() == [
-        "psl2kit: error: conjugacy class size 51 exceeds enumeration cap 50"
-    ]
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_order_must_be_positive(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--p", "7", "--group", "psl2", f"--max-order={value}"])
-    assert exc.value.code == 4
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        f"psl2kit classify: error: argument --max-order: "
-        f"expected a positive integer, got '{value}'"
-    ]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
+        ["classify", "--p", "7", "--group", "psl2"],
         ["search", "--p", "5"],
+        ["psl2", "--q", "7", "--check", "order"],
         ["corollary", "--p", "7"],
         ["exceptional", "--variant", "3"],
         ["p3"],
     ],
-    ids=["search", "corollary", "exceptional", "p3"],
+    ids=["classify", "search", "psl2", "corollary", "exceptional", "p3"],
 )
 def test_max_order_only_where_read(capsys, argv):
-    # only classify and psl2 enumerate a group the user's cap applies to
+    # no subcommand overrides the enumeration cap: it has one source, fields.py
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--max-order", "1"])
     assert exc.value.code == 4
@@ -415,7 +387,7 @@ def test_usage_errors(capsys):
         ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
         ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
         # past p = 31 the group exceeds the enumeration cap, which classify does
-        # not need: these reports were written with --max-order 100000
+        # not need: it enumerates no more than the stabilizer of {0, inf}
         *(
             (f"classify_p{p}_gens",
              ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")])

@@ -112,24 +112,25 @@ def test_elements_sorted_and_capped(line5):
     images = [e.images for e in elems]
     assert images == sorted(images)
     assert len(set(images)) == 60
-    with pytest.raises(CapExceeded):
-        PermGroup(group.generators, enumeration_cap=59).elements()
-    small_cap = PermGroup(group.generators, enumeration_cap=10)
-    with pytest.raises(CapExceeded):
-        small_cap.elements()
-    assert small_cap.enumeration_cap == 10
+    # <z+1, -1/z> at p = 37 is PSL(2,37), past the one enumeration cap
+    line37 = line_over(37)
+    big = PermGroup([line37.translation(1), line37.neg_reciprocal()])
+    with pytest.raises(CapExceeded, match="^order 25308 exceeds enumeration cap 20000$"):
+        big.elements()
     assert DEFAULT_ENUMERATION_CAP == 20000
 
 
-def test_conjugacy_class_capped(line7):
-    # PSL(2,7) has one class of involutions, of 21 elements
-    group = PermGroup(psl2_cached(7).generators, enumeration_cap=20)
-    involution = line7.neg_reciprocal()
-    with pytest.raises(CapExceeded, match="^conjugacy class size 21 exceeds enumeration cap 20$"):
-        group.conjugacy_class_of(involution)
-    group.enumeration_cap = 21
-    members = group.conjugacy_class_of(involution)
-    assert len(members) == 21 and involution.images in members
+def test_conjugacy_class_capped():
+    # S_12 on the 12 points of the p = 11 line: its 12-cycles form a class
+    # of 11! elements, its transpositions one of 66
+    line11 = line_over(11)
+    group = symmetric_group(line11)
+    cycle = line11.perm(tuple(range(1, 12)) + (0,))
+    with pytest.raises(CapExceeded, match="^conjugacy class size 20001 exceeds enumeration cap 20000$"):
+        group.conjugacy_class_of(cycle)
+    swap = line11.perm((1, 0) + tuple(range(2, 12)))
+    members = group.conjugacy_class_of(swap)
+    assert len(members) == 66 and swap.images in members
 
 
 def test_orbits_and_transitivity(line7):

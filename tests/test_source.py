@@ -82,3 +82,27 @@ def test_size_caps_live_in_fields():
             elif isinstance(node, ast.ClassDef) and re.search(r"Cap|TooLarge", node.name):
                 cap_errors.add(path.name)
     assert caps == cap_errors == {"fields.py"}
+
+
+def test_no_cap_parameters_or_attributes():
+    # a cap taken as a parameter or stored on an object is a second source
+    # for it: outside fields.py no parameter or assigned attribute is named
+    # *_cap or max_*
+    def named_cap(name):
+        return re.fullmatch(r"\w+_cap|max_\w+", name, re.IGNORECASE)
+
+    found = []
+    for name, node in _nodes():
+        if name == "fields.py":
+            continue
+        if isinstance(node, ast.arguments):
+            params = [*node.posonlyargs, *node.args, *node.kwonlyargs, node.vararg, node.kwarg]
+            found += [f"{name}:{a.lineno} {a.arg}" for a in params if a and named_cap(a.arg)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                f"{name}:{t.lineno} {t.attr}"
+                for t in targets
+                if isinstance(t, ast.Attribute) and named_cap(t.attr)
+            ]
+    assert found == []
