@@ -2,14 +2,15 @@
 
 A PermGroup keeps a base and strong generating set built by a
 non-randomized Schreier-Sims pass over its generators (callers pass a few
-generators, never an element list): base points are the smallest moved
-points encountered, every Schreier generator is sifted until the chain is
-closed, and each strong generator's inverse is computed once.  Orbits grow
-in place: a new strong generator appends the points it reaches to the
-transversals and leaves every existing entry as it was, so an element that
-sifted once keeps sifting, and each (orbit point, generator) pair is tested
-only once.  That makes orders, membership tests, element enumerations and
-everything downstream reproducible run to run.
+generators, never an element list): the base opens at 0 and then inf, the
+points Frobenius' argument stabilizes, or at ``base_prefix`` if given, and
+then takes the smallest moved points encountered; every Schreier generator
+is sifted until the chain is closed, and each strong generator's inverse is
+computed once.  Orbits grow in place: a new strong generator appends the
+points it reaches to the transversals and leaves every existing entry as it
+was, so an element that sifted once keeps sifting, and each (orbit point,
+generator) pair is tested only once.  That makes orders, membership tests,
+element enumerations and everything downstream reproducible run to run.
 
 Transitivity is read off the closed chain rather than recomputed: level 0
 records the orbit of the first base point under G, and level 1 the orbit of
@@ -18,10 +19,10 @@ Algorithms*, 2003, section 4.1).  ``point_stabilizer`` builds a separate
 group and is kept for callers that need that subgroup itself.
 
 ``rebased`` gives a chain of the same group whose base starts with a given
-prefix, built once and kept on the group, so the pointwise stabilizer of
-those points is a chain level: its strong generators, order and elements
-(``stabilizer_generators``, ``stabilizer_order``, ``stabilizer_images``)
-come without enumerating the group.
+prefix, so the pointwise stabilizer of those points is a chain level: its
+strong generators, order and elements (``stabilizer_generators``,
+``stabilizer_order``, ``stabilizer_images``) come without enumerating the
+group.  For a prefix of the group's own base that chain is the group.
 
 Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
 Sylow counting, simplicity) refuse to run past
@@ -157,7 +158,7 @@ class PermGroup:
         self,
         generators,
         *,
-        base_prefix: tuple[int, ...] = (),
+        base_prefix: tuple[int, ...] | None = None,
         order_limit: int | None = None,
     ):
         generators = list(generators)
@@ -172,7 +173,10 @@ class PermGroup:
         self._order_limit = order_limit
         self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # a repeated base point would open a level with a one-point orbit
+        if base_prefix is None:
+            base_prefix = (0, line.infinity)
+        # a repeated base point, or one the group fixes, opens a level with a
+        # one-point orbit
         self._levels = [_Level(pt, self._ident) for pt in dict.fromkeys(base_prefix)]
         self.generators: tuple[Permutation, ...] = ()
         self._extend(g.images for g in generators)
@@ -189,7 +193,6 @@ class PermGroup:
             self._insert(img, 0)
         self._close_chain()
         self._element_cache: tuple[tuple[int, ...], ...] | None = None
-        self._rebased: list[PermGroup] = []
         return fresh
 
     def _inverse(self, img: tuple[int, ...]) -> tuple[int, ...]:
@@ -304,17 +307,12 @@ class PermGroup:
         """A chain of this group whose base starts with ``prefix``, so that
         its levels from i on generate the pointwise stabilizer of
         ``prefix[:i]``.  That is this group itself when its base already
-        starts with ``prefix``, or else a chain kept from an earlier call
-        whose base does; only when neither does is one built, with
+        starts with ``prefix``, and otherwise a new chain built with
         ``base_prefix``."""
         prefix = tuple(prefix)
-        for chain in (self, *self._rebased):
-            if chain.base[: len(prefix)] == prefix:
-                break
-        else:
-            chain = PermGroup(self.generators, base_prefix=prefix)
-            self._rebased.append(chain)
-        return chain
+        if self.base[: len(prefix)] == prefix:
+            return self
+        return PermGroup(self.generators, base_prefix=prefix)
 
     def stabilizer_generators(self, level: int) -> list[tuple[int, ...]]:
         """The strong generators from ``level`` on: they generate the
@@ -378,15 +376,10 @@ class PermGroup:
     # -- derived subgroups --
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        rebased = PermGroup(self.generators, base_prefix=(point,))
-        gens = [
-            Permutation(self.line, img)
-            for level in rebased._levels[1:]
-            for img in level.gens
-        ]
+        gens = self.rebased((point,)).stabilizer_generators(1)
         if not gens:
-            gens = [self.line.identity()]
-        return PermGroup(gens)
+            return PermGroup([self.line.identity()])
+        return PermGroup(Permutation(self.line, img) for img in gens)
 
     # -- conjugacy and normality --
 

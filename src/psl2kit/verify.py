@@ -134,9 +134,10 @@ def check_hypotheses(group: PermGroup, p: int) -> CheckResult:
     expected = (p**3 - p) // 2
     order_ok = group.order() == expected
     transitive = group.is_transitive()
-    missing = [
-        a for a in range(1, p) if not group.contains(line.translation(a))
-    ]
+    # over Z/p, z + 1 generates every translation and any z + a with a != 0
+    # generates z + 1, so either all of them are in the group or none is
+    has_all = group.contains(line.translation(1))
+    missing = [] if has_all else list(range(1, p))
     passed = order_ok and transitive and not missing
     witness = {
         "order": group.order(),
@@ -229,8 +230,8 @@ def _max_fixed_points(group: PermGroup) -> int | None:
     orbit representatives suffice: x of the G-orbits, y of the G_x-orbits,
     z of the G_(x,y)-orbits.  Each stabilizer's order is its parent's over
     the orbit length (Seress, *Permutation Group Algorithms*, 2003, ch. 9).
-    0 and then inf lead the points, so a 2-transitive group needs only the
-    chain with base (0, inf).
+    0 and then inf lead the points, so a 2-transitive group reads every
+    stabilizer off its own chain, which starts there.
     """
     if group.order() == 1:
         return -1
@@ -407,7 +408,8 @@ def check_pair_orbit_count(group: PermGroup, p: int) -> CheckResult:
     swap.  The elements swapping {x, y} are none or a coset of G_(x,y), and
     conjugate pairs are swapped equally often, so each G-orbit O on pairs
     adds |O| * |G_(x,y)| if its representative {x, y} is swapped at all.
-    {0, inf} comes first, so PSL(2,p) needs no chain but (0, inf)'s."""
+    {0, inf} comes first and starts the group's own chain, so a
+    2-transitive group, whose pairs are one orbit, builds no chain."""
     gens = [g.images for g in group.generators]
     first = (0, group.line.infinity)
     seen: set[tuple[int, int]] = set()

@@ -229,6 +229,19 @@ def test_criterion_11_negation_class_past_the_enumeration_cap(tmp_path):
         assert lemma33.witness["negation_class_size"] == 26335
 
 
+def test_criterion_12_one_chain_at_p1009(tmp_path):
+    # the loader's chain is based at (0, inf), so classify reads every
+    # count off it and builds no second chain
+    p = 1009
+    line = ProjLine.over_prime(p)
+    path = tmp_path / "psl2_p1009.gens"
+    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    with budget("12 one-chain-p1009", 10):
+        report = classify(load_generators_file(str(path), p), p)
+        assert report.verdict == "a"
+        assert report.all_passed()
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

@@ -200,8 +200,12 @@ def test_transitivity_builds_no_group(monkeypatch):
     monkeypatch.setattr(PermGroup, "__init__", spy)
     assert group.is_transitive() and group.is_doubly_transitive()
     assert built == []
-    group.point_stabilizer(0)  # builds two groups, and the spy sees both
-    assert len(built) == 2
+    # 0 leads the group's own base, so the stabilizer is read off its chain
+    # and wrapped in one new group; 3 needs a re-based chain first
+    group.point_stabilizer(0)
+    assert len(built) == 1
+    group.point_stabilizer(3)
+    assert len(built) == 3
 
 
 def test_point_stabilizer(line7):

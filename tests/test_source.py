@@ -106,3 +106,17 @@ def test_no_cap_parameters_or_attributes():
                 if isinstance(t, ast.Attribute) and named_cap(t.attr)
             ]
     assert found == []
+
+
+def test_one_home_for_the_chain_base():
+    # groups.py alone decides where a chain's base starts: no other module
+    # passes base_prefix, and no code reads the levels of a chain but its own
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Call) and name != "groups.py":
+            if any(kw.arg == "base_prefix" for kw in node.keywords):
+                found.append(f"{name}:{node.lineno} base_prefix")
+        elif isinstance(node, ast.Attribute) and node.attr == "_levels":
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{name}:{node.lineno} _levels")
+    assert found == []

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from psl2kit import search
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
 from psl2kit.groups import PermGroup
 from psl2kit.projline import Permutation
+from psl2kit.psl2 import psl2_perm_group
 from psl2kit.verify import (
     BadVariant,
     EXCEPTIONAL_INVOLUTIONS,
@@ -95,6 +97,28 @@ def test_hypotheses_examples(line7):
     report = classify(translations, 7)
     assert report.verdict == "hypotheses-failed"
     assert report.witness == ""
+
+
+def test_hypotheses_one_translation_decides_them_all(line7):
+    # PSL(2,7) conjugated by the point transposition (1 2): order 168 and
+    # transitive, but z + 1 becomes (0 2 1 3 4 5 6), which no element of
+    # order 7 fixing inf is, so no translation is left in the group
+    swap12 = line7.from_cycles("(1 2)")
+    conjugated = PermGroup(swap12 * g * swap12 for g in psl2_cached(7).generators)
+    assert conjugated.order() == 168 and conjugated.is_transitive()
+    for group, p in ((conjugated, 7), (psl2_cached(7), 7), (psl2_cached(13), 13)):
+        line = group.line
+        # the reference sifts every translation on its own
+        missing = [a for a in range(1, p) if not group.contains(line.translation(a))]
+        result = check_hypotheses(group, p)
+        assert result.witness["has_all_translations"] == (not missing)
+        assert result.counterexample == (
+            {"missing_translation_amounts": missing} if missing else None
+        )
+    assert check_hypotheses(conjugated, 7).counterexample == {
+        "missing_translation_amounts": [1, 2, 3, 4, 5, 6]
+    }
+    assert classify(conjugated, 7).verdict == "hypotheses-failed"
 
 
 def test_decompose_stabilizer_sizes():
@@ -299,6 +323,74 @@ def test_classify_enumerates_no_element(monkeypatch, capsys, name, p, source):
     code = main(["classify", "--p", str(p), "--group", source, "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "build,p",
+    [
+        (lambda: psl2_perm_group(13), 13),
+        (lambda: psl2_perm_group(11), 11),
+        (lambda: load_generators_file(str(GOLDEN_DIR / "classify_p43.gens"), 43), 43),
+    ],
+    ids=["psl2-13", "psl2-11", "p43-gens"],
+)
+def test_classify_builds_no_group(monkeypatch, build, p):
+    # every chain level classify reads has a prefix of (0, inf), and the
+    # group's own chain is based there
+    group = build()
+    built = []
+    init = PermGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", spy)
+    report = classify(group, p)
+    assert report.verdict == "a" and report.all_passed()
+    assert built == []
+
+
+def _search_found_groups(monkeypatch, p):
+    found = []
+    real = search.classify
+
+    def record(group, q):
+        found.append(group)
+        return real(group, q)
+
+    monkeypatch.setattr(search, "classify", record)
+    search.constrained_search(p)
+    return found
+
+
+def test_chains_are_based_at_zero_then_infinity(monkeypatch, line7):
+    exceptional = build_exceptional(3)
+    involution = next(
+        e for e in exceptional.elements() if e.order() == 2 and not e.fixed_points()
+    )
+    found = _search_found_groups(monkeypatch, 7)
+    assert len(found) == 3
+    groups = [
+        load_generators_file(str(GOLDEN_DIR / "classify_p43.gens"), 43),
+        psl2_perm_group(13),
+        psl2_perm_group(8),
+        exceptional,
+        build_exceptional(5),
+        *found,
+        psl2_perm_group(7).normal_closure([line7.translation(1)]),
+        # regular on the 8 points, so its stabilizer of 0 fixes inf too
+        exceptional.normal_closure([involution]),
+        # fixes both leading points: two one-point levels
+        psl2_perm_group(7).normal_closure([line7.identity()]),
+    ]
+    orders = [g.order() for g in groups]
+    assert orders == [39732, 1092, 504, 168, 168, 168, 168, 168, 168, 8, 1]
+    for group in groups:
+        prefix = (0, group.line.infinity)
+        assert group.base[:2] == prefix
+        assert group.rebased(prefix) is group
+        assert group.rebased(prefix[:1]) is group
 
 
 def _negation_class_oracle(group, p):
