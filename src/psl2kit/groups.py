@@ -34,6 +34,9 @@ group this package builds itself, and no caller can set another.
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
 Sylow subgroups run through it and build no ``Permutation`` per product.
+Products of image tuples go through ``projline.compose_images``, a single
+C-level gather; the right half of a conjugation and ``stabilizer_images``
+reuse one stored gather across many elements.
 
 ``orbit`` is the one breadth-first search over generators: product closures
 (the orbit of the identity), point orbits and conjugacy classes all run
@@ -115,13 +118,13 @@ def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]]
 
 def _conjugator(g: tuple[int, ...], g_inv: tuple[int, ...]):
     """The pair ``_conjugate`` needs for g * x * g^-1."""
-    return g.__getitem__, itemgetter(*g_inv)
+    return g, itemgetter(*g_inv)
 
 
 def _conjugate(x: tuple[int, ...], conjugator) -> tuple[int, ...]:
-    # g * x * g^-1: x * g^-1 by one itemgetter, then g applied on the left
-    left, right_inv = conjugator
-    return tuple(map(left, right_inv(x)))
+    # g * x * g^-1: x * g^-1 by the stored itemgetter, then g on the left
+    g, right_inv = conjugator
+    return compose_images(g, right_inv(x))
 
 
 class _Level:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import compress
-from operator import eq
+from operator import eq, itemgetter
 
 from .fields import Field
 
@@ -61,8 +61,11 @@ def identity_images(n: int) -> tuple[int, ...]:
 
 
 def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply b first, then a."""
-    return tuple(map(a.__getitem__, b))
+    """Apply b first, then a, as one C-level gather of a at b's entries."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
+    # itemgetter takes at least one index and returns a bare item for one
+    return tuple(a[i] for i in b)
 
 
 def invert_images(a: tuple[int, ...]) -> tuple[int, ...]:

@@ -262,8 +262,14 @@ def check_stabilizer_scalings(
     group: PermGroup, dec: StabilizerDecomposition, quad: QuadraticClasses
 ) -> CheckResult:
     line = group.line
-    expected = {line.scaling(a) for a in quad.squares}
-    scalings_ok = set(dec.fixing) == expected
+    # the square scalings are the powers of scaling by the square generator
+    step = line.scaling(primitive_square_generator(quad)).images
+    power = identity_images(group.degree)
+    expected = set()
+    for _ in quad.squares:
+        expected.add(power)
+        power = compose_images(step, power)
+    scalings_ok = {g.images for g in dec.fixing} == expected
     worst_img: tuple[int, ...] | None = None
     worst_fixed = _max_fixed_points(group)
     if worst_fixed is None:
@@ -290,7 +296,7 @@ def check_stabilizer_scalings(
             "fixed_points": sorted(line.point_name(x) for x in worst.fixed_points()),
         }
     if not scalings_ok:
-        extra = sorted(str(x) for x in set(dec.fixing) - expected)
+        extra = sorted(str(x) for x in set(dec.fixing) if x.images not in expected)
         counterexample = (counterexample or {}) | {"non_scaling_stabilizers": extra}
     return CheckResult("lemma-2.4", scalings_ok and bound_ok, witness, counterexample)
 
@@ -430,7 +436,12 @@ def check_pair_orbit_count(group: PermGroup, p: int) -> CheckResult:
 def check_swaps_are_involutions(
     group: PermGroup, dec: StabilizerDecomposition, p: int
 ) -> CheckResult:
-    bad = [s for s in dec.swapping if s.order() != 2]
+    ident = identity_images(group.degree)
+    # order 2: s * s is the identity and s is not
+    bad = [
+        s for s in dec.swapping
+        if s.images == ident or compose_images(s.images, s.images) != ident
+    ]
     negation = group.line.scaling(p - 1)
     class_size = None
     bound = (p * p + p) // 2

@@ -242,6 +242,19 @@ def test_criterion_12_one_chain_at_p1009(tmp_path):
         assert report.all_passed()
 
 
+def test_criterion_13_kernel_at_p2003(tmp_path):
+    # every product of image tuples in the chain build, the sift and the
+    # checks goes through one itemgetter gather in compose_images
+    p = 2003
+    line = ProjLine.over_prime(p)
+    path = tmp_path / "psl2_p2003.gens"
+    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    with budget("13 kernel-p2003", 10):
+        report = classify(load_generators_file(str(path), p), p)
+        assert report.verdict == "a"
+        assert report.all_passed()
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

@@ -1,12 +1,15 @@
 """The lemma counts and element queries against per-Permutation references.
 
 ``decompose_stabilizers``, ``check_stabilizer_scalings`` and
-``check_pair_orbit_count`` count on the stabilizer chain, and
+``check_pair_orbit_count`` count on the stabilizer chain,
+``check_swaps_are_involutions`` squares image tuples, and
 ``PermGroup.element_images`` and ``PermGroup.conjugacy_class_of`` work on
 raw image tuples.  The oracles below are the straightforward definitions:
 one ``Permutation`` per element, fixed points and cycles found point by
 point, elements and conjugates from the frontier closure of the generators.
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +23,7 @@ from psl2kit.verify import (
     StabilizerDecomposition,
     check_pair_orbit_count,
     check_stabilizer_scalings,
+    check_swaps_are_involutions,
     decompose_stabilizers,
 )
 
@@ -81,6 +85,13 @@ def reference_stabilizer_scalings(group, dec, quad) -> CheckResult:
     return CheckResult("lemma-2.4", scalings_ok and worst_fixed <= 2, witness, counterexample)
 
 
+def reference_non_involutions(dec) -> list[str]:
+    # order from the cycle lengths
+    return sorted(
+        str(s) for s in dec.swapping if math.lcm(*map(len, reference_cycles(s.images)), 1) != 2
+    )
+
+
 def reference_pair_orbit_count(group, p) -> CheckResult:
     count = sum(
         1
@@ -129,6 +140,10 @@ def assert_scans_match_references(group: PermGroup) -> None:
         group, dec, quad
     )
     assert check_pair_orbit_count(group, p) == reference_pair_orbit_count(group, p)
+    lemma33 = check_swaps_are_involutions(group, dec, p)
+    bad = reference_non_involutions(dec)
+    assert lemma33.witness["all_order_two"] == (not bad)
+    assert (lemma33.counterexample or {}).get("non_involutions") == (bad or None)
 
     elements = group.element_images()
     for img in elements[:: max(1, len(elements) // 6)]:
@@ -212,3 +227,14 @@ def test_scan_examples(name, build, counterexample):
     assert (result.witness["max_fixed_points_nonidentity"] > 2) == counterexample
     if counterexample:
         assert result.counterexample["element"]
+
+
+def test_identity_is_not_an_involution():
+    # s * s is the identity for s = identity too, so Lemma 3.3 must also
+    # require s to move a point
+    group = psl2_cached(5)
+    dec = decompose_stabilizers(group)
+    forged = StabilizerDecomposition(dec.fixing, (group.line.identity(), *dec.swapping[1:]))
+    result = check_swaps_are_involutions(group, forged, 5)
+    assert result.counterexample == {"non_involutions": ["()"]}
+    assert reference_non_involutions(forged) == ["()"]

@@ -12,6 +12,8 @@ from psl2kit.groups import (
     PrimeDoesNotDivideOrder,
     SeedNotInGroup,
     SylowGrowthFails,
+    _conjugate,
+    _conjugator,
     closure_images,
 )
 from psl2kit.projline import DomainMismatch, Permutation, compose_images
@@ -419,6 +421,23 @@ def test_fixed_point_bound():
         for e in group.elements():
             if not e.is_identity():
                 assert len(e.fixed_points()) <= 2
+
+
+@pytest.mark.parametrize(
+    "build,arg",
+    [(psl2_cached, 7), (exceptional_cached, 3), (exceptional_cached, 5)],
+    ids=["psl2-7", "exceptional-3", "exceptional-5"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_conjugate_is_g_x_g_inverse(build, arg, data):
+    elements = build(arg).elements()
+    g = data.draw(st.sampled_from(elements))
+    x = data.draw(st.sampled_from(elements))
+    g_inv = g.inverse()
+    out = _conjugate(x.images, _conjugator(g.images, g_inv.images))
+    assert out == (g * x * g_inv).images
+    assert out == tuple(g(x(g_inv(i))) for i in range(len(out)))
 
 
 def test_generators_must_share_line(line5, line7):

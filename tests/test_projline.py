@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from psl2kit.projline import (
     UnknownPoint,
     WrongLength,
     ZeroScaling,
+    compose_images,
     moebius_permutation,
 )
 from psl2kit.psl2 import Mat2
@@ -63,6 +65,27 @@ def test_compose_convention(line7):
     assert (s * s).is_identity()
     for x in line7.points():
         assert (a * s)(x) == a(s(x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_compose_images_short_degrees(n):
+    # itemgetter takes no empty index list and returns a bare item for one
+    # index, so the kernel must still give a tuple at these degrees
+    for a in permutations(range(n)):
+        for b in permutations(range(n)):
+            out = compose_images(a, b)
+            assert type(out) is tuple
+            assert out == tuple(a[i] for i in b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=40))
+def test_compose_images_matches_pointwise(data, n):
+    a = tuple(data.draw(st.permutations(range(n))))
+    b = tuple(data.draw(st.permutations(range(n))))
+    out = compose_images(a, b)
+    assert type(out) is tuple
+    assert out == tuple(a[i] for i in b)
 
 
 def test_inverse(line5, line7):
