@@ -7,12 +7,12 @@ it fails).  The three counts over the whole group are exact orbit-stabilizer
 counts on a stabilizer chain with base (0, inf), not scans: Definition 2.2
 reads the stabilizer of {0, inf} and its swapping coset off the chain,
 Lemma 2.4 decides the most fixed points from point stabilizer orders, and
-Lemma 3.2 sums over the orbits on unordered pairs.  Lemma 2.4 still scans
-every element when some non-identity element fixes more than 2 points, to
-name the first such element.  Checks on the swapping coset go through it
-element by element; Lemma 3.3 counts the class of -z as |G| over its
-centralizer, which lies in the stabilizer of {0, inf}, and the p = 7
-exceptional audit enumerates its 168 elements.
+Lemma 3.2 counts self-paired suborbits, not orbits on unordered pairs.
+Lemma 2.4 still scans every element when some non-identity element fixes
+more than 2 points, to name the first such element.  Checks on the
+swapping coset go through it element by element; Lemma 3.3 counts the
+class of -z as |G| over its centralizer, which lies in the stabilizer of
+{0, inf}, and the p = 7 exceptional audit enumerates its 168 elements.
 
 ``classify`` chains the checks and settles the dichotomy: either the group
 contains z -> -1/z and is the projective group, or p = 7 and the group is
@@ -221,6 +221,18 @@ def _point_image(x: int, g: tuple[int, ...]) -> int:
     return g[x]
 
 
+def _stabilizer_orbits(chain: PermGroup, level: int):
+    """(x, orbit of x) per orbit of the pointwise stabilizer of
+    ``chain.base[:level]``, 0 and inf first; lazy, to stop early."""
+    gens = chain.stabilizer_generators(level)
+    seen = set(chain.base[:level])
+    for x in (0, chain.line.infinity, *range(chain.degree)):
+        if x not in seen:
+            reach = orbit([x], gens, _point_image)
+            seen |= reach
+            yield x, reach
+
+
 def _max_fixed_points(group: PermGroup) -> int | None:
     """The most points a non-identity element fixes (-1 for the trivial
     group), or None if that is more than 2.
@@ -235,19 +247,11 @@ def _max_fixed_points(group: PermGroup) -> int | None:
     """
     if group.order() == 1:
         return -1
-    first = (0, group.line.infinity)
-    points = [*first, *(x for x in range(group.degree) if x not in first)]
 
     def deepest(prefix: tuple[int, ...], order: int) -> int:
         # the pointwise stabilizer of prefix has this order, more than 1
-        gens = group.rebased(prefix).stabilizer_generators(len(prefix))
         best = len(prefix)
-        seen = set(prefix)
-        for x in points:
-            if x in seen:
-                continue
-            reach = orbit([x], gens, _point_image)
-            seen |= reach
+        for x, reach in _stabilizer_orbits(group.rebased(prefix), len(prefix)):
             if order // len(reach) > 1:
                 if len(prefix) == 2:
                     return 3
@@ -404,30 +408,26 @@ def check_twist_exponents(
 # --- the branch for p = 1 mod 4 --------------------------------------------
 
 
-def _pair_image(pair: tuple[int, int], g: tuple[int, ...]) -> tuple[int, int]:
-    x, y = g[pair[0]], g[pair[1]]
-    return (x, y) if x < y else (y, x)
-
-
 def check_pair_orbit_count(group: PermGroup, p: int) -> CheckResult:
-    """The 2-cycles of all elements, counted by the unordered pairs they
-    swap.  The elements swapping {x, y} are none or a coset of G_(x,y), and
-    conjugate pairs are swapped equally often, so each G-orbit O on pairs
-    adds |O| * |G_(x,y)| if its representative {x, y} is swapped at all.
-    {0, inf} comes first and starts the group's own chain, so a
-    2-transitive group, whose pairs are one orbit, builds no chain."""
-    gens = [g.images for g in group.generators]
-    first = (0, group.line.infinity)
-    seen: set[tuple[int, int]] = set()
-    count = 0
-    for pair in itertools.chain([first], itertools.combinations(range(group.degree), 2)):
-        if pair in seen:
+    """The 2-cycles of all elements, counted over self-paired suborbits.
+
+    Take a G-orbit X, its first point x, and y in a G_x-orbit O in X - {x};
+    level 0's entry u at y maps x to y.  The elements swapping x and y are
+    u*h with h in G_x and h(y) = u^-1(x): none, or a coset of G_(x,y) if O
+    holds u^-1(x), and then for every y in O: O is self-paired.  Each point
+    of X lies in |O| * |G_(x,y)| = |G_x| such 2-cycles, so X adds
+    |X| * |G_x| / 2 = |G| / 2 per self-paired O.  One-point G-orbits hold
+    no pair; a transitive group's X starts at 0, on its own chain."""
+    self_paired = 0
+    for x, points in _stabilizer_orbits(group, 0):
+        if len(points) == 1:
             continue
-        pairs = orbit([pair], gens, _pair_image)
-        seen |= pairs
-        chain = group.rebased(pair)
-        if _pair_swapper(chain) is not None:
-            count += len(pairs) * chain.stabilizer_order(2)
+        chain = group.rebased((x,))
+        for y, suborbit in _stabilizer_orbits(chain, 1):
+            u = chain.transversal_entry(0, y)
+            if u is not None and u.index(x) in suborbit:
+                self_paired += 1
+    count = group.order() * self_paired // 2
     expected = ((p * p + p) // 2) * ((p - 1) // 2)
     witness = {"pair_orbit_count": count, "expected": expected}
     return CheckResult("lemma-3.2", count == expected, witness)

@@ -100,6 +100,16 @@ def exceptional_cached(variant: int) -> PermGroup:
     return build_exceptional(variant)
 
 
+@lru_cache(maxsize=None)
+def regular8_cached() -> PermGroup:
+    """The normal subgroup of order 8 in exceptional:3, the closure of one
+    fixed-point-free involution: regular on the 8 points, so transitive but
+    not 2-transitive."""
+    group = exceptional_cached(3)
+    involution = next(e for e in group.elements() if e.order() == 2 and not e.fixed_points())
+    return group.normal_closure([involution])
+
+
 @pytest.fixture
 def line7() -> ProjLine:
     return line_over(7)

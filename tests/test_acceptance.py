@@ -255,6 +255,21 @@ def test_criterion_13_kernel_at_p2003(tmp_path):
         assert report.all_passed()
 
 
+def test_criterion_14_pair_count_at_p2017(tmp_path):
+    # 2017 is the first prime p = 1 mod 4 above 2003, so Lemma 3.2 runs:
+    # it counts the self-paired suborbits on the loader's own chain
+    p = 2017
+    line = ProjLine.over_prime(p)
+    path = tmp_path / "psl2_p2017.gens"
+    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    with budget("14 pair-count-p2017", 15):
+        report = classify(load_generators_file(str(path), p), p)
+        assert report.verdict == "a"
+        assert report.all_passed()
+        (lemma32,) = [c for c in report.checks if c.id == "lemma-3.2"]
+        assert lemma32.passed
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

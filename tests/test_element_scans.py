@@ -27,7 +27,7 @@ from psl2kit.verify import (
     decompose_stabilizers,
 )
 
-from conftest import exceptional_cached, line_over, psl2_cached, symmetric_group
+from conftest import exceptional_cached, line_over, psl2_cached, regular8_cached, symmetric_group
 
 
 # --- reference definitions ---------------------------------------------------
@@ -216,6 +216,14 @@ def test_scans_match_references(group):
         ),
         # (0 1)(2 3 4) has mixed cycle type; its cube (0 1) fixes 6 points
         ("mixed cycle type", lambda: PermGroup([line_over(7).from_cycles("(0 1)(2 3 4)")]), True),
+        # the orbit {1, 2, inf} starts at inf, whose stabilizer is trivial:
+        # suborbits {1} and {2}, neither self-paired, so no 2-cycles
+        ("3-cycle on 4 points", lambda: PermGroup([line_over(3).from_cycles("(1 2 inf)")]), False),
+        # the one 2-cycle lies in the G-orbit {1, 2}, away from 0 and inf, so
+        # its suborbits come from a chain based at 1
+        ("swap off the base", lambda: PermGroup([line_over(7).from_cycles("(1 2)")]), True),
+        # transitive, not 2-transitive: 7 self-paired suborbits of one point
+        ("regular of order 8", regular8_cached, False),
     ],
 )
 def test_scan_examples(name, build, counterexample):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from psl2kit.verify import (
     _exceptional_structure,
     build_exceptional,
     check_hypotheses,
+    check_pair_orbit_count,
     check_swaps_are_involutions,
     check_unique_normalized_swap,
     check_stabilizer_scalings,
@@ -32,7 +34,7 @@ from psl2kit.verify import (
     twist_exponent,
 )
 
-from conftest import exceptional_cached, line_over, psl2_cached, twist_case
+from conftest import exceptional_cached, line_over, psl2_cached, regular8_cached, twist_case
 
 
 SECTION3_IDS = {"lemma-3.2", "lemma-3.3", "corollary-3.4", "corollary-3.5", "prop-3.6"}
@@ -338,6 +340,14 @@ def test_classify_builds_no_group(monkeypatch, build, p):
     # every chain level classify reads has a prefix of (0, inf), and the
     # group's own chain is based there
     group = build()
+    built = _spy_on_builds(monkeypatch)
+    report = classify(group, p)
+    assert report.verdict == "a" and report.all_passed()
+    assert built == []
+
+
+def _spy_on_builds(monkeypatch) -> list:
+    """The arguments of every PermGroup built from here on."""
     built = []
     init = PermGroup.__init__
 
@@ -346,9 +356,35 @@ def test_classify_builds_no_group(monkeypatch, build, p):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", spy)
-    report = classify(group, p)
-    assert report.verdict == "a" and report.all_passed()
+    return built
+
+
+@pytest.mark.parametrize(
+    "build,p", [(lambda: psl2_cached(13), 13), (regular8_cached, 7)], ids=["psl2-13", "regular-8"]
+)
+def test_pair_orbit_count_builds_no_group(monkeypatch, build, p):
+    # a transitive group's only orbit starts at 0, where its own chain is
+    # based, so its suborbits come off level 1 of that chain
+    group = build()
+    built = _spy_on_builds(monkeypatch)
+    check_pair_orbit_count(group, p)
     assert built == []
+
+
+def test_pair_orbit_count_memory_at_p229():
+    # the suborbit walk holds O(p) points, where orbits on unordered pairs
+    # would hold all (p^2 + p) / 2 = 26,335 of them
+    p = 229
+    line = line_over(p)
+    group = PermGroup([line.translation(1), line.neg_reciprocal()])
+    tracemalloc.start()
+    try:
+        result = check_pair_orbit_count(group, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 1 << 20
 
 
 def _search_found_groups(monkeypatch, p):
@@ -366,9 +402,6 @@ def _search_found_groups(monkeypatch, p):
 
 def test_chains_are_based_at_zero_then_infinity(monkeypatch, line7):
     exceptional = build_exceptional(3)
-    involution = next(
-        e for e in exceptional.elements() if e.order() == 2 and not e.fixed_points()
-    )
     found = _search_found_groups(monkeypatch, 7)
     assert len(found) == 3
     groups = [
@@ -380,7 +413,7 @@ def test_chains_are_based_at_zero_then_infinity(monkeypatch, line7):
         *found,
         psl2_perm_group(7).normal_closure([line7.translation(1)]),
         # regular on the 8 points, so its stabilizer of 0 fixes inf too
-        exceptional.normal_closure([involution]),
+        regular8_cached(),
         # fixes both leading points: two one-point levels
         psl2_perm_group(7).normal_closure([line7.identity()]),
     ]
@@ -425,9 +458,13 @@ def test_square_class_action_values():
 
 
 def test_pair_orbit_count_oracle():
-    # independent route: count over 2-subsets instead of over elements
-    for p in (5, 13):
-        group = psl2_cached(p)
+    # independent route: count over 2-subsets instead of over elements; the
+    # regular group of order 8 has no closed form to meet
+    for group, p, closed_form in (
+        (psl2_cached(5), 5, True),
+        (psl2_cached(13), 13, True),
+        (regular8_cached(), 7, False),
+    ):
         points = list(group.line.points())
         count = 0
         for i, u in enumerate(points):
@@ -437,7 +474,9 @@ def test_pair_orbit_count_oracle():
                     for img in group.element_images()
                     if img[u] == v and img[v] == u
                 )
-        assert count == ((p * p + p) // 2) * ((p - 1) // 2)
+        assert count == check_pair_orbit_count(group, p).witness["pair_orbit_count"]
+        if closed_form:
+            assert count == ((p * p + p) // 2) * ((p - 1) // 2)
 
 
 def test_section3_report_details():
