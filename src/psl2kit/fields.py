@@ -427,6 +427,12 @@ class QuadraticClasses:
     def _square_set(self) -> frozenset[int]:
         return frozenset(self.squares)
 
+    @cached_property
+    def square_generator(self) -> int:
+        """The square of the smallest primitive root, which generates the
+        squares; computed once, like ``_square_set``."""
+        return pow(primitive_root(self.p), 2, self.p)
+
 
 def quadratic_classes(p: int) -> QuadraticClasses:
     if not is_prime(p) or p == 2:

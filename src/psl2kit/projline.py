@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 from itertools import compress
 from operator import eq, itemgetter
 
@@ -99,8 +100,13 @@ class ProjLine:
     def points(self) -> range:
         return range(self.size)
 
+    @cached_property
+    def point_names(self) -> tuple[str, ...]:
+        """Each point's name, indexed by point: its number, then "inf"."""
+        return (*map(str, range(self.infinity)), "inf")
+
     def point_name(self, pt: int) -> str:
-        return "inf" if pt == self.infinity else str(pt)
+        return self.point_names[pt]
 
     # -- permutation constructors --
 
@@ -230,14 +236,39 @@ class Permutation:
         return frozenset(compress(points, map(eq, self.images, points)))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()), 1)
+        """The lcm of the cycle lengths, counted in one walk over the images."""
+        images = self.images
+        seen = bytearray(len(images))
+        order = 1
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            length = 0
+            cur = start
+            while not seen[cur]:
+                seen[cur] = 1
+                cur = images[cur]
+                length += 1
+            order = math.lcm(order, length)
+        return order
 
     def cycle_notation(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        name = self.line.point_name
-        return "".join("(" + " ".join(name(pt) for pt in c) + ")" for c in cycles)
+        """Each nontrivial cycle's point names joined in one walk, smallest
+        start first, as ``cycles`` orders them."""
+        images = self.images
+        names = self.line.point_names
+        seen = bytearray(len(images))
+        parts = []
+        for start, cur in enumerate(images):
+            if seen[start] or cur == start:
+                continue
+            cycle = [names[start]]
+            while cur != start:
+                seen[cur] = 1
+                cycle.append(names[cur])
+                cur = images[cur]
+            parts.append("(" + " ".join(cycle) + ")")
+        return "".join(parts) or "()"
 
     def __str__(self):
         return self.cycle_notation()

@@ -6,9 +6,14 @@ any single element swapping 0 and inf: the swap makes the generated
 subgroup transitive, its stabilizer of inf already holds the p*(p-1)/2
 translation-scaling maps, so the subgroup has order at least
 (p+1)*p*(p-1)/2 and must be the whole group.  The search therefore
-enumerates candidate swaps and decides each one in at most two steps.  A
-swap that lies in a group already found regenerates that group, so one
-sift into each found group settles it as a duplicate.  Otherwise the
+enumerates candidate swaps and decides each one in at most three steps.
+First a Lagrange test: s, s*sigma (sigma the square-generator scaling)
+and s*(z+k) for k = 1..p-1 all lie in the group s generates with the
+base, so if the order of any of them does not divide (p^3-p)/2 that
+group cannot have order (p^3-p)/2, and s is rejected after p+1 element
+orders, with no chain built.  A swap that lies in a group already found
+regenerates that group, so one sift into each found group settles it as
+a duplicate; such a swap always passes the Lagrange test.  Otherwise the
 three generators are built into a stabilizer chain capped at (p^3-p)/2:
 the chain gives up as soon as its partial order passes the cap, and a
 complete chain of exactly that order is a new group.  Each new group is
@@ -40,11 +45,10 @@ from .fields import (
     NotOddPrime,
     check_cap,
     is_prime,
-    primitive_root,
     quadratic_classes,
 )
 from .groups import OrderLimitExceeded, PermGroup, closure_images
-from .projline import Permutation, ProjLine
+from .projline import Permutation, ProjLine, compose_images
 from .verify import classify
 
 
@@ -103,18 +107,41 @@ def element_set_hash(images_set) -> str:
 
 
 def _base_generators(line: ProjLine, p: int) -> list[Permutation]:
-    square_gen = pow(primitive_root(p), 2, p)
-    return [line.translation(1), line.scaling(square_gen)]
+    return [line.translation(1), line.scaling(quadratic_classes(p).square_generator)]
+
+
+def _lagrange_shifts(base_images: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The square-generator scaling, then z+k for k = 1..p-1, from the base
+    generators z+1 and that scaling."""
+    translation, scaling = base_images
+    shifts = [scaling]
+    power = translation
+    for _ in range(len(translation) - 2):
+        shifts.append(power)
+        power = compose_images(translation, power)
+    return shifts
+
+
+def _fails_lagrange(
+    line: ProjLine, swap_images: tuple[int, ...], shifts: list[tuple[int, ...]], target: int
+) -> bool:
+    """Whether s or some s*w, w in ``shifts``, has an order not dividing
+    ``target``.  Each of them lies in the group s generates with the base,
+    so by Lagrange that group then cannot have order ``target``."""
+    words = itertools.chain((swap_images,), (compose_images(swap_images, w) for w in shifts))
+    return any(target % Permutation(line, w).order() for w in words)
 
 
 def _decide_candidates(line: ProjLine, base: list[Permutation], target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
     ``found`` is (chain, closure) for a NEW group and None otherwise.
-    Non-bijective candidates arrive as None and are REJECTED."""
+    Non-bijective candidates arrive as None and are REJECTED, and so are
+    swaps that fail the Lagrange test, before any sift or chain."""
     base_images = [g.images for g in base]
+    shifts = _lagrange_shifts(base_images)
     groups: list[PermGroup] = []
     for swap_images in swap_candidates:
-        if swap_images is None:
+        if swap_images is None or _fails_lagrange(line, swap_images, shifts, target):
             yield REJECTED, None
             continue
         swap = Permutation(line, swap_images)

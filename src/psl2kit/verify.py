@@ -199,8 +199,8 @@ def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
     subgroup = closure == fixing
     coset = True
     if dec.swapping:
-        lead = dec.swapping[0]
-        coset = {lead * k for k in dec.fixing} == set(dec.swapping)
+        lead = dec.swapping[0].images
+        coset = {compose_images(lead, k) for k in fixing} == {s.images for s in dec.swapping}
     passed = (
         len(dec.fixing) == expected
         and len(dec.swapping) == expected
@@ -267,7 +267,7 @@ def check_stabilizer_scalings(
 ) -> CheckResult:
     line = group.line
     # the square scalings are the powers of scaling by the square generator
-    step = line.scaling(primitive_square_generator(quad)).images
+    step = line.scaling(quad.square_generator).images
     power = identity_images(group.degree)
     expected = set()
     for _ in quad.squares:
@@ -309,16 +309,13 @@ def check_square_class_action(
     group: PermGroup, dec: StabilizerDecomposition, quad: QuadraticClasses
 ) -> CheckResult:
     p = quad.p
-    squares = set(quad.squares)
-    nonsquares = set(quad.nonsquares)
     minus_one_square = quad.is_square(p - 1)
     parity_ok = minus_one_square == (p % 4 == 1)
     stabilizes = p % 4 == 1
     bad = None
+    expected = set(quad.squares if stabilizes else quad.nonsquares)
     for swap in dec.swapping:
-        image_of_squares = {swap(z) for z in squares}
-        expected = squares if stabilizes else nonsquares
-        if image_of_squares != expected:
+        if set(compose_images(swap.images, quad.squares)) != expected:
             bad = swap
             break
     witness = {
@@ -345,7 +342,7 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
     for z in range(1, p):
         if not 1 <= images[z] < p:
             raise NoTwistExponent("element does not permute the units")
-    generator = primitive_square_generator(quad)
+    generator = quad.square_generator
     t1 = images[1]
     ratio = images[generator] * pow(t1, p - 2, p) % p
     j = None
@@ -370,12 +367,6 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
     if not odd:
         raise NoTwistExponent("no odd representative exists")
     return odd[0]
-
-
-def primitive_square_generator(quad: QuadraticClasses) -> int:
-    from .fields import primitive_root
-
-    return pow(primitive_root(quad.p), 2, quad.p)
 
 
 def check_twist_exponents(

@@ -30,6 +30,14 @@ def brute_closure(gen_images):
     return elements
 
 
+def reference_cycle_notation(perm) -> str:
+    """Canonical cycle notation assembled from ``cycles()`` and
+    ``point_name``, point by point."""
+    name = perm.line.point_name
+    text = "".join("(" + " ".join(name(pt) for pt in c) + ")" for c in perm.cycles())
+    return text or "()"
+
+
 def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
     """All determinant-one matrices, sorted by entry tuple."""
     f = field

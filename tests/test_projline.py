@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -21,7 +22,7 @@ from psl2kit.projline import (
 )
 from psl2kit.psl2 import Mat2
 
-from conftest import mat_neg, sl2_matrices
+from conftest import mat_neg, reference_cycle_notation, sl2_matrices
 
 
 def test_perm_from_images(line7, line5):
@@ -129,6 +130,26 @@ def test_cycle_notation_round_trip(images):
     line = ProjLine.over_prime(7)
     perm = line.perm(images)
     assert line.from_cycles(perm.cycle_notation()) == perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13]))
+def test_cycle_notation_and_order_match_cycles(data, q):
+    # lines over GF(p), GF(4) and GF(9)
+    line = ProjLine(field_of_order(q))
+    perm = line.perm(data.draw(st.permutations(tuple(range(line.size)))))
+    assert perm.cycle_notation() == reference_cycle_notation(perm)
+    assert perm.order() == math.lcm(*(len(c) for c in perm.cycles()), 1)
+    assert line.point_names == tuple(
+        "inf" if pt == line.infinity else str(pt) for pt in line.points()
+    )
+
+
+def test_identity_notation_and_order():
+    for q in (2, 4, 7, 9):
+        identity = ProjLine(field_of_order(q)).identity()
+        assert identity.cycle_notation() == reference_cycle_notation(identity) == "()"
+        assert identity.order() == 1
 
 
 def test_moebius_examples(line7):

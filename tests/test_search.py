@@ -2,6 +2,8 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psl2kit import search
 from psl2kit.fields import CapExceeded, NotOddPrime
@@ -141,6 +143,63 @@ def test_found_groups_built_from_three_generators(monkeypatch):
     assert found == 4
     assert len(sizes) > found  # rejected candidates build chains too
     assert all(n == 3 for n in sizes)
+
+
+def lagrange_refusals(p, swap_candidates):
+    """The candidates the Lagrange test refuses, with the base's images and
+    the target order."""
+    line = ProjLine.over_prime(p)
+    base_images = [g.images for g in search._base_generators(line, p)]
+    shifts = search._lagrange_shifts(base_images)
+    target = (p**3 - p) // 2
+    refused = [
+        s for s in swap_candidates
+        if s is not None and search._fails_lagrange(line, s, shifts, target)
+    ]
+    return refused, base_images, target
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11),
+     ("constrained", 13)],
+)
+def test_lagrange_refusals_generate_no_group_of_the_target_order(mode, p):
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    refused, base_images, target = lagrange_refusals(p, candidates(p))
+    # at p = 5 every element order of S_6 divides 60, so nothing is refused
+    assert bool(refused) == (p > 5)
+    for s in refused:
+        closure = closure_images(base_images + [s], limit=target)
+        assert closure is None or len(closure) != target
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([11, 13]))
+def test_lagrange_refusals_sound_on_drawn_swaps(data, p):
+    units = data.draw(st.permutations(range(1, p)))
+    swap = (p, *units, 0)  # 0 -> inf, the units anyhow, inf -> 0
+    refused, base_images, target = lagrange_refusals(p, [swap])
+    if refused:
+        closure = closure_images(base_images + [swap], limit=target)
+        assert closure is None or len(closure) != target
+
+
+@pytest.mark.parametrize(
+    "search_fn,p,budget", [(full_search, 7, 200), (constrained_search, 13, 100)]
+)
+def test_lagrange_test_spares_most_chain_builds(monkeypatch, search_fn, p, budget):
+    # without the Lagrange test, full p = 7 built 714 chains and constrained p = 13 built 277
+    builds = []
+    real = search.PermGroup
+
+    def spy(generators, **kwargs):
+        builds.append(1)
+        return real(generators, **kwargs)
+
+    monkeypatch.setattr(search, "PermGroup", spy)
+    search_fn(p)
+    assert len(builds) <= budget
 
 
 def reference_decisions(p, swap_candidates):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psl2kit import search
+from psl2kit import fields, search
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
 from psl2kit.groups import PermGroup
@@ -21,6 +21,7 @@ from psl2kit.verify import (
     build_exceptional,
     check_hypotheses,
     check_pair_orbit_count,
+    check_square_class_action,
     check_swaps_are_involutions,
     check_unique_normalized_swap,
     check_stabilizer_scalings,
@@ -30,7 +31,6 @@ from psl2kit.verify import (
     decomposition_check,
     exceptional_report,
     p3_case_check,
-    primitive_square_generator,
     twist_exponent,
 )
 
@@ -143,6 +143,59 @@ def test_decomposition_check_rejects_unclosed_fixing_set(line7):
     assert not result.passed
 
 
+def test_decomposition_check_rejects_forged_coset(line7):
+    # the right sizes and a closed fixing set, but one swap lies outside the
+    # coset of the others: the exceptional involution is not in PSL(2,7)
+    dec = decompose_stabilizers(psl2_cached(7))
+    forged_swap = line7.from_cycles(EXCEPTIONAL_INVOLUTIONS[3])
+    assert forged_swap not in dec.swapping
+    forged = StabilizerDecomposition(dec.fixing, dec.swapping[:2] + (forged_swap,))
+    result = decomposition_check(forged, 7)
+    assert result.witness == {
+        "fixing_size": 3,
+        "swapping_size": 3,
+        "expected_size": 3,
+        "fixing_is_subgroup": True,
+        "swapping_is_coset": False,
+    }
+    assert not result.passed
+
+
+@pytest.mark.parametrize("p,cycles", [(7, "(0 inf)"), (13, "(0 inf)(1 2)")])
+def test_square_class_action_names_forged_swap(p, cycles):
+    # p = 7: the swaps must interchange the classes, and (0 inf) keeps them;
+    # p = 13: they must keep them, and (1 2) moves the square 1 to a non-square
+    line = line_over(p)
+    group = psl2_cached(p)
+    dec = decompose_stabilizers(group)
+    forged_swap = line.from_cycles(cycles)
+    swapping = dec.swapping[:1] + (forged_swap,) + dec.swapping[2:]
+    forged = StabilizerDecomposition(dec.fixing, swapping)
+    quad = quadratic_classes(p)
+    assert check_square_class_action(group, dec, quad).passed
+    result = check_square_class_action(group, forged, quad)
+    assert not result.passed
+    assert result.counterexample == {"element": cycles}
+    assert result.witness == {
+        "minus_one_is_square": p % 4 == 1,
+        "action": "stabilizes" if p % 4 == 1 else "interchanges",
+    }
+
+
+def test_classify_finds_the_square_generator_once(monkeypatch):
+    group = psl2_cached(31)
+    calls = []
+    real = fields.primitive_root
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(fields, "primitive_root", spy)
+    assert classify(group, 31).verdict == "a"
+    assert calls == [31]
+
+
 def test_stabilizer_scalings_check(line7):
     quad = quadratic_classes(7)
     group = psl2_cached(7)
@@ -243,7 +296,7 @@ def reference_twist_exponent(swap, quad) -> int:
     for z in range(1, p):
         if not 1 <= images[z] < p:
             raise NoTwistExponent("element does not permute the units")
-    generator = primitive_square_generator(quad)
+    generator = quad.square_generator
     ratio = images[generator] * pow(images[1], p - 2, p) % p
     j = None
     power = 1
