@@ -224,19 +224,19 @@ def cmd_psl2(args) -> int:
         payload["expected_order"] = psl2_expected_order(q)
         payload["pass"] = payload["order"] == payload["expected_order"]
     else:
-        brute = group.is_simple()
+        simple = group.is_simple()
         expected_simple = q > 3
-        payload["simple"] = brute
+        payload["simple"] = simple
         payload["expected_simple"] = expected_simple
         if q > 3:
             certificate = certify_simplicity(q)
             payload["certificate"] = certificate.to_json_dict()
             payload["certificate_reverified"] = certificate.reverify()
-            payload["methods_agree"] = certificate.verdict == brute
+            payload["methods_agree"] = certificate.verdict == simple
         else:
             payload["methods_agree"] = True
         payload["pass"] = (
-            brute == expected_simple
+            simple == expected_simple
             and payload["methods_agree"]
             and payload.get("certificate_reverified", True)
         )

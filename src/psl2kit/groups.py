@@ -25,11 +25,24 @@ strong generators, order and elements (``stabilizer_generators``,
 group.  For a prefix of the group's own base that chain is the group.
 
 Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
-Sylow counting, simplicity) refuse to run past
+Sylow counting) refuse to run past
 ``fields.DEFAULT_ENUMERATION_CAP`` rather than degrade;
 ``conjugacy_class_of`` stops its search once the class outgrows the cap.
 The same cap decides which PSL(2,q) ``psl2`` builds, so it covers every
 group this package builds itself, and no caller can set another.
+
+Simplicity is enumeration-backed only when two chain tests leave it open.
+``derived_subgroup``, the normal closure of the generators' commutators,
+refutes it when it is proper and nontrivial.  For a perfect group,
+Iwasawa's criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from the
+chain and one more normal closure: G is 2-transitive, the translations by
+the additive basis form an abelian normal subgroup of the stabilizer of inf,
+and their normal closure is G.  So PSL(2,q) is proved simple for q > 3 at
+any order the chain reaches, and refuted for q = 2 and 3 and for the two
+order-168 groups with a normal subgroup of order 8 (derived subgroups of
+order 3, 4 and 56).  Any other group, such as an abelian one or a perfect
+one without those translations, falls back to the normal closure of each
+conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -449,15 +462,70 @@ class PermGroup:
             for h in subgroup.generators
         )
 
+    def derived_subgroup(self) -> "PermGroup":
+        """The normal closure of the commutators [a, b] = a^-1 b^-1 a b of
+        the generator pairs: the generators commute modulo it, so the
+        quotient is abelian and the closure is the derived subgroup."""
+        gens = [g.images for g in self.generators]
+        commutators = [
+            # (b a)^-1 (a b)
+            compose_images(invert_images(compose_images(b, a)), compose_images(a, b))
+            for i, a in enumerate(gens)
+            for b in gens[i + 1 :]
+        ]
+        return self.normal_closure(Permutation(self.line, c) for c in commutators)
+
     def is_simple(self) -> bool:
-        if self.order() <= 1:
+        """Refuted by a proper, nontrivial derived subgroup; proved by
+        Iwasawa's criterion (``_iwasawa_holds``) for a perfect group; and
+        otherwise decided by the normal closure of every conjugacy class,
+        which enumerates the group and so keeps the enumeration cap."""
+        n = self.order()
+        if n <= 1:
             return False
+        derived = self.derived_subgroup().order()
+        if 1 < derived < n:
+            return False
+        if derived == n and self._iwasawa_holds():
+            return True
         for cls in self.conjugacy_classes():
             if cls.representative.is_identity():
                 continue
-            if self.normal_closure([cls.representative]).order() != self.order():
+            if self.normal_closure([cls.representative]).order() != n:
                 return False
         return True
+
+    def _iwasawa_holds(self) -> bool:
+        """The conditions of Iwasawa's criterion (Proc. Imp. Acad. Tokyo 17,
+        1941) besides perfectness, with the stabilizer of inf as the point
+        stabilizer and T, the translations by the additive basis, as its
+        abelian normal subgroup:
+
+        - the chain opens at (0, inf) and G is 2-transitive, so primitive;
+        - T lies in G and is abelian;
+        - the strong generators of G_(0,inf) conjugate T into itself.  T is
+          transitive on the finite points, so G_inf = T G_(0,inf) and T is
+          normal in G_inf;
+        - the normal closure of T is G.
+
+        A perfect group for which all of them hold is simple.
+        """
+        line = self.line
+        if self.base[:2] != (0, line.infinity) or not self.is_doubly_transitive():
+            return False
+        field = line.field
+        translations = [line.translation(field.p**i) for i in range(field.degree)]
+        if not all(self.contains(t) for t in translations):
+            return False
+        shifts = [t.images for t in translations]
+        if any(compose_images(a, b) != compose_images(b, a) for a in shifts for b in shifts):
+            return False
+        abelian = PermGroup(translations)
+        for h in self.stabilizer_generators(2):
+            c = _conjugator(h, self._inverse(h))
+            if any(abelian._sift_images(_conjugate(t, c)) != abelian._ident for t in shifts):
+                return False
+        return self.normal_closure(translations).order() == self.order()
 
     # -- Sylow counting --
 

@@ -722,14 +722,19 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
     order_ok = presented.order() == 168
     same_set = _same_group(presented, group)
 
-    fpf = [
+    # the fixed-point-free involutions: elements moving every point that square to 1
+    ident = identity_images(line.size)
+    involutions = [
         e
-        for e in group.elements()
-        if e.order() == 2 and not e.fixed_points()
+        for e in group.element_images()
+        if not any(map(eq, e, ident)) and compose_images(e, e) == ident
     ]
-    eight = {line.identity()} | set(fpf)
-    closed = all(x * y in eight for x in eight for y in eight)
-    abelian = all(x * y == y * x for x in fpf for y in fpf)
+    eight = {ident, *involutions}
+    closed = all(compose_images(x, y) in eight for x in eight for y in eight)
+    abelian = all(
+        compose_images(x, y) == compose_images(y, x) for x in involutions for y in involutions
+    )
+    fpf = [Permutation(line, e) for e in involutions]
     normal8 = PermGroup(fpf) if fpf else None
     normal8_ok = (
         len(fpf) == 7

@@ -30,6 +30,20 @@ def brute_closure(gen_images):
     return elements
 
 
+def reference_is_simple(group) -> bool:
+    """Simplicity by class enumeration: a nontrivial group is simple when
+    the normal closure of every nonidentity class representative is the
+    whole group.  Enumerates the group, so it keeps the enumeration cap."""
+    if group.order() <= 1:
+        return False
+    for cls in group.conjugacy_classes():
+        if cls.representative.is_identity():
+            continue
+        if group.normal_closure([cls.representative]).order() != group.order():
+            return False
+    return True
+
+
 def reference_cycle_notation(perm) -> str:
     """Canonical cycle notation assembled from ``cycles()`` and
     ``point_name``, point by point."""

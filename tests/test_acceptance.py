@@ -21,6 +21,8 @@ from psl2kit.verify import (
     exceptional_report,
 )
 
+from conftest import reference_is_simple
+
 
 @contextmanager
 def budget(name: str, seconds: float):
@@ -51,6 +53,7 @@ def test_criterion_2_simplicity():
             assert certificate.verdict
             assert certificate.reverify()
             assert certificate.verdict == psl2_perm_group(q).is_simple()
+            assert certificate.verdict == reference_is_simple(psl2_perm_group(q))
 
 
 def test_criterion_3_lemma_chain():

@@ -23,6 +23,8 @@ from conftest import (
     exceptional_cached,
     line_over,
     psl2_cached,
+    reference_is_simple,
+    regular8_cached,
     symmetric_group,
 )
 
@@ -345,6 +347,120 @@ def test_is_simple(line7):
     assert PermGroup([line7.translation(1)]).is_simple()  # order 7, prime
     assert not psl2_cached(3).is_simple()
     assert not PermGroup([line7.identity()]).is_simple()
+
+
+def _non_square(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+def _psl2_prime(p, *extra):
+    """<z+1, -1/z> over GF(p), with the scalings by ``extra`` added."""
+    line = line_over(p)
+    return PermGroup([line.translation(1), line.neg_reciprocal()] + [line.scaling(a) for a in extra])
+
+
+def _psl2_5_without_translations():
+    """PSL(2,5) conjugated by the transposition (0 1): still 2-transitive
+    and perfect, but it holds no translation, so Iwasawa's test cannot
+    decide it."""
+    line = line_over(5)
+    swap = (1, 0, 2, 3, 4, 5)
+    conj = _conjugator(swap, swap)
+    return PermGroup(line.perm(_conjugate(g.images, conj)) for g in psl2_cached(5).generators)
+
+
+def _simplicity_catalog():
+    groups = [psl2_cached(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    groups += [exceptional_cached(3), exceptional_cached(5), regular8_cached()]
+    # AGL(3,2), of order 1344: perfect, 2-transitive and holding z+1, but
+    # z+1 is not normal in the point stabilizer GL(3,2), and the order-8
+    # subgroup is normal
+    groups.append(PermGroup(exceptional_cached(3).generators + psl2_cached(7).generators))
+    for p in (5, 7):
+        line = line_over(p)
+        groups.append(PermGroup([line.translation(1), line.scaling(_non_square(p))]))  # affine
+        groups.append(_psl2_prime(p, _non_square(p)))  # PGL(2,p)
+    line7 = line_over(7)
+    groups.append(PermGroup([line7.translation(1)]))
+    groups.append(PermGroup([line7.identity()]))
+    groups.append(_psl2_5_without_translations())
+    return groups
+
+
+def test_is_simple_agrees_with_class_scan():
+    for group in _simplicity_catalog():
+        assert group.is_simple() == reference_is_simple(group), group.generators
+
+
+@st.composite
+def small_generator_sets(draw):
+    """1-3 generators: any permutations of the 6-point line, or elements of
+    PSL(2,7), PGL(2,7) or exceptional:3 on the 8-point one, so that the
+    class scan stays under the enumeration cap."""
+    if draw(st.booleans()):
+        line = line_over(5)
+        perms = st.permutations(range(line.size)).map(lambda img: line.perm(tuple(img)))
+    else:
+        source = draw(st.sampled_from(("psl2", "pgl2", "exceptional")))
+        ambient = {
+            "psl2": psl2_cached(7),
+            "pgl2": _psl2_prime(7, 3),
+            "exceptional": exceptional_cached(3),
+        }[source]
+        perms = st.sampled_from(ambient.elements())
+    return PermGroup(draw(st.lists(perms, min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_generator_sets())
+def test_is_simple_agrees_with_class_scan_on_random_groups(group):
+    assert group.is_simple() == reference_is_simple(group)
+
+
+def _count_class_scans(monkeypatch):
+    calls = []
+    scan = PermGroup.conjugacy_classes
+
+    def spy(self):
+        calls.append(self.order())
+        return scan(self)
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", spy)
+    return calls
+
+
+def test_is_simple_scans_no_classes(monkeypatch):
+    calls = _count_class_scans(monkeypatch)
+    for q in (4, 5, 7, 8, 9, 11, 13):
+        assert psl2_cached(q).is_simple()
+    for variant in (3, 5):
+        assert not exceptional_cached(variant).is_simple()
+    assert calls == []
+    # without translations the criterion cannot decide, and the scan runs
+    assert _psl2_5_without_translations().is_simple()
+    assert calls == [60]
+
+
+def test_is_simple_past_the_enumeration_cap():
+    for p in (37, 101):
+        group = _psl2_prime(p)
+        assert group.order() > DEFAULT_ENUMERATION_CAP
+        assert group.is_simple()
+        pgl2 = _psl2_prime(p, _non_square(p))
+        assert pgl2.derived_subgroup().order() == group.order()
+        assert not pgl2.is_simple()
+
+
+def test_derived_subgroup_against_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    groups = _simplicity_catalog() + [_psl2_prime(37), _psl2_prime(37, _non_square(37))]
+    for group in groups:
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in group.generators]
+        )
+        derived = group.derived_subgroup().order()
+        assert derived == oracle.derived_subgroup().order()
+        assert (derived == group.order()) == oracle.is_perfect
 
 
 def test_sylow_counts(line7):

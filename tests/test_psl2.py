@@ -40,7 +40,7 @@ from psl2kit.psl2 import (
     sl2_group,
 )
 
-from conftest import mat_neg, psl2_cached, sl2_matrices
+from conftest import mat_neg, psl2_cached, reference_is_simple, sl2_matrices
 
 
 def _codes(matrices) -> frozenset[int]:
@@ -403,9 +403,12 @@ def test_certificate_bounds():
 
 def test_certificate_agrees_with_brute_force():
     for q in (4, 5, 7, 9):
-        assert certify_simplicity(q).verdict == psl2_cached(q).is_simple()
+        certificate = certify_simplicity(q)
+        assert certificate.verdict == psl2_cached(q).is_simple()
+        assert certificate.verdict == reference_is_simple(psl2_cached(q))
     for q in (2, 3):
         assert not psl2_cached(q).is_simple()
+        assert not reference_is_simple(psl2_cached(q))
 
 
 def test_reverify_rejects_wrong_group_order():
