@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import CapExceeded, is_prime
+from psl2kit.fields import CapExceeded, is_prime, primitive_root
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
     OrderLimitExceeded,
@@ -349,10 +349,6 @@ def test_is_simple(line7):
     assert not PermGroup([line7.identity()]).is_simple()
 
 
-def _non_square(p):
-    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-
-
 def _psl2_prime(p, *extra):
     """<z+1, -1/z> over GF(p), with the scalings by ``extra`` added."""
     line = line_over(p)
@@ -378,8 +374,8 @@ def _simplicity_catalog():
     groups.append(PermGroup(exceptional_cached(3).generators + psl2_cached(7).generators))
     for p in (5, 7):
         line = line_over(p)
-        groups.append(PermGroup([line.translation(1), line.scaling(_non_square(p))]))  # affine
-        groups.append(_psl2_prime(p, _non_square(p)))  # PGL(2,p)
+        groups.append(PermGroup([line.translation(1), line.scaling(primitive_root(p))]))  # affine
+        groups.append(_psl2_prime(p, primitive_root(p)))  # PGL(2,p)
     line7 = line_over(7)
     groups.append(PermGroup([line7.translation(1)]))
     groups.append(PermGroup([line7.identity()]))
@@ -404,7 +400,7 @@ def small_generator_sets(draw):
         source = draw(st.sampled_from(("psl2", "pgl2", "exceptional")))
         ambient = {
             "psl2": psl2_cached(7),
-            "pgl2": _psl2_prime(7, 3),
+            "pgl2": _psl2_prime(7, primitive_root(7)),
             "exceptional": exceptional_cached(3),
         }[source]
         perms = st.sampled_from(ambient.elements())
@@ -417,7 +413,7 @@ def test_is_simple_agrees_with_class_scan_on_random_groups(group):
     assert group.is_simple() == reference_is_simple(group)
 
 
-def _count_class_scans(monkeypatch):
+def test_is_simple_scans_no_classes(monkeypatch):
     calls = []
     scan = PermGroup.conjugacy_classes
 
@@ -426,11 +422,6 @@ def _count_class_scans(monkeypatch):
         return scan(self)
 
     monkeypatch.setattr(PermGroup, "conjugacy_classes", spy)
-    return calls
-
-
-def test_is_simple_scans_no_classes(monkeypatch):
-    calls = _count_class_scans(monkeypatch)
     for q in (4, 5, 7, 8, 9, 11, 13):
         assert psl2_cached(q).is_simple()
     for variant in (3, 5):
@@ -446,14 +437,14 @@ def test_is_simple_past_the_enumeration_cap():
         group = _psl2_prime(p)
         assert group.order() > DEFAULT_ENUMERATION_CAP
         assert group.is_simple()
-        pgl2 = _psl2_prime(p, _non_square(p))
+        pgl2 = _psl2_prime(p, primitive_root(p))
         assert pgl2.derived_subgroup().order() == group.order()
         assert not pgl2.is_simple()
 
 
 def test_derived_subgroup_against_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    groups = _simplicity_catalog() + [_psl2_prime(37), _psl2_prime(37, _non_square(37))]
+    groups = _simplicity_catalog() + [_psl2_prime(37), _psl2_prime(37, primitive_root(37))]
     for group in groups:
         oracle = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g.images)) for g in group.generators]
