@@ -14,7 +14,7 @@ import sys
 
 from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
 from .fields import MAX_FIELD_ORDER, check_cap, is_prime
-from .groups import PermGroup, SylowGrowthFails
+from .groups import PermGroup
 from .projline import ProjLine
 from .psl2 import (
     DecompositionFails,
@@ -55,7 +55,6 @@ INVARIANT_ERRORS = (
     NotInClosure,
     SearchInvariantError,
     SpecialCaseContradiction,
-    SylowGrowthFails,
 )
 
 
@@ -212,7 +211,9 @@ def cmd_search(args) -> int:
 
 def cmd_psl2(args) -> int:
     q = args.q
-    check_psl2_cap(q)
+    if args.check == "simplicity":
+        check_psl2_cap(q)  # the certificate builds SL(2,q) as matrices
+    check_cap("field order", q, "field cap", MAX_FIELD_ORDER)
     if args.check == "generation" and not is_prime(q):
         raise ValueError("the two-generator claim is checked for prime q")
     group = psl2_perm_group(q)

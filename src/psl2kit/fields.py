@@ -26,9 +26,12 @@ from functools import cached_property
 # Size caps, each in the unit it counts.  Entries of one field table: the
 # tables are materialized eagerly, so they stay at desk scale.
 MAX_FIELD_ORDER = 1 << 16
-# Group elements held in memory at once: enumerations, and which PSL(2,q)
-# and SL(2,q) get built at all.
+# Group elements held in memory at once: enumerations, the corollary's
+# Sylow subgroups, and which SL(2,q) get built as matrices.
 DEFAULT_ENUMERATION_CAP = 20000
+# Points a stabilizer chain acts on: its memory grows as the degree squared,
+# 634 MiB for PSL(2,4001) and so about 3.7 GiB at the cap.
+MAX_DEGREE = 8192
 # The prime of a constrained search, and of a full search, which tries all
 # (p-1)! candidate swaps.
 MAX_SEARCH_PRIME = 31

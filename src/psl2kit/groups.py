@@ -28,8 +28,9 @@ Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
 Sylow counting) refuse to run past
 ``fields.DEFAULT_ENUMERATION_CAP`` rather than degrade;
 ``conjugacy_class_of`` stops its search once the class outgrows the cap.
-The same cap decides which PSL(2,q) ``psl2`` builds, so it covers every
-group this package builds itself, and no caller can set another.
+A chain itself is bounded by its degree: ``fields.MAX_DEGREE`` is checked
+before any chain is built, since a chain's memory grows as the square of
+its degree.  No caller can set another cap.
 
 Simplicity is enumeration-backed only when two chain tests leave it open.
 ``derived_subgroup``, the normal closure of the generators' commutators,
@@ -46,7 +47,8 @@ conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
-Sylow subgroups run through it and build no ``Permutation`` per product.
+the conjugates of a subgroup (``conjugation_action``, which finds the Sylow
+subgroups) run through it and build no ``Permutation`` per product.
 Products of image tuples go through ``projline.compose_images``, a single
 C-level gather; the right half of a conjugation and ``stabilizer_images``
 reuse one stored gather across many elements.
@@ -68,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .fields import DEFAULT_ENUMERATION_CAP, check_cap
+from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap
 from .projline import (
     DomainMismatch,
     Permutation,
@@ -181,6 +183,7 @@ class PermGroup:
         if not generators:
             raise ValueError("need at least one generator")
         line = generators[0].line
+        check_cap("degree", line.size, "degree cap", MAX_DEGREE)
         for g in generators[1:]:
             if g.line != line:
                 raise DomainMismatch("generators on different lines")
@@ -429,6 +432,27 @@ class PermGroup:
             check_cap("conjugacy class size", cap + 1, "enumeration cap", cap)
         return members
 
+    def conjugation_action(
+        self, subgroup
+    ) -> tuple[tuple[frozenset[tuple[int, ...]], ...], list[tuple[int, ...]]]:
+        """The conjugates of ``subgroup``, a set of image tuples, ordered by
+        their sorted elements, and for each generator g the permutation of
+        their indices that H -> g * H * g^-1 induces.
+
+        The conjugates are the orbit of ``subgroup`` under conjugation by
+        the generators, so none is found by scanning the group."""
+        conjugators = self._conjugators()
+        gens = range(len(conjugators))
+        moves = {}
+
+        def act(s, i):
+            moves[s, i] = t = frozenset(_conjugate(x, conjugators[i]) for x in s)
+            return t
+
+        found = sorted(orbit([frozenset(subgroup)], gens, act), key=sorted)
+        index = {s: k for k, s in enumerate(found)}
+        return tuple(found), [tuple(index[moves[s, i]] for s in found) for i in gens]
+
     def normal_closure(self, seeds) -> "PermGroup":
         """Smallest normal subgroup containing the seeds: one chain, grown
         by the conjugates of each round's new generators until closed."""
@@ -539,15 +563,8 @@ class PermGroup:
             target *= ell
         elems = self.element_images()
         # Sylow's theorem: every Sylow subgroup is conjugate to the grown one
-        found = orbit(
-            [self._grow_sylow(ell, target, elems)],
-            self._conjugators(),
-            lambda s, c: frozenset(_conjugate(x, c) for x in s),
-        )
-        ordered = sorted(found, key=lambda s: sorted(s))
-        return tuple(
-            frozenset(Permutation(self.line, img) for img in s) for s in ordered
-        )
+        found, _ = self.conjugation_action(self._grow_sylow(ell, target, elems))
+        return tuple(frozenset(Permutation(self.line, img) for img in s) for s in found)
 
     def _grow_sylow(self, ell, target, elems):
         seed = None
@@ -569,7 +586,8 @@ class PermGroup:
                 if y in current:
                     continue
                 grown = closure_images(gens + [y], limit=target)
-                if grown is not None and _is_power_of(len(grown), ell):
+                # the divisors of the ell-power target are the powers of ell
+                if grown is not None and target % len(grown) == 0:
                     gens.append(y)
                     current = grown
                     break
@@ -579,9 +597,3 @@ class PermGroup:
 
     def sylow_count(self, ell: int) -> int:
         return len(self.sylow_subgroups(ell))
-
-
-def _is_power_of(n: int, ell: int) -> bool:
-    while n % ell == 0:
-        n //= ell
-    return n == 1

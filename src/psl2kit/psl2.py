@@ -15,9 +15,10 @@ routine, ``_conjugation``, serves conjugacy classes, normality and normal
 closures.  ``Mat2`` values are built only for class representatives, seeds,
 conjugates that join a closure's generators, witnesses and factors.
 
-Which q get built is decided by one cap: the order of PSL(2,q) against
-``fields.DEFAULT_ENUMERATION_CAP``, checked before q is factored.  That
-admits exactly the prime powers q <= 31, for SL(2,q) and PSL(2,q) alike.
+Which SL(2,q) get built as matrices, and so which PSL(2,q) for q not
+prime, is decided by the order of PSL(2,q) against
+``fields.DEFAULT_ENUMERATION_CAP``: exactly the prime powers q <= 31.  For
+prime q, PSL(2,q) is a chain of two generators, bounded by the degree cap.
 """
 
 from __future__ import annotations
@@ -168,9 +169,14 @@ class SL2Group:
         """PSL(2,q) on the projective line, from the shears' images."""
         return PermGroup(moebius_permutation(m, self.line) for m in sl2_generators(self.field))
 
+    @cached_property
+    def conjugation(self):
+        """``_conjugation`` over this group's field, built once."""
+        return _conjugation(self.field)
+
 
 def check_psl2_cap(q: int) -> None:
-    """Build SL(2,q) and PSL(2,q) only while PSL(2,q) is within the
+    """Build SL(2,q) as matrices only while PSL(2,q) is within the
     enumeration cap; a comparison, so it runs before q is factored."""
     check_cap(f"PSL(2,{q}) order", psl2_expected_order(q), "enumeration cap",
               DEFAULT_ENUMERATION_CAP)
@@ -183,16 +189,18 @@ def sl2_group(q: int) -> SL2Group:
 
 
 def psl2_perm_group(q: int) -> PermGroup:
-    """PSL(2,q) acting on the q+1 projective points, for the prime powers
-    q <= 31 that ``check_psl2_cap`` admits.
+    """PSL(2,q) acting on the q+1 projective points.
 
-    Prime q uses the unit translation and z -> -1/z as generators; other
-    prime powers use the images of the shear generators.
+    Prime q uses the unit translation and z -> -1/z as generators, under the
+    field and degree caps only; other prime powers use the images of the
+    shear generators of ``sl2_group``, for the q <= 31 that
+    ``check_psl2_cap`` admits.
     """
-    sl2 = sl2_group(q)
-    if sl2.field.degree == 1:
-        return PermGroup([sl2.line.translation(1), sl2.line.neg_reciprocal()])
-    return sl2.perm_group
+    field = field_of_order(q)
+    if field.degree > 1:
+        return sl2_group(q).perm_group
+    line = ProjLine(field)
+    return PermGroup([line.translation(1), line.neg_reciprocal()])
 
 
 def psl2_expected_order(q: int) -> int:
@@ -228,7 +236,7 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
     matrices."""
     f = sl2.field
     limit = len(sl2.codes)
-    maps, act = _conjugation(f)
+    maps, act = sl2.conjugation
     gens = list(dict.fromkeys(seeds))
     closure = mat_closure(gens, limit)
     if closure is None:
@@ -281,7 +289,7 @@ def _verify_normal(sl2: SL2Group, subgroup: frozenset[int]) -> bool:
     outside SL(2,q) included, runs the loop."""
     if subgroup == sl2.codes:
         return True
-    maps, act = _conjugation(sl2.field)
+    maps, act = sl2.conjugation
     return all(act(x, m) in subgroup for m in maps for x in subgroup)
 
 
@@ -402,7 +410,7 @@ class SimplicityCertificate:
 def matrix_conjugacy_representatives(sl2: SL2Group) -> tuple[Mat2, ...]:
     """One representative per conjugacy class of SL(2,q), smallest first."""
     f = sl2.field
-    maps, act = _conjugation(f)
+    maps, act = sl2.conjugation
     seen: set[int] = set()
     reps = []
     for x in sorted(sl2.codes):

@@ -33,14 +33,16 @@ from operator import eq
 from .fields import (
     CUBIC_X3_X2_1,
     CUBIC_X3_X_1,
+    DEFAULT_ENUMERATION_CAP,
     QuadraticClasses,
+    check_cap,
     gf8_labeling,
     is_prime,
     quadratic_classes,
 )
 from .groups import PermGroup, closure_images, orbit
 from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
-from .psl2 import check_psl2_cap, psl2_perm_group
+from .psl2 import psl2_perm_group
 
 
 class NoTwistExponent(RuntimeError):
@@ -898,10 +900,11 @@ def p3_case_check(group: PermGroup | None = None) -> CheckResult:
         group = psl2_perm_group(3)
     line = group.line
     order_ok = group.order() == 12
+    # even: an even number of inverted pairs
     even_perms = frozenset(
         images
         for images in itertools.permutations(range(4))
-        if _parity(images) == 0
+        if sum(a > b for a, b in itertools.combinations(images, 2)) % 2 == 0
     )
     equals_alternating = group.element_set() == even_perms
     swap = line.from_cycles("(0 inf)(1 2)")
@@ -919,89 +922,69 @@ def p3_case_check(group: PermGroup | None = None) -> CheckResult:
     return CheckResult("p3-case", passed, witness)
 
 
-def _parity(images) -> int:
-    inversions = sum(
-        1
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-        if images[i] > images[j]
-    )
-    return inversions % 2
+def sylow_orbit(group: PermGroup, p: int):
+    """The Sylow p-subgroups of a group of order (p^3-p)/2 holding z+1, and
+    how its generators permute them (``PermGroup.conjugation_action``).
+
+    p^2 does not divide (p^3-p)/2, so <z+1> is a Sylow p-subgroup, and by
+    Sylow's theorem every other one is conjugate to it: they are its orbit
+    under conjugation by the generators, found with no element scan."""
+    sigma = group.line.translation(1).images
+    powers = [identity_images(group.degree)]
+    for _ in range(p - 1):
+        powers.append(compose_images(sigma, powers[-1]))
+    return group.conjugation_action(powers)
 
 
 def corollary_check(p: int) -> CheckResult:
     """Simplicity forces the projective group: verify the Sylow count and
     that relabeling the conjugation action on Sylow subgroups reproduces
-    the projective-line action."""
+    the projective-line action.  The p(p+1) elements of the Sylow
+    subgroups are all it holds, so they meet the enumeration cap."""
     if p <= 3:
         raise ValueError("the corollary pipeline runs for p > 3")
-    check_psl2_cap(p)
+    check_cap("Sylow subgroup elements", p * (p + 1), "enumeration cap", DEFAULT_ENUMERATION_CAP)
     if not is_prime(p):
         raise ValueError(f"the corollary needs a prime p, got {p}")
     group = psl2_perm_group(p)
     line = group.line
     simple = group.is_simple()
-    sylows = group.sylow_subgroups(p)
+    ident = identity_images(line.size)
+    sigma = line.translation(1).images
+    # subgroups are indices into ``sylows``; ``action`` holds, per generator,
+    # the index each one is conjugated to
+    sylows, action = sylow_orbit(group, p)
     count_ok = len(sylows) == p + 1
+    gens = [g.images for g in group.generators]
+    shift = action[gens.index(sigma)]
 
-    sigma = line.translation(1)
-    sigma_inv = sigma.inverse()
-
-    def conj(sub: frozenset[Permutation], g: Permutation, g_inv: Permutation):
-        return frozenset(g * x * g_inv for x in sub)
-
-    sigma_subgroup = frozenset(
-        _powers_of(sigma, p, line)
-    )
-    labels: dict[frozenset[Permutation], int] = {sigma_subgroup: line.infinity}
-    others = [s for s in sylows if s != sigma_subgroup]
-    start = min(others, key=lambda s: sorted(x.images for x in s))
-    cur = start
-    cycle_ok = True
+    # <z+1> is labeled inf, and z+1 walks the others through 0 .. p-1
+    home = next(i for i, sub in enumerate(sylows) if sigma in sub)
+    labels = {home: line.infinity}
+    cur = start = min(i for i in range(len(sylows)) if i != home)
     for i in range(p):
-        if cur in labels:
-            cycle_ok = False
-            break
-        labels[cur] = i
-        cur = conj(cur, sigma, sigma_inv)
-    cycle_ok = cycle_ok and cur == start and len(labels) == p + 1
+        labels.setdefault(cur, i)
+        cur = shift[cur]
+    cycle_ok = cur == start and len(labels) == p + 1
 
-    beta_ok = cycle_ok
+    # each subgroup fixes one point, which takes the subgroup's label
     beta: list[int | None] = [None] * line.size
     if cycle_ok:
-        for sub in sylows:
-            member = next(x for x in sorted(sub) if not x.is_identity())
-            fixed = member.fixed_points()
-            if len(fixed) != 1:
-                beta_ok = False
-                break
-            (pt,) = fixed
-            if beta[pt] is not None:
-                beta_ok = False
-                break
-            beta[pt] = labels[sub]
-        beta_ok = beta_ok and None not in beta
+        for idx, sub in enumerate(sylows):
+            member = min(x for x in sub if x != ident)
+            fixed = [x for x, y in enumerate(member) if x == y]
+            if len(fixed) == 1 and beta[fixed[0]] is None:
+                beta[fixed[0]] = labels[idx]
+    beta_ok = cycle_ok and None not in beta
 
-    intertwines = False
-    action_doubly_transitive = False
+    intertwines = action_doubly_transitive = False
     if beta_ok:
-        beta_t = tuple(beta)  # type: ignore[arg-type]
-        intertwines = True
-        action_gens = []
-        for g in group.generators:
-            g_inv = g.inverse()
-            images = [0] * line.size
-            for sub, label in labels.items():
-                images[label] = labels[conj(sub, g, g_inv)]
-            relabeled = tuple(images)
-            action_gens.append(Permutation(line, relabeled))
-            expected = tuple(
-                beta_t[g(x)] for x in invert_images(beta_t)
-            )
-            if relabeled != expected:
-                intertwines = False
-        if action_gens:
-            action_doubly_transitive = PermGroup(action_gens).is_doubly_transitive()
+        by_label = sorted(labels, key=labels.get)
+        relabeled = [tuple(labels[moved[i]] for i in by_label) for moved in action]
+        beta_inv = invert_images(beta)
+        intertwines = relabeled == [tuple(beta[g[x]] for x in beta_inv) for g in gens]
+        action_group = PermGroup(Permutation(line, r) for r in relabeled)
+        action_doubly_transitive = action_group.is_doubly_transitive()
 
     passed = simple and count_ok and cycle_ok and beta_ok and intertwines
     witness = {
@@ -1019,15 +1002,6 @@ def corollary_check(p: int) -> CheckResult:
         "sylow_action_doubly_transitive": action_doubly_transitive,
     }
     return CheckResult("corollary", passed, witness)
-
-
-def _powers_of(perm: Permutation, order: int, line: ProjLine):
-    out = [line.identity()]
-    cur = perm
-    for _ in range(order - 1):
-        out.append(cur)
-        cur = cur * perm
-    return out
 
 
 def exceptional_report(variant: int) -> CheckResult:

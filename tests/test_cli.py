@@ -10,6 +10,7 @@ import pytest
 
 from psl2kit import cli, fields, search
 from psl2kit.cli import main
+from psl2kit.groups import SylowGrowthFails
 from psl2kit.psl2 import psl2_perm_group
 
 
@@ -145,7 +146,9 @@ def test_every_runtime_invariant_maps_to_exit_3():
         )
         if issubclass(cls, RuntimeError) and cls.__module__.startswith("psl2kit.")
     }
-    assert defined == set(cli.INVARIANT_ERRORS)
+    # SylowGrowthFails is raised only under PermGroup.sylow_subgroups, which
+    # no command calls (test_source.test_no_command_reaches_the_sylow_scan)
+    assert defined - {SylowGrowthFails} == set(cli.INVARIANT_ERRORS)
 
 
 def test_shared_parser_matches_fresh_processes(capsys):
@@ -211,6 +214,63 @@ def test_huge_order_exits_4_before_trial_division(argv):
     assert run.stderr.startswith("psl2kit: error: ") and "Traceback" not in run.stderr
 
 
+def _gens_file(tmp_path, p):
+    """A generators file holding z -> z+1 and z -> -1/z over Z/p."""
+    shift = "(" + " ".join(str(x) for x in range(p)) + ")"
+    pairs = {frozenset((x, pow(p - x, p - 2, p))) for x in range(1, p)}
+    swaps = "".join(
+        f"({min(pair)} {max(pair)})" if len(pair) == 2 else "" for pair in sorted(pairs, key=min)
+    )
+    path = tmp_path / f"p{p}.gens"
+    path.write_text(f"p={p}\n{shift}\n(0 inf){swaps}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["corollary", "--p", "149"],
+         "Sylow subgroup elements 22350 exceeds enumeration cap 20000"),
+        (["classify", "--p", "65521", "--group", "psl2"], "degree 65522 exceeds degree cap 8192"),
+        (["psl2", "--q", "65521", "--check", "order"], "degree 65522 exceeds degree cap 8192"),
+        # 8209 is the first prime whose line has more points than the degree cap
+        (["classify", "--p", "8209", "--group", "GENS"], "degree 8210 exceeds degree cap 8192"),
+        (["psl2", "--q", "37", "--check", "simplicity"],
+         "PSL(2,37) order 25308 exceeds enumeration cap 20000"),
+        (["psl2", "--q", "32", "--check", "order"],
+         "PSL(2,32) order 32736 exceeds enumeration cap 20000"),
+    ],
+)
+def test_caps_exit_4_with_one_line(tmp_path, argv, message):
+    """Every cap is checked before the chain or the matrices it bounds are
+    built, so each run is refused quickly, with one line naming the cap."""
+    argv = [_gens_file(tmp_path, 8209) if a == "GENS" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "psl2kit", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=10,
+    )
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == [f"psl2kit: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corollary", "--p", "139"],
+        ["classify", "--p", "199", "--group", "psl2"],
+        ["psl2", "--q", "1009", "--check", "order"],
+    ],
+    ids=["corollary-139", "classify-199", "psl2-order-1009"],
+)
+def test_prime_chains_run_past_the_enumeration_cap(capsys, argv):
+    """PSL(2,p) for prime p is a chain that enumerates nothing, so only the
+    degree cap bounds it, and the corollary only its p(p+1) Sylow elements."""
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0  # every check passed
+    assert json.loads(out)
+
+
 def test_psl2_order_command(capsys):
     code, out = run_cli(capsys, "psl2", "--q", "7", "--check", "order", "--format", "json")
     assert code == 0
@@ -263,7 +323,8 @@ def test_corollary_command(capsys):
     check = payload["checks"][0]
     assert check["pass"] is True
     assert check["witness"]["sylow_count"] == 8
-    code, _ = run_cli(capsys, "corollary", "--p", "37")
+    # 149 * 150 Sylow subgroup elements exceed the enumeration cap; 139 * 140 do not
+    code, _ = run_cli(capsys, "corollary", "--p", "149")
     assert code == 4
 
 
@@ -393,6 +454,12 @@ def test_usage_errors(capsys):
              ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")])
             for p in (37, 41, 43)
         ),
+        *(
+            (f"classify_p{p}_gens", ["classify", "--p", str(p), "--group", "psl2"])
+            for p in (37, 41, 43)
+        ),
+        # the corollary holds p(p+1) Sylow elements, not the group
+        ("corollary_p61", ["corollary", "--p", "61"]),
     ],
 )
 def test_golden_reports(capsys, name, argv):

@@ -124,6 +124,13 @@ def test_elements_sorted_and_capped(line5):
     assert DEFAULT_ENUMERATION_CAP == 20000
 
 
+def test_chain_degree_capped():
+    # 8209 is the first prime whose line has more points than the degree cap
+    line = line_over(8209)
+    with pytest.raises(CapExceeded, match="^degree 8210 exceeds degree cap 8192$"):
+        PermGroup([line.translation(1)])
+
+
 def test_conjugacy_class_capped():
     # S_12 on the 12 points of the p = 11 line: its 12-cycles form a class
     # of 11! elements, its transpositions one of 66

@@ -15,6 +15,7 @@ from psl2kit.fields import (
     IndexOutOfRange,
     NotPrime,
     field_of_order,
+    is_prime,
 )
 from psl2kit.groups import PermGroup, orbit
 from psl2kit.projline import DomainMismatch
@@ -221,8 +222,8 @@ def test_psl2_orders():
 
 
 def test_psl2_unsupported_orders():
-    with pytest.raises(CapExceeded):
-        psl2_perm_group(37)
+    # prime q is a chain of two generators, past the enumeration cap
+    assert psl2_perm_group(37).order() == psl2_expected_order(37)
     with pytest.raises(CapExceeded):
         psl2_perm_group(32)
     with pytest.raises(NotPrime):
@@ -231,23 +232,38 @@ def test_psl2_unsupported_orders():
 
 @pytest.mark.parametrize("build", [psl2_perm_group, sl2_group])
 def test_built_exactly_within_the_enumeration_cap(build):
-    """SL(2,q) and PSL(2,q) are refused with CapExceeded exactly when
-    PSL(2,q) is larger than the enumeration cap, so both admit exactly the
-    prime powers q <= 31."""
+    """SL(2,q) is refused with CapExceeded exactly when PSL(2,q) is larger
+    than the enumeration cap, so it admits exactly the prime powers q <= 31.
+    PSL(2,q) on the line is refused the same way unless q is prime: then it
+    is a chain of two generators, which the cap does not bound."""
     built = []
     for q in range(2, 65):
         over = psl2_expected_order(q) > DEFAULT_ENUMERATION_CAP
+        if build is psl2_perm_group and is_prime(q):
+            assert build(q).order() == psl2_expected_order(q)
+            continue
         try:
             build(q)
         except CapExceeded:
             assert over, q
             continue
-        except NotPrime:  # q is not a prime power
-            assert not over, q
+        except NotPrime:  # q is not a prime power; sl2_group checks the cap first
+            assert not (over and build is sl2_group), q
             continue
         assert not over, q
         built.append(q)
-    assert tuple(built) == MATRIX_ORDERS
+    expected = MATRIX_ORDERS if build is sl2_group else (4, 8, 9, 16, 25, 27)
+    assert tuple(built) == expected
+
+
+def test_conjugation_built_once_per_group(monkeypatch):
+    calls = []
+    build = psl2._conjugation
+    monkeypatch.setattr(psl2, "_conjugation", lambda field: calls.append(field) or build(field))
+    for q in (4, 5, 9):
+        certificate = certify_simplicity(q)
+        assert certificate.verdict and certificate.reverify()
+    assert [f.order for f in calls] == [4, 5, 9]
 
 
 def test_shear_subgroups_generate():

@@ -120,3 +120,17 @@ def test_one_home_for_the_chain_base():
             if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 found.append(f"{name}:{node.lineno} _levels")
     assert found == []
+
+
+def test_no_command_reaches_the_sylow_scan():
+    # the Sylow scan and its SylowGrowthFails stay inside groups.py: no other
+    # module calls it, so cli.INVARIANT_ERRORS need not catch that error
+    scan = {"sylow_subgroups", "sylow_count", "_grow_sylow", "SylowGrowthFails"}
+    found = [
+        f"{name}:{node.lineno} {node.attr if isinstance(node, ast.Attribute) else node.id}"
+        for name, node in _nodes()
+        if name != "groups.py"
+        and (isinstance(node, ast.Attribute) and node.attr in scan
+             or isinstance(node, ast.Name) and node.id in scan)
+    ]
+    assert found == []

@@ -31,6 +31,7 @@ from psl2kit.verify import (
     decomposition_check,
     exceptional_report,
     p3_case_check,
+    sylow_orbit,
     twist_exponent,
 )
 
@@ -612,7 +613,53 @@ def test_corollary_range():
     with pytest.raises(ValueError):
         corollary_check(3)
     with pytest.raises(ValueError):
-        corollary_check(37)
+        corollary_check(149)
+
+
+def test_corollary_enumerates_nothing(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("the corollary scanned the group")
+
+    monkeypatch.setattr(PermGroup, "element_images", refuse)
+    monkeypatch.setattr(PermGroup, "sylow_subgroups", refuse)
+    for p in (5, 7, 11, 37):
+        assert corollary_check(p).passed
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_sylow_orbit_is_every_sylow_subgroup(p):
+    group = psl2_cached(p)
+    sylows, action = sylow_orbit(group, p)
+    assert list(sylows) == [frozenset(x.images for x in s) for s in group.sylow_subgroups(p)]
+    assert len(sylows) == p + 1
+    # each generator permutes the subgroups as conjugation does
+    for g, moved in zip(group.generators, action):
+        for sub, image in zip(sylows, moved):
+            assert sylows[image] == frozenset((g * Permutation(g.line, x) * g.inverse()).images
+                                              for x in sub)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_sylow_orbit_against_sympy(p):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = psl2_cached(p)
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators]
+    )
+    sylow = frozenset(tuple(x.array_form) for x in oracle.sylow_subgroup(p).elements)
+    # the conjugates of sympy's Sylow subgroup, by sympy's own products
+    conjugates, queue = {sylow}, [sylow]
+    for sub in queue:
+        for g in oracle.generators:
+            image = frozenset(
+                tuple((~g * combinatorics.Permutation(list(x)) * g).array_form) for x in sub
+            )
+            if image not in conjugates:
+                conjugates.add(image)
+                queue.append(image)
+    sylows, _ = sylow_orbit(group, p)
+    assert set(sylows) == conjugates
+    assert len(conjugates) == p + 1
 
 
 def test_build_exceptional():
