@@ -13,7 +13,7 @@ import json
 import sys
 
 from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
-from .fields import MAX_FIELD_ORDER, check_cap, is_prime
+from .fields import MAX_DEGREE, MAX_FIELD_ORDER, check_cap, is_prime
 from .groups import PermGroup
 from .projline import ProjLine
 from .psl2 import (
@@ -189,6 +189,7 @@ def cmd_classify(args) -> int:
     check_cap("field order", args.p, "field cap", MAX_FIELD_ORDER)
     if not is_prime(args.p) or args.p == 2:
         raise ValueError(f"--p must be an odd prime, got {args.p}")
+    check_cap("degree", args.p + 1, "degree cap", MAX_DEGREE)  # before any field is built
     group = _resolve_group(args)
     report = classify(group, args.p)
     _emit(report.to_json_dict(), args)

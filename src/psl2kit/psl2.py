@@ -15,6 +15,13 @@ routine, ``_conjugation``, serves conjugacy classes, normality and normal
 closures.  ``Mat2`` values are built only for class representatives, seeds,
 conjugates that join a closure's generators, witnesses and factors.
 
+A normal closure's subgroups lie in SL(2,q), so by Lagrange each closure
+stops as soon as it holds more than half of SL(2,q): it is then SL(2,q),
+returned as ``SL2Group.codes`` itself.  The rest is built once per
+``SL2Group``, so it lives for one job: the row maps of the matrices that
+generate closures (``SL2Group.row_map``), the conjugation maps, and the
+corner witness of all of SL(2,q).
+
 Which SL(2,q) get built as matrices, and so which PSL(2,q) for q not
 prime, is decided by the order of PSL(2,q) against
 ``fields.DEFAULT_ENUMERATION_CAP``: exactly the prime powers q <= 31.  For
@@ -26,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import DEFAULT_ENUMERATION_CAP, Field, check_cap, field_of_order
+from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, Field, check_cap, field_of_order
 from .groups import PermGroup, orbit
 from .projline import DomainMismatch, ProjLine, moebius_permutation
 
@@ -162,7 +169,7 @@ class SL2Group:
     @cached_property
     def codes(self) -> frozenset[int]:
         """The codes of all of SL(2,q), the closure of the shears."""
-        return mat_closure(sl2_generators(self.field))
+        return mat_closure(sl2_generators(self.field), row_map=self.row_map)
 
     @cached_property
     def perm_group(self) -> PermGroup:
@@ -173,6 +180,24 @@ class SL2Group:
     def conjugation(self):
         """``_conjugation`` over this group's field, built once."""
         return _conjugation(self.field)
+
+    @cached_property
+    def corner_witness(self) -> Mat2:
+        """``find_nonzero_corner_witness`` of all of SL(2,q), built once."""
+        return _smallest_corner(self.field, self.codes)
+
+    @cached_property
+    def _row_maps(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def row_map(self, g: Mat2) -> tuple[int, ...]:
+        """``_row_map(g)``, built once per matrix of this group's field."""
+        if g.field is not self.field and g.field != self.field:
+            raise DomainMismatch("matrix over a different field")
+        rho = self._row_maps.get(g.code)
+        if rho is None:
+            rho = self._row_maps[g.code] = _row_map(g)
+        return rho
 
 
 def check_psl2_cap(q: int) -> None:
@@ -194,8 +219,10 @@ def psl2_perm_group(q: int) -> PermGroup:
     Prime q uses the unit translation and z -> -1/z as generators, under the
     field and degree caps only; other prime powers use the images of the
     shear generators of ``sl2_group``, for the q <= 31 that
-    ``check_psl2_cap`` admits.
+    ``check_psl2_cap`` admits.  The degree cap is compared before the field
+    is built.
     """
+    check_cap("degree", q + 1, "degree cap", MAX_DEGREE)
     field = field_of_order(q)
     if field.degree > 1:
         return sl2_group(q).perm_group
@@ -210,12 +237,12 @@ def psl2_expected_order(q: int) -> int:
 # --- matrix subgroups and normal closures ----------------------------------
 
 
-def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
+def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozenset[int] | None:
     """Product closure of matrices as codes, the orbit of the identity's code
     under right multiplication; None once it exceeds ``limit``.
 
     Right multiplication by g maps each row v of a matrix to v*g, so the
-    product of a code with g is two lookups in g's row map."""
+    product of a code with g is two lookups in g's row map, ``row_map(g)``."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
@@ -225,7 +252,7 @@ def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
     qq = field.order**2
     return orbit(
         [mat_identity(field).code],
-        [_row_map(g) for g in gens],
+        [row_map(g) for g in gens],
         lambda x, rho: rho[x // qq] * qq + rho[x % qq],
         limit,
     )
@@ -233,27 +260,35 @@ def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
 
 def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
     """Codes of the smallest normal subgroup of SL(2,q) containing the seed
-    matrices."""
+    matrices, which must lie in SL(2,q).
+
+    Each closure stops at half of SL(2,q) (the Lagrange exit below), and
+    every generator's row map comes from the group's cache, so a class's
+    last closure does not run out to all q**3 - q codes."""
     f = sl2.field
-    limit = len(sl2.codes)
-    maps, act = sl2.conjugation
     gens = list(dict.fromkeys(seeds))
-    closure = mat_closure(gens, limit)
-    if closure is None:
-        raise SeedsOutsideSL2("the seeds generate more than SL(2,q)")
-    while True:
+    if not all(g.field == f and g.code in sl2.codes for g in gens):
+        raise SeedsOutsideSL2("a seed lies outside SL(2,q)")
+    # The seeds and their shear-conjugates lie in SL(2,q), so every closure
+    # below is a subgroup of SL(2,q), and its order divides q**3 - q.  One
+    # with more than half of those elements is therefore SL(2,q) itself.
+    half = len(sl2.codes) // 2
+    maps, act = sl2.conjugation
+    closure = mat_closure(gens, half, row_map=sl2.row_map)
+    while closure is not None:
         added = False
         for m in maps:
             for x in [g.code for g in gens]:
                 t = act(x, m)
                 if t not in closure:
                     gens.append(Mat2(f, *_entries_of(t, f.order)))
-                    closure = mat_closure(gens, limit)
+                    closure = mat_closure(gens, half, row_map=sl2.row_map)
                     if closure is None:
-                        raise SeedsOutsideSL2("the seeds' conjugates generate more than SL(2,q)")
+                        return sl2.codes
                     added = True
         if not added:
             return closure
+    return sl2.codes
 
 
 def _conjugation(field: Field):
@@ -303,13 +338,19 @@ def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2
     upper-right entry d - a != 0 if c = 0.  So a normal subgroup without such
     a member is central.
     """
+    if subgroup is sl2.codes:
+        return sl2.corner_witness
     if not _verify_normal(sl2, subgroup):
         raise ValueError("subgroup is not normal in SL(2,q)")
-    q = sl2.field.order
-    corner = min((x for x in subgroup if x // (q * q) % q), default=None)
+    return _smallest_corner(sl2.field, subgroup)
+
+
+def _smallest_corner(field: Field, codes) -> Mat2:
+    q = field.order
+    corner = min((x for x in codes if x // (q * q) % q), default=None)
     if corner is None:
         raise OnlyScalars("subgroup is central")
-    return Mat2(sl2.field, *_entries_of(corner, q))
+    return Mat2(field, *_entries_of(corner, q))
 
 
 def factor_with_lower_shear(
@@ -317,9 +358,10 @@ def factor_with_lower_shear(
 ) -> tuple[Mat2, Mat2]:
     """Write target = u * B with u lower unitriangular and B in the subgroup,
     given by codes."""
-    for r in sl2.field.elements():
-        u = Mat2(sl2.field, 1, 0, r, 1)
-        candidate = u.inverse().mul(target)
+    f = sl2.field
+    for r in f.elements():
+        u = Mat2(f, 1, 0, r, 1)
+        candidate = Mat2(f, 1, 0, f.neg(r), 1).mul(target)  # u^-1 * target
         if candidate.code in subgroup:
             return u, candidate
     raise DecompositionFails(
@@ -351,12 +393,22 @@ class SimplicityCertificate:
     verdict: bool
 
     def reverify(self) -> bool:
-        """Recheck every recorded identity by direct matrix arithmetic."""
+        """Recheck every recorded identity by direct matrix arithmetic.
+
+        The representatives must be distinct non-scalar matrices of
+        SL(2,q); that they are one per class, and that each closure really
+        is SL(2,q), is not replayed here."""
         if self.group_order != self.q**3 - self.q:
             return False
         field = field_of_order(self.q)
         lower_shears = frozenset(Mat2(field, 1, 0, r, 1) for r in field.elements())
+        representatives = [entry.representative for entry in self.entries]
+        if len(set(representatives)) != len(representatives):
+            return False
         for entry in self.entries:
+            rep = entry.representative
+            if rep.field != field or rep.det != 1 or rep.is_scalar():
+                return False
             w = entry.nonzero_corner_witness
             if w.det != 1 or w.b == 0:
                 return False
@@ -433,8 +485,9 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         raise FieldTooSmall("the argument needs more than 3 field elements")
     sl2 = sl2_group(q)
     f = sl2.field
-    lower_shears = [Mat2(f, 1, 0, r, 1) for r in f.elements()]
-    lower_codes = frozenset(m.code for m in lower_shears)
+    # each lower shear with its inverse, the shear by -r
+    lower_shears = [(Mat2(f, 1, 0, r, 1), Mat2(f, 1, 0, f.neg(r), 1)) for r in f.elements()]
+    lower_codes = frozenset(m.code for m, _ in lower_shears)
     upper_codes = frozenset(Mat2(f, 1, r, 0, 1).code for r in f.elements())
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
     diagonal = Mat2(f, a, 0, 0, f.inv(a))
@@ -447,8 +500,8 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         u, B = factor_with_lower_shear(sl2, diagonal, closure)
         B_inv = B.inverse()
         pairs = []
-        for shear in lower_shears:
-            comm = shear.mul(B).mul(shear.inverse()).mul(B_inv)
+        for shear, shear_inv in lower_shears:
+            comm = shear.mul(B).mul(shear_inv).mul(B_inv)
             if comm.code not in closure:
                 raise NotInClosure(f"commutator {comm} is not in the normal closure")
             pairs.append((shear, comm))

@@ -273,6 +273,16 @@ def test_criterion_14_pair_count_at_p2017(tmp_path):
         assert lemma32.passed
 
 
+def test_criterion_15_simplicity_q31():
+    # the largest q the certificate admits: every normal closure stops at
+    # half of SL(2,31), 29760 codes, and is then SL(2,31) by Lagrange
+    with budget("15 simplicity-q31", 5):
+        certificate = certify_simplicity(31)
+        assert certificate.verdict
+        assert certificate.reverify()
+        assert certificate.verdict == psl2_perm_group(31).is_simple()
+
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from psl2kit import cli, fields, search
+from psl2kit import cli, fields, psl2, search
 from psl2kit.cli import main
 from psl2kit.groups import SylowGrowthFails
 from psl2kit.psl2 import psl2_perm_group
@@ -252,6 +252,22 @@ def test_caps_exit_4_with_one_line(tmp_path, argv, message):
     )
     assert run.returncode == 4
     assert run.stderr.splitlines() == [f"psl2kit: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--p", "65521", "--group", "psl2"],
+        ["psl2", "--q", "65521", "--check", "order"],
+    ],
+)
+def test_degree_cap_refuses_before_any_field_is_built(monkeypatch, capsys, argv):
+    built = []
+    monkeypatch.setattr(psl2, "field_of_order", lambda q: built.append(q))
+    monkeypatch.setattr(fields.Field, "__init__", lambda self, *a, **k: built.append(a))
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "psl2kit: error: degree 65522 exceeds degree cap 8192\n"
+    assert built == []
 
 
 @pytest.mark.parametrize(

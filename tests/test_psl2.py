@@ -438,6 +438,37 @@ def test_reverify_rejects_wrong_group_order():
     assert not tampered.reverify()
 
 
+def test_reverify_rejects_forged_representatives():
+    certificate = certify_simplicity(7)
+    f = certificate.entries[0].representative.field
+    identity = mat_identity(f)
+
+    def forged(*reps):
+        entries = tuple(
+            dataclasses.replace(e, representative=r)
+            for e, r in zip(certificate.entries, itertools.cycle(reps))
+        )
+        return dataclasses.replace(certificate, entries=entries)
+
+    assert len(certificate.entries) == 9 and certificate.reverify()
+    assert not forged(identity).reverify()  # all nine the identity
+    assert not forged(mat_neg(identity)).reverify()  # a scalar
+    first = certificate.entries[0].representative
+    assert not forged(*[e.representative for e in certificate.entries[:-1]], first).reverify()
+    for stranger in (Mat2(f, 2, 0, 0, 1), Mat2(Field(5), 1, 1, 0, 1)):  # det 2; over GF(5)
+        reps = [e.representative for e in certificate.entries]
+        reps[3] = stranger
+        assert not forged(*reps).reverify()
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31])
+def test_genuine_certificates_reverify_to_q31(q):
+    certificate = certify_simplicity(q)
+    assert certificate.verdict and certificate.reverify()
+    reps = [e.representative for e in certificate.entries]
+    assert len(set(reps)) == len(reps) and not any(r.is_scalar() for r in reps)
+
+
 def test_certificate_json_round_trip():
     certificate = certify_simplicity(5)
     blob = json.dumps(certificate.to_json_dict(), sort_keys=True)
@@ -535,9 +566,9 @@ def test_matrix_normal_closure_matches_the_matrix_loop(monkeypatch, q):
     close = psl2.mat_closure
     calls = []
 
-    def spy(gens, limit=None):
+    def spy(gens, limit=None, **kwargs):
         calls.append(list(gens))
-        return close(gens, limit)
+        return close(gens, limit, **kwargs)
 
     monkeypatch.setattr(psl2, "mat_closure", spy)
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
@@ -547,6 +578,98 @@ def test_matrix_normal_closure_matches_the_matrix_loop(monkeypatch, q):
         calls.clear()
         closure = matrix_normal_closure(data, seeds)
         assert (closure, calls) == _reference_matrix_normal_closure(data, seeds, close)
+
+
+def _seed_families(f):
+    """Seeds that generate proper subgroups: a diagonal, a Borel pair, one
+    shear, and the scalars, whose normal closure is central."""
+    a = f.primitive_element()
+    diagonal = Mat2(f, a, 0, 0, f.inv(a))
+    shear = Mat2(f, 1, 1, 0, 1)
+    identity = mat_identity(f)
+    return [[diagonal], [diagonal, shear], [shear], [identity], [identity, mat_neg(identity)]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9)), st.data())
+def test_matrix_normal_closure_matches_an_unlimited_reference(q, draws):
+    """The Lagrange exit changes neither the closure nor the generators
+    closed: the reference re-closes every time without any limit.  Over
+    SL(2,2) and SL(2,3) some normal closures are proper and not central."""
+    data = sl2_group(q)
+    f = data.field
+    members = sorted(data.codes)
+    drawn = draws.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
+    family = draws.draw(st.sampled_from(_seed_families(f)))
+    seeds = draws.draw(st.sampled_from(
+        [family, [Mat2(f, *psl2._entries_of(x, q)) for x in drawn]]
+    ))
+    close = psl2.mat_closure
+    calls = []
+
+    def spy(gens, limit=None, **kwargs):
+        calls.append(list(gens))
+        return close(gens, limit, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(psl2, "mat_closure", spy)
+        closure = matrix_normal_closure(data, seeds)
+    reference = _reference_matrix_normal_closure(data, seeds, lambda gens, limit: close(gens))
+    assert (closure, calls) == reference
+
+
+def test_normal_closures_of_sl2_3():
+    """SL(2,3) has the normal subgroup Q8 of order 8, at most half of 24, so
+    the Lagrange exit does not cut it short."""
+    data = sl2_group(3)
+    f = data.field
+    assert len(matrix_normal_closure(data, [Mat2(f, 0, 1, 2, 0)])) == 8
+    assert matrix_normal_closure(data, [Mat2(f, 1, 1, 0, 1)]) is data.codes
+
+
+def test_certify_closures_stop_at_half_of_sl2(monkeypatch):
+    """No closure of the certificate's normal closures runs past half of
+    SL(2,13) plus the one code that shows it."""
+    data = sl2_group(13)
+    half = len(data.codes) // 2  # SL(2,13) itself is built before the spy
+    close = psl2.mat_closure
+    seen = []
+
+    def spy(gens, limit=None, **kwargs):
+        closure = close(gens, limit, **kwargs)
+        seen.append(limit + 1 if closure is None else len(closure))
+        return closure
+
+    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
+    monkeypatch.setattr(psl2, "mat_closure", spy)
+    assert certify_simplicity(13).verdict
+    assert seen and max(seen) <= half + 1
+
+
+def test_row_maps_built_once_per_group(monkeypatch):
+    """Every matrix a closure is generated from gets its row map built once
+    per group, however many closures it joins."""
+    data = sl2_group(11)
+    data.conjugation  # the conjugation's own maps, built once before the spy
+    built = []
+    build = psl2._row_map
+    monkeypatch.setattr(psl2, "_row_map", lambda g: built.append(g.code) or build(g))
+    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
+    certificate = certify_simplicity(11)
+    assert certificate.verdict and certificate.reverify()
+    assert built and len(built) == len(set(built))
+    assert all(data.row_map(g) is data.row_map(g) for g in sl2_generators(data.field))
+    with pytest.raises(DomainMismatch):
+        data.row_map(Mat2(Field(7), 1, 1, 0, 1))
+
+
+def test_corner_witness_of_sl2_is_cached_and_exact():
+    for q in (4, 5, 9):
+        data = sl2_group(q)
+        witness = find_nonzero_corner_witness(data, data.codes)
+        assert witness is data.corner_witness
+        # an equal set that is not ``data.codes`` takes the uncached path
+        assert find_nonzero_corner_witness(data, frozenset(data.codes)) == witness
 
 
 @pytest.mark.parametrize("q", [4, 5, 8])
