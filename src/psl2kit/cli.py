@@ -156,8 +156,15 @@ def _render_text(payload: dict) -> str:
 
 def load_generators_file(path: str, p: int) -> PermGroup:
     with open(path, encoding="ascii") as handle:
-        raw_lines = [line.strip() for line in handle]
-    lines = [line for line in raw_lines if line]
+        try:
+            text = handle.read()  # one decode, so the error's offset is the file's
+        except UnicodeDecodeError as exc:
+            line_no = exc.object[: exc.start].count(b"\n") + 1
+            raise ValueError(
+                f"generators file is not ASCII: byte {exc.object[exc.start]:#04x} on line {line_no}"
+            ) from None
+    lines = [line.strip() for line in text.split("\n")]
+    lines = [line for line in lines if line]
     if not lines or not lines[0].replace(" ", "").startswith("p="):
         raise ValueError("generators file must start with 'p=<prime>'")
     declared = int(lines[0].split("=", 1)[1])

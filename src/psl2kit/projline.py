@@ -170,7 +170,12 @@ class ProjLine:
         det = f.sub(f.mul(a, d), f.mul(b, c))
         if det != 1:
             raise NonUnitDeterminant(f"determinant is {det}, not 1")
-        return _moebius_images(self, a, b, c, d)
+        images = []
+        for z in f.elements():
+            den = f.add(f.mul(c, z), d)
+            images.append(self.infinity if den == 0 else f.div(f.add(f.mul(a, z), b), den))
+        images.append(self.infinity if c == 0 else f.div(a, c))
+        return Permutation(self, tuple(images))
 
     def neg_reciprocal(self) -> "Permutation":
         """The involution z -> -1/z."""
@@ -305,26 +310,3 @@ def _parse_cycle_text(text: str) -> list[list[str]]:
         raise ParseError("unclosed '('")
     return cycles
 
-
-def moebius_permutation(mat, line: ProjLine) -> Permutation:
-    """The permutation z -> (az+b)/(cz+d) of ``line``.
-
-    ``mat`` is any 2x2 matrix with ``field``, ``a``, ``b``, ``c`` and ``d``
-    attributes, such as a ``psl2.Mat2``.
-    """
-    if line.field != mat.field:
-        raise DomainMismatch("map and line use different fields")
-    return _moebius_images(line, mat.a, mat.b, mat.c, mat.d)
-
-
-def _moebius_images(line: ProjLine, a: int, b: int, c: int, d: int) -> Permutation:
-    f = line.field
-    images = []
-    for z in f.elements():
-        den = f.add(f.mul(c, z), d)
-        if den == 0:
-            images.append(line.infinity)
-        else:
-            images.append(f.div(f.add(f.mul(a, z), b), den))
-    images.append(line.infinity if c == 0 else f.div(a, c))
-    return Permutation(line, tuple(images))

@@ -22,10 +22,13 @@ returned as ``SL2Group.codes`` itself.  The rest is built once per
 generate closures (``SL2Group.row_map``), the conjugation maps, and the
 corner witness of all of SL(2,q).
 
-Which SL(2,q) get built as matrices, and so which PSL(2,q) for q not
-prime, is decided by the order of PSL(2,q) against
-``fields.DEFAULT_ENUMERATION_CAP``: exactly the prime powers q <= 31.  For
-prime q, PSL(2,q) is a chain of two generators, bounded by the degree cap.
+PSL(2,q) on the projective line is built from generators alone, one way
+for every prime power q = p**k: the translations z -> z + p**i, the images
+of the upper shears over the additive basis, and z -> -1/z.  Conjugating
+the translations by -1/z gives the lower shears, so the two generate the
+image of SL(2,q); its chain is bounded by the degree cap only.  SL(2,q) is
+built as matrices, for the certificates, only while PSL(2,q) is within
+``fields.DEFAULT_ENUMERATION_CAP``: exactly the prime powers q <= 31.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property
 
 from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, Field, check_cap, field_of_order
 from .groups import PermGroup, orbit
-from .projline import DomainMismatch, ProjLine, moebius_permutation
+from .projline import DomainMismatch, ProjLine
 
 
 class FieldTooSmall(ValueError):
@@ -161,20 +164,14 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
 
 @dataclass(frozen=True)
 class SL2Group:
-    """SL(2,q) from its shears, with its projective-line image; both lazy."""
+    """SL(2,q) from its shears, closed lazily."""
 
     field: Field
-    line: ProjLine
 
     @cached_property
     def codes(self) -> frozenset[int]:
         """The codes of all of SL(2,q), the closure of the shears."""
         return mat_closure(sl2_generators(self.field), row_map=self.row_map)
-
-    @cached_property
-    def perm_group(self) -> PermGroup:
-        """PSL(2,q) on the projective line, from the shears' images."""
-        return PermGroup(moebius_permutation(m, self.line) for m in sl2_generators(self.field))
 
     @cached_property
     def conjugation(self):
@@ -209,25 +206,25 @@ def check_psl2_cap(q: int) -> None:
 
 def sl2_group(q: int) -> SL2Group:
     check_psl2_cap(q)
-    field = field_of_order(q)
-    return SL2Group(field, ProjLine(field))
+    return SL2Group(field_of_order(q))
 
 
 def psl2_perm_group(q: int) -> PermGroup:
-    """PSL(2,q) acting on the q+1 projective points.
+    """PSL(2,q) acting on the q+1 projective points, for q = p**k.
 
-    Prime q uses the unit translation and z -> -1/z as generators, under the
-    field and degree caps only; other prime powers use the images of the
-    shear generators of ``sl2_group``, for the q <= 31 that
-    ``check_psl2_cap`` admits.  The degree cap is compared before the field
-    is built.
+    The generators are the translations z -> z + p**i for i < k, the images
+    of the upper shears over the additive basis (element index p**i is the
+    monomial x**i), then z -> -1/z.  Conjugating the translations by -1/z
+    gives the images of the lower shears, and the two unitriangular
+    subgroups generate SL(2,q).  For prime q the list is [z+1, -1/z].  Only
+    the field and degree caps apply; the degree cap is compared before the
+    field is built.
     """
     check_cap("degree", q + 1, "degree cap", MAX_DEGREE)
     field = field_of_order(q)
-    if field.degree > 1:
-        return sl2_group(q).perm_group
     line = ProjLine(field)
-    return PermGroup([line.translation(1), line.neg_reciprocal()])
+    translations = [line.translation(field.p**i) for i in range(field.degree)]
+    return PermGroup(translations + [line.neg_reciprocal()])
 
 
 def psl2_expected_order(q: int) -> int:
@@ -395,10 +392,15 @@ class SimplicityCertificate:
     def reverify(self) -> bool:
         """Recheck every recorded identity by direct matrix arithmetic.
 
-        The representatives must be distinct non-scalar matrices of
-        SL(2,q); that they are one per class, and that each closure really
-        is SL(2,q), is not replayed here."""
+        There must be one entry per non-scalar class of SL(2,q), q + 2 for
+        odd q and q for even q, with distinct non-scalar representatives in
+        SL(2,q); every matrix must be over GF(q) and every commutator taken
+        with a lower shear, so a forged entry reads False, not an error.
+        That the representatives lie in distinct classes, and that each
+        closure really is SL(2,q), is not replayed here."""
         if self.group_order != self.q**3 - self.q:
+            return False
+        if len(self.entries) != (self.q + 2 if self.q % 2 else self.q):
             return False
         field = field_of_order(self.q)
         lower_shears = frozenset(Mat2(field, 1, 0, r, 1) for r in field.elements())
@@ -407,13 +409,17 @@ class SimplicityCertificate:
             return False
         for entry in self.entries:
             rep = entry.representative
-            if rep.field != field or rep.det != 1 or rep.is_scalar():
-                return False
             w = entry.nonzero_corner_witness
+            recorded = [rep, w, entry.unitriangular, entry.closure_member]
+            recorded += [shear for shear, _ in entry.commutator_pairs]
+            if any(m.field != field for m in recorded):  # so no product below mixes fields
+                return False
+            if rep.det != 1 or rep.is_scalar():
+                return False
             if w.det != 1 or w.b == 0:
                 return False
             a = entry.diagonal_entry
-            if a in (0, 1, field.neg(1)):
+            if a not in range(2, field.order) or a == field.neg(1):  # not 0, 1 or -1
                 return False
             if entry.diagonal.entries() != (a, 0, 0, field.inv(a)):
                 return False
@@ -421,6 +427,8 @@ class SimplicityCertificate:
                 return False
             commutators = set()
             for shear, comm in entry.commutator_pairs:
+                if (shear.a, shear.b, shear.d) != (1, 0, 1):  # a lower shear, so it inverts
+                    return False
                 B = entry.closure_member
                 if shear.mul(B).mul(shear.inverse()).mul(B.inverse()) != comm:
                     return False
@@ -431,7 +439,7 @@ class SimplicityCertificate:
                 return False
             if not (entry.lower_shears_in_closure and entry.upper_shears_in_closure):
                 return False
-        return self.verdict == bool(self.entries)
+        return self.verdict
 
     def to_json_dict(self) -> dict:
         return {

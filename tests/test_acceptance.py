@@ -10,7 +10,7 @@ from pathlib import Path
 from psl2kit.cli import load_generators_file
 from psl2kit.fields import CUBIC_X3_X_1, Field
 from psl2kit.groups import PermGroup, closure_images
-from psl2kit.projline import ProjLine, moebius_permutation
+from psl2kit.projline import ProjLine
 from psl2kit.psl2 import Mat2, certify_simplicity, psl2_perm_group
 from psl2kit.search import constrained_search, element_set_hash, full_search
 from psl2kit.verify import (
@@ -180,8 +180,8 @@ def test_criterion_8_property_suites():
                 m1 = _random_sl2(line.field, rng)
                 m2 = _random_sl2(line.field, rng)
                 assert m1.det == m2.det == 1
-                left = moebius_permutation(m1.mul(m2), line)
-                right = moebius_permutation(m1, line) * moebius_permutation(m2, line)
+                left = line.moebius(*m1.mul(m2).entries())
+                right = line.moebius(*m1.entries()) * line.moebius(*m2.entries())
                 assert left.images == right.images
         # no non-identity element fixes more than 2 points, exhaustively
         for p in (5, 7, 11, 13):

@@ -97,6 +97,15 @@ def test_classify_input_errors(capsys, tmp_path):
     assert code == 4
 
 
+def test_non_ascii_generators_file_is_one_line(capsys, tmp_path):
+    path = tmp_path / "accent.gens"
+    path.write_bytes("p=7\n(0 1)\n(2 \u00e9)\n".encode("utf-8"))
+    assert main(["classify", "--p", "7", "--group", str(path)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "psl2kit: error: generators file is not ASCII: byte 0xc3 on line 3"
+    ]
+
+
 def test_search_command(capsys):
     code, out = run_cli(
         capsys, "search", "--p", "7", "--mode", "full", "--format", "json"
@@ -237,7 +246,8 @@ def _gens_file(tmp_path, p):
         (["classify", "--p", "8209", "--group", "GENS"], "degree 8210 exceeds degree cap 8192"),
         (["psl2", "--q", "37", "--check", "simplicity"],
          "PSL(2,37) order 25308 exceeds enumeration cap 20000"),
-        (["psl2", "--q", "32", "--check", "order"],
+        # the certificate builds SL(2,32) as matrices; the order check builds none
+        (["psl2", "--q", "32", "--check", "simplicity"],
          "PSL(2,32) order 32736 exceeds enumeration cap 20000"),
     ],
 )
@@ -327,9 +337,13 @@ def test_psl2_generation_command(capsys):
 
 
 def test_psl2_field_too_large(capsys):
-    # 32 is the smallest prime power whose PSL(2,q) exceeds the enumeration cap
-    code, _ = run_cli(capsys, "psl2", "--q", "32", "--check", "order")
-    assert code == 4
+    # 32 is the smallest prime power whose PSL(2,q) exceeds the enumeration
+    # cap; on the line it is a chain of generators, which the cap does not bound
+    for q, order in ((32, 32736), (64, 262080)):
+        code, out = run_cli(capsys, "psl2", "--q", str(q), "--check", "order", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["order"] == payload["expected_order"] == order
 
 
 def test_corollary_command(capsys):

@@ -18,7 +18,6 @@ from psl2kit.projline import (
     WrongLength,
     ZeroScaling,
     compose_images,
-    moebius_permutation,
 )
 from psl2kit.psl2 import Mat2
 
@@ -179,7 +178,7 @@ def test_moebius_kernel_is_center(line7):
     rng = random.Random(11)
     for _ in range(50):
         m = _random_sl2_map(line7.field, rng)
-        assert moebius_permutation(m, line7) == moebius_permutation(mat_neg(m), line7)
+        assert line7.moebius(*m.entries()) == line7.moebius(*mat_neg(m).entries())
 
 
 def _random_sl2_map(field, rng) -> Mat2:
@@ -201,8 +200,8 @@ def test_moebius_homomorphism_random_pairs(p):
         m1 = _random_sl2_map(line.field, rng)
         m2 = _random_sl2_map(line.field, rng)
         assert m1.det == m2.det == 1
-        assert moebius_permutation(m1.mul(m2), line) == (
-            moebius_permutation(m1, line) * moebius_permutation(m2, line)
+        assert line.moebius(*m1.mul(m2).entries()) == (
+            line.moebius(*m1.entries()) * line.moebius(*m2.entries())
         )
 
 

@@ -18,7 +18,7 @@ from psl2kit.fields import (
     is_prime,
 )
 from psl2kit.groups import PermGroup, orbit
-from psl2kit.projline import DomainMismatch
+from psl2kit.projline import DomainMismatch, ProjLine
 from psl2kit import psl2
 from psl2kit.psl2 import (
     DecompositionFails,
@@ -33,7 +33,6 @@ from psl2kit.psl2 import (
     mat_identity,
     matrix_conjugacy_representatives,
     matrix_normal_closure,
-    moebius_permutation,
     certify_simplicity,
     psl2_expected_order,
     psl2_perm_group,
@@ -194,21 +193,22 @@ def test_mat_closure_matches_matrix_orbit(q, draws):
 def test_sl2_group_examples():
     data = sl2_group(7)
     assert len(data.codes) == 336
-    assert data.perm_group.order() == 168
-    assert sl2_group(8).perm_group.order() == 504
-    assert sl2_group(2).perm_group.order() == 6
+    assert len(sl2_group(8).codes) == 504
+    assert len(sl2_group(2).codes) == 6
+    # a matrix group holds its field only: no projective line is built
+    assert [attr.name for attr in dataclasses.fields(data)] == ["field"]
     with pytest.raises(CapExceeded):
         sl2_group(32)
 
 
 def test_moebius_image_homomorphism():
-    data = sl2_group(5)
-    mats = sl2_matrices(data.field)[:20]
+    line = ProjLine(field_of_order(5))
+    mats = sl2_matrices(line.field)[:20]
     for a in mats:
         for b in mats:
-            assert moebius_permutation(a.mul(b), data.line) == moebius_permutation(
-                a, data.line
-            ) * moebius_permutation(b, data.line)
+            assert line.moebius(*a.mul(b).entries()) == (
+                line.moebius(*a.entries()) * line.moebius(*b.entries())
+            )
 
 
 def test_psl2_orders():
@@ -222,37 +222,61 @@ def test_psl2_orders():
 
 
 def test_psl2_unsupported_orders():
-    # prime q is a chain of two generators, past the enumeration cap
+    # every prime power is a chain of generators, past the enumeration cap;
+    # only the degree cap and non-prime-powers refuse
     assert psl2_perm_group(37).order() == psl2_expected_order(37)
-    with pytest.raises(CapExceeded):
-        psl2_perm_group(32)
+    assert psl2_perm_group(32).order() == psl2_expected_order(32)
     with pytest.raises(NotPrime):
         psl2_perm_group(12)
+    with pytest.raises(CapExceeded):
+        psl2_perm_group(8192)  # degree 8193
+
+
+@pytest.mark.parametrize("q", [32, 64, 81, 125])
+def test_psl2_orders_past_the_enumeration_cap(q):
+    group = psl2_perm_group(q)
+    assert group.order() == psl2_expected_order(q) > DEFAULT_ENUMERATION_CAP
+    assert len(group.generators) == field_of_order(q).degree + 1
+
+
+def test_is_simple_past_the_enumeration_cap_for_even_q(monkeypatch):
+    # Iwasawa's criterion decides PSL(2,32) and PSL(2,64) from the chain,
+    # with no class scan
+    def no_scan(self):
+        raise AssertionError("conjugacy_classes called")
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", no_scan)
+    for q in (32, 64):
+        assert psl2_perm_group(q).is_simple()
 
 
 @pytest.mark.parametrize("build", [psl2_perm_group, sl2_group])
 def test_built_exactly_within_the_enumeration_cap(build):
     """SL(2,q) is refused with CapExceeded exactly when PSL(2,q) is larger
     than the enumeration cap, so it admits exactly the prime powers q <= 31.
-    PSL(2,q) on the line is refused the same way unless q is prime: then it
-    is a chain of two generators, which the cap does not bound."""
+    PSL(2,q) on the line is a chain of generators, which the cap does not
+    bound: every prime power q < 65 builds, with the expected order."""
     built = []
     for q in range(2, 65):
         over = psl2_expected_order(q) > DEFAULT_ENUMERATION_CAP
-        if build is psl2_perm_group and is_prime(q):
-            assert build(q).order() == psl2_expected_order(q)
-            continue
         try:
-            build(q)
+            group = build(q)
         except CapExceeded:
-            assert over, q
+            assert over and build is sl2_group, q
             continue
         except NotPrime:  # q is not a prime power; sl2_group checks the cap first
             assert not (over and build is sl2_group), q
             continue
-        assert not over, q
+        if build is psl2_perm_group:
+            assert group.order() == psl2_expected_order(q), q
+        else:
+            assert not over, q
         built.append(q)
-    expected = MATRIX_ORDERS if build is sl2_group else (4, 8, 9, 16, 25, 27)
+    prime_powers = tuple(
+        q for q in range(2, 65)
+        if sum(1 for p in range(2, q + 1) if q % p == 0 and is_prime(p)) == 1
+    )
+    expected = MATRIX_ORDERS if build is sl2_group else prime_powers
     assert tuple(built) == expected
 
 
@@ -461,6 +485,45 @@ def test_reverify_rejects_forged_representatives():
         assert not forged(*reps).reverify()
 
 
+def test_reverify_counts_the_classes():
+    # q + 2 non-scalar classes for odd q, q for even q
+    for q, count in ((7, 9), (8, 8), (9, 11)):
+        certificate = certify_simplicity(q)
+        assert len(certificate.entries) == count and certificate.reverify()
+        for kept in (1, count - 1):
+            cut = dataclasses.replace(certificate, entries=certificate.entries[:kept])
+            assert not cut.reverify()
+        doubled = dataclasses.replace(certificate, entries=certificate.entries * 2)
+        assert not doubled.reverify()
+
+
+def test_reverify_rejects_a_diagonal_entry_outside_the_field():
+    certificate = certify_simplicity(7)
+    for a in (50, 7, -1, 0, 1, 6):  # outside GF(7), then 0, 1 and -1
+        entries = tuple(dataclasses.replace(e, diagonal_entry=a) for e in certificate.entries)
+        assert dataclasses.replace(certificate, entries=entries).reverify() is False
+
+
+def test_reverify_rejects_foreign_and_singular_matrices():
+    certificate = certify_simplicity(7)
+    f = certificate.entries[0].representative.field
+    zero, foreign = Mat2(f, 0, 0, 0, 0), Mat2(Field(5), 1, 0, 1, 1)
+
+    def forged(**changes):
+        entries = tuple(dataclasses.replace(e, **changes) for e in certificate.entries)
+        return dataclasses.replace(certificate, entries=entries)
+
+    pairs = certificate.entries[0].commutator_pairs
+    for changes in (
+        {"unitriangular": foreign},
+        {"closure_member": zero},
+        {"nonzero_corner_witness": Mat2(Field(5), 1, 1, 0, 1)},
+        {"commutator_pairs": ((zero, mat_identity(f)), *pairs[1:])},
+        {"commutator_pairs": pairs[:-1]},
+    ):
+        assert forged(**changes).reverify() is False
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31])
 def test_genuine_certificates_reverify_to_q31(q):
     certificate = certify_simplicity(q)
@@ -478,12 +541,15 @@ def test_certificate_json_round_trip():
     assert all(c["commutators_cover_shears"] for c in parsed["classes"])
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_sl2_perm_group_built_from_shears(q):
-    data = sl2_group(q)
-    assert len(data.perm_group.generators) <= 2 * data.field.degree
-    images = {moebius_permutation(m, data.line).images for m in sl2_matrices(data.field)}
-    assert data.perm_group.element_set() == images
+    # the basis translations and -1/z generate exactly the Moebius images of
+    # SL(2,q), checked against every matrix
+    group = psl2_perm_group(q)
+    field = group.line.field
+    assert len(group.generators) == field.degree + 1
+    images = {group.line.moebius(*m.entries()).images for m in sl2_matrices(field)}
+    assert group.element_set() == images
 
 
 def test_normal_closure_of_seeds_outside_sl2_raises():

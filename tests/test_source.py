@@ -134,3 +134,25 @@ def test_no_command_reaches_the_sylow_scan():
              or isinstance(node, ast.Name) and node.id in scan)
     ]
     assert found == []
+
+
+def test_enumeration_cap_guards_matrix_builds_only():
+    # PSL(2,q) on the line is a chain of generators, bounded by the degree
+    # cap; check_psl2_cap guards only where SL(2,q) is built as matrices
+    def names_cap(func):
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "check_psl2_cap"
+
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # each node's innermost enclosing function: walk is outer first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and names_cap(node.func)
+        ]
+    assert sorted(found) == ["cli.cmd_psl2", "psl2.sl2_group"]
