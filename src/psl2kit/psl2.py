@@ -17,7 +17,14 @@ conjugates that join a closure's generators, witnesses and factors.
 
 A normal closure's subgroups lie in SL(2,q), so by Lagrange each closure
 stops as soon as it holds more than half of SL(2,q): it is then SL(2,q),
-returned as ``SL2Group.codes`` itself.  The rest is built once per
+returned as ``SL2Group.codes`` itself.  The certificate walks the classes in
+order and keeps the codes of every class whose normal closure it has shown
+to be SL(2,q).  If y lies in the normal closure N(x), then N(y) is inside
+N(x), and N(y) is the same for every conjugate of y; so a later closure
+whose search reaches a proved code is SL(2,q) too, and stops there.  Only
+the first non-scalar class runs to the Lagrange exit.  The witness, factor
+and commutator sweep depend on the closure alone, so they are derived once
+per distinct closure: once per certificate.  The rest is built once per
 ``SL2Group``, so it lives for one job: the row maps of the matrices that
 generate closures (``SL2Group.row_map``), the conjugation maps, and the
 corner witness of all of SL(2,q).
@@ -59,6 +66,10 @@ class SeedsOutsideSL2(ValueError):
 
 class NotInClosure(RuntimeError):
     pass
+
+
+class _ReachedStop(Exception):
+    """A closure's search reached a code of its ``stop`` set."""
 
 
 @dataclass(frozen=True, repr=False)
@@ -234,12 +245,16 @@ def psl2_expected_order(q: int) -> int:
 # --- matrix subgroups and normal closures ----------------------------------
 
 
-def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozenset[int] | None:
+def mat_closure(
+    gens, limit: int | None = None, *, row_map=_row_map, stop=frozenset()
+) -> frozenset[int] | None:
     """Product closure of matrices as codes, the orbit of the identity's code
-    under right multiplication; None once it exceeds ``limit``.
+    under right multiplication; None once it exceeds ``limit`` or reaches a
+    code in ``stop``.
 
     Right multiplication by g maps each row v of a matrix to v*g, so the
-    product of a code with g is two lookups in g's row map, ``row_map(g)``."""
+    product of a code with g is two lookups in g's row map, ``row_map(g)``.
+    Only a closure given a ``stop`` set tests its products against it."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
@@ -247,21 +262,34 @@ def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozense
     if any(g.field != field for g in gens):
         raise DomainMismatch("matrices over different fields")
     qq = field.order**2
-    return orbit(
-        [mat_identity(field).code],
-        [row_map(g) for g in gens],
-        lambda x, rho: rho[x // qq] * qq + rho[x % qq],
-        limit,
-    )
+    if not stop:
+        def act(x, rho):
+            return rho[x // qq] * qq + rho[x % qq]
+    else:
+        def act(x, rho):
+            y = rho[x // qq] * qq + rho[x % qq]
+            if y in stop:
+                raise _ReachedStop
+            return y
+    try:
+        return orbit([mat_identity(field).code], [row_map(g) for g in gens], act, limit)
+    except _ReachedStop:
+        return None
 
 
-def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
+def matrix_normal_closure(sl2: SL2Group, seeds, *, proved=frozenset()) -> frozenset[int]:
     """Codes of the smallest normal subgroup of SL(2,q) containing the seed
     matrices, which must lie in SL(2,q).
 
     Each closure stops at half of SL(2,q) (the Lagrange exit below), and
     every generator's row map comes from the group's cache, so a class's
-    last closure does not run out to all q**3 - q codes."""
+    last closure does not run out to all q**3 - q codes.
+
+    ``proved`` holds codes y whose normal closure N(y) is known to be
+    SL(2,q); ``certify_simplicity`` passes the classes it has proved.  If y
+    lies in the normal closure N sought here, then N(y) is inside N, so N is
+    SL(2,q): the search returns ``sl2.codes`` as soon as a closure, or a
+    shear-conjugate of one of its generators, reaches such a code."""
     f = sl2.field
     gens = list(dict.fromkeys(seeds))
     if not all(g.field == f and g.code in sl2.codes for g in gens):
@@ -271,15 +299,17 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
     # with more than half of those elements is therefore SL(2,q) itself.
     half = len(sl2.codes) // 2
     maps, act = sl2.conjugation
-    closure = mat_closure(gens, half, row_map=sl2.row_map)
+    closure = mat_closure(gens, half, row_map=sl2.row_map, stop=proved)
     while closure is not None:
         added = False
         for m in maps:
             for x in [g.code for g in gens]:
                 t = act(x, m)
                 if t not in closure:
+                    if t in proved:
+                        return sl2.codes
                     gens.append(Mat2(f, *_entries_of(t, f.order)))
-                    closure = mat_closure(gens, half, row_map=sl2.row_map)
+                    closure = mat_closure(gens, half, row_map=sl2.row_map, stop=proved)
                     if closure is None:
                         return sl2.codes
                     added = True
@@ -297,13 +327,12 @@ def _conjugation(field: Field):
     q = field.order
     qq = q * q
 
-    def transpose(x: int) -> int:
-        return x + (x // q % q - x // qq % q) * (qq - q)
-
     def act(x: int, maps: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         right, left = maps
-        y = transpose(right[x // qq] * qq + right[x % qq])
-        return transpose(left[y // qq] * qq + left[y % qq])
+        y = right[x // qq] * qq + right[x % qq]
+        y += (y // q % q - y // qq % q) * (qq - q)  # transpose
+        z = left[y // qq] * qq + left[y % qq]
+        return z + (z // q % q - z // qq % q) * (qq - q)  # transpose back
 
     maps = [
         (_row_map(g.inverse()), _row_map(Mat2(field, g.a, g.c, g.b, g.d)))
@@ -396,8 +425,11 @@ class SimplicityCertificate:
         odd q and q for even q, with distinct non-scalar representatives in
         SL(2,q); every matrix must be over GF(q) and every commutator taken
         with a lower shear, so a forged entry reads False, not an error.
-        That the representatives lie in distinct classes, and that each
-        closure really is SL(2,q), is not replayed here."""
+        Each distinct commutator is formed once, and each distinct matrix
+        inverted once, and every entry's recorded commutators are compared
+        with those products.  That the representatives lie in distinct
+        classes, and that each closure really is SL(2,q), is not replayed
+        here."""
         if self.group_order != self.q**3 - self.q:
             return False
         if len(self.entries) != (self.q + 2 if self.q % 2 else self.q):
@@ -407,6 +439,15 @@ class SimplicityCertificate:
         representatives = [entry.representative for entry in self.entries]
         if len(set(representatives)) != len(representatives):
             return False
+        # keyed by code: a matrix reaches them only once its field is checked
+        inverses: dict[int, Mat2] = {}
+        products: dict[tuple[int, int], Mat2] = {}
+
+        def inverse(m: Mat2) -> Mat2:
+            if m.code not in inverses:
+                inverses[m.code] = m.inverse()
+            return inverses[m.code]
+
         for entry in self.entries:
             rep = entry.representative
             w = entry.nonzero_corner_witness
@@ -425,12 +466,15 @@ class SimplicityCertificate:
                 return False
             if entry.unitriangular.mul(entry.closure_member) != entry.diagonal:
                 return False
+            B = entry.closure_member
             commutators = set()
             for shear, comm in entry.commutator_pairs:
                 if (shear.a, shear.b, shear.d) != (1, 0, 1):  # a lower shear, so it inverts
                     return False
-                B = entry.closure_member
-                if shear.mul(B).mul(shear.inverse()).mul(B.inverse()) != comm:
+                key = (shear.code, B.code)
+                if key not in products:
+                    products[key] = shear.mul(B).mul(inverse(shear)).mul(inverse(B))
+                if products[key] != comm:
                     return False
                 commutators.add(comm)
             if commutators != lower_shears:
@@ -442,6 +486,8 @@ class SimplicityCertificate:
         return self.verdict
 
     def to_json_dict(self) -> dict:
+        # the entries of the lower shears (1 0; r 1), sorted
+        lower_shears = [[1, 0, r, 1] for r in range(self.q)]
         return {
             "q": self.q,
             "group_order": self.group_order,
@@ -457,10 +503,7 @@ class SimplicityCertificate:
                     "commutators_cover_shears": sorted(
                         list(c.entries()) for _, c in e.commutator_pairs
                     )
-                    == sorted(
-                        list(Mat2(e.representative.field, 1, 0, r, 1).entries())
-                        for r in e.representative.field.elements()
-                    ),
+                    == lower_shears,
                 }
                 for e in self.entries
             ],
@@ -469,15 +512,22 @@ class SimplicityCertificate:
 
 def matrix_conjugacy_representatives(sl2: SL2Group) -> tuple[Mat2, ...]:
     """One representative per conjugacy class of SL(2,q), smallest first."""
+    return tuple(rep for rep, _ in _conjugacy_classes(sl2))
+
+
+def _conjugacy_classes(sl2: SL2Group) -> list[tuple[Mat2, frozenset[int]]]:
+    """Each conjugacy class of SL(2,q) as its smallest member and its codes,
+    smallest first."""
     f = sl2.field
     maps, act = sl2.conjugation
     seen: set[int] = set()
-    reps = []
+    classes = []
     for x in sorted(sl2.codes):
         if x not in seen:
-            seen.update(orbit([x], maps, act))
-            reps.append(Mat2(f, *_entries_of(x, f.order)))
-    return tuple(reps)
+            members = orbit([x], maps, act)
+            seen |= members
+            classes.append((Mat2(f, *_entries_of(x, f.order)), members))
+    return classes
 
 
 def certify_simplicity(q: int) -> SimplicityCertificate:
@@ -488,6 +538,11 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     a outside {0, 1, -1} through the closure, and check that the
     commutators of that factor against all lower shears sweep out exactly
     the lower shear subgroup.
+
+    The classes are walked smallest first, and each class whose closure is
+    SL(2,q) joins the proved codes that end later classes' closures.  That
+    evidence depends on the closure alone, so it is derived once per
+    distinct closure.
     """
     if q <= 3:
         raise FieldTooSmall("the argument needs more than 3 field elements")
@@ -499,11 +554,8 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     upper_codes = frozenset(Mat2(f, 1, r, 0, 1).code for r in f.elements())
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
     diagonal = Mat2(f, a, 0, 0, f.inv(a))
-    entries = []
-    for rep in matrix_conjugacy_representatives(sl2):
-        if rep.is_scalar():
-            continue
-        closure = matrix_normal_closure(sl2, [rep])
+
+    def evidence(closure: frozenset[int]) -> dict:
         witness = find_nonzero_corner_witness(sl2, closure)
         u, B = factor_with_lower_shear(sl2, diagonal, closure)
         B_inv = B.inverse()
@@ -513,18 +565,30 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
             if comm.code not in closure:
                 raise NotInClosure(f"commutator {comm} is not in the normal closure")
             pairs.append((shear, comm))
+        return dict(
+            nonzero_corner_witness=witness,
+            unitriangular=u,
+            closure_member=B,
+            commutator_pairs=tuple(pairs),
+            lower_shears_in_closure=lower_codes <= closure,
+            upper_shears_in_closure=upper_codes <= closure,
+            closure_order=len(closure),
+        )
+
+    proved: set[int] = set()  # the classes whose normal closure is SL(2,q)
+    derived: dict[frozenset[int], dict] = {}
+    entries = []
+    for rep, members in _conjugacy_classes(sl2):
+        if rep.is_scalar():
+            continue
+        closure = matrix_normal_closure(sl2, [rep], proved=proved)
+        if len(closure) == len(sl2.codes):
+            proved |= members
+        if closure not in derived:
+            derived[closure] = evidence(closure)
         entries.append(
             ClosureCertificate(
-                representative=rep,
-                nonzero_corner_witness=witness,
-                diagonal_entry=a,
-                diagonal=diagonal,
-                unitriangular=u,
-                closure_member=B,
-                commutator_pairs=tuple(pairs),
-                lower_shears_in_closure=lower_codes <= closure,
-                upper_shears_in_closure=upper_codes <= closure,
-                closure_order=len(closure),
+                representative=rep, diagonal_entry=a, diagonal=diagonal, **derived[closure]
             )
         )
     verdict = bool(entries) and all(

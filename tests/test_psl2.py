@@ -760,10 +760,100 @@ def test_commutator_outside_closure_raises(monkeypatch):
     monkeypatch.setattr(
         psl2,
         "matrix_normal_closure",
-        lambda sl2, seeds: sl2.codes - {missing.code},
+        lambda sl2, seeds, **kwargs: sl2.codes - {missing.code},
     )
     monkeypatch.setattr(
         psl2, "find_nonzero_corner_witness", lambda sl2, closure: Mat2(f, 1, 1, 0, 1)
     )
     with pytest.raises(NotInClosure):
         certify_simplicity(5)
+
+
+SHORTCUT_ORDERS = (4, 5, 7, 8, 9, 11, 13)
+
+
+@pytest.mark.parametrize("q", SHORTCUT_ORDERS)
+def test_certificate_equals_one_built_without_proved_classes(monkeypatch, q):
+    """Ending a closure at a proved class changes no entry and no report."""
+    certificate = certify_simplicity(q)
+    close = psl2.matrix_normal_closure
+    monkeypatch.setattr(
+        psl2, "matrix_normal_closure", lambda sl2, seeds, **kwargs: close(sl2, seeds)
+    )
+    reference = certify_simplicity(q)
+    assert len(certificate.entries) == len(reference.entries)
+    for entry, expected in zip(certificate.entries, reference.entries):
+        assert entry == expected
+    assert certificate == reference
+    assert certificate.to_json_dict() == reference.to_json_dict()
+
+
+@pytest.mark.parametrize("q", SHORTCUT_ORDERS)
+def test_every_class_closure_is_sl2(q):
+    data = sl2_group(q)
+    nonscalar = [rep for rep in matrix_conjugacy_representatives(data) if not rep.is_scalar()]
+    assert len(nonscalar) == (q + 2 if q % 2 else q)
+    for rep in nonscalar:
+        assert matrix_normal_closure(data, [rep]) is data.codes
+
+
+def test_certify_runs_one_lagrange_exit_and_one_factor(monkeypatch):
+    """At q = 13 only the first non-scalar class's closure grows past half
+    of SL(2,13); every later one stops at a proved class, and all of them
+    share one factor of the diagonal."""
+    data = sl2_group(13)
+    data.codes  # SL(2,13) itself is built before the spies
+    search, factor = psl2.orbit, psl2.factor_with_lower_shear
+    exits, factors = [], []
+
+    def orbit_spy(seeds, gens, act, limit=None):
+        result = search(seeds, gens, act, limit)
+        if result is None:  # more than ``limit`` codes
+            exits.append(limit)
+        return result
+
+    def factor_spy(*args):
+        factors.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
+    monkeypatch.setattr(psl2, "orbit", orbit_spy)
+    monkeypatch.setattr(psl2, "factor_with_lower_shear", factor_spy)
+    certificate = certify_simplicity(13)
+    assert certificate.verdict and len(certificate.entries) == 15
+    assert (exits, len(factors)) == ([len(data.codes) // 2], 1)
+
+
+def test_reverify_memo_hides_no_forgery():
+    """Every entry of a genuine certificate shares one closure member, so
+    its commutators are formed once; a last entry that differs must still
+    read False."""
+    certificate = certify_simplicity(7)
+    f = certificate.entries[0].representative.field
+    last = certificate.entries[-1]
+    pairs = list(last.commutator_pairs)
+
+    def with_last(**changes):
+        entries = certificate.entries[:-1] + (dataclasses.replace(last, **changes),)
+        return dataclasses.replace(certificate, entries=entries)
+
+    assert certificate.reverify()
+    assert all(e.closure_member == last.closure_member for e in certificate.entries)
+    # one commutator replaced by another's
+    forged = list(pairs)
+    forged[2] = (pairs[2][0], pairs[3][1])
+    assert with_last(commutator_pairs=tuple(forged)).reverify() is False
+    # two swapped, so the commutators still cover the lower shears
+    forged = list(pairs)
+    forged[2], forged[3] = (pairs[2][0], pairs[3][1]), (pairs[3][0], pairs[2][1])
+    assert with_last(commutator_pairs=tuple(forged)).reverify() is False
+    # another closure member, alone, then as the factor of another diagonal
+    # (a lower triangular member with the same diagonal has the same
+    # commutators with the lower shears, so it would be no forgery)
+    member = Mat2(f, 1, 1, 0, 1)
+    assert with_last(closure_member=member).reverify() is False
+    a = next(x for x in (2, 3, 4, 5) if x != last.diagonal_entry)
+    diagonal = Mat2(f, a, 0, 0, f.inv(a))
+    member = last.unitriangular.inverse().mul(diagonal)
+    forged = with_last(diagonal_entry=a, diagonal=diagonal, closure_member=member)
+    assert forged.reverify() is False

@@ -156,3 +156,29 @@ def test_enumeration_cap_guards_matrix_builds_only():
             if isinstance(node, ast.Call) and names_cap(node.func)
         ]
     assert sorted(found) == ["cli.cmd_psl2", "psl2.sl2_group"]
+
+
+def test_reverify_shares_no_code_with_the_path_it_checks():
+    # a certificate is rechecked by its own matrix arithmetic, never by the
+    # closures, classes and caches that built it
+    tree = ast.parse((SOURCE_DIR / "psl2.py").read_text())
+    [reverify] = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "SimplicityCertificate"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "reverify"
+    ]
+    named = {node.id for node in ast.walk(reverify) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(reverify) if isinstance(node, ast.Attribute)}
+    forbidden = {
+        "mat_closure",
+        "matrix_normal_closure",
+        "matrix_conjugacy_representatives",
+        "_conjugation",
+        "_row_map",
+        "SL2Group",
+        "sl2_group",
+        "certify_simplicity",
+    }
+    assert sorted(named & forbidden) == []
