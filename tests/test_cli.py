@@ -490,6 +490,11 @@ def test_usage_errors(capsys):
         ),
         # the corollary holds p(p+1) Sylow elements, not the group
         ("corollary_p61", ["corollary", "--p", "61"]),
+        # with these, every prime power 3 < q <= 31 has a simplicity golden
+        *(
+            (f"psl2_q{q}_simplicity", ["psl2", "--q", str(q), "--check", "simplicity"])
+            for q in (19, 23, 27, 29)
+        ),
     ],
 )
 def test_golden_reports(capsys, name, argv):
