@@ -1,41 +1,42 @@
 """SL(2) and PSL(2) over small finite fields, as matrices and permutations.
 
 The permutation side feeds the group engine; the matrix side carries the
-constructive simplicity certificates: for every normal closure of a
-non-scalar matrix we record a witness with nonzero upper-right entry, a
-decomposition of a diagonal matrix as (lower unitriangular) * (closure
-member), and the commutator sweep showing the closure swallows the whole
-lower unitriangular subgroup, hence everything.
+simplicity certificate, a short proof that for q > 3 the normal closure
+N(A) of every non-scalar A in SL(2,q) is SL(2,q).  The proof is a few
+fixed words of ``Mat2`` products, O(q) of them in all, and enumerates no
+part of SL(2,q):
 
-SL(2,q) and its subgroups (closures, normal closures) are frozensets of
-packed integer codes, ``Mat2.code``; SL(2,q) itself is the closure of its
-shears.  Right multiplication by a matrix acts on codes through its row map,
-and conjugation by a shear through two row maps and transposes: that one
-routine, ``_conjugation``, serves conjugacy classes, normality and normal
-closures.  ``Mat2`` values are built only for class representatives, seeds,
-conjugates that join a closure's generators, witnesses and factors.
+- Classes.  The non-scalar classes of SL(2,q) are those of (0 1; -1 t), one
+  per trace t, and for odd q of (0 b; -1/b 2) and (0 b; -1/b -2), with b the
+  smallest non-square: q + 2 classes for odd q, q for even q.
+- One target.  For A = (0 b; c d) with bc = -1 and D = diag(l, 1/l),
+  A*D*A^-1*D^-1 = (m 0; cd(1 - m) 1/m) with m = l^-2.  If m*m != 1 the
+  lower shear L_r, r = -cd(1 - m)/(m - 1/m), conjugates it to
+  E = diag(m, 1/m), so E lies in N(A), the same E for every class.  Over
+  GF(5) every l^4 = 1; there a tabled two-commutator word per class ends at
+  a conjugate of E = diag(2, 3).
+- The sweep.  L_r*E*L_r^-1*E^-1 = L_{r(1 - 1/(m*m))}, so E's commutators
+  with the q lower shears are all of them, and w = (0 1; -1 0) conjugates
+  L_t to the upper shear U_-t.
+- The shears generate.  (a b; c d) = U_x * L_c * U_y with x = (a - 1)/c and
+  y = (d - 1)/c when c != 0; when c = 0, (a b; c d) * L_1 has lower-left
+  entry d != 0.  So every element is a product of at most four shears.
 
-A normal closure's subgroups lie in SL(2,q), so by Lagrange each closure
-stops as soon as it holds more than half of SL(2,q): it is then SL(2,q),
-returned as ``SL2Group.codes`` itself.  The certificate walks the classes in
-order and keeps the codes of every class whose normal closure it has shown
-to be SL(2,q).  If y lies in the normal closure N(x), then N(y) is inside
-N(x), and N(y) is the same for every conjugate of y; so a later closure
-whose search reaches a proved code is SL(2,q) too, and stops there.  Only
-the first non-scalar class runs to the Lagrange exit.  The witness, factor
-and commutator sweep depend on the closure alone, so they are derived once
-per distinct closure: once per certificate.  The rest is built once per
-``SL2Group``, so it lives for one job: the row maps of the matrices that
-generate closures (``SL2Group.row_map``), the conjugation maps, and the
-corner witness of all of SL(2,q).
+The report keeps the fields of the enumerating certificate this replaced:
+the witness w, u = I and B = diag(a, 1/a) with a the smallest element
+outside {0, 1, -1}, B's own commutator sweep, and the closure order
+q**3 - q.  ``SimplicityCertificate.reverify`` replays every word and both
+sweeps with its own ``Mat2`` arithmetic.
+
+SL(2,q) as a set of packed codes (``SL2Group``, the closure of its shears
+under ``mat_closure``) is built by no command; it is there for tests and
+tracing, and only while PSL(2,q) is within ``fields.DEFAULT_ENUMERATION_CAP``.
 
 PSL(2,q) on the projective line is built from generators alone, one way
 for every prime power q = p**k: the translations z -> z + p**i, the images
 of the upper shears over the additive basis, and z -> -1/z.  Conjugating
 the translations by -1/z gives the lower shears, so the two generate the
-image of SL(2,q); its chain is bounded by the degree cap only.  SL(2,q) is
-built as matrices, for the certificates, only while PSL(2,q) is within
-``fields.DEFAULT_ENUMERATION_CAP``: exactly the prime powers q <= 31.
+image of SL(2,q); its chain is bounded by the degree cap only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, Field, check_cap, field_of_order
+from .fields import (
+    DEFAULT_ENUMERATION_CAP,
+    MAX_DEGREE,
+    MAX_FIELD_ORDER,
+    Field,
+    check_cap,
+    distinct_prime_factors,
+    field_of_order,
+)
 from .groups import PermGroup, orbit
 from .projline import DomainMismatch, ProjLine
 
@@ -52,24 +61,8 @@ class FieldTooSmall(ValueError):
     pass
 
 
-class OnlyScalars(ValueError):
-    pass
-
-
-class DecompositionFails(RuntimeError):
-    pass
-
-
-class SeedsOutsideSL2(ValueError):
-    pass
-
-
-class NotInClosure(RuntimeError):
-    pass
-
-
-class _ReachedStop(Exception):
-    """A closure's search reached a code of its ``stop`` set."""
+class ProofStepFails(RuntimeError):
+    """A step of the closed-form certificate missed the matrix it must reach."""
 
 
 @dataclass(frozen=True, repr=False)
@@ -122,7 +115,10 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         f = self.field
-        det_inv = f.inv(self.det)
+        det = self.det
+        if det == 1:  # the adjugate
+            return Mat2(f, self.d, f.neg(self.b), f.neg(self.c), self.a)
+        det_inv = f.inv(det)
         return Mat2(
             f,
             f.mul(det_inv, self.d),
@@ -145,9 +141,8 @@ def mat_identity(field: Field) -> Mat2:
     return Mat2(field, 1, 0, 0, 1)
 
 
-def _entries_of(code: int, q: int) -> tuple[int, int, int, int]:
-    top, bottom = divmod(code, q * q)
-    return divmod(top, q) + divmod(bottom, q)
+def mat_identity(field: Field) -> Mat2:
+    return Mat2(field, 1, 0, 0, 1)
 
 
 def _row_map(g: Mat2) -> tuple[int, ...]:
@@ -173,6 +168,17 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
     return tuple(gens)
 
 
+def sl2_generators(field: Field) -> tuple[Mat2, ...]:
+    """Unitriangular generators: shears by each monomial basis element.
+
+    The monomial x^i has element index p^i, so the shears over the basis
+    generate the full unitriangular subgroups additively."""
+    basis = [field.p**i for i in range(field.degree)]
+    gens = [Mat2(field, 1, b, 0, 1) for b in basis]
+    gens += [Mat2(field, 1, 0, b, 1) for b in basis]
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class SL2Group:
     """SL(2,q) from its shears, closed lazily."""
@@ -183,16 +189,6 @@ class SL2Group:
     def codes(self) -> frozenset[int]:
         """The codes of all of SL(2,q), the closure of the shears."""
         return mat_closure(sl2_generators(self.field), row_map=self.row_map)
-
-    @cached_property
-    def conjugation(self):
-        """``_conjugation`` over this group's field, built once."""
-        return _conjugation(self.field)
-
-    @cached_property
-    def corner_witness(self) -> Mat2:
-        """``find_nonzero_corner_witness`` of all of SL(2,q), built once."""
-        return _smallest_corner(self.field, self.codes)
 
     @cached_property
     def _row_maps(self) -> dict[int, tuple[int, ...]]:
@@ -213,6 +209,12 @@ def check_psl2_cap(q: int) -> None:
     enumeration cap; a comparison, so it runs before q is factored."""
     check_cap(f"PSL(2,{q}) order", psl2_expected_order(q), "enumeration cap",
               DEFAULT_ENUMERATION_CAP)
+
+
+def check_table_cap(q: int) -> None:
+    """``Mat2.mul`` reads GF(q)'s q*q operation tables, which the field cap
+    bounds; a comparison, so it runs before q is factored."""
+    check_cap("operation table size", q * q, "field cap", MAX_FIELD_ORDER)
 
 
 def sl2_group(q: int) -> SL2Group:
@@ -242,19 +244,12 @@ def psl2_expected_order(q: int) -> int:
     return (q**3 - q) // (2 if q % 2 else 1)
 
 
-# --- matrix subgroups and normal closures ----------------------------------
-
-
-def mat_closure(
-    gens, limit: int | None = None, *, row_map=_row_map, stop=frozenset()
-) -> frozenset[int] | None:
+def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozenset[int] | None:
     """Product closure of matrices as codes, the orbit of the identity's code
-    under right multiplication; None once it exceeds ``limit`` or reaches a
-    code in ``stop``.
+    under right multiplication; None once it exceeds ``limit``.
 
     Right multiplication by g maps each row v of a matrix to v*g, so the
-    product of a code with g is two lookups in g's row map, ``row_map(g)``.
-    Only a closure given a ``stop`` set tests its products against it."""
+    product of a code with g is two lookups in g's row map, ``row_map(g)``."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
@@ -262,144 +257,29 @@ def mat_closure(
     if any(g.field != field for g in gens):
         raise DomainMismatch("matrices over different fields")
     qq = field.order**2
-    if not stop:
-        def act(x, rho):
-            return rho[x // qq] * qq + rho[x % qq]
-    else:
-        def act(x, rho):
-            y = rho[x // qq] * qq + rho[x % qq]
-            if y in stop:
-                raise _ReachedStop
-            return y
-    try:
-        return orbit([mat_identity(field).code], [row_map(g) for g in gens], act, limit)
-    except _ReachedStop:
-        return None
+
+    def act(x, rho):
+        return rho[x // qq] * qq + rho[x % qq]
+
+    return orbit([mat_identity(field).code], [row_map(g) for g in gens], act, limit)
 
 
-def matrix_normal_closure(sl2: SL2Group, seeds, *, proved=frozenset()) -> frozenset[int]:
-    """Codes of the smallest normal subgroup of SL(2,q) containing the seed
-    matrices, which must lie in SL(2,q).
-
-    Each closure stops at half of SL(2,q) (the Lagrange exit below), and
-    every generator's row map comes from the group's cache, so a class's
-    last closure does not run out to all q**3 - q codes.
-
-    ``proved`` holds codes y whose normal closure N(y) is known to be
-    SL(2,q); ``certify_simplicity`` passes the classes it has proved.  If y
-    lies in the normal closure N sought here, then N(y) is inside N, so N is
-    SL(2,q): the search returns ``sl2.codes`` as soon as a closure, or a
-    shear-conjugate of one of its generators, reaches such a code."""
-    f = sl2.field
-    gens = list(dict.fromkeys(seeds))
-    if not all(g.field == f and g.code in sl2.codes for g in gens):
-        raise SeedsOutsideSL2("a seed lies outside SL(2,q)")
-    # The seeds and their shear-conjugates lie in SL(2,q), so every closure
-    # below is a subgroup of SL(2,q), and its order divides q**3 - q.  One
-    # with more than half of those elements is therefore SL(2,q) itself.
-    half = len(sl2.codes) // 2
-    maps, act = sl2.conjugation
-    closure = mat_closure(gens, half, row_map=sl2.row_map, stop=proved)
-    while closure is not None:
-        added = False
-        for m in maps:
-            for x in [g.code for g in gens]:
-                t = act(x, m)
-                if t not in closure:
-                    if t in proved:
-                        return sl2.codes
-                    gens.append(Mat2(f, *_entries_of(t, f.order)))
-                    closure = mat_closure(gens, half, row_map=sl2.row_map, stop=proved)
-                    if closure is None:
-                        return sl2.codes
-                    added = True
-        if not added:
-            return closure
-    return sl2.codes
-
-
-def _conjugation(field: Field):
-    """The maps x -> g*x*g^-1 on codes, one per shear generator g, and the
-    action that applies one.
-
-    x*g^-1 is g^-1's row map.  g*y is (y^T * g^T)^T, and transposing a code
-    swaps its b and c digits."""
-    q = field.order
-    qq = q * q
-
-    def act(x: int, maps: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-        right, left = maps
-        y = right[x // qq] * qq + right[x % qq]
-        y += (y // q % q - y // qq % q) * (qq - q)  # transpose
-        z = left[y // qq] * qq + left[y % qq]
-        return z + (z // q % q - z // qq % q) * (qq - q)  # transpose back
-
-    maps = [
-        (_row_map(g.inverse()), _row_map(Mat2(field, g.a, g.c, g.b, g.d)))
-        for g in sl2_generators(field)
-    ]
-    return maps, act
-
-
-def _verify_normal(sl2: SL2Group, subgroup: frozenset[int]) -> bool:
-    """Whether the code set is closed under conjugation by SL(2,q).
-
-    SL(2,q) is normal in itself, so a set equal to ``sl2.codes`` needs no
-    conjugation loop; that equality is the count q**3 - q together with
-    membership in SL(2,q).  Any other set, a full-size one holding a matrix
-    outside SL(2,q) included, runs the loop."""
-    if subgroup == sl2.codes:
-        return True
-    maps, act = sl2.conjugation
-    return all(act(x, m) in subgroup for m in maps for x in subgroup)
-
-
-def find_nonzero_corner_witness(sl2: SL2Group, subgroup: frozenset[int]) -> Mat2:
-    """The member with the smallest code among those with nonzero upper-right
-    entry, in a normal subgroup given by codes.
-
-    A set closed under conjugation that holds a non-scalar x = (a b; c d)
-    with b = 0 also holds one with b != 0: w*x*w^-1 = (d -c; -b a) for
-    w = (0 -1; 1 0) if c != 0, and conjugating by the unit upper shear gives
-    upper-right entry d - a != 0 if c = 0.  So a normal subgroup without such
-    a member is central.
-    """
-    if subgroup is sl2.codes:
-        return sl2.corner_witness
-    if not _verify_normal(sl2, subgroup):
-        raise ValueError("subgroup is not normal in SL(2,q)")
-    return _smallest_corner(sl2.field, subgroup)
-
-
-def _smallest_corner(field: Field, codes) -> Mat2:
-    q = field.order
-    corner = min((x for x in codes if x // (q * q) % q), default=None)
-    if corner is None:
-        raise OnlyScalars("subgroup is central")
-    return Mat2(field, *_entries_of(corner, q))
-
-
-def factor_with_lower_shear(
-    sl2: SL2Group, target: Mat2, subgroup: frozenset[int]
-) -> tuple[Mat2, Mat2]:
-    """Write target = u * B with u lower unitriangular and B in the subgroup,
-    given by codes."""
-    f = sl2.field
-    for r in f.elements():
-        u = Mat2(f, 1, 0, r, 1)
-        candidate = Mat2(f, 1, 0, f.neg(r), 1).mul(target)  # u^-1 * target
-        if candidate.code in subgroup:
-            return u, candidate
-    raise DecompositionFails(
-        f"{target} does not factor through the normal subgroup"
-    )
+# --- the simplicity certificate ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class ClosureCertificate:
-    """Witness chain showing one normal closure is all of SL(2,q)."""
+    """Why the normal closure of one class representative is SL(2,q).
+
+    ``word`` and ``conjugator`` carry the representative to the certificate's
+    target: X = representative, then X = X*g*X^-1*g^-1 for each g of the
+    word, and conjugator*X*conjugator^-1 is the target.  The remaining fields
+    are the report's: the witness w, a diagonal diag(a, 1/a) factored as
+    u * B, and B's commutators with the lower shears."""
 
     representative: Mat2
+    word: tuple[Mat2, ...]
+    conjugator: Mat2
     nonzero_corner_witness: Mat2
     diagonal_entry: int
     diagonal: Mat2
@@ -413,71 +293,120 @@ class ClosureCertificate:
 
 @dataclass(frozen=True)
 class SimplicityCertificate:
+    """One entry per non-scalar class, and the target E with its commutator
+    sweep, each lower shear L with L*E*L^-1*E^-1."""
+
     q: int
     group_order: int
     entries: tuple[ClosureCertificate, ...]
     verdict: bool
+    target: Mat2
+    target_sweep: tuple[tuple[Mat2, Mat2], ...]
 
     def reverify(self) -> bool:
-        """Recheck every recorded identity by direct matrix arithmetic.
+        """Replay the whole proof by direct matrix arithmetic.
 
-        There must be one entry per non-scalar class of SL(2,q), q + 2 for
-        odd q and q for even q, with distinct non-scalar representatives in
-        SL(2,q); every matrix must be over GF(q) and every commutator taken
-        with a lower shear, so a forged entry reads False, not an error.
-        Each distinct commutator is formed once, and each distinct matrix
-        inverted once, and every entry's recorded commutators are compared
-        with those products.  That the representatives lie in distinct
-        classes, and that each closure really is SL(2,q), is not replayed
-        here."""
-        if self.group_order != self.q**3 - self.q:
+        The representatives must be in the canonical form of the module
+        docstring with distinct invariants, the trace and, at trace 2 or -2,
+        whether b is a square; with one entry per non-scalar class, q + 2
+        for odd q and q for even q, that makes them a complete set of
+        classes.  Every word must end at the target, the target's commutators
+        with the lower shears must be all of them, and the witness must
+        carry those to all the upper shears.  The report's diagonal, factor
+        and sweep are rechecked too.  Every matrix must be over GF(q), and
+        every one that is inverted of determinant 1, so a forgery reads
+        False, not an error, and so does a q that is not a prime power
+        above 3 within the field cap.  Each distinct product is formed once.
+        """
+        q = self.q
+        if not isinstance(q, int) or q <= 3 or q * q > MAX_FIELD_ORDER:
             return False
-        if len(self.entries) != (self.q + 2 if self.q % 2 else self.q):
+        if len(distinct_prime_factors(q)) != 1:
             return False
-        field = field_of_order(self.q)
-        lower_shears = frozenset(Mat2(field, 1, 0, r, 1) for r in field.elements())
-        representatives = [entry.representative for entry in self.entries]
-        if len(set(representatives)) != len(representatives):
+        if self.group_order != q**3 - q:
             return False
-        # keyed by code: a matrix reaches them only once its field is checked
+        if len(self.entries) != (q + 2 if q % 2 else q):
+            return False
+        field = field_of_order(q)
+        E = self.target
+        # genuine certificates share their sweeps and report matrices, so
+        # each distinct object is checked once
+        sweeps = [self.target_sweep, *(entry.commutator_pairs for entry in self.entries)]
+        sweeps = list({id(pairs): pairs for pairs in sweeps}.values())
+        inverted = [E, *(shear for pairs in sweeps for shear, _ in pairs)]
+        recorded = [comm for pairs in sweeps for _, comm in pairs]
+        for entry in self.entries:
+            inverted += [entry.representative, *entry.word, entry.conjugator]
+            inverted += [entry.nonzero_corner_witness, entry.closure_member]
+            recorded += [entry.diagonal, entry.unitriangular]
+        inverted = {id(m): m for m in inverted}.values()
+        recorded = {id(m): m for m in recorded}.values()
+        if any(m.field != field for m in [*inverted, *recorded]):  # no product mixes fields
+            return False
+        if any(m.det != 1 for m in inverted):  # each inverse exists and lies in SL(2,q)
+            return False
         inverses: dict[int, Mat2] = {}
         products: dict[tuple[int, int], Mat2] = {}
+        covers: dict[tuple[int, int], bool] = {}
 
         def inverse(m: Mat2) -> Mat2:
             if m.code not in inverses:
                 inverses[m.code] = m.inverse()
             return inverses[m.code]
 
+        def commutator(x: Mat2, g: Mat2) -> Mat2:
+            if (x.code, g.code) not in products:
+                products[x.code, g.code] = x.mul(g).mul(inverse(x)).mul(inverse(g))
+            return products[x.code, g.code]
+
+        def sweep_covers(pairs, diagonal) -> bool:
+            """Each pair a lower shear L and L*diagonal*L^-1*diagonal^-1,
+            the commutators all q lower shears."""
+            key = (id(pairs), diagonal.code)
+            if key not in covers:
+                covers[key] = (
+                    all((s.a, s.b, s.d) == (1, 0, 1) for s, _ in pairs)
+                    and all(commutator(s, diagonal) == comm for s, comm in pairs)
+                    and {comm for _, comm in pairs} == lower
+                )
+            return covers[key]
+
+        lower = {Mat2(field, 1, 0, r, 1) for r in field.elements()}
+        upper = {Mat2(field, 1, r, 0, 1) for r in field.elements()}
+        squares = {field.mul(x, x) for x in field.units()}
+        nonsquare = min(set(field.units()) - squares, default=None)
+        two = field.add(1, 1)
+        invariants = set()
         for entry in self.entries:
             rep = entry.representative
-            w = entry.nonzero_corner_witness
-            recorded = [rep, w, entry.unitriangular, entry.closure_member]
-            recorded += [shear for shear, _ in entry.commutator_pairs]
-            if any(m.field != field for m in recorded):  # so no product below mixes fields
+            if rep.a != 0:
                 return False
-            if rep.det != 1 or rep.is_scalar():
+            if rep.b != 1 and not (rep.b == nonsquare and rep.d in (two, field.neg(two))):
                 return False
-            if w.det != 1 or w.b == 0:
+            invariants.add((rep.d, rep.b in squares))
+            x = rep
+            for g in entry.word:
+                x = commutator(x, g)
+            h = entry.conjugator
+            if h.mul(x).mul(inverse(h)) != E:
                 return False
+        if len(invariants) != len(self.entries):
+            return False
+        if not sweep_covers(self.target_sweep, E):
+            return False
+        for w in {entry.nonzero_corner_witness for entry in self.entries}:
+            if w.b == 0 or {w.mul(comm).mul(inverse(w)) for _, comm in self.target_sweep} != upper:
+                return False
+        for entry in self.entries:
             a = entry.diagonal_entry
             if a not in range(2, field.order) or a == field.neg(1):  # not 0, 1 or -1
                 return False
             if entry.diagonal.entries() != (a, 0, 0, field.inv(a)):
                 return False
-            if entry.unitriangular.mul(entry.closure_member) != entry.diagonal:
+            u, B = entry.unitriangular, entry.closure_member
+            if (u.a, u.b, u.d) != (1, 0, 1) or u.mul(B) != entry.diagonal:
                 return False
-            B = entry.closure_member
-            commutators = set()
-            for shear, comm in entry.commutator_pairs:
-                if (shear.a, shear.b, shear.d) != (1, 0, 1):  # a lower shear, so it inverts
-                    return False
-                key = (shear.code, B.code)
-                if key not in products:
-                    products[key] = shear.mul(B).mul(inverse(shear)).mul(inverse(B))
-                if products[key] != comm:
-                    return False
-                commutators.add(comm)
-            if commutators != lower_shears:
+            if not sweep_covers(entry.commutator_pairs, B):
                 return False
             if entry.closure_order != self.group_order:
                 return False
@@ -510,94 +439,126 @@ class SimplicityCertificate:
         }
 
 
-def matrix_conjugacy_representatives(sl2: SL2Group) -> tuple[Mat2, ...]:
-    """One representative per conjugacy class of SL(2,q), smallest first."""
-    return tuple(rep for rep, _ in _conjugacy_classes(sl2))
+def class_representatives(field: Field) -> tuple[Mat2, ...]:
+    """One representative of each non-scalar conjugacy class of SL(2,q),
+    in the canonical form of the module docstring, sorted by code."""
+    f = field
+    reps = [Mat2(f, 0, 1, f.neg(1), t) for t in f.elements()]
+    if f.p != 2:
+        b = next(x for x in f.units() if f.pow(x, (f.order - 1) // 2) != 1)
+        two = f.add(1, 1)
+        reps += [Mat2(f, 0, b, f.neg(f.inv(b)), d) for d in (two, f.neg(two))]
+    return tuple(sorted(reps, key=lambda m: m.code))
 
 
-def _conjugacy_classes(sl2: SL2Group) -> list[tuple[Mat2, frozenset[int]]]:
-    """Each conjugacy class of SL(2,q) as its smallest member and its codes,
-    smallest first."""
-    f = sl2.field
-    maps, act = sl2.conjugation
-    seen: set[int] = set()
-    classes = []
-    for x in sorted(sl2.codes):
-        if x not in seen:
-            members = orbit([x], maps, act)
-            seen |= members
-            classes.append((Mat2(f, *_entries_of(x, f.order)), members))
-    return classes
+def _commutator(x: Mat2, g: Mat2) -> Mat2:
+    return x.mul(g).mul(x.inverse()).mul(g.inverse())
+
+
+def _diagonalizer(x: Mat2, m: int) -> Mat2:
+    """h in SL(2,q) with h*x*h^-1 = diag(m, 1/m), for x of trace m + 1/m
+    with m*m != 1.
+
+    The rows of h are left eigenvectors of x, for m and then 1/m: v*x = e*v
+    holds for v = (c, e - a), or, if that is zero, for v = (d - e, -b).  The
+    first row is scaled to lead with 1 and the second to make det h = 1, so
+    a lower triangular x gets a lower shear."""
+    f = x.field
+    rows = []
+    for e in (m, f.inv(m)):
+        v = (x.c, f.sub(e, x.a))
+        rows.append(v if v != (0, 0) else (f.sub(x.d, e), f.neg(x.b)))
+    (p, r), (s, t) = rows
+    lead = f.inv(p if p else r)
+    p, r = f.mul(lead, p), f.mul(lead, r)
+    scale = f.inv(f.sub(f.mul(p, t), f.mul(r, s)))
+    return Mat2(f, p, r, f.mul(scale, s), f.mul(scale, t))
+
+
+# GF(5)'s words, one per class in code order: [[A, g1], g2] has trace
+# 0 = 2 + 3, so it is conjugate to diag(2, 3).  g1 is the lower shear by
+# 2/b, for A's upper-right entry b; g2 was found by a search of SL(2,5).
+_GF5_WORDS = (
+    ((1, 0, 2, 1), (0, 1, 4, 1)),  # (0 1; 4 0)
+    ((1, 0, 2, 1), (0, 1, 4, 0)),  # (0 1; 4 1)
+    ((1, 0, 2, 1), (0, 1, 4, 0)),  # (0 1; 4 2)
+    ((1, 0, 2, 1), (0, 1, 4, 1)),  # (0 1; 4 3)
+    ((1, 0, 2, 1), (0, 1, 4, 1)),  # (0 1; 4 4)
+    ((1, 0, 1, 1), (0, 1, 4, 0)),  # (0 2; 2 2)
+    ((1, 0, 1, 1), (0, 2, 2, 1)),  # (0 2; 2 3)
+)
 
 
 def certify_simplicity(q: int) -> SimplicityCertificate:
     """Certify that every normal closure of a non-scalar matrix is SL(2,q).
 
-    For each non-scalar conjugacy class representative: find a closure
-    member with nonzero upper-right entry, factor diag(a, 1/a) with
-    a outside {0, 1, -1} through the closure, and check that the
-    commutators of that factor against all lower shears sweep out exactly
-    the lower shear subgroup.
-
-    The classes are walked smallest first, and each class whose closure is
-    SL(2,q) joins the proved codes that end later classes' closures.  That
-    evidence depends on the closure alone, so it is derived once per
-    distinct closure.
+    Each class representative is carried by its word to the one target
+    E = diag(m, 1/m); E's commutators with the lower shears are all of
+    them, and the witness w = (0 1; -1 0) carries those to the upper
+    shears, which together generate SL(2,q) (module docstring).  The sweep
+    and w's conjugates are formed once per certificate, so the whole proof
+    is O(q) matrix products.  A step that misses raises ``ProofStepFails``.
     """
     if q <= 3:
         raise FieldTooSmall("the argument needs more than 3 field elements")
-    sl2 = sl2_group(q)
-    f = sl2.field
+    check_table_cap(q)
+    f = field_of_order(q)
+    reps = class_representatives(f)
+    if q == 5:
+        m = 2
+        words = [tuple(Mat2(f, *g) for g in word) for word in _GF5_WORDS]
+    else:
+        root = next(x for x in f.units() if f.pow(x, 4) != 1)
+        m = f.inv(f.mul(root, root))
+        words = [(Mat2(f, root, 0, 0, f.inv(root)),)] * len(reps)
+    target = Mat2(f, m, 0, 0, f.inv(m))
     # each lower shear with its inverse, the shear by -r
     lower_shears = [(Mat2(f, 1, 0, r, 1), Mat2(f, 1, 0, f.neg(r), 1)) for r in f.elements()]
-    lower_codes = frozenset(m.code for m, _ in lower_shears)
-    upper_codes = frozenset(Mat2(f, 1, r, 0, 1).code for r in f.elements())
+    lower = frozenset(shear for shear, _ in lower_shears)
+    upper = frozenset(Mat2(f, 1, r, 0, 1) for r in f.elements())
+
+    def sweep(diagonal: Mat2) -> tuple[tuple[Mat2, Mat2], ...]:
+        diagonal_inv = diagonal.inverse()
+        return tuple(
+            (shear, shear.mul(diagonal).mul(shear_inv).mul(diagonal_inv))
+            for shear, shear_inv in lower_shears
+        )
+
+    target_sweep = sweep(target)
+    if frozenset(comm for _, comm in target_sweep) != lower:
+        raise ProofStepFails(f"the commutators of {target} miss a lower shear")
+    w = Mat2(f, 0, 1, f.neg(1), 0)
+    w_inv = w.inverse()
+    if frozenset(w.mul(comm).mul(w_inv) for _, comm in target_sweep) != upper:
+        raise ProofStepFails(f"{w} misses an upper shear")
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
     diagonal = Mat2(f, a, 0, 0, f.inv(a))
-
-    def evidence(closure: frozenset[int]) -> dict:
-        witness = find_nonzero_corner_witness(sl2, closure)
-        u, B = factor_with_lower_shear(sl2, diagonal, closure)
-        B_inv = B.inverse()
-        pairs = []
-        for shear, shear_inv in lower_shears:
-            comm = shear.mul(B).mul(shear_inv).mul(B_inv)
-            if comm.code not in closure:
-                raise NotInClosure(f"commutator {comm} is not in the normal closure")
-            pairs.append((shear, comm))
-        return dict(
-            nonzero_corner_witness=witness,
-            unitriangular=u,
-            closure_member=B,
-            commutator_pairs=tuple(pairs),
-            lower_shears_in_closure=lower_codes <= closure,
-            upper_shears_in_closure=upper_codes <= closure,
-            closure_order=len(closure),
-        )
-
-    proved: set[int] = set()  # the classes whose normal closure is SL(2,q)
-    derived: dict[frozenset[int], dict] = {}
-    entries = []
-    for rep, members in _conjugacy_classes(sl2):
-        if rep.is_scalar():
-            continue
-        closure = matrix_normal_closure(sl2, [rep], proved=proved)
-        if len(closure) == len(sl2.codes):
-            proved |= members
-        if closure not in derived:
-            derived[closure] = evidence(closure)
-        entries.append(
-            ClosureCertificate(
-                representative=rep, diagonal_entry=a, diagonal=diagonal, **derived[closure]
-            )
-        )
-    verdict = bool(entries) and all(
-        e.closure_order == len(sl2.codes)
-        and frozenset(c.code for _, c in e.commutator_pairs) == lower_codes
-        and e.lower_shears_in_closure
-        and e.upper_shears_in_closure
-        for e in entries
+    report = dict(
+        nonzero_corner_witness=w,
+        diagonal_entry=a,
+        diagonal=diagonal,
+        unitriangular=mat_identity(f),
+        closure_member=diagonal,
+        commutator_pairs=sweep(diagonal),
+        lower_shears_in_closure=True,
+        upper_shears_in_closure=True,
+        closure_order=q**3 - q,
     )
+    entries = []
+    for rep, word in zip(reps, words, strict=True):
+        x = rep
+        for g in word:
+            x = _commutator(x, g)
+        h = _diagonalizer(x, m)
+        if h.mul(x).mul(h.inverse()) != target:
+            raise ProofStepFails(f"the word of {rep} misses {target}")
+        entries.append(ClosureCertificate(representative=rep, word=word, conjugator=h, **report))
+    verdict = frozenset(comm for _, comm in report["commutator_pairs"]) == lower
     return SimplicityCertificate(
-        q=q, group_order=len(sl2.codes), entries=tuple(entries), verdict=verdict
+        q=q,
+        group_order=q**3 - q,
+        entries=tuple(entries),
+        verdict=verdict,
+        target=target,
+        target_sweep=target_sweep,
     )

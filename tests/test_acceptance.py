@@ -2,12 +2,13 @@
 against its stated budget.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the per-criterion lines."""
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from psl2kit.cli import load_generators_file
+from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import CUBIC_X3_X_1, Field
 from psl2kit.groups import PermGroup, closure_images
 from psl2kit.projline import ProjLine
@@ -274,13 +275,23 @@ def test_criterion_14_pair_count_at_p2017(tmp_path):
 
 
 def test_criterion_15_simplicity_q31():
-    # the largest q the certificate admits: every normal closure stops at
-    # half of SL(2,31), 29760 codes, and is then SL(2,31) by Lagrange
+    # the largest q whose PSL(2,q) is within the enumeration cap, which the
+    # closed-form certificate no longer needs
     with budget("15 simplicity-q31", 5):
         certificate = certify_simplicity(31)
         assert certificate.verdict
         assert certificate.reverify()
         assert certificate.verdict == psl2_perm_group(31).is_simple()
+
+
+def test_criterion_16_simplicity_q256(capsys):
+    # the largest q the certificate admits: its products read GF(q)'s q*q
+    # tables, which the field cap bounds; the whole command, chain included
+    with budget("16 simplicity-q256", 10):
+        assert main(["psl2", "--q", "256", "--check", "simplicity", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate_reverified"] is True and payload["methods_agree"] is True
+        assert payload["simple"] is True and len(payload["certificate"]["classes"]) == 256
 
 
 def _random_sl2(field, rng) -> Mat2:

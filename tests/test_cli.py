@@ -160,6 +160,15 @@ def test_every_runtime_invariant_maps_to_exit_3():
     assert defined - {SylowGrowthFails} == set(cli.INVARIANT_ERRORS)
 
 
+def test_certificate_step_that_misses_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(psl2, "_diagonalizer", lambda x, m: psl2.mat_identity(x.field))
+    assert main(["psl2", "--q", "7", "--check", "simplicity"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("psl2kit: invariant violated: ProofStepFails: the word of ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_shared_parser_matches_fresh_processes(capsys):
     """main reuses one parser per process; a run of calls, a usage error
     among them, must each match the same call in a fresh interpreter."""
@@ -244,11 +253,9 @@ def _gens_file(tmp_path, p):
         (["psl2", "--q", "65521", "--check", "order"], "degree 65522 exceeds degree cap 8192"),
         # 8209 is the first prime whose line has more points than the degree cap
         (["classify", "--p", "8209", "--group", "GENS"], "degree 8210 exceeds degree cap 8192"),
-        (["psl2", "--q", "37", "--check", "simplicity"],
-         "PSL(2,37) order 25308 exceeds enumeration cap 20000"),
-        # the certificate builds SL(2,32) as matrices; the order check builds none
-        (["psl2", "--q", "32", "--check", "simplicity"],
-         "PSL(2,32) order 32736 exceeds enumeration cap 20000"),
+        # the certificate's products read GF(q)'s q*q tables; 257 is a prime
+        (["psl2", "--q", "257", "--check", "simplicity"],
+         "operation table size 66049 exceeds field cap 65536"),
     ],
 )
 def test_caps_exit_4_with_one_line(tmp_path, argv, message):
@@ -295,6 +302,16 @@ def test_prime_chains_run_past_the_enumeration_cap(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0  # every check passed
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("q", [32, 37, 64, 81, 256])
+def test_simplicity_runs_past_the_enumeration_cap(capsys, q):
+    """The certificate builds no group, so only the field cap bounds it."""
+    code, out = run_cli(capsys, "psl2", "--q", str(q), "--check", "simplicity", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    assert payload["certificate_reverified"] is True and payload["methods_agree"] is True
+    assert len(payload["certificate"]["classes"]) == (q + 2 if q % 2 else q)
 
 
 def test_psl2_order_command(capsys):

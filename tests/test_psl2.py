@@ -1,38 +1,36 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psl2kit.fields import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_FIELD_ORDER,
     CapExceeded,
     Field,
     IndexOutOfRange,
     NotPrime,
+    distinct_prime_factors,
     field_of_order,
     is_prime,
 )
+from psl2kit import groups
 from psl2kit.groups import PermGroup, orbit
 from psl2kit.projline import DomainMismatch, ProjLine
 from psl2kit import psl2
 from psl2kit.psl2 import (
-    DecompositionFails,
     FieldTooSmall,
     Mat2,
-    NotInClosure,
-    OnlyScalars,
-    SeedsOutsideSL2,
-    find_nonzero_corner_witness,
-    factor_with_lower_shear,
+    ProofStepFails,
+    class_representatives,
     mat_closure,
     mat_identity,
-    matrix_conjugacy_representatives,
-    matrix_normal_closure,
     certify_simplicity,
     psl2_expected_order,
     psl2_perm_group,
@@ -40,7 +38,25 @@ from psl2kit.psl2 import (
     sl2_group,
 )
 
-from conftest import mat_neg, psl2_cached, reference_is_simple, sl2_matrices
+import conftest
+from conftest import (
+    DecompositionFails,
+    NotInClosure,
+    OnlyScalars,
+    SeedsOutsideSL2,
+    entries_of,
+    factor_with_lower_shear,
+    find_nonzero_corner_witness,
+    mat_neg,
+    matrix_conjugacy_representatives,
+    matrix_normal_closure,
+    psl2_cached,
+    reference_certificate,
+    reference_is_simple,
+    replay_word,
+    sl2_matrices,
+    sl2_oracle,
+)
 
 
 def _codes(matrices) -> frozenset[int]:
@@ -281,12 +297,18 @@ def test_built_exactly_within_the_enumeration_cap(build):
 
 
 def test_conjugation_built_once_per_group(monkeypatch):
+    """The oracle builds each field's shear conjugation maps once, however
+    many classes and closures use them."""
     calls = []
-    build = psl2._conjugation
-    monkeypatch.setattr(psl2, "_conjugation", lambda field: calls.append(field) or build(field))
-    for q in (4, 5, 9):
-        certificate = certify_simplicity(q)
-        assert certificate.verdict and certificate.reverify()
+    build = conftest._conjugation
+    monkeypatch.setattr(conftest, "_conjugation", lambda field: calls.append(field) or build(field))
+    conftest.conjugation.cache_clear()
+    try:
+        for q in (4, 5, 9):
+            assert reference_certificate(q)["verdict"]
+            assert reference_certificate(q)["verdict"]
+    finally:
+        conftest.conjugation.cache_clear()
     assert [f.order for f in calls] == [4, 5, 9]
 
 
@@ -328,10 +350,10 @@ def test_verify_normal_rejects_upper_triangular_subgroup():
     assert len(upper) == 20 and upper == mat_closure(
         [Mat2(data.field, 2, 0, 0, 3), Mat2(data.field, 1, 1, 0, 1)]
     )
-    assert not psl2._verify_normal(data, upper)
+    assert not conftest._verify_normal(data, upper)
     with pytest.raises(ValueError, match="not normal"):
         find_nonzero_corner_witness(data, upper)
-    assert psl2._verify_normal(data, data.codes)
+    assert conftest._verify_normal(data, data.codes)
 
 
 def test_verify_normal_checks_a_full_size_set_outside_sl2():
@@ -340,7 +362,7 @@ def test_verify_normal_checks_a_full_size_set_outside_sl2():
     f = data.field
     swapped = data.codes - {Mat2(f, 1, 1, 0, 1).code} | {Mat2(f, 2, 0, 0, 1).code}
     assert len(swapped) == len(sl2_matrices(f))
-    assert not psl2._verify_normal(data, swapped)
+    assert not conftest._verify_normal(data, swapped)
 
 
 def test_factor_with_lower_shear():
@@ -377,7 +399,7 @@ def test_conjugation_on_codes_matches_matrices(q, draws):
     shear generator."""
     f = field_of_order(q)
     x = Mat2(f, *draws.draw(st.tuples(*[st.integers(0, q - 1)] * 4)))
-    maps, act = psl2._conjugation(f)
+    maps, act = conftest._conjugation(f)
     for g, m in zip(sl2_generators(f), maps, strict=True):
         assert act(x.code, m) == g.mul(x).mul(g.inverse()).code
 
@@ -435,8 +457,10 @@ def test_certificate_bounds():
         certify_simplicity(3)
     with pytest.raises(FieldTooSmall):
         certify_simplicity(2)
-    with pytest.raises(CapExceeded):
-        certify_simplicity(32)
+    # the products read GF(q)'s q*q tables, so q = 256 is the last field
+    assert 256**2 <= MAX_FIELD_ORDER < 257**2
+    with pytest.raises(CapExceeded, match="operation table size 66049 exceeds field cap 65536"):
+        certify_simplicity(257)
     # q = 3 cross-check: the permutation group is genuinely not simple
     assert not psl2_cached(3).is_simple()
 
@@ -574,7 +598,7 @@ def test_corner_witness_outside_subgroup_raises(monkeypatch):
     data = sl2_group(5)
     f = data.field
     not_normal = _codes([mat_identity(f), Mat2(f, 2, 0, 0, 3)])
-    monkeypatch.setattr(psl2, "_verify_normal", lambda sl2, subgroup: True)
+    monkeypatch.setattr(conftest, "_verify_normal", lambda sl2, subgroup: True)
     with pytest.raises(OnlyScalars):
         find_nonzero_corner_witness(data, not_normal)
     # lower triangular: members with c != 0 but none with b != 0
@@ -588,14 +612,14 @@ def test_conjugation_orbits_of_nonscalars_hold_a_nonzero_corner(q):
     """Over all q^4 matrices: an SL(2,q)-conjugacy orbit with a non-scalar
     member holds one with b != 0, so a normal set without one is central."""
     f = field_of_order(q)
-    maps, act = psl2._conjugation(f)
+    maps, act = conftest._conjugation(f)
     seen: set[int] = set()
     for x in range(q**4):
         if x in seen:
             continue
         members = orbit([x], maps, act)
         seen |= members
-        entries = [psl2._entries_of(y, q) for y in members]
+        entries = [entries_of(y, q) for y in members]
         if any(not (b == 0 == c and a == d) for a, b, c, d in entries):
             assert any(b for _, b, _, _ in entries)
 
@@ -668,7 +692,7 @@ def test_matrix_normal_closure_matches_an_unlimited_reference(q, draws):
     drawn = draws.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
     family = draws.draw(st.sampled_from(_seed_families(f)))
     seeds = draws.draw(st.sampled_from(
-        [family, [Mat2(f, *psl2._entries_of(x, q)) for x in drawn]]
+        [family, [Mat2(f, *entries_of(x, q)) for x in drawn]]
     ))
     close = psl2.mat_closure
     calls = []
@@ -694,9 +718,9 @@ def test_normal_closures_of_sl2_3():
 
 
 def test_certify_closures_stop_at_half_of_sl2(monkeypatch):
-    """No closure of the certificate's normal closures runs past half of
-    SL(2,13) plus the one code that shows it."""
-    data = sl2_group(13)
+    """No closure of the oracle's normal closures runs past half of SL(2,13)
+    plus the one code that shows it."""
+    data = sl2_oracle(13)
     half = len(data.codes) // 2  # SL(2,13) itself is built before the spy
     close = psl2.mat_closure
     seen = []
@@ -706,23 +730,21 @@ def test_certify_closures_stop_at_half_of_sl2(monkeypatch):
         seen.append(limit + 1 if closure is None else len(closure))
         return closure
 
-    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
     monkeypatch.setattr(psl2, "mat_closure", spy)
-    assert certify_simplicity(13).verdict
+    assert reference_certificate(13)["verdict"]
     assert seen and max(seen) <= half + 1
 
 
 def test_row_maps_built_once_per_group(monkeypatch):
-    """Every matrix a closure is generated from gets its row map built once
-    per group, however many closures it joins."""
+    """Every matrix an oracle closure is generated from gets its row map
+    built once per group, however many closures it joins."""
     data = sl2_group(11)
-    data.conjugation  # the conjugation's own maps, built once before the spy
+    conftest.conjugation(data.field)  # the conjugation's own maps, built before the spy
     built = []
     build = psl2._row_map
     monkeypatch.setattr(psl2, "_row_map", lambda g: built.append(g.code) or build(g))
-    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
-    certificate = certify_simplicity(11)
-    assert certificate.verdict and certificate.reverify()
+    monkeypatch.setattr(conftest, "sl2_oracle", lambda q: data)
+    assert reference_certificate(11)["verdict"]
     assert built and len(built) == len(set(built))
     assert all(data.row_map(g) is data.row_map(g) for g in sl2_generators(data.field))
     with pytest.raises(DomainMismatch):
@@ -733,7 +755,8 @@ def test_corner_witness_of_sl2_is_cached_and_exact():
     for q in (4, 5, 9):
         data = sl2_group(q)
         witness = find_nonzero_corner_witness(data, data.codes)
-        assert witness is data.corner_witness
+        assert witness is find_nonzero_corner_witness(data, data.codes)
+        assert witness.entries() == (0, 1, data.field.neg(1), 0)
         # an equal set that is not ``data.codes`` takes the uncached path
         assert find_nonzero_corner_witness(data, frozenset(data.codes)) == witness
 
@@ -754,74 +777,78 @@ def test_certify_builds_no_permutation_group(monkeypatch, q):
 
 
 def test_commutator_outside_closure_raises(monkeypatch):
-    data = sl2_group(5)
+    """The oracle checks each commutator of its sweep against the closure."""
+    data = sl2_oracle(5)
     f = data.field
     missing = Mat2(f, 1, 0, 1, 1)
     monkeypatch.setattr(
-        psl2,
-        "matrix_normal_closure",
-        lambda sl2, seeds, **kwargs: sl2.codes - {missing.code},
+        conftest, "matrix_normal_closure", lambda sl2, seeds: sl2.codes - {missing.code}
     )
     monkeypatch.setattr(
-        psl2, "find_nonzero_corner_witness", lambda sl2, closure: Mat2(f, 1, 1, 0, 1)
+        conftest, "find_nonzero_corner_witness", lambda sl2, closure: Mat2(f, 1, 1, 0, 1)
     )
     with pytest.raises(NotInClosure):
-        certify_simplicity(5)
+        reference_certificate(5)
+
+
+def test_a_word_that_misses_the_target_raises(monkeypatch):
+    monkeypatch.setattr(psl2, "_diagonalizer", lambda x, m: mat_identity(x.field))
+    with pytest.raises(ProofStepFails, match="misses"):
+        certify_simplicity(7)
 
 
 SHORTCUT_ORDERS = (4, 5, 7, 8, 9, 11, 13)
 
 
 @pytest.mark.parametrize("q", SHORTCUT_ORDERS)
-def test_certificate_equals_one_built_without_proved_classes(monkeypatch, q):
-    """Ending a closure at a proved class changes no entry and no report."""
+def test_certificate_equals_one_built_without_proved_classes(q):
+    """The closed-form report equals the oracle's, built by enumerating
+    SL(2,q), each class's normal closure run out to the Lagrange exit."""
     certificate = certify_simplicity(q)
-    close = psl2.matrix_normal_closure
-    monkeypatch.setattr(
-        psl2, "matrix_normal_closure", lambda sl2, seeds, **kwargs: close(sl2, seeds)
+    reference = reference_certificate(q)
+    assert certificate.to_json_dict() == reference
+    assert json.dumps(certificate.to_json_dict(), sort_keys=True) == json.dumps(
+        reference, sort_keys=True
     )
-    reference = certify_simplicity(q)
-    assert len(certificate.entries) == len(reference.entries)
-    for entry, expected in zip(certificate.entries, reference.entries):
-        assert entry == expected
-    assert certificate == reference
-    assert certificate.to_json_dict() == reference.to_json_dict()
 
 
 @pytest.mark.parametrize("q", SHORTCUT_ORDERS)
 def test_every_class_closure_is_sl2(q):
-    data = sl2_group(q)
-    nonscalar = [rep for rep in matrix_conjugacy_representatives(data) if not rep.is_scalar()]
-    assert len(nonscalar) == (q + 2 if q % 2 else q)
-    for rep in nonscalar:
+    """The oracle's normal closure of each closed-form representative."""
+    data = sl2_oracle(q)
+    reps = class_representatives(data.field)
+    assert len(reps) == (q + 2 if q % 2 else q)
+    for rep in reps:
         assert matrix_normal_closure(data, [rep]) is data.codes
 
 
-def test_certify_runs_one_lagrange_exit_and_one_factor(monkeypatch):
-    """At q = 13 only the first non-scalar class's closure grows past half
-    of SL(2,13); every later one stops at a proved class, and all of them
-    share one factor of the diagonal."""
-    data = sl2_group(13)
-    data.codes  # SL(2,13) itself is built before the spies
-    search, factor = psl2.orbit, psl2.factor_with_lower_shear
-    exits, factors = [], []
+def _raise(*args, **kwargs):
+    raise AssertionError("the closed-form certificate enumerated")
 
-    def orbit_spy(seeds, gens, act, limit=None):
-        result = search(seeds, gens, act, limit)
-        if result is None:  # more than ``limit`` codes
-            exits.append(limit)
-        return result
 
-    def factor_spy(*args):
-        factors.append(args)
-        return factor(*args)
+def test_certify_runs_no_closure_and_one_sweep(monkeypatch):
+    """At q = 13 no closure, orbit or SL(2,q) is built; every entry shares
+    one report, whose sweep is formed once, and the whole proof takes O(q)
+    matrix products."""
+    products = 0
+    mul = Mat2.mul
 
-    monkeypatch.setattr(psl2, "sl2_group", lambda q: data)
-    monkeypatch.setattr(psl2, "orbit", orbit_spy)
-    monkeypatch.setattr(psl2, "factor_with_lower_shear", factor_spy)
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    for name in ("mat_closure", "sl2_group", "orbit"):
+        monkeypatch.setattr(psl2, name, _raise)
+    monkeypatch.setattr(groups, "orbit", _raise)
+    monkeypatch.setattr(Mat2, "mul", counting_mul)
     certificate = certify_simplicity(13)
     assert certificate.verdict and len(certificate.entries) == 15
-    assert (exits, len(factors)) == ([len(data.codes) // 2], 1)
+    first = certificate.entries[0]
+    assert all(e.commutator_pairs is first.commutator_pairs for e in certificate.entries)
+    # three products per commutator of the two sweeps, two per conjugate by w,
+    # and five per class: its commutator with D and the check that h takes it to E
+    assert products == 3 * 13 + 2 * 13 + 3 * 13 + 5 * 15
 
 
 def test_reverify_memo_hides_no_forgery():
@@ -856,4 +883,156 @@ def test_reverify_memo_hides_no_forgery():
     diagonal = Mat2(f, a, 0, 0, f.inv(a))
     member = last.unitriangular.inverse().mul(diagonal)
     forged = with_last(diagonal_entry=a, diagonal=diagonal, closure_member=member)
+    assert forged.reverify() is False
+
+
+PRIME_POWERS_TO_64 = tuple(q for q in range(4, 65) if len(distinct_prime_factors(q)) == 1)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_closed_form_classes_and_words_match_the_oracle(q):
+    """The closed-form representatives are the oracle's smallest class
+    members, in order, and each class's word, replayed by the oracle's own
+    arithmetic, ends at the certificate's target."""
+    data = psl2.SL2Group(field_of_order(q))  # not cached: SL(2,64) holds 262080 codes
+    oracle = [rep for rep in matrix_conjugacy_representatives(data) if not rep.is_scalar()]
+    reps = class_representatives(data.field)
+    assert list(reps) == oracle
+    certificate = certify_simplicity(q)
+    assert [e.representative for e in certificate.entries] == oracle
+    for entry in certificate.entries:
+        assert all(g.det == 1 for g in (*entry.word, entry.conjugator))
+        assert replay_word(entry.representative, entry.word, entry.conjugator) == certificate.target
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q <= 16] + [2, 3])
+def test_three_shear_factorization(q):
+    """Every (a b; c d) in SL(2,q) with c != 0 is U_x * L_c * U_y for
+    x = (a - 1)/c and y = (d - 1)/c; with c = 0, (a b; c d) * L_1 has c != 0,
+    so the shears generate SL(2,q)."""
+    f = field_of_order(q)
+
+    def upper(x):
+        return Mat2(f, 1, x, 0, 1)
+
+    def three_shears(m):
+        x, y = (f.div(f.sub(e, 1), m.c) for e in (m.a, m.d))
+        return upper(x).mul(Mat2(f, 1, 0, m.c, 1)).mul(upper(y))
+
+    for m in sl2_matrices(f):
+        if m.c:
+            assert three_shears(m) == m
+        else:
+            moved = m.mul(Mat2(f, 1, 0, 1, 1))
+            assert moved.c and three_shears(moved).mul(Mat2(f, 1, 0, f.neg(1), 1)) == m
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31])
+def test_certify_and_reverify_build_no_group(monkeypatch, q):
+    for name in ("mat_closure", "sl2_group", "orbit"):
+        monkeypatch.setattr(psl2, name, _raise)
+    monkeypatch.setattr(groups, "orbit", _raise)
+    certificate = certify_simplicity(q)
+    assert certificate.verdict and certificate.reverify()
+
+
+@pytest.mark.parametrize(
+    "q,source,kept",
+    [
+        (6, 5, 6),  # not a prime power; a q = 5 certificate cut to 6 entries
+        (12, 13, 12),
+        (3, 5, 5),
+        (2, 5, 2),
+        (0, 5, 7),
+        (-5, 5, 7),
+        (257, 5, 7),  # past the field cap, q*q > MAX_FIELD_ORDER
+        (65536, 4, 4),
+    ],
+)
+def test_reverify_reads_false_for_a_q_it_cannot_check(q, source, kept):
+    """A genuine certificate given another q, with that q's group order and
+    entry count where they can be met: False, never an error."""
+    certificate = certify_simplicity(source)
+    forged = dataclasses.replace(
+        certificate, q=q, group_order=q**3 - q, entries=certificate.entries[:kept]
+    )
+    assert forged.reverify() is False
+
+
+FORGERY_ORDERS = (4, 5, 7, 8, 9, 13)
+
+
+@functools.lru_cache(maxsize=None)
+def _genuine(q):
+    return certify_simplicity(q)
+
+
+def _with_entry(certificate, i, entry):
+    entries = list(certificate.entries)
+    entries[i] = entry
+    return dataclasses.replace(certificate, entries=tuple(entries))
+
+
+def _sl2_element(f, draws):
+    """A product of drawn shears: any element of SL(2,q) is one."""
+    m = mat_identity(f)
+    for lower, r in draws.draw(st.lists(st.tuples(st.booleans(), st.integers(0, f.order - 1)),
+                                        min_size=1, max_size=4)):
+        m = m.mul(Mat2(f, 1, 0, r, 1) if lower else Mat2(f, 1, r, 0, 1))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FORGERY_ORDERS), st.data())
+def test_reverify_rejects_forgeries(q, draws):
+    certificate = _genuine(q)
+    assert certificate.reverify()
+    f = certificate.target.field
+    entries = certificate.entries
+    n = len(entries)
+    i = draws.draw(st.integers(0, n - 1), label="entry")
+    kind = draws.draw(st.sampled_from(
+        ["word", "conjugate", "same class", "dropped", "target", "root"]
+    ))
+    if kind == "word":
+        entry = entries[i]
+        matrices = [*entry.word, entry.conjugator]
+        j = draws.draw(st.integers(0, len(matrices) - 1))
+        mutated = Mat2(f, *draws.draw(st.tuples(*[st.integers(0, q - 1)] * 4)))
+        assume(mutated != matrices[j])
+        matrices[j] = mutated
+        # a mutation that still replays to the target is still a proof
+        assume(any(g.det != 1 for g in matrices) or replay_word(
+            entry.representative, matrices[:-1], matrices[-1]) != certificate.target)
+        forged = _with_entry(certificate, i, dataclasses.replace(
+            entry, word=tuple(matrices[:-1]), conjugator=matrices[-1]))
+    elif kind == "conjugate":
+        j = draws.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        g = _sl2_element(f, draws)
+        rep = g.mul(entries[j].representative).mul(g.inverse())
+        forged = _with_entry(certificate, i, dataclasses.replace(entries[i], representative=rep))
+    elif kind == "same class":
+        j = draws.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        forged = _with_entry(certificate, i, entries[j])
+    elif kind == "dropped":
+        forged = dataclasses.replace(certificate, entries=entries[:i] + entries[i + 1:])
+    elif kind == "target":
+        m = draws.draw(st.integers(1, q - 1).filter(lambda m: m != certificate.target.a))
+        target = Mat2(f, m, 0, 0, f.inv(m))
+        sweep = tuple(
+            (s, s.mul(target).mul(s.inverse()).mul(target.inverse()))
+            for s, _ in certificate.target_sweep
+        )
+        forged = dataclasses.replace(certificate, target=target, target_sweep=sweep)
+    else:
+        # another root l: its commutators with the classes have another trace
+        words = {e.word for e in entries}
+        assume(q != 5)
+        (root,) = {w[0].a for w in words}
+        squares = {f.mul(root, root), f.inv(f.mul(root, root))}
+        l = draws.draw(st.integers(1, q - 1).filter(lambda l: f.mul(l, l) not in squares))
+        D = Mat2(f, l, 0, 0, f.inv(l))
+        forged = dataclasses.replace(
+            certificate, entries=tuple(dataclasses.replace(e, word=(D,)) for e in entries)
+        )
     assert forged.reverify() is False

@@ -138,7 +138,8 @@ def test_no_command_reaches_the_sylow_scan():
 
 def test_enumeration_cap_guards_matrix_builds_only():
     # PSL(2,q) on the line is a chain of generators, bounded by the degree
-    # cap; check_psl2_cap guards only where SL(2,q) is built as matrices
+    # cap, and the certificate builds no group; check_psl2_cap guards only
+    # where SL(2,q) is built as matrices
     def names_cap(func):
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         return name == "check_psl2_cap"
@@ -155,23 +156,42 @@ def test_enumeration_cap_guards_matrix_builds_only():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and names_cap(node.func)
         ]
-    assert sorted(found) == ["cli.cmd_psl2", "psl2.sl2_group"]
+    assert sorted(found) == ["psl2.sl2_group"]
+
+
+def _psl2_function(name: str, owner: str | None = None) -> ast.FunctionDef:
+    tree = ast.parse((SOURCE_DIR / "psl2.py").read_text())
+    body = tree.body
+    if owner is not None:
+        [cls] = [node for node in body if isinstance(node, ast.ClassDef) and node.name == owner]
+        body = cls.body
+    [func] = [node for node in body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return func
+
+
+def _names_in(func: ast.FunctionDef) -> set[str]:
+    named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    return named | {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+
+
+def test_certificate_enumerates_nothing():
+    # the closed-form certificate and its replay build no group, no closure
+    # and no orbit, and read no set of SL(2,q) codes
+    forbidden = {"mat_closure", "sl2_group", "SL2Group", "orbit", "codes"}
+    for func in (_psl2_function("certify_simplicity"),
+                 _psl2_function("reverify", "SimplicityCertificate")):
+        assert sorted(_names_in(func) & forbidden) == [], func.name
 
 
 def test_reverify_shares_no_code_with_the_path_it_checks():
     # a certificate is rechecked by its own matrix arithmetic, never by the
-    # closures, classes and caches that built it
-    tree = ast.parse((SOURCE_DIR / "psl2.py").read_text())
-    [reverify] = [
-        node
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name == "SimplicityCertificate"
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "reverify"
-    ]
-    named = {node.id for node in ast.walk(reverify) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(reverify) if isinstance(node, ast.Attribute)}
+    # helpers, closures and caches that built it
+    named = _names_in(_psl2_function("reverify", "SimplicityCertificate"))
     forbidden = {
+        "class_representatives",
+        "_commutator",
+        "_diagonalizer",
+        "_GF5_WORDS",
         "mat_closure",
         "matrix_normal_closure",
         "matrix_conjugacy_representatives",
