@@ -22,11 +22,14 @@ part of SL(2,q):
   y = (d - 1)/c when c != 0; when c = 0, (a b; c d) * L_1 has lower-left
   entry d != 0.  So every element is a product of at most four shears.
 
-The report keeps the fields of the enumerating certificate this replaced:
-the witness w, u = I and B = diag(a, 1/a) with a the smallest element
-outside {0, 1, -1}, B's own commutator sweep, and the closure order
-q**3 - q.  ``SimplicityCertificate.reverify`` replays every word and both
-sweeps with its own ``Mat2`` arithmetic.
+Each class carries only its representative, word and conjugator; the
+certificate holds the rest once: E with its sweep, w, and the report's
+diagonal entry a, the smallest element outside {0, 1, -1}, with the sweep
+of diag(a, 1/a).  The report writes every class in the layout of the
+enumerating certificate this replaced, from those shared fields: w, u = I,
+closure member diag(a, 1/a), its sweep, and the closure order q**3 - q.
+``SimplicityCertificate.reverify`` replays every word and both sweeps once,
+with its own ``Mat2`` arithmetic.
 
 SL(2,q) as a set of packed codes (``SL2Group``, the closure of its shears
 under ``mat_closure``) is built by no command; it is there for tests and
@@ -94,7 +97,8 @@ class Mat2:
     @property
     def code(self) -> int:
         """The entries packed base q, ``a`` most significant, so codes sort
-        as ``entries()`` does; ``_entries_of`` unpacks them."""
+        as ``entries()`` does; ``entries_of`` in ``tests/conftest.py``
+        unpacks them."""
         q = self.field.order
         return ((self.a * q + self.b) * q + self.c) * q + self.d
 
@@ -141,10 +145,6 @@ def mat_identity(field: Field) -> Mat2:
     return Mat2(field, 1, 0, 0, 1)
 
 
-def mat_identity(field: Field) -> Mat2:
-    return Mat2(field, 1, 0, 0, 1)
-
-
 def _row_map(g: Mat2) -> tuple[int, ...]:
     """v -> v*g on the q*q row vectors v = (x, y), each coded x*q + y."""
     f = g.field
@@ -155,17 +155,6 @@ def _row_map(g: Mat2) -> tuple[int, ...]:
         for x in range(q)
         for y in range(q)
     )
-
-
-def sl2_generators(field: Field) -> tuple[Mat2, ...]:
-    """Unitriangular generators: shears by each monomial basis element.
-
-    The monomial x^i has element index p^i, so the shears over the basis
-    generate the full unitriangular subgroups additively."""
-    basis = [field.p**i for i in range(field.degree)]
-    gens = [Mat2(field, 1, b, 0, 1) for b in basis]
-    gens += [Mat2(field, 1, 0, b, 1) for b in basis]
-    return tuple(gens)
 
 
 def sl2_generators(field: Field) -> tuple[Mat2, ...]:
@@ -269,54 +258,47 @@ def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozense
 
 @dataclass(frozen=True)
 class ClosureCertificate:
-    """Why the normal closure of one class representative is SL(2,q).
-
-    ``word`` and ``conjugator`` carry the representative to the certificate's
-    target: X = representative, then X = X*g*X^-1*g^-1 for each g of the
-    word, and conjugator*X*conjugator^-1 is the target.  The remaining fields
-    are the report's: the witness w, a diagonal diag(a, 1/a) factored as
-    u * B, and B's commutators with the lower shears."""
+    """Why the normal closure of one class representative is SL(2,q):
+    X = representative, then X = X*g*X^-1*g^-1 for each g of ``word``, and
+    conjugator*X*conjugator^-1 is the certificate's target."""
 
     representative: Mat2
     word: tuple[Mat2, ...]
     conjugator: Mat2
-    nonzero_corner_witness: Mat2
-    diagonal_entry: int
-    diagonal: Mat2
-    unitriangular: Mat2
-    closure_member: Mat2
-    commutator_pairs: tuple[tuple[Mat2, Mat2], ...]
-    lower_shears_in_closure: bool
-    upper_shears_in_closure: bool
-    closure_order: int
 
 
 @dataclass(frozen=True)
 class SimplicityCertificate:
-    """One entry per non-scalar class, and the target E with its commutator
-    sweep, each lower shear L with L*E*L^-1*E^-1."""
+    """One entry per non-scalar class, each carried to the target E, and the
+    evidence every class shares, once: E's sweep, the witness w that carries
+    it to the upper shears, and the report's diagonal entry a with the sweep
+    of diag(a, 1/a).  A sweep of a diagonal D is L_r*D*L_r^-1*D^-1 for the
+    lower shears L_r, in order of r."""
 
     q: int
     group_order: int
     entries: tuple[ClosureCertificate, ...]
     verdict: bool
     target: Mat2
-    target_sweep: tuple[tuple[Mat2, Mat2], ...]
+    target_sweep: tuple[Mat2, ...]
+    witness: Mat2
+    diagonal_entry: int
+    diagonal_sweep: tuple[Mat2, ...]
 
     def reverify(self) -> bool:
-        """Replay the whole proof by direct matrix arithmetic.
+        """Replay the whole proof by direct matrix arithmetic, each step once.
 
         The representatives must be in the canonical form of the module
         docstring with distinct invariants, the trace and, at trace 2 or -2,
         whether b is a square; with one entry per non-scalar class, q + 2
         for odd q and q for even q, that makes them a complete set of
-        classes.  Every word must end at the target, the target's commutators
-        with the lower shears must be all of them, and the witness must
-        carry those to all the upper shears.  The report's diagonal, factor
-        and sweep are rechecked too.  Every matrix must be over GF(q), and
-        every one that is inverted of determinant 1, so a forgery reads
-        False, not an error, and so does a q that is not a prime power
-        above 3 within the field cap.  Each distinct product is formed once.
+        classes.  Every word must end at the target, both sweeps must be
+        what they claim and all the lower shears, and the witness must carry
+        the target's sweep to all the upper shears.  The diagonal entry must
+        lie outside {0, 1, -1}.  Every matrix must be over GF(q), and every
+        one that is inverted of determinant 1, so a forgery reads False, not
+        an error, and so does a q that is not a prime power above 3 within
+        the field cap.
         """
         q = self.q
         if not isinstance(q, int) or q <= 3 or q * q > MAX_FIELD_ORDER:
@@ -327,52 +309,32 @@ class SimplicityCertificate:
             return False
         if len(self.entries) != (q + 2 if q % 2 else q):
             return False
-        field = field_of_order(q)
-        E = self.target
-        # genuine certificates share their sweeps and report matrices, so
-        # each distinct object is checked once
-        sweeps = [self.target_sweep, *(entry.commutator_pairs for entry in self.entries)]
-        sweeps = list({id(pairs): pairs for pairs in sweeps}.values())
-        inverted = [E, *(shear for pairs in sweeps for shear, _ in pairs)]
-        recorded = [comm for pairs in sweeps for _, comm in pairs]
+        E, w = self.target, self.witness
+        field = E.field  # the certificate's own, its operation tables already built
+        if field != field_of_order(q):
+            return False
+        a = self.diagonal_entry
+        if a not in range(2, q) or a == field.neg(1):  # not 0, 1 or -1
+            return False
+        inverted = [E, w]
         for entry in self.entries:
             inverted += [entry.representative, *entry.word, entry.conjugator]
-            inverted += [entry.nonzero_corner_witness, entry.closure_member]
-            recorded += [entry.diagonal, entry.unitriangular]
-        inverted = {id(m): m for m in inverted}.values()
-        recorded = {id(m): m for m in recorded}.values()
-        if any(m.field != field for m in [*inverted, *recorded]):  # no product mixes fields
-            return False
+        if any(m.field != field for m in [*inverted, *self.target_sweep, *self.diagonal_sweep]):
+            return False  # no product mixes fields
         if any(m.det != 1 for m in inverted):  # each inverse exists and lies in SL(2,q)
             return False
-        inverses: dict[int, Mat2] = {}
-        products: dict[tuple[int, int], Mat2] = {}
-        covers: dict[tuple[int, int], bool] = {}
-
-        def inverse(m: Mat2) -> Mat2:
-            if m.code not in inverses:
-                inverses[m.code] = m.inverse()
-            return inverses[m.code]
-
-        def commutator(x: Mat2, g: Mat2) -> Mat2:
-            if (x.code, g.code) not in products:
-                products[x.code, g.code] = x.mul(g).mul(inverse(x)).mul(inverse(g))
-            return products[x.code, g.code]
-
-        def sweep_covers(pairs, diagonal) -> bool:
-            """Each pair a lower shear L and L*diagonal*L^-1*diagonal^-1,
-            the commutators all q lower shears."""
-            key = (id(pairs), diagonal.code)
-            if key not in covers:
-                covers[key] = (
-                    all((s.a, s.b, s.d) == (1, 0, 1) for s, _ in pairs)
-                    and all(commutator(s, diagonal) == comm for s, comm in pairs)
-                    and {comm for _, comm in pairs} == lower
-                )
-            return covers[key]
-
-        lower = {Mat2(field, 1, 0, r, 1) for r in field.elements()}
+        lower = [Mat2(field, 1, 0, r, 1) for r in field.elements()]
         upper = {Mat2(field, 1, r, 0, 1) for r in field.elements()}
+
+        def is_sweep(sweep, diagonal: Mat2) -> bool:
+            diagonal_inv = diagonal.inverse()
+            return (
+                len(sweep) == q
+                and set(sweep) == set(lower)
+                and all(s.mul(diagonal).mul(s.inverse()).mul(diagonal_inv) == comm
+                        for s, comm in zip(lower, sweep))
+            )
+
         squares = {field.mul(x, x) for x in field.units()}
         nonsquare = min(set(field.units()) - squares, default=None)
         two = field.add(1, 1)
@@ -386,54 +348,43 @@ class SimplicityCertificate:
             invariants.add((rep.d, rep.b in squares))
             x = rep
             for g in entry.word:
-                x = commutator(x, g)
+                x = x.mul(g).mul(x.inverse()).mul(g.inverse())
             h = entry.conjugator
-            if h.mul(x).mul(inverse(h)) != E:
+            if h.mul(x).mul(h.inverse()) != E:
                 return False
         if len(invariants) != len(self.entries):
             return False
-        if not sweep_covers(self.target_sweep, E):
+        if not is_sweep(self.target_sweep, E):
             return False
-        for w in {entry.nonzero_corner_witness for entry in self.entries}:
-            if w.b == 0 or {w.mul(comm).mul(inverse(w)) for _, comm in self.target_sweep} != upper:
-                return False
-        for entry in self.entries:
-            a = entry.diagonal_entry
-            if a not in range(2, field.order) or a == field.neg(1):  # not 0, 1 or -1
-                return False
-            if entry.diagonal.entries() != (a, 0, 0, field.inv(a)):
-                return False
-            u, B = entry.unitriangular, entry.closure_member
-            if (u.a, u.b, u.d) != (1, 0, 1) or u.mul(B) != entry.diagonal:
-                return False
-            if not sweep_covers(entry.commutator_pairs, B):
-                return False
-            if entry.closure_order != self.group_order:
-                return False
-            if not (entry.lower_shears_in_closure and entry.upper_shears_in_closure):
-                return False
+        w_inv = w.inverse()
+        if {w.mul(comm).mul(w_inv) for comm in self.target_sweep} != upper:
+            return False
+        if not is_sweep(self.diagonal_sweep, Mat2(field, a, 0, 0, field.inv(a))):
+            return False
         return self.verdict
 
     def to_json_dict(self) -> dict:
+        """The report, one class per entry, each with the shared evidence in
+        the layout of the enumerating certificate this replaced: u = I, so
+        the closure member is diag(a, 1/a), and the closure is SL(2,q)."""
+        a = self.diagonal_entry
         # the entries of the lower shears (1 0; r 1), sorted
         lower_shears = [[1, 0, r, 1] for r in range(self.q)]
+        shared = {
+            "nonzero_corner_witness": list(self.witness.entries()),
+            "diagonal_entry": a,
+            "unitriangular": [1, 0, 0, 1],
+            "closure_member": [a, 0, 0, self.witness.field.inv(a)],
+            "closure_order": self.group_order,
+            "commutators_cover_shears": sorted(list(c.entries()) for c in self.diagonal_sweep)
+            == lower_shears,
+        }
         return {
             "q": self.q,
             "group_order": self.group_order,
             "verdict": self.verdict,
             "classes": [
-                {
-                    "representative": list(e.representative.entries()),
-                    "nonzero_corner_witness": list(e.nonzero_corner_witness.entries()),
-                    "diagonal_entry": e.diagonal_entry,
-                    "unitriangular": list(e.unitriangular.entries()),
-                    "closure_member": list(e.closure_member.entries()),
-                    "closure_order": e.closure_order,
-                    "commutators_cover_shears": sorted(
-                        list(c.entries()) for _, c in e.commutator_pairs
-                    )
-                    == lower_shears,
-                }
+                {"representative": list(e.representative.entries()), **shared}
                 for e in self.entries
             ],
         }
@@ -517,33 +468,22 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     lower = frozenset(shear for shear, _ in lower_shears)
     upper = frozenset(Mat2(f, 1, r, 0, 1) for r in f.elements())
 
-    def sweep(diagonal: Mat2) -> tuple[tuple[Mat2, Mat2], ...]:
+    def sweep(diagonal: Mat2) -> tuple[Mat2, ...]:
         diagonal_inv = diagonal.inverse()
         return tuple(
-            (shear, shear.mul(diagonal).mul(shear_inv).mul(diagonal_inv))
+            shear.mul(diagonal).mul(shear_inv).mul(diagonal_inv)
             for shear, shear_inv in lower_shears
         )
 
     target_sweep = sweep(target)
-    if frozenset(comm for _, comm in target_sweep) != lower:
+    if frozenset(target_sweep) != lower:
         raise ProofStepFails(f"the commutators of {target} miss a lower shear")
     w = Mat2(f, 0, 1, f.neg(1), 0)
     w_inv = w.inverse()
-    if frozenset(w.mul(comm).mul(w_inv) for _, comm in target_sweep) != upper:
+    if frozenset(w.mul(comm).mul(w_inv) for comm in target_sweep) != upper:
         raise ProofStepFails(f"{w} misses an upper shear")
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
-    diagonal = Mat2(f, a, 0, 0, f.inv(a))
-    report = dict(
-        nonzero_corner_witness=w,
-        diagonal_entry=a,
-        diagonal=diagonal,
-        unitriangular=mat_identity(f),
-        closure_member=diagonal,
-        commutator_pairs=sweep(diagonal),
-        lower_shears_in_closure=True,
-        upper_shears_in_closure=True,
-        closure_order=q**3 - q,
-    )
+    diagonal_sweep = sweep(Mat2(f, a, 0, 0, f.inv(a)))
     entries = []
     for rep, word in zip(reps, words, strict=True):
         x = rep
@@ -552,13 +492,15 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         h = _diagonalizer(x, m)
         if h.mul(x).mul(h.inverse()) != target:
             raise ProofStepFails(f"the word of {rep} misses {target}")
-        entries.append(ClosureCertificate(representative=rep, word=word, conjugator=h, **report))
-    verdict = frozenset(comm for _, comm in report["commutator_pairs"]) == lower
+        entries.append(ClosureCertificate(representative=rep, word=word, conjugator=h))
     return SimplicityCertificate(
         q=q,
         group_order=q**3 - q,
         entries=tuple(entries),
-        verdict=verdict,
+        verdict=frozenset(diagonal_sweep) == lower,
         target=target,
         target_sweep=target_sweep,
+        witness=w,
+        diagonal_entry=a,
+        diagonal_sweep=diagonal_sweep,
     )

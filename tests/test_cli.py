@@ -206,6 +206,33 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(run.stdout)["checks"]
 
 
+def test_benchmark_tracer_installs_and_traces_a_job():
+    """``benchmarks/tracing.py`` wraps package functions and methods by
+    name, so one that is renamed or deleted breaks ``install``; this runs it
+    on a fresh interpreter, as the benchmark does, with one simplicity job."""
+    root = Path(cli.__file__).parents[2]
+    script = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(root / 'benchmarks')!r})",
+        "import tracing",
+        "from psl2kit import cli",
+        "rec = tracing.Recorder()",
+        "tracing.install(rec)",
+        "code = cli.main(['psl2', '--q', '7', '--check', 'simplicity'])",
+        "counts = {name: cell[0] for name, cell in rec.counters.items()}",
+        "print(json.dumps({'code': code, 'names': rec.names, 'counts': counts}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    traced = json.loads(run.stdout.splitlines()[-1])
+    assert traced["code"] == 0
+    assert {"cli.main", "psl2.certify", "psl2.reverify", "groups.is_simple"} <= set(traced["names"])
+    assert traced["counts"]["psl2.mat_mul_calls"] > 0
+
+
 HUGE_PRIME = "1000000000000000003"
 
 

@@ -447,9 +447,16 @@ def test_certificates_verify(q):
     assert certificate.verdict
     assert certificate.group_order == q**3 - q
     assert certificate.reverify()
-    for entry in certificate.entries:
-        assert entry.closure_order == q**3 - q
-        assert entry.lower_shears_in_closure and entry.upper_shears_in_closure
+    # the target's sweep is every lower shear, and w carries it to every
+    # upper shear, so each closure is SL(2,q)
+    f = certificate.target.field
+    w = certificate.witness
+    assert set(certificate.target_sweep) == {Mat2(f, 1, 0, r, 1) for r in f.elements()}
+    assert {w.mul(c).mul(w.inverse()) for c in certificate.target_sweep} == {
+        Mat2(f, 1, r, 0, 1) for r in f.elements()
+    }
+    for report in certificate.to_json_dict()["classes"]:
+        assert report["closure_order"] == q**3 - q
 
 
 def test_certificate_bounds():
@@ -477,13 +484,11 @@ def test_certificate_agrees_with_brute_force():
 
 def test_reverify_rejects_wrong_group_order():
     certificate = certify_simplicity(5)
-    tampered = dataclasses.replace(
-        certificate,
-        group_order=7,
-        entries=tuple(dataclasses.replace(e, closure_order=7) for e in certificate.entries),
-    )
+    tampered = dataclasses.replace(certificate, group_order=7)
     assert certificate.reverify()
     assert not tampered.reverify()
+    # the report's closure order is the certificate's group order
+    assert {c["closure_order"] for c in tampered.to_json_dict()["classes"]} == {7}
 
 
 def test_reverify_rejects_forged_representatives():
@@ -524,28 +529,37 @@ def test_reverify_counts_the_classes():
 def test_reverify_rejects_a_diagonal_entry_outside_the_field():
     certificate = certify_simplicity(7)
     for a in (50, 7, -1, 0, 1, 6):  # outside GF(7), then 0, 1 and -1
-        entries = tuple(dataclasses.replace(e, diagonal_entry=a) for e in certificate.entries)
-        assert dataclasses.replace(certificate, entries=entries).reverify() is False
+        assert dataclasses.replace(certificate, diagonal_entry=a).reverify() is False
 
 
 def test_reverify_rejects_foreign_and_singular_matrices():
     certificate = certify_simplicity(7)
-    f = certificate.entries[0].representative.field
+    f = certificate.target.field
     zero, foreign = Mat2(f, 0, 0, 0, 0), Mat2(Field(5), 1, 0, 1, 1)
-
-    def forged(**changes):
-        entries = tuple(dataclasses.replace(e, **changes) for e in certificate.entries)
-        return dataclasses.replace(certificate, entries=entries)
-
-    pairs = certificate.entries[0].commutator_pairs
+    sweep = certificate.diagonal_sweep
     for changes in (
-        {"unitriangular": foreign},
-        {"closure_member": zero},
-        {"nonzero_corner_witness": Mat2(Field(5), 1, 1, 0, 1)},
-        {"commutator_pairs": ((zero, mat_identity(f)), *pairs[1:])},
-        {"commutator_pairs": pairs[:-1]},
+        {"target": Mat2(Field(5), 2, 0, 0, 3)},
+        {"witness": Mat2(Field(5), 0, 1, 4, 0)},
+        {"witness": zero},
+        {"diagonal_sweep": (zero, *sweep[1:])},
+        {"diagonal_sweep": (foreign, *sweep[1:])},
+        {"diagonal_sweep": sweep[:-1]},
+        {"diagonal_sweep": (*sweep, sweep[0])},
+        {"target_sweep": certificate.target_sweep[:-1]},
+        {"target_sweep": (*certificate.target_sweep, certificate.target_sweep[0])},
     ):
-        assert forged(**changes).reverify() is False
+        assert dataclasses.replace(certificate, **changes).reverify() is False
+
+
+def test_reverify_rejects_a_witness_or_word_that_misses():
+    certificate = certify_simplicity(7)
+    identity = mat_identity(certificate.target.field)
+    # the identity carries the lower shears to themselves, not to the upper
+    assert dataclasses.replace(certificate, witness=identity).reverify() is False
+    # a word of the identity ends at the identity, not at the target
+    last = certificate.entries[-1]
+    entries = certificate.entries[:-1] + (dataclasses.replace(last, word=(identity,)),)
+    assert dataclasses.replace(certificate, entries=entries).reverify() is False
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31])
@@ -827,9 +841,9 @@ def _raise(*args, **kwargs):
 
 
 def test_certify_runs_no_closure_and_one_sweep(monkeypatch):
-    """At q = 13 no closure, orbit or SL(2,q) is built; every entry shares
-    one report, whose sweep is formed once, and the whole proof takes O(q)
-    matrix products."""
+    """At q = 13 no closure, orbit or SL(2,q) is built; the entries hold no
+    shared evidence, each sweep is formed once, and the whole proof takes
+    O(q) matrix products, as many to build as ``reverify`` takes to replay."""
     products = 0
     mul = Mat2.mul
 
@@ -844,46 +858,37 @@ def test_certify_runs_no_closure_and_one_sweep(monkeypatch):
     monkeypatch.setattr(Mat2, "mul", counting_mul)
     certificate = certify_simplicity(13)
     assert certificate.verdict and len(certificate.entries) == 15
-    first = certificate.entries[0]
-    assert all(e.commutator_pairs is first.commutator_pairs for e in certificate.entries)
+    names = [field.name for field in dataclasses.fields(psl2.ClosureCertificate)]
+    assert names == ["representative", "word", "conjugator"]
+    assert len(certificate.target_sweep) == len(certificate.diagonal_sweep) == 13
     # three products per commutator of the two sweeps, two per conjugate by w,
     # and five per class: its commutator with D and the check that h takes it to E
     assert products == 3 * 13 + 2 * 13 + 3 * 13 + 5 * 15
-
-
-def test_reverify_memo_hides_no_forgery():
-    """Every entry of a genuine certificate shares one closure member, so
-    its commutators are formed once; a last entry that differs must still
-    read False."""
-    certificate = certify_simplicity(7)
-    f = certificate.entries[0].representative.field
-    last = certificate.entries[-1]
-    pairs = list(last.commutator_pairs)
-
-    def with_last(**changes):
-        entries = certificate.entries[:-1] + (dataclasses.replace(last, **changes),)
-        return dataclasses.replace(certificate, entries=entries)
-
+    products = 0
     assert certificate.reverify()
-    assert all(e.closure_member == last.closure_member for e in certificate.entries)
-    # one commutator replaced by another's
-    forged = list(pairs)
-    forged[2] = (pairs[2][0], pairs[3][1])
-    assert with_last(commutator_pairs=tuple(forged)).reverify() is False
-    # two swapped, so the commutators still cover the lower shears
-    forged = list(pairs)
-    forged[2], forged[3] = (pairs[2][0], pairs[3][1]), (pairs[3][0], pairs[2][1])
-    assert with_last(commutator_pairs=tuple(forged)).reverify() is False
-    # another closure member, alone, then as the factor of another diagonal
-    # (a lower triangular member with the same diagonal has the same
-    # commutators with the lower shears, so it would be no forgery)
-    member = Mat2(f, 1, 1, 0, 1)
-    assert with_last(closure_member=member).reverify() is False
-    a = next(x for x in (2, 3, 4, 5) if x != last.diagonal_entry)
-    diagonal = Mat2(f, a, 0, 0, f.inv(a))
-    member = last.unitriangular.inverse().mul(diagonal)
-    forged = with_last(diagonal_entry=a, diagonal=diagonal, closure_member=member)
-    assert forged.reverify() is False
+    assert products == 3 * 13 + 2 * 13 + 3 * 13 + 5 * 15
+
+
+def test_reverify_checks_each_commutator_of_both_sweeps():
+    """Each sweep is compared commutator by commutator with the sweep of its
+    diagonal, the target or diag(a, 1/a), which ``reverify`` builds from the
+    diagonal entry; a forgery that still covers the lower shears must read
+    False."""
+    certificate = certify_simplicity(7)
+    assert certificate.reverify()
+    for name in ("target_sweep", "diagonal_sweep"):
+        sweep = getattr(certificate, name)
+        # one commutator replaced by another's
+        forged = list(sweep)
+        forged[2] = sweep[3]
+        assert dataclasses.replace(certificate, **{name: tuple(forged)}).reverify() is False
+        # two swapped, so the commutators still cover the lower shears
+        forged = list(sweep)
+        forged[2], forged[3] = sweep[3], sweep[2]
+        assert dataclasses.replace(certificate, **{name: tuple(forged)}).reverify() is False
+    # another diagonal entry with the old sweep (a*a differs, so the sweep does)
+    a = next(x for x in (2, 3, 4, 5) if x != certificate.diagonal_entry)
+    assert dataclasses.replace(certificate, diagonal_entry=a).reverify() is False
 
 
 PRIME_POWERS_TO_64 = tuple(q for q in range(4, 65) if len(distinct_prime_factors(q)) == 1)
@@ -992,7 +997,8 @@ def test_reverify_rejects_forgeries(q, draws):
     n = len(entries)
     i = draws.draw(st.integers(0, n - 1), label="entry")
     kind = draws.draw(st.sampled_from(
-        ["word", "conjugate", "same class", "dropped", "target", "root"]
+        ["word", "conjugate", "same class", "dropped", "target", "root",
+         "witness", "diagonal entry", "diagonal sweep"]
     ))
     if kind == "word":
         entry = entries[i]
@@ -1020,10 +1026,31 @@ def test_reverify_rejects_forgeries(q, draws):
         m = draws.draw(st.integers(1, q - 1).filter(lambda m: m != certificate.target.a))
         target = Mat2(f, m, 0, 0, f.inv(m))
         sweep = tuple(
-            (s, s.mul(target).mul(s.inverse()).mul(target.inverse()))
-            for s, _ in certificate.target_sweep
+            s.mul(target).mul(s.inverse()).mul(target.inverse())
+            for s in (Mat2(f, 1, 0, r, 1) for r in f.elements())
         )
         forged = dataclasses.replace(certificate, target=target, target_sweep=sweep)
+    elif kind == "witness":
+        w = _sl2_element(f, draws)
+        upper = {Mat2(f, 1, r, 0, 1) for r in f.elements()}
+        assume({w.mul(c).mul(w.inverse()) for c in certificate.target_sweep} != upper)
+        forged = dataclasses.replace(certificate, witness=w)
+    elif kind == "diagonal entry":
+        # diag(a, 1/a)'s sweep depends on a*a only, so -a would be no forgery
+        a = certificate.diagonal_entry
+        other = draws.draw(st.integers(-q, 2 * q).filter(
+            lambda x: x not in f.elements() or f.mul(x, x) != f.mul(a, a)))
+        forged = dataclasses.replace(certificate, diagonal_entry=other)
+    elif kind == "diagonal sweep":
+        sweep = list(certificate.diagonal_sweep)
+        j = draws.draw(st.integers(0, q - 1))
+        if draws.draw(st.booleans(), label="drawn matrix"):
+            mutated = Mat2(f, *draws.draw(st.tuples(*[st.integers(0, q - 1)] * 4)))
+            assume(mutated != sweep[j])
+        else:
+            mutated = sweep[draws.draw(st.integers(0, q - 1).filter(lambda k: k != j))]
+        sweep[j] = mutated
+        forged = dataclasses.replace(certificate, diagonal_sweep=tuple(sweep))
     else:
         # another root l: its commutators with the classes have another trace
         words = {e.word for e in entries}

@@ -202,3 +202,16 @@ def test_reverify_shares_no_code_with_the_path_it_checks():
         "certify_simplicity",
     }
     assert sorted(named & forbidden) == []
+
+
+def test_no_top_level_name_defined_twice():
+    # a second def or class of one name silently rebinds the first
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        seen = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+                seen.add(node.name)
+    assert found == []
