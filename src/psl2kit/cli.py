@@ -19,7 +19,6 @@ from .projline import ProjLine
 from .psl2 import (
     ProofStepFails,
     certify_simplicity,
-    check_table_cap,
     psl2_expected_order,
     psl2_perm_group,
 )
@@ -218,10 +217,6 @@ def cmd_search(args) -> int:
 def cmd_psl2(args) -> int:
     q = args.q
     check_cap("field order", q, "field cap", MAX_FIELD_ORDER)
-    if args.check == "simplicity":
-        # the certificate multiplies matrices through GF(q)'s q*q tables; it
-        # builds no group, so the enumeration cap does not apply
-        check_table_cap(q)
     if args.check == "generation" and not is_prime(q):
         raise ValueError("the two-generator claim is checked for prime q")
     group = psl2_perm_group(q)

@@ -6,10 +6,9 @@ representative polynomial's coefficients in base p with the constant term
 in the least significant digit, so index 0 is the additive zero and index 1
 the multiplicative one.  Multiplication, inversion and powers run through
 exp/log tables over a fixed primitive element; addition is digit-wise,
-which in characteristic 2 is the XOR of the indices.
-For fields with q*q <= MAX_FIELD_ORDER, full q-by-q addition and
-multiplication tables are built on first use from those operations; the
-2x2 matrix kernel in ``psl2`` runs on them.
+which in characteristic 2 is the XOR of the indices.  These validated
+operations are the package's only field arithmetic: the 2x2 matrix kernel in
+``psl2`` calls them too, and ``field_of_order`` builds one ``Field`` per q.
 
 Every size cap of the package is defined here, each in the unit it
 counts, and ``check_cap`` enforces them all with one exception,
@@ -21,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-# Size caps, each in the unit it counts.  Entries of one field table: the
-# tables are materialized eagerly, so they stay at desk scale.
+# Size caps, each in the unit it counts.  Elements of one field: GF(p^k)
+# builds its exp/log tables eagerly, so they stay at desk scale.
 MAX_FIELD_ORDER = 1 << 16
 # Group elements held in memory at once: enumerations, the corollary's
 # Sylow subgroups, and which SL(2,q) get built as matrices.
@@ -281,7 +280,8 @@ class Field:
                 raise IndexOutOfRange(f"element index {x} outside 0..{self.order - 1}")
 
     def add(self, x: int, y: int) -> int:
-        self._check(x, y)
+        if not (0 <= x < self.order and 0 <= y < self.order):
+            self._check(x, y)
         if self.degree == 1:
             return (x + y) % self.p
         if self.p == 2:
@@ -311,7 +311,8 @@ class Field:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x, y)
+        if not (0 <= x < self.order and 0 <= y < self.order):
+            self._check(x, y)
         if self.degree == 1:
             return (x * y) % self.p
         if x == 0 or y == 0:
@@ -339,24 +340,6 @@ class Field:
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
-
-    # -- operation tables --
-
-    @cached_property
-    def add_table(self) -> tuple[int, ...]:
-        """Sums by lookup: ``add_table[x * q + y] == add(x, y)``."""
-        return self._operation_table(self.add)
-
-    @cached_property
-    def mul_table(self) -> tuple[int, ...]:
-        """Products by lookup: ``mul_table[x * q + y] == mul(x, y)``."""
-        return self._operation_table(self.mul)
-
-    def _operation_table(self, op) -> tuple[int, ...]:
-        # Built from the validated operation, so the table agrees with it.
-        q = self.order
-        check_cap("operation table size", q * q, "field cap", MAX_FIELD_ORDER)
-        return tuple(op(x, y) for x in range(q) for y in range(q))
 
     # -- structure queries --
 
@@ -389,8 +372,10 @@ class Field:
         raise NoPrimitiveElement("unit group has no generator")  # unreachable
 
 
+@lru_cache(maxsize=None)
 def field_of_order(q: int) -> Field:
-    """GF(q) for a prime power q, with the default modulus."""
+    """GF(q) for a prime power q, with the default modulus; one ``Field``
+    per q, built on the first call."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
     check_cap("field order", q, "field cap", MAX_FIELD_ORDER)

@@ -285,13 +285,22 @@ def test_criterion_15_simplicity_q31():
 
 
 def test_criterion_16_simplicity_q256(capsys):
-    # the largest q the certificate admits: its products read GF(q)'s q*q
-    # tables, which the field cap bounds; the whole command, chain included
+    # the whole command, chain included
     with budget("16 simplicity-q256", 10):
         assert main(["psl2", "--q", "256", "--check", "simplicity", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate_reverified"] is True and payload["methods_agree"] is True
         assert payload["simple"] is True and len(payload["certificate"]["classes"]) == 256
+
+
+def test_criterion_17_simplicity_certificate_q4096():
+    # the certificate's O(q) products run on GF(q)'s own add and mul, so
+    # only the field cap bounds it
+    with budget("17 simplicity-q4096", 10):
+        certificate = certify_simplicity(4096)
+        assert certificate.verdict
+        assert len(certificate.entries) == 4096
+        assert certificate.reverify()
 
 
 def _random_sl2(field, rng) -> Mat2:

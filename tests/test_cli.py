@@ -139,6 +139,7 @@ def test_search_invariant_error_exits_3_without_traceback(capsys, monkeypatch):
 
 def test_missing_irreducible_polynomial_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(fields, "poly_is_irreducible", lambda coeffs, p: False)
+    fields.field_of_order.cache_clear()  # else GF(8) comes from an earlier test
     code = main(["psl2", "--q", "8", "--check", "order"])
     captured = capsys.readouterr()
     assert code == 3
@@ -280,9 +281,9 @@ def _gens_file(tmp_path, p):
         (["psl2", "--q", "65521", "--check", "order"], "degree 65522 exceeds degree cap 8192"),
         # 8209 is the first prime whose line has more points than the degree cap
         (["classify", "--p", "8209", "--group", "GENS"], "degree 8210 exceeds degree cap 8192"),
-        # the certificate's products read GF(q)'s q*q tables; 257 is a prime
-        (["psl2", "--q", "257", "--check", "simplicity"],
-         "operation table size 66049 exceeds field cap 65536"),
+        # the certificate builds no chain, but the command's own simplicity
+        # check does
+        (["psl2", "--q", "8209", "--check", "simplicity"], "degree 8210 exceeds degree cap 8192"),
     ],
 )
 def test_caps_exit_4_with_one_line(tmp_path, argv, message):
@@ -303,6 +304,7 @@ def test_caps_exit_4_with_one_line(tmp_path, argv, message):
     [
         ["classify", "--p", "65521", "--group", "psl2"],
         ["psl2", "--q", "65521", "--check", "order"],
+        ["psl2", "--q", "65521", "--check", "simplicity"],
     ],
 )
 def test_degree_cap_refuses_before_any_field_is_built(monkeypatch, capsys, argv):
@@ -331,9 +333,11 @@ def test_prime_chains_run_past_the_enumeration_cap(capsys, argv):
     assert json.loads(out)
 
 
-@pytest.mark.parametrize("q", [32, 37, 64, 81, 256])
+@pytest.mark.parametrize("q", [32, 37, 64, 81, 256, 257, 343])
 def test_simplicity_runs_past_the_enumeration_cap(capsys, q):
-    """The certificate builds no group, so only the field cap bounds it."""
+    """The certificate builds no group, so only the field cap bounds it, and
+    the command's own chain only the degree cap; 343 is an odd-characteristic
+    extension."""
     code, out = run_cli(capsys, "psl2", "--q", str(q), "--check", "simplicity", "--format", "json")
     payload = json.loads(out)
     assert code == 0 and payload["pass"] is True

@@ -93,17 +93,19 @@ def test_pow_negative_exponents():
 
 
 def test_index_bounds_checked():
-    f = Field(5)
-    with pytest.raises(IndexOutOfRange):
-        f.add(1, 5)
-    with pytest.raises(IndexOutOfRange):
-        f.mul(-1, 2)
-    # characteristic-2 addition is an XOR, which would not notice by itself
-    for f in (field_of_order(8), field_of_order(9)):
-        with pytest.raises(IndexOutOfRange):
-            f.add(1, f.order)
-        with pytest.raises(IndexOutOfRange):
-            f.add(-1, 2)
+    # every out-of-range operand of add and mul, first or second, beside 0 and
+    # 1: characteristic-2 addition is an XOR and extension-field products
+    # short-cut at 0, neither of which would notice by itself
+    for f in (Field(5), field_of_order(8), field_of_order(9)):
+        for op in (f.add, f.mul):
+            for bad in (-1, f.order, f.order + 1):
+                for good in (0, 1):
+                    with pytest.raises(IndexOutOfRange):
+                        op(bad, good)
+                    with pytest.raises(IndexOutOfRange):
+                        op(good, bad)
+                with pytest.raises(IndexOutOfRange):
+                    op(bad, bad)
         with pytest.raises(IndexOutOfRange):
             f.neg(f.order)
 
@@ -246,12 +248,9 @@ def test_missing_irreducible_polynomial_raises(monkeypatch):
         default_modulus(2, 3)
 
 
-def test_operation_tables_capped_at_order_256():
-    f = field_of_order(256)
-    assert len(f.add_table) == len(f.mul_table) == 256 * 256
-    for q in (257, 512):
+def test_field_of_order_returns_one_field_per_q():
+    # add and mul are the only arithmetic: no q*q operation table is built
+    for q in BUILT_ORDERS:
         f = field_of_order(q)
-        with pytest.raises(CapExceeded):
-            f.add_table
-        with pytest.raises(CapExceeded):
-            f.mul_table
+        assert f is field_of_order(q)
+        assert not hasattr(f, "add_table") and not hasattr(f, "mul_table")

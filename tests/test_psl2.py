@@ -110,7 +110,7 @@ def test_mat2_kernel_matches_field_operations(q, data):
 
 
 def test_mat2_equal_over_equal_distinct_fields():
-    for make in (lambda: Field(13), lambda: field_of_order(9)):
+    for make in (lambda: Field(13), lambda: Field(3, 2)):
         f, g = make(), make()
         assert f is not g and f == g
         x, y = Mat2(f, 2, 3, 1, 2), Mat2(g, 2, 3, 1, 2)
@@ -464,10 +464,11 @@ def test_certificate_bounds():
         certify_simplicity(3)
     with pytest.raises(FieldTooSmall):
         certify_simplicity(2)
-    # the products read GF(q)'s q*q tables, so q = 256 is the last field
-    assert 256**2 <= MAX_FIELD_ORDER < 257**2
-    with pytest.raises(CapExceeded, match="operation table size 66049 exceeds field cap 65536"):
-        certify_simplicity(257)
+    # the products run on GF(q)'s own add and mul, so only the field cap bounds q
+    assert MAX_FIELD_ORDER == 65536
+    with pytest.raises(CapExceeded, match="field order 65537 exceeds field cap 65536"):
+        certify_simplicity(65537)
+    assert certify_simplicity(257).reverify()
     # q = 3 cross-check: the permutation group is genuinely not simple
     assert not psl2_cached(3).is_simple()
 
@@ -950,7 +951,8 @@ def test_certify_and_reverify_build_no_group(monkeypatch, q):
         (2, 5, 2),
         (0, 5, 7),
         (-5, 5, 7),
-        (257, 5, 7),  # past the field cap, q*q > MAX_FIELD_ORDER
+        (257, 5, 7),  # a prime within the field cap; 7 entries, not 259
+        (65537, 5, 7),  # past the field cap, q > MAX_FIELD_ORDER
         (65536, 4, 4),
     ],
 )
