@@ -19,7 +19,7 @@ any trial division or factoring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 # Size caps, each in the unit it counts.  Elements of one field: GF(p^k)
@@ -397,13 +397,9 @@ def primitive_root(p: int) -> int:
     return Field(p).primitive_element() if p > 2 else 1
 
 
-@dataclass(frozen=True)
-class QuadraticClasses:
-    """The squares and non-squares of the unit group of Z/p, p odd."""
-
-    p: int
-    squares: tuple[int, ...]
-    nonsquares: tuple[int, ...]
+class QuadraticClasses(namedtuple("QuadraticClasses", "p squares nonsquares")):
+    """The squares and non-squares of the unit group of Z/p, p odd.  No
+    ``__slots__``: the cached properties live in the instance dict."""
 
     def is_square(self, a: int) -> bool:
         a %= self.p
@@ -411,7 +407,7 @@ class QuadraticClasses:
             raise ValueError("0 is neither a square nor a non-square unit")
         return a in self._square_set
 
-    @cached_property  # computed once; not a field, so eq and hash ignore it
+    @cached_property  # computed once; not a tuple item, so eq and hash ignore it
     def _square_set(self) -> frozenset[int]:
         return frozenset(self.squares)
 
@@ -440,16 +436,13 @@ _GF8_SHIFT = (1, 2, 3, 4, 5, 6, 0, 7)  # z -> z+1 on Z/7, fixing infinity
 _GF8_DOUBLE = (0, 2, 4, 6, 1, 3, 5, 7)  # z -> 2z on Z/7, fixing infinity
 
 
-@dataclass(frozen=True)
-class Gf8Labeling:
+class Gf8Labeling(namedtuple("Gf8Labeling", "field generator to_point")):
     """Bijection GF(8) -> Z/7 + {inf}: zero to inf, i-th power of the
     generator to i.  Point 7 encodes inf.  Transporting multiplication by
     the generator yields z->z+1 and transporting squaring yields z->2z;
     both are checked at construction."""
 
-    field: Field
-    generator: int
-    to_point: tuple[int, ...]
+    __slots__ = ()
 
     INFINITY = _GF8_POINT_AT_INFINITY
 

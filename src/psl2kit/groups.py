@@ -67,7 +67,7 @@ growth raises ``OrderLimitExceeded`` exactly when the order exceeds the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap
@@ -158,10 +158,7 @@ class _Level:
         self.tested: dict[tuple[int, ...], int] = {}
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: Permutation
-    size: int
+ConjugacyClass = namedtuple("ConjugacyClass", "representative size")
 
 
 class PermGroup:

@@ -44,7 +44,7 @@ image of SL(2,q); its chain is bounded by the degree cap only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .fields import (
@@ -68,8 +68,7 @@ class ProofStepFails(RuntimeError):
     """A step of the closed-form certificate missed the matrix it must reach."""
 
 
-@dataclass(frozen=True, repr=False)
-class Mat2:
+class Mat2(namedtuple("Mat2", "field a b c d")):
     """A 2x2 matrix over a finite field, entries as element indices.
 
     An immutable value: equal entries over equal fields compare equal.  The
@@ -77,14 +76,17 @@ class Mat2:
     ``add`` and ``mul``.
     """
 
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.field._check(self.a, self.b, self.c, self.d)
+    def __new__(cls, field: Field, a: int, b: int, c: int, d: int):
+        q = field.order
+        if not (0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q):
+            field._check(a, b, c, d)
+        return tuple.__new__(cls, (field, a, b, c, d))
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` range-checks too
+        return cls(*iterable)
 
     @property
     def det(self) -> int:
@@ -167,11 +169,9 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class SL2Group:
-    """SL(2,q) from its shears, closed lazily."""
-
-    field: Field
+class SL2Group(namedtuple("SL2Group", "field")):
+    """SL(2,q) from its shears, closed lazily.  No ``__slots__``: the
+    cached properties live in the instance dict."""
 
     @cached_property
     def codes(self) -> frozenset[int]:
@@ -249,34 +249,25 @@ def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozense
 # --- the simplicity certificate ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
+class ClosureCertificate(namedtuple("ClosureCertificate", "representative word conjugator")):
     """Why the normal closure of one class representative is SL(2,q):
     X = representative, then X = X*g*X^-1*g^-1 for each g of ``word``, and
     conjugator*X*conjugator^-1 is the certificate's target."""
 
-    representative: Mat2
-    word: tuple[Mat2, ...]
-    conjugator: Mat2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimplicityCertificate:
+class SimplicityCertificate(namedtuple("SimplicityCertificate", (
+    "q group_order entries verdict target target_sweep witness"
+    " diagonal_entry diagonal_sweep"
+))):
     """One entry per non-scalar class, each carried to the target E, and the
     evidence every class shares, once: E's sweep, the witness w that carries
     it to the upper shears, and the report's diagonal entry a with the sweep
     of diag(a, 1/a).  A sweep of a diagonal D is L_r*D*L_r^-1*D^-1 for the
     lower shears L_r, in order of r."""
 
-    q: int
-    group_order: int
-    entries: tuple[ClosureCertificate, ...]
-    verdict: bool
-    target: Mat2
-    target_sweep: tuple[Mat2, ...]
-    witness: Mat2
-    diagonal_entry: int
-    diagonal_sweep: tuple[Mat2, ...]
+    __slots__ = ()
 
     def reverify(self) -> bool:
         """Replay the whole proof by direct matrix arithmetic, each step once.

@@ -37,7 +37,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import (
     MAX_FULL_SEARCH_PRIME,
@@ -60,12 +60,10 @@ class SearchInvariantError(RuntimeError):
 NEW, DUPLICATE, REJECTED = "new", "duplicate", "rejected"
 
 
-@dataclass(frozen=True)
-class FoundGroup:
-    element_set_sha256: str
-    order: int
-    verdict: str
-    contains_neg_reciprocal: bool
+class FoundGroup(namedtuple(
+    "FoundGroup", "element_set_sha256 order verdict contains_neg_reciprocal"
+)):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,14 +74,13 @@ class FoundGroup:
         }
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    p: int
-    mode: str  # "full" | "constrained"
-    candidates_examined: int
-    base_subgroup_order: int
-    groups: tuple[FoundGroup, ...]
-    elapsed_seconds: float  # informational; excluded from serialized output
+class SearchOutcome(namedtuple("SearchOutcome", (
+    "p mode candidates_examined base_subgroup_order groups elapsed_seconds"
+))):
+    """``mode`` is "full" or "constrained"; ``elapsed_seconds`` is
+    informational and left out of the serialized output."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         # elapsed time stays out so identical runs serialize identically

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from operator import eq
 
 from .fields import (
@@ -64,12 +64,10 @@ EXCEPTIONAL_INVOLUTIONS = {
 _EXCEPTIONAL_CUBICS = {3: CUBIC_X3_X_1, 5: CUBIC_X3_X2_1}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    passed: bool
-    witness: dict
-    counterexample: dict | None = None
+class CheckResult(namedtuple(
+    "CheckResult", "id passed witness counterexample", defaults=(None,)
+)):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,38 +78,29 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class StabilizerDecomposition:
+class StabilizerDecomposition(namedtuple("StabilizerDecomposition", "fixing swapping")):
     """Elements fixing {0, inf} pointwise, and elements swapping the pair."""
 
-    fixing: tuple[Permutation, ...]
-    swapping: tuple[Permutation, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TwistAnalysis:
+class TwistAnalysis(namedtuple("TwistAnalysis", "swap exponent constant")):
     """A chosen pair-swapping element, its twist exponent against the
     square-scaling subgroup, and the constant it sends 1 to."""
 
-    swap: Permutation
-    exponent: int
-    constant: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dichotomy:
-    verdict: str  # "a" | "b"
-    witness: Permutation
-    normal8_generators: tuple[Permutation, ...] | None = None
+# verdict is "a" or "b"
+Dichotomy = namedtuple("Dichotomy", "verdict witness normal8_generators", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    p: int
-    verdict: str  # "a" | "b" | "hypotheses-failed"
-    witness: str
-    checks: tuple[CheckResult, ...]
-    dichotomy: Dichotomy | None = dc_field(default=None, compare=False)
+class VerificationReport(namedtuple(
+    "VerificationReport", "p verdict witness checks dichotomy", defaults=(None,)
+)):
+    """``verdict`` is "a", "b" or "hypotheses-failed"."""
+
+    __slots__ = ()
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

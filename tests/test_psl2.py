@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import itertools
 import json
@@ -144,6 +143,22 @@ def test_mat2_entry_out_of_range_raises():
     for entries in ((5, 0, 0, 1), (1, -1, 0, 1), (1, 0, 7, 1), (1, 0, 0, 25)):
         with pytest.raises(IndexOutOfRange):
             Mat2(f, *entries)
+    # every out-of-range entry in every position, the others in range: the
+    # constructor's one chained comparison must cover all four, and so must
+    # _replace, which builds through the constructor
+    for f in (Field(5), field_of_order(8), field_of_order(9)):
+        for bad in (-1, f.order, f.order + 1):
+            for i, name in enumerate("abcd"):
+                entries = [1, 0, 0, 1]
+                entries[i] = bad
+                with pytest.raises(IndexOutOfRange):
+                    Mat2(f, *entries)
+                with pytest.raises(IndexOutOfRange):
+                    mat_identity(f)._replace(**{name: bad})
+    m = Mat2(Field(5), 1, 2, 3, 0)
+    with pytest.raises(AttributeError):
+        m.a = 0
+    assert m._replace(d=4) == Mat2(Field(5), 1, 2, 3, 4)
 
 
 def test_sl2_matrix_counts():
@@ -212,7 +227,7 @@ def test_sl2_group_examples():
     assert len(sl2_group(8).codes) == 504
     assert len(sl2_group(2).codes) == 6
     # a matrix group holds its field only: no projective line is built
-    assert [attr.name for attr in dataclasses.fields(data)] == ["field"]
+    assert data._fields == ("field",)
     with pytest.raises(CapExceeded):
         sl2_group(32)
 
@@ -429,14 +444,14 @@ def test_matrix_conjugacy_representatives():
 
 def test_certify_builds_fewer_matrices_than_the_group(monkeypatch):
     built = 0
-    init = Mat2.__init__
+    new = Mat2.__new__
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         nonlocal built
         built += 1
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(Mat2, "__init__", counting_init)
+    monkeypatch.setattr(Mat2, "__new__", counting_new)
     assert certify_simplicity(13).verdict
     assert 0 < built < 13**3 - 13
 
@@ -485,7 +500,7 @@ def test_certificate_agrees_with_brute_force():
 
 def test_reverify_rejects_wrong_group_order():
     certificate = certify_simplicity(5)
-    tampered = dataclasses.replace(certificate, group_order=7)
+    tampered = certificate._replace(group_order=7)
     assert certificate.reverify()
     assert not tampered.reverify()
     # the report's closure order is the certificate's group order
@@ -499,10 +514,10 @@ def test_reverify_rejects_forged_representatives():
 
     def forged(*reps):
         entries = tuple(
-            dataclasses.replace(e, representative=r)
+            e._replace(representative=r)
             for e, r in zip(certificate.entries, itertools.cycle(reps))
         )
-        return dataclasses.replace(certificate, entries=entries)
+        return certificate._replace(entries=entries)
 
     assert len(certificate.entries) == 9 and certificate.reverify()
     assert not forged(identity).reverify()  # all nine the identity
@@ -521,16 +536,16 @@ def test_reverify_counts_the_classes():
         certificate = certify_simplicity(q)
         assert len(certificate.entries) == count and certificate.reverify()
         for kept in (1, count - 1):
-            cut = dataclasses.replace(certificate, entries=certificate.entries[:kept])
+            cut = certificate._replace(entries=certificate.entries[:kept])
             assert not cut.reverify()
-        doubled = dataclasses.replace(certificate, entries=certificate.entries * 2)
+        doubled = certificate._replace(entries=certificate.entries * 2)
         assert not doubled.reverify()
 
 
 def test_reverify_rejects_a_diagonal_entry_outside_the_field():
     certificate = certify_simplicity(7)
     for a in (50, 7, -1, 0, 1, 6):  # outside GF(7), then 0, 1 and -1
-        assert dataclasses.replace(certificate, diagonal_entry=a).reverify() is False
+        assert certificate._replace(diagonal_entry=a).reverify() is False
 
 
 def test_reverify_rejects_foreign_and_singular_matrices():
@@ -549,18 +564,18 @@ def test_reverify_rejects_foreign_and_singular_matrices():
         {"target_sweep": certificate.target_sweep[:-1]},
         {"target_sweep": (*certificate.target_sweep, certificate.target_sweep[0])},
     ):
-        assert dataclasses.replace(certificate, **changes).reverify() is False
+        assert certificate._replace(**changes).reverify() is False
 
 
 def test_reverify_rejects_a_witness_or_word_that_misses():
     certificate = certify_simplicity(7)
     identity = mat_identity(certificate.target.field)
     # the identity carries the lower shears to themselves, not to the upper
-    assert dataclasses.replace(certificate, witness=identity).reverify() is False
+    assert certificate._replace(witness=identity).reverify() is False
     # a word of the identity ends at the identity, not at the target
     last = certificate.entries[-1]
-    entries = certificate.entries[:-1] + (dataclasses.replace(last, word=(identity,)),)
-    assert dataclasses.replace(certificate, entries=entries).reverify() is False
+    entries = certificate.entries[:-1] + (last._replace(word=(identity,)),)
+    assert certificate._replace(entries=entries).reverify() is False
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31])
@@ -859,8 +874,7 @@ def test_certify_runs_no_closure_and_one_sweep(monkeypatch):
     monkeypatch.setattr(Mat2, "mul", counting_mul)
     certificate = certify_simplicity(13)
     assert certificate.verdict and len(certificate.entries) == 15
-    names = [field.name for field in dataclasses.fields(psl2.ClosureCertificate)]
-    assert names == ["representative", "word", "conjugator"]
+    assert psl2.ClosureCertificate._fields == ("representative", "word", "conjugator")
     assert len(certificate.target_sweep) == len(certificate.diagonal_sweep) == 13
     # three products per commutator of the two sweeps, two per conjugate by w,
     # and five per class: its commutator with D and the check that h takes it to E
@@ -882,14 +896,14 @@ def test_reverify_checks_each_commutator_of_both_sweeps():
         # one commutator replaced by another's
         forged = list(sweep)
         forged[2] = sweep[3]
-        assert dataclasses.replace(certificate, **{name: tuple(forged)}).reverify() is False
+        assert certificate._replace(**{name: tuple(forged)}).reverify() is False
         # two swapped, so the commutators still cover the lower shears
         forged = list(sweep)
         forged[2], forged[3] = sweep[3], sweep[2]
-        assert dataclasses.replace(certificate, **{name: tuple(forged)}).reverify() is False
+        assert certificate._replace(**{name: tuple(forged)}).reverify() is False
     # another diagonal entry with the old sweep (a*a differs, so the sweep does)
     a = next(x for x in (2, 3, 4, 5) if x != certificate.diagonal_entry)
-    assert dataclasses.replace(certificate, diagonal_entry=a).reverify() is False
+    assert certificate._replace(diagonal_entry=a).reverify() is False
 
 
 PRIME_POWERS_TO_64 = tuple(q for q in range(4, 65) if len(distinct_prime_factors(q)) == 1)
@@ -960,8 +974,8 @@ def test_reverify_reads_false_for_a_q_it_cannot_check(q, source, kept):
     """A genuine certificate given another q, with that q's group order and
     entry count where they can be met: False, never an error."""
     certificate = certify_simplicity(source)
-    forged = dataclasses.replace(
-        certificate, q=q, group_order=q**3 - q, entries=certificate.entries[:kept]
+    forged = certificate._replace(
+        q=q, group_order=q**3 - q, entries=certificate.entries[:kept]
     )
     assert forged.reverify() is False
 
@@ -977,7 +991,7 @@ def _genuine(q):
 def _with_entry(certificate, i, entry):
     entries = list(certificate.entries)
     entries[i] = entry
-    return dataclasses.replace(certificate, entries=tuple(entries))
+    return certificate._replace(entries=tuple(entries))
 
 
 def _sl2_element(f, draws):
@@ -1012,18 +1026,18 @@ def test_reverify_rejects_forgeries(q, draws):
         # a mutation that still replays to the target is still a proof
         assume(any(g.det != 1 for g in matrices) or replay_word(
             entry.representative, matrices[:-1], matrices[-1]) != certificate.target)
-        forged = _with_entry(certificate, i, dataclasses.replace(
-            entry, word=tuple(matrices[:-1]), conjugator=matrices[-1]))
+        forged = _with_entry(certificate, i, entry._replace(
+            word=tuple(matrices[:-1]), conjugator=matrices[-1]))
     elif kind == "conjugate":
         j = draws.draw(st.integers(0, n - 1).filter(lambda j: j != i))
         g = _sl2_element(f, draws)
         rep = g.mul(entries[j].representative).mul(g.inverse())
-        forged = _with_entry(certificate, i, dataclasses.replace(entries[i], representative=rep))
+        forged = _with_entry(certificate, i, entries[i]._replace(representative=rep))
     elif kind == "same class":
         j = draws.draw(st.integers(0, n - 1).filter(lambda j: j != i))
         forged = _with_entry(certificate, i, entries[j])
     elif kind == "dropped":
-        forged = dataclasses.replace(certificate, entries=entries[:i] + entries[i + 1:])
+        forged = certificate._replace(entries=entries[:i] + entries[i + 1:])
     elif kind == "target":
         m = draws.draw(st.integers(1, q - 1).filter(lambda m: m != certificate.target.a))
         target = Mat2(f, m, 0, 0, f.inv(m))
@@ -1031,18 +1045,18 @@ def test_reverify_rejects_forgeries(q, draws):
             s.mul(target).mul(s.inverse()).mul(target.inverse())
             for s in (Mat2(f, 1, 0, r, 1) for r in f.elements())
         )
-        forged = dataclasses.replace(certificate, target=target, target_sweep=sweep)
+        forged = certificate._replace(target=target, target_sweep=sweep)
     elif kind == "witness":
         w = _sl2_element(f, draws)
         upper = {Mat2(f, 1, r, 0, 1) for r in f.elements()}
         assume({w.mul(c).mul(w.inverse()) for c in certificate.target_sweep} != upper)
-        forged = dataclasses.replace(certificate, witness=w)
+        forged = certificate._replace(witness=w)
     elif kind == "diagonal entry":
         # diag(a, 1/a)'s sweep depends on a*a only, so -a would be no forgery
         a = certificate.diagonal_entry
         other = draws.draw(st.integers(-q, 2 * q).filter(
             lambda x: x not in f.elements() or f.mul(x, x) != f.mul(a, a)))
-        forged = dataclasses.replace(certificate, diagonal_entry=other)
+        forged = certificate._replace(diagonal_entry=other)
     elif kind == "diagonal sweep":
         sweep = list(certificate.diagonal_sweep)
         j = draws.draw(st.integers(0, q - 1))
@@ -1052,7 +1066,7 @@ def test_reverify_rejects_forgeries(q, draws):
         else:
             mutated = sweep[draws.draw(st.integers(0, q - 1).filter(lambda k: k != j))]
         sweep[j] = mutated
-        forged = dataclasses.replace(certificate, diagonal_sweep=tuple(sweep))
+        forged = certificate._replace(diagonal_sweep=tuple(sweep))
     else:
         # another root l: its commutators with the classes have another trace
         words = {e.word for e in entries}
@@ -1061,7 +1075,5 @@ def test_reverify_rejects_forgeries(q, draws):
         squares = {f.mul(root, root), f.inv(f.mul(root, root))}
         l = draws.draw(st.integers(1, q - 1).filter(lambda l: f.mul(l, l) not in squares))
         D = Mat2(f, l, 0, 0, f.inv(l))
-        forged = dataclasses.replace(
-            certificate, entries=tuple(dataclasses.replace(e, word=(D,)) for e in entries)
-        )
+        forged = certificate._replace(entries=tuple(e._replace(word=(D,)) for e in entries))
     assert forged.reverify() is False

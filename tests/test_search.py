@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -274,8 +273,8 @@ def test_found_group_failing_hypotheses_raises(monkeypatch):
 
     def failing(group, p):
         report = real(group, p)
-        first = dataclasses.replace(report.checks[0], passed=False)
-        return dataclasses.replace(report, checks=(first,) + report.checks[1:])
+        first = report.checks[0]._replace(passed=False)
+        return report._replace(checks=(first,) + report.checks[1:])
 
     monkeypatch.setattr(search, "classify", failing)
     with pytest.raises(SearchInvariantError):

@@ -4,6 +4,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import psl2kit
@@ -21,6 +23,35 @@ def test_no_assert_statements_in_package():
     # assert vanishes under python -O; invariants raise named exceptions
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_dataclasses_or_typing_imports_in_package():
+    # start-up is most of a short CLI run: dataclasses pulls in inspect, ast
+    # and dis, and typing costs as much again; records are named tuples
+    heavy = {"dataclasses", "typing"}
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in heavy]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips site, which may import typing itself through a .pth file
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import psl2kit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SOURCE_DIR.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_public_names_resolve():
