@@ -1,16 +1,18 @@
 """Finite permutation groups via a deterministic stabilizer chain.
 
-A PermGroup keeps a base and strong generating set built by a
-non-randomized Schreier-Sims pass over its generators (callers pass a few
-generators, never an element list): the base opens at 0 and then inf, the
-points Frobenius' argument stabilizes, or at ``base_prefix`` if given, and
-then takes the smallest moved points encountered; every Schreier generator
-is sifted until the chain is closed, and each strong generator's inverse is
-computed once.  Orbits grow in place: a new strong generator appends the
-points it reaches to the transversals and leaves every existing entry as it
-was, so an element that sifted once keeps sifting, and each (orbit point,
-generator) pair is tested only once.  That makes orders, membership tests,
-element enumerations and everything downstream reproducible run to run.
+A PermGroup keeps a base and strong generating set built by a non-randomized
+Schreier-Sims pass over its generators (callers pass a few generators, never
+an element list).  A group is generators on n points, n the length of their
+image tuples, and point n-1 is named inf.  The base opens at 0 and then inf,
+the points Frobenius' argument stabilizes, or at ``base_prefix`` if given,
+and then takes the smallest moved points encountered; every Schreier
+generator is sifted until the chain is closed, and each strong generator's
+inverse is computed once.  Orbits grow in place: a new strong generator
+appends the points it reaches to the transversals and leaves every existing
+entry as it was, so an element that sifted once keeps sifting, and each
+(orbit point, generator) pair is tested only once.  That makes orders,
+membership tests, element enumerations and everything downstream
+reproducible run to run.
 
 Transitivity is read off the closed chain rather than recomputed: level 0
 records the orbit of the first base point under G, and level 1 the orbit of
@@ -34,16 +36,16 @@ its degree.  No caller can set another cap.
 
 Simplicity is enumeration-backed only when two chain tests leave it open.
 ``derived_subgroup``, the normal closure of the generators' commutators,
-refutes it when it is proper and nontrivial.  For a perfect group,
-Iwasawa's criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from the
-chain and one more normal closure: G is 2-transitive, the translations by
-the additive basis form an abelian normal subgroup of the stabilizer of inf,
+refutes it when it is proper and nontrivial.  For a perfect group, Iwasawa's
+criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from the chain and one
+more normal closure: G is 2-transitive, the translations by the additive
+basis of GF(n-1) form an abelian normal subgroup of the stabilizer of inf,
 and their normal closure is G.  So PSL(2,q) is proved simple for q > 3 at
 any order the chain reaches, and refuted for q = 2 and 3 and for the two
 order-168 groups with a normal subgroup of order 8 (derived subgroups of
-order 3, 4 and 56).  Any other group, such as an abelian one or a perfect
-one without those translations, falls back to the normal closure of each
-conjugacy class, under the cap.
+order 3, 4 and 56).  Any other group, such as an abelian one, a perfect one
+without those translations, or one whose n-1 is not a prime power, falls
+back to the normal closure of each conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -68,9 +70,12 @@ growth raises ``OrderLimitExceeded`` exactly when the order exceeds the limit.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from operator import itemgetter
 
-from .fields import DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap
+from .fields import (
+    DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap, distinct_prime_factors, field_of_order
+)
 from .projline import (
     DomainMismatch,
     Permutation,
@@ -162,7 +167,8 @@ ConjugacyClass = namedtuple("ConjugacyClass", "representative size")
 
 
 class PermGroup:
-    """Permutation group on a projective line, queried through its chain.
+    """Permutation group on the points 0..n-1, n its generators' degree,
+    queried through its chain.
 
     The chain is built from ``generators`` by Schreier-Sims with in-place
     orbit extension; see the module docstring.  With ``order_limit`` set,
@@ -179,18 +185,16 @@ class PermGroup:
         generators = list(generators)
         if not generators:
             raise ValueError("need at least one generator")
-        line = generators[0].line
-        check_cap("degree", line.size, "degree cap", MAX_DEGREE)
+        self.degree: int = len(generators[0].images)
+        check_cap("degree", self.degree, "degree cap", MAX_DEGREE)
         for g in generators[1:]:
-            if g.line != line:
-                raise DomainMismatch("generators on different lines")
-        self.line: ProjLine = line
-        self.degree: int = line.size
+            if len(g.images) != self.degree:
+                raise DomainMismatch("generators of different degrees")
         self._order_limit = order_limit
         self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
         if base_prefix is None:
-            base_prefix = (0, line.infinity)
+            base_prefix = (0, self.degree - 1)
         # a repeated base point, or one the group fixes, opens a level with a
         # one-point orbit
         self._levels = [_Level(pt, self._ident) for pt in dict.fromkeys(base_prefix)]
@@ -204,7 +208,7 @@ class PermGroup:
         returns the new ones."""
         known = {g.images for g in self.generators}
         fresh = tuple(img for img in dict.fromkeys(images) if img not in known)
-        self.generators += tuple(Permutation(self.line, img) for img in fresh)
+        self.generators += tuple(Permutation(img) for img in fresh)
         for img in fresh:
             self._insert(img, 0)
         self._close_chain()
@@ -290,6 +294,13 @@ class PermGroup:
 
     # -- basic queries --
 
+    @cached_property
+    def line(self) -> ProjLine:
+        """The projective line over GF(n-1) with the default modulus; raises
+        NotPrime when n-1 is not a prime power.  Its translations and point
+        names depend only on n, so they are this group's for any modulus."""
+        return ProjLine(field_of_order(self.degree - 1))
+
     @property
     def base(self) -> tuple[int, ...]:
         return tuple(level.point for level in self._levels)
@@ -298,8 +309,8 @@ class PermGroup:
         return self.stabilizer_order(0)
 
     def contains(self, perm: Permutation) -> bool:
-        if perm.line != self.line:
-            raise DomainMismatch("permutation lives on a different line")
+        if len(perm.images) != self.degree:
+            raise DomainMismatch("permutation of a different degree")
         return self._sift_images(perm.images) == self._ident
 
     def element_images(self) -> tuple[tuple[int, ...], ...]:
@@ -312,7 +323,7 @@ class PermGroup:
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, canonically sorted by image sequence."""
-        return tuple(Permutation(self.line, img) for img in self.element_images())
+        return tuple(Permutation(img) for img in self.element_images())
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.element_images())
@@ -393,9 +404,7 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         gens = self.rebased((point,)).stabilizer_generators(1)
-        if not gens:
-            return PermGroup([self.line.identity()])
-        return PermGroup(Permutation(self.line, img) for img in gens)
+        return PermGroup(map(Permutation, gens or [self._ident]))
 
     # -- conjugacy and normality --
 
@@ -407,7 +416,7 @@ class PermGroup:
                 continue
             members = self._conjugates(e)
             seen.update(members)
-            classes.append(ConjugacyClass(Permutation(self.line, e), len(members)))
+            classes.append(ConjugacyClass(Permutation(e), len(members)))
         return tuple(classes)
 
     def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
@@ -458,9 +467,7 @@ class PermGroup:
             if not self.contains(s):
                 raise SeedNotInGroup(f"{s} is not in the group")
         closure_gens = [s for s in dict.fromkeys(seeds) if not s.is_identity()]
-        if not closure_gens:
-            return PermGroup([self.line.identity()])
-        group = PermGroup(closure_gens)
+        group = PermGroup(closure_gens or [Permutation(self._ident)])
         conjugators = self._conjugators()
         frontier = tuple(g.images for g in group.generators)
         while frontier:
@@ -494,7 +501,7 @@ class PermGroup:
             for i, a in enumerate(gens)
             for b in gens[i + 1 :]
         ]
-        return self.normal_closure(Permutation(self.line, c) for c in commutators)
+        return self.normal_closure(Permutation(c) for c in commutators)
 
     def is_simple(self) -> bool:
         """Refuted by a proper, nontrivial derived subgroup; proved by
@@ -522,6 +529,7 @@ class PermGroup:
         stabilizer and T, the translations by the additive basis, as its
         abelian normal subgroup:
 
+        - n-1 is a prime power, so the translations exist;
         - the chain opens at (0, inf) and G is 2-transitive, so primitive;
         - T lies in G and is abelian;
         - the strong generators of G_(0,inf) conjugate T into itself.  T is
@@ -531,9 +539,11 @@ class PermGroup:
 
         A perfect group for which all of them hold is simple.
         """
-        line = self.line
-        if self.base[:2] != (0, line.infinity) or not self.is_doubly_transitive():
+        if len(distinct_prime_factors(self.degree - 1)) != 1:
             return False
+        if self.base[:2] != (0, self.degree - 1) or not self.is_doubly_transitive():
+            return False
+        line = self.line
         field = line.field
         translations = [line.translation(field.p**i) for i in range(field.degree)]
         if not all(self.contains(t) for t in translations):
@@ -561,12 +571,12 @@ class PermGroup:
         elems = self.element_images()
         # Sylow's theorem: every Sylow subgroup is conjugate to the grown one
         found, _ = self.conjugation_action(self._grow_sylow(ell, target, elems))
-        return tuple(frozenset(Permutation(self.line, img) for img in s) for s in found)
+        return tuple(frozenset(Permutation(img) for img in s) for s in found)
 
     def _grow_sylow(self, ell, target, elems):
         seed = None
         for e in elems:
-            if Permutation(self.line, e).order() == ell:
+            if Permutation(e).order() == ell:
                 seed = e
                 break
         if seed is None:

@@ -1,9 +1,11 @@
-"""The projective line over a finite field and its permutations.
+"""Permutations of n points, and the projective line over a finite field.
 
-Points are integers: field element indices 0..q-1 stand for themselves and
-q stands for the point at infinity.  Permutations are stored as image
-tuples.  Composition follows function order: (a * b) applies b first, then
-a, so that (a * b)(x) == a(b(x)).
+A permutation is its image tuple and nothing else: its degree n is the
+tuple's length, and its points are 0..n-1, of which n-1 is named "inf".
+On the projective line over GF(q), n = q+1: field element indices 0..q-1
+stand for themselves and q is the point at infinity.  Composition follows
+function order: (a * b) applies b first, then a, so that
+(a * b)(x) == a(b(x)).
 
 Cycle notation is the exchange format: cycles in parentheses, points
 space-separated, infinity spelled "inf".  Canonical form lists cycles by
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import lru_cache
 from itertools import compress
 from operator import eq, itemgetter
 
@@ -76,6 +78,12 @@ def invert_images(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def point_names(n: int) -> tuple[str, ...]:
+    """The names of n points, indexed by point: 0..n-2, then "inf"."""
+    return (*map(str, range(n - 1)), "inf")
+
+
 class ProjLine:
     """The q+1 points of the projective line over GF(q)."""
 
@@ -88,22 +96,15 @@ class ProjLine:
     def over_prime(cls, p: int) -> "ProjLine":
         return cls(Field(p))
 
-    def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.field == other.field
-
-    def __hash__(self):
-        return hash(self.field)
-
     def __repr__(self):
         return f"ProjLine({self.field!r})"
 
     def points(self) -> range:
         return range(self.size)
 
-    @cached_property
+    @property
     def point_names(self) -> tuple[str, ...]:
-        """Each point's name, indexed by point: its number, then "inf"."""
-        return (*map(str, range(self.infinity)), "inf")
+        return point_names(self.size)
 
     def point_name(self, pt: int) -> str:
         return self.point_names[pt]
@@ -111,7 +112,7 @@ class ProjLine:
     # -- permutation constructors --
 
     def identity(self) -> "Permutation":
-        return Permutation(self, identity_images(self.size))
+        return Permutation(identity_images(self.size))
 
     def perm(self, images) -> "Permutation":
         images = tuple(images)
@@ -124,7 +125,7 @@ class ProjLine:
             if seen[x]:
                 raise NotABijection(f"point {self.point_name(x)} repeated")
             seen[x] = True
-        return Permutation(self, images)
+        return Permutation(images)
 
     def from_cycles(self, text: str) -> "Permutation":
         cycles = _parse_cycle_text(text)
@@ -146,7 +147,7 @@ class ProjLine:
                 used.add(pt)
             for cur, nxt in zip(pts, pts[1:] + pts[:1]):
                 images[cur] = nxt
-        return Permutation(self, tuple(images))
+        return Permutation(tuple(images))
 
     # -- the standard maps --
 
@@ -154,7 +155,7 @@ class ProjLine:
         f = self.field
         images = [f.add(z, a) for z in f.elements()]
         images.append(self.infinity)
-        return Permutation(self, tuple(images))
+        return Permutation(tuple(images))
 
     def scaling(self, a: int) -> "Permutation":
         f = self.field
@@ -162,7 +163,7 @@ class ProjLine:
             raise ZeroScaling("scaling factor must be a unit")
         images = [f.mul(a, z) for z in f.elements()]
         images.append(self.infinity)
-        return Permutation(self, tuple(images))
+        return Permutation(tuple(images))
 
     def moebius(self, a: int, b: int, c: int, d: int) -> "Permutation":
         """The determinant-one map z -> (az+b)/(cz+d)."""
@@ -175,7 +176,7 @@ class ProjLine:
             den = f.add(f.mul(c, z), d)
             images.append(self.infinity if den == 0 else f.div(f.add(f.mul(a, z), b), den))
         images.append(self.infinity if c == 0 else f.div(a, c))
-        return Permutation(self, tuple(images))
+        return Permutation(tuple(images))
 
     def neg_reciprocal(self) -> "Permutation":
         """The involution z -> -1/z."""
@@ -183,40 +184,32 @@ class ProjLine:
 
 
 class Permutation:
-    """A bijection of a fixed projective line, stored as an image tuple."""
+    """A bijection of the points 0..n-1, stored as its image tuple."""
 
-    __slots__ = ("line", "images")
+    __slots__ = ("images",)
 
-    def __init__(self, line: ProjLine, images: tuple[int, ...]):
-        self.line = line
+    def __init__(self, images: tuple[int, ...]):
         self.images = images
 
     def __call__(self, pt: int) -> int:
         return self.images[pt]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.line != other.line:
-            raise DomainMismatch("permutations live on different lines")
-        return Permutation(self.line, compose_images(self.images, other.images))
+        if len(self.images) != len(other.images):
+            raise DomainMismatch("permutations of different degrees")
+        return Permutation(compose_images(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        return Permutation(self.line, invert_images(self.images))
+        return Permutation(invert_images(self.images))
 
     def is_identity(self) -> bool:
         return self.images == identity_images(len(self.images))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Permutation)
-            and self.images == other.images
-            and self.line == other.line
-        )
+        return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
         return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest member, ordered
@@ -261,7 +254,7 @@ class Permutation:
         """Each nontrivial cycle's point names joined in one walk, smallest
         start first, as ``cycles`` orders them."""
         images = self.images
-        names = self.line.point_names
+        names = point_names(len(images))
         seen = bytearray(len(images))
         parts = []
         for start, cur in enumerate(images):

@@ -136,9 +136,6 @@ class Mat2(namedtuple("Mat2", "field a b c d")):
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
-    def is_identity(self) -> bool:
-        return self.entries() == (1, 0, 0, 1)
-
     def __repr__(self):
         return f"Mat2({self.a},{self.b};{self.c},{self.d})"
 

@@ -120,16 +120,16 @@ def _lagrange_shifts(base_images: list[tuple[int, ...]]) -> list[tuple[int, ...]
 
 
 def _fails_lagrange(
-    line: ProjLine, swap_images: tuple[int, ...], shifts: list[tuple[int, ...]], target: int
+    swap_images: tuple[int, ...], shifts: list[tuple[int, ...]], target: int
 ) -> bool:
     """Whether s or some s*w, w in ``shifts``, has an order not dividing
     ``target``.  Each of them lies in the group s generates with the base,
     so by Lagrange that group then cannot have order ``target``."""
     words = itertools.chain((swap_images,), (compose_images(swap_images, w) for w in shifts))
-    return any(target % Permutation(line, w).order() for w in words)
+    return any(target % Permutation(w).order() for w in words)
 
 
-def _decide_candidates(line: ProjLine, base: list[Permutation], target: int, swap_candidates):
+def _decide_candidates(base: list[Permutation], target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
     ``found`` is (chain, closure) for a NEW group and None otherwise.
     Non-bijective candidates arrive as None and are REJECTED, and so are
@@ -138,10 +138,10 @@ def _decide_candidates(line: ProjLine, base: list[Permutation], target: int, swa
     shifts = _lagrange_shifts(base_images)
     groups: list[PermGroup] = []
     for swap_images in swap_candidates:
-        if swap_images is None or _fails_lagrange(line, swap_images, shifts, target):
+        if swap_images is None or _fails_lagrange(swap_images, shifts, target):
             yield REJECTED, None
             continue
-        swap = Permutation(line, swap_images)
+        swap = Permutation(swap_images)
         if any(group.contains(swap) for group in groups):
             yield DUPLICATE, None
             continue
@@ -180,7 +180,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
 
     examined = 0
     found: dict[str, tuple[PermGroup, frozenset]] = {}
-    for decision, new in _decide_candidates(line, base, target, swap_candidates):
+    for decision, new in _decide_candidates(base, target, swap_candidates):
         examined += 1
         if decision == NEW:
             found[element_set_hash(new[1])] = new

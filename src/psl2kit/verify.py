@@ -164,13 +164,13 @@ def decompose_stabilizers(group: PermGroup) -> StabilizerDecomposition:
     both points are the stabilizer below level 2, and those swapping them
     are its coset s*G_(0,inf) for any one swap s.  Both come sorted by
     image tuple."""
-    chain = group.rebased((0, group.line.infinity))
+    chain = group.rebased((0, group.degree - 1))
     fixing = sorted(chain.stabilizer_images(2))
     swap = _pair_swapper(chain)
     swapping = [] if swap is None else sorted(compose_images(swap, h) for h in fixing)
     return StabilizerDecomposition(
-        tuple(Permutation(group.line, img) for img in fixing),
-        tuple(Permutation(group.line, img) for img in swapping),
+        tuple(map(Permutation, fixing)),
+        tuple(map(Permutation, swapping)),
     )
 
 
@@ -217,7 +217,7 @@ def _stabilizer_orbits(chain: PermGroup, level: int):
     ``chain.base[:level]``, 0 and inf first; lazy, to stop early."""
     gens = chain.stabilizer_generators(level)
     seen = set(chain.base[:level])
-    for x in (0, chain.line.infinity, *range(chain.degree)):
+    for x in (0, chain.degree - 1, *range(chain.degree)):
         if x not in seen:
             reach = orbit([x], gens, _point_image)
             seen |= reach
@@ -285,7 +285,7 @@ def check_stabilizer_scalings(
     }
     counterexample = None
     if not bound_ok:  # so worst_fixed > 2 and worst_img is set
-        worst = Permutation(line, worst_img)
+        worst = Permutation(worst_img)
         counterexample = {
             "element": str(worst),
             "fixed_points": sorted(line.point_name(x) for x in worst.fixed_points()),
@@ -725,7 +725,7 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
     abelian = all(
         compose_images(x, y) == compose_images(y, x) for x in involutions for y in involutions
     )
-    fpf = [Permutation(line, e) for e in involutions]
+    fpf = [Permutation(e) for e in involutions]
     normal8 = PermGroup(fpf) if fpf else None
     normal8_ok = (
         len(fpf) == 7
@@ -790,7 +790,7 @@ def check_special_case_conclusion(
 def classify(group: PermGroup, p: int) -> VerificationReport:
     """Run the full lemma chain on a candidate group and settle the
     dichotomy, recording every check."""
-    if group.line.field.p != p or group.line.field.degree != 1:
+    if group.degree != p + 1 or not is_prime(p):
         raise ValueError(f"group does not act on the projective line over GF({p})")
     checks: list[CheckResult] = []
     hyp = check_hypotheses(group, p)
@@ -972,7 +972,7 @@ def corollary_check(p: int) -> CheckResult:
         relabeled = [tuple(labels[moved[i]] for i in by_label) for moved in action]
         beta_inv = invert_images(beta)
         intertwines = relabeled == [tuple(beta[g[x]] for x in beta_inv) for g in gens]
-        action_group = PermGroup(Permutation(line, r) for r in relabeled)
+        action_group = PermGroup(Permutation(r) for r in relabeled)
         action_doubly_transitive = action_group.is_doubly_transitive()
 
     passed = simple and count_ok and cycle_ok and beta_ok and intertwines

@@ -46,10 +46,12 @@ def reference_is_simple(group) -> bool:
 
 
 def reference_cycle_notation(perm) -> str:
-    """Canonical cycle notation assembled from ``cycles()`` and
-    ``point_name``, point by point."""
-    name = perm.line.point_name
-    text = "".join("(" + " ".join(name(pt) for pt in c) + ")" for c in perm.cycles())
+    """Canonical cycle notation assembled from ``cycles()``, point by
+    point, with the last point named "inf"."""
+    inf = len(perm.images) - 1
+    text = "".join(
+        "(" + " ".join("inf" if pt == inf else str(pt) for pt in c) + ")" for c in perm.cycles()
+    )
     return text or "()"
 
 

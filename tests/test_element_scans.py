@@ -66,7 +66,7 @@ def reference_stabilizer_scalings(group, dec, quad) -> CheckResult:
             continue
         if fixed > worst_fixed:
             worst_fixed = fixed
-            worst = Permutation(line, img)
+            worst = Permutation(img)
     witness = {
         "fixing_equals_square_scalings": scalings_ok,
         "max_fixed_points_nonidentity": worst_fixed,
@@ -110,8 +110,8 @@ def reference_decomposition(group) -> StabilizerDecomposition:
     fixing = [img for img in closure if img[0] == 0 and img[inf] == inf]
     swapping = [img for img in closure if img[0] == inf and img[inf] == 0]
     return StabilizerDecomposition(
-        tuple(Permutation(group.line, img) for img in fixing),
-        tuple(Permutation(group.line, img) for img in swapping),
+        tuple(Permutation(img) for img in fixing),
+        tuple(Permutation(img) for img in swapping),
     )
 
 
@@ -147,7 +147,7 @@ def assert_scans_match_references(group: PermGroup) -> None:
 
     elements = group.element_images()
     for img in elements[:: max(1, len(elements) // 6)]:
-        assert group.conjugacy_class_of(Permutation(line, img)) == reference_conjugates(
+        assert group.conjugacy_class_of(Permutation(img)) == reference_conjugates(
             closure, img
         )
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import CapExceeded, is_prime, primitive_root
+from psl2kit.fields import CapExceeded, Field, NotPrime, field_of_order, is_prime, primitive_root
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
     OrderLimitExceeded,
@@ -16,7 +16,7 @@ from psl2kit.groups import (
     _conjugator,
     closure_images,
 )
-from psl2kit.projline import DomainMismatch, Permutation, compose_images
+from psl2kit.projline import DomainMismatch, Permutation, ProjLine, compose_images
 
 from conftest import (
     brute_closure,
@@ -299,14 +299,14 @@ def _reference_normal_closure_generators(group, seeds):
     gens = [s.images for s in dict.fromkeys(seeds) if not s.is_identity()]
     frontier = gens
     while frontier:
-        closure = PermGroup([Permutation(group.line, img) for img in gens])
+        closure = PermGroup([Permutation(img) for img in gens])
         new = [
-            (g * Permutation(group.line, s) * g.inverse()).images
+            (g * Permutation(s) * g.inverse()).images
             for g in group.generators
             for s in frontier
         ]
         frontier = [
-            t for t in dict.fromkeys(new) if not closure.contains(Permutation(group.line, t))
+            t for t in dict.fromkeys(new) if not closure.contains(Permutation(t))
         ]
         gens += frontier
     return gens
@@ -561,6 +561,92 @@ def test_generators_must_share_line(line5, line7):
         PermGroup([])
 
 
+def test_generators_of_two_degrees_raise():
+    with pytest.raises(DomainMismatch):
+        PermGroup([Permutation((1, 2, 0)), Permutation((1, 0))])
+    with pytest.raises(DomainMismatch):
+        PermGroup([Permutation((1, 2, 0))]).contains(Permutation((1, 0, 2, 3)))
+    with pytest.raises(DomainMismatch):
+        Permutation((1, 0)) * Permutation((1, 2, 0))
+
+
+# --- groups on n points that no projective line labels ---------------------
+
+
+def _gl32():
+    """GL(3,2) on the 7 nonzero vectors of GF(2)^3, vector v as point v - 1,
+    generated by the coordinate cycle e1 -> e2 -> e3 -> e1 and the
+    transvection e2 -> e1 + e2.  A matrix is its columns, the images of
+    e1 = 1, e2 = 2 and e3 = 4."""
+
+    def matrix(columns):
+        def image(v):
+            out = 0
+            for bit, column in enumerate(columns):
+                if v >> bit & 1:
+                    out ^= column
+            return out
+
+        return Permutation(tuple(image(v) - 1 for v in range(1, 8)))
+
+    return PermGroup([matrix((2, 4, 1)), matrix((1, 3, 4))])
+
+
+def _alternating5():
+    return PermGroup([Permutation((1, 2, 3, 4, 0)), Permutation((1, 2, 0, 3, 4))])
+
+
+def _symmetric7():
+    return PermGroup([Permutation((1, 2, 3, 4, 5, 6, 0)), Permutation((1, 0, 2, 3, 4, 5, 6))])
+
+
+def test_gl32_on_seven_points_is_simple_through_the_class_scan(monkeypatch):
+    calls = []
+    scan = PermGroup.conjugacy_classes
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", lambda self: calls.append(1) or scan(self))
+    group = _gl32()
+    assert group.degree == 7 and group.base[:2] == (0, 6)
+    assert group.order() == 168
+    assert group.is_doubly_transitive()
+    with pytest.raises(NotPrime):
+        group.line  # 6 is not a prime power, so no line labels the points
+    assert group.is_simple()
+    assert calls == [1]
+    assert reference_is_simple(group)
+
+
+def test_alternating_and_symmetric_groups_on_n_points():
+    a5 = _alternating5()
+    assert a5.order() == 60 and a5.is_doubly_transitive()
+    assert a5.is_simple() and reference_is_simple(a5)
+    s7 = _symmetric7()
+    assert s7.order() == 5040 and s7.is_doubly_transitive()
+    assert s7.derived_subgroup().order() == 2520
+    assert not s7.is_simple()
+
+
+def test_groups_on_n_points_against_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for group in (_gl32(), _alternating5(), _symmetric7()):
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in group.generators]
+        )
+        assert group.order() == oracle.order()
+        assert group.is_transitive() == oracle.is_transitive()
+        assert group.is_doubly_transitive() == (oracle.transitivity_degree >= 2)
+        assert group.derived_subgroup().order() == oracle.derived_subgroup().order()
+
+
+def test_line_of_a_group_over_another_modulus_is_the_default_line():
+    # the translations by the additive basis are digit-wise, the same for
+    # every modulus, so the default line proves this PSL(2,9) simple too
+    line = ProjLine(Field(3, 2, (2, 1, 1)))
+    group = PermGroup([line.translation(1), line.translation(3), line.neg_reciprocal()])
+    assert group.line.field == field_of_order(9) != line.field
+    assert [group.line.translation(a) for a in (1, 3)] == [line.translation(a) for a in (1, 3)]
+    assert group.order() == 360 and group._iwasawa_holds()
+
+
 def _cyclic_sylows(group, ell):
     """Direct definition for a prime dividing the order exactly once: the
     cyclic subgroups generated by the elements of order ell."""
@@ -615,9 +701,9 @@ def test_chain_against_brute_closure(data):
     group = PermGroup([line.perm(g) for g in gens])
     oracle = brute_closure(gens)
     assert group.order() == len(oracle)
-    assert all(group.contains(Permutation(line, img)) for img in oracle)
+    assert all(group.contains(Permutation(img)) for img in oracle)
     for img in others:
-        assert group.contains(Permutation(line, img)) == (img in oracle)
+        assert group.contains(Permutation(img)) == (img in oracle)
     assert group.point_stabilizer(0).order() * len(group.orbit(0)) == group.order()
 
 

@@ -153,7 +153,7 @@ def lagrange_refusals(p, swap_candidates):
     target = (p**3 - p) // 2
     refused = [
         s for s in swap_candidates
-        if s is not None and search._fails_lagrange(line, s, shifts, target)
+        if s is not None and search._fails_lagrange(s, shifts, target)
     ]
     return refused, base_images, target
 
@@ -230,7 +230,7 @@ def test_candidate_decisions_match_closure_reference(mode, p):
     base = search._base_generators(line, p)
     decided = [
         decision
-        for decision, _ in search._decide_candidates(line, base, (p**3 - p) // 2, candidates(p))
+        for decision, _ in search._decide_candidates(base, (p**3 - p) // 2, candidates(p))
     ]
     assert decided == list(reference_decisions(p, candidates(p)))
     assert decided.count(NEW) == expected_group_count(p)

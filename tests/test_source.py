@@ -153,6 +153,20 @@ def test_one_home_for_the_chain_base():
     assert found == []
 
 
+def test_every_permutation_is_built_from_its_images_alone():
+    # a permutation is its image tuple: no call passes it a second argument,
+    # such as the projective line it once carried
+    calls = [
+        (f"{name}:{node.lineno}", len(node.args) + len(node.keywords))
+        for name, node in _nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Permutation"
+    ]
+    assert calls
+    assert [site for site, nargs in calls if nargs != 1] == []
+
+
 def test_no_command_reaches_the_sylow_scan():
     # the Sylow scan and its SylowGrowthFails stay inside groups.py: no other
     # module calls it, so cli.INVARIANT_ERRORS need not catch that error
