@@ -19,18 +19,15 @@ from .projline import Permutation, ProjLine
 from .psl2 import (
     Mat2,
     SimplicityCertificate,
-    SL2Group,
     certify_simplicity,
     psl2_expected_order,
     psl2_perm_group,
-    sl2_group,
 )
 from .search import SearchOutcome, constrained_search, full_search
 from .verify import (
     CheckResult,
     Dichotomy,
     StabilizerDecomposition,
-    TwistAnalysis,
     VerificationReport,
     build_exceptional,
     classify,
@@ -54,11 +51,9 @@ __all__ = [
     "Permutation",
     "ProjLine",
     "QuadraticClasses",
-    "SL2Group",
     "SearchOutcome",
     "SimplicityCertificate",
     "StabilizerDecomposition",
-    "TwistAnalysis",
     "VerificationReport",
     "build_exceptional",
     "classify",
@@ -75,5 +70,4 @@ __all__ = [
     "psl2_expected_order",
     "psl2_perm_group",
     "quadratic_classes",
-    "sl2_group",
 ]

@@ -390,11 +390,18 @@ def field_of_order(q: int) -> Field:
     return Field(p, degree)
 
 
+def prime_field(p: int) -> Field:
+    """``field_of_order(p)``, refused unless p is prime."""
+    field = field_of_order(p)
+    if field.degree != 1:
+        raise NotPrime(f"{p} is not prime")
+    return field
+
+
 def primitive_root(p: int) -> int:
     """Smallest positive generator of the unit group of Z/p."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return Field(p).primitive_element() if p > 2 else 1
+    field = prime_field(p)
+    return field.primitive_element() if p > 2 else 1
 
 
 class QuadraticClasses(namedtuple("QuadraticClasses", "p squares nonsquares")):

@@ -38,14 +38,15 @@ Simplicity is enumeration-backed only when two chain tests leave it open.
 ``derived_subgroup``, the normal closure of the generators' commutators,
 refutes it when it is proper and nontrivial.  For a perfect group, Iwasawa's
 criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from the chain and one
-more normal closure: G is 2-transitive, the translations by the additive
-basis of GF(n-1) form an abelian normal subgroup of the stabilizer of inf,
-and their normal closure is G.  So PSL(2,q) is proved simple for q > 3 at
-any order the chain reaches, and refuted for q = 2 and 3 and for the two
-order-168 groups with a normal subgroup of order 8 (derived subgroups of
-order 3, 4 and 56).  Any other group, such as an abelian one, a perfect one
-without those translations, or one whose n-1 is not a prime power, falls
-back to the normal closure of each conjugacy class, under the cap.
+more normal closure: G is 2-transitive, the translations T by the additive
+basis of GF(n-1) are abelian and normal in the stabilizer of inf, which is
+read off each conjugate's map with no chain for T, and their normal closure
+is G.  So PSL(2,q) is proved simple for q > 3 at any order the chain
+reaches, and refuted for q = 2 and 3 and for the two order-168 groups with
+a normal subgroup of order 8 (derived subgroups of order 3, 4 and 56).  Any
+other group, such as an abelian one, a perfect one without those
+translations, or one whose n-1 is not a prime power, falls back to the
+normal closure of each conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -78,6 +79,7 @@ from .fields import (
 )
 from .projline import (
     DomainMismatch,
+    NotABijection,
     Permutation,
     ProjLine,
     compose_images,
@@ -170,8 +172,9 @@ class PermGroup:
     """Permutation group on the points 0..n-1, n its generators' degree,
     queried through its chain.
 
-    The chain is built from ``generators`` by Schreier-Sims with in-place
-    orbit extension; see the module docstring.  With ``order_limit`` set,
+    The chain is built from ``generators``, each checked once to be a
+    bijection of n >= 1 points, by Schreier-Sims with in-place orbit
+    extension; see the module docstring.  With ``order_limit`` set,
     construction raises OrderLimitExceeded if the order would exceed it.
     """
 
@@ -187,11 +190,14 @@ class PermGroup:
             raise ValueError("need at least one generator")
         self.degree: int = len(generators[0].images)
         check_cap("degree", self.degree, "degree cap", MAX_DEGREE)
-        for g in generators[1:]:
+        self._ident = identity_images(self.degree)
+        for g in generators:
             if len(g.images) != self.degree:
                 raise DomainMismatch("generators of different degrees")
+            # n images that reach all n points are a bijection
+            if not self.degree or not set(g.images).issuperset(self._ident):
+                raise NotABijection(f"a generator is not a permutation of n >= 1 points, n = {self.degree}")
         self._order_limit = order_limit
-        self._ident = identity_images(self.degree)
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
         if base_prefix is None:
             base_prefix = (0, self.degree - 1)
@@ -212,7 +218,6 @@ class PermGroup:
         for img in fresh:
             self._insert(img, 0)
         self._close_chain()
-        self._element_cache: tuple[tuple[int, ...], ...] | None = None
         return fresh
 
     def _inverse(self, img: tuple[int, ...]) -> tuple[int, ...]:
@@ -316,10 +321,7 @@ class PermGroup:
     def element_images(self) -> tuple[tuple[int, ...], ...]:
         """All elements as image tuples, in canonical (sorted) order: the
         stabilizer below level 0, sorted."""
-        check_cap("order", self.order(), "enumeration cap", DEFAULT_ENUMERATION_CAP)
-        if self._element_cache is None:
-            self._element_cache = tuple(sorted(self.stabilizer_images(0)))
-        return self._element_cache
+        return tuple(sorted(self.stabilizer_images(0)))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, canonically sorted by image sequence."""
@@ -534,7 +536,9 @@ class PermGroup:
         - T lies in G and is abelian;
         - the strong generators of G_(0,inf) conjugate T into itself.  T is
           transitive on the finite points, so G_inf = T G_(0,inf) and T is
-          normal in G_inf;
+          normal in G_inf.  T holds every translation, so a conjugate lies
+          in T exactly when it fixes inf and is the translation by its
+          image of 0;
         - the normal closure of T is G.
 
         A perfect group for which all of them hold is simple.
@@ -551,11 +555,11 @@ class PermGroup:
         shifts = [t.images for t in translations]
         if any(compose_images(a, b) != compose_images(b, a) for a in shifts for b in shifts):
             return False
-        abelian = PermGroup(translations)
         for h in self.stabilizer_generators(2):
             c = _conjugator(h, self._inverse(h))
-            if any(abelian._sift_images(_conjugate(t, c)) != abelian._ident for t in shifts):
-                return False
+            for u in (_conjugate(t, c) for t in shifts):
+                if u[-1] != line.infinity or u != line.translation(u[0]).images:
+                    return False
         return self.normal_closure(translations).order() == self.order()
 
     # -- Sylow counting --

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import eq, itemgetter
 
-from .fields import Field
+from .fields import Field, prime_field
 
 
 class DomainMismatch(ValueError):
@@ -94,7 +94,7 @@ class ProjLine:
 
     @classmethod
     def over_prime(cls, p: int) -> "ProjLine":
-        return cls(Field(p))
+        return cls(prime_field(p))
 
     def __repr__(self):
         return f"ProjLine({self.field!r})"

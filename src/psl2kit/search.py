@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import time
 from collections import namedtuple
 
 from .fields import (
@@ -74,16 +73,14 @@ class FoundGroup(namedtuple(
         }
 
 
-class SearchOutcome(namedtuple("SearchOutcome", (
-    "p mode candidates_examined base_subgroup_order groups elapsed_seconds"
-))):
-    """``mode`` is "full" or "constrained"; ``elapsed_seconds`` is
-    informational and left out of the serialized output."""
+class SearchOutcome(namedtuple(
+    "SearchOutcome", "p mode candidates_examined base_subgroup_order groups"
+)):
+    """``mode`` is "full" or "constrained"."""
 
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        # elapsed time stays out so identical runs serialize identically
         return {
             "p": self.p,
             "mode": self.mode,
@@ -151,8 +148,9 @@ def _decide_candidates(base: list[Permutation], target: int, swap_candidates):
             yield REJECTED, None
             continue
         if group.order() != target:
-            yield REJECTED, None
-            continue
+            # a group holding the base and a swap has order at least target
+            # (module docstring), and order_limit refused any larger one
+            raise SearchInvariantError(f"complete chain has order {group.order()}, not {target}")
         closure = closure_images(base_images + [swap_images], limit=target)
         if closure is None or len(closure) != group.order():
             size = "more than the limit" if closure is None else len(closure)
@@ -168,7 +166,6 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
     prime check runs here, after each mode's cap."""
     if not is_prime(p) or p == 2:
         raise NotOddPrime(f"{p} is not an odd prime")
-    start = time.perf_counter()
     line = ProjLine.over_prime(p)
     target = (p**3 - p) // 2
     base = _base_generators(line, p)
@@ -206,7 +203,6 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
         candidates_examined=examined,
         base_subgroup_order=base_order,
         groups=tuple(groups),
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 

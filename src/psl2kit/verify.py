@@ -84,13 +84,6 @@ class StabilizerDecomposition(namedtuple("StabilizerDecomposition", "fixing swap
     __slots__ = ()
 
 
-class TwistAnalysis(namedtuple("TwistAnalysis", "swap exponent constant")):
-    """A chosen pair-swapping element, its twist exponent against the
-    square-scaling subgroup, and the constant it sends 1 to."""
-
-    __slots__ = ()
-
-
 # verdict is "a" or "b"
 Dichotomy = namedtuple("Dichotomy", "verdict witness normal8_generators", defaults=(None,))
 
@@ -525,7 +518,9 @@ def check_unique_normalized_swap(
 
 def check_swap_power_form(
     lam: Permutation, quad: QuadraticClasses
-) -> tuple[CheckResult, TwistAnalysis | None]:
+) -> tuple[CheckResult, int | None]:
+    """Corollary 4.2 for the normalized swap, and its twist exponent, or
+    None when it has none."""
     p = quad.p
     c = lam(1)
     try:
@@ -548,7 +543,6 @@ def check_swap_power_form(
     )
     power_identity = pow(c, n, p) == c
     passed = c_nonsquare and on_squares and on_nonsquares and power_identity
-    analysis = TwistAnalysis(lam, n, c)
     witness = {
         "constant": c,
         "constant_is_nonsquare": c_nonsquare,
@@ -557,7 +551,7 @@ def check_swap_power_form(
         "scales_nonsquares": on_nonsquares,
         "constant_power_identity": power_identity,
     }
-    return CheckResult("corollary-4.2", passed, witness), analysis
+    return CheckResult("corollary-4.2", passed, witness), n
 
 
 def order3_element(group: PermGroup, lam: Permutation, c: int) -> Permutation:
@@ -720,21 +714,11 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
         for e in group.element_images()
         if not any(map(eq, e, ident)) and compose_images(e, e) == ident
     ]
-    eight = {ident, *involutions}
-    closed = all(compose_images(x, y) in eight for x in eight for y in eight)
-    abelian = all(
-        compose_images(x, y) == compose_images(y, x) for x in involutions for y in involutions
-    )
     fpf = [Permutation(e) for e in involutions]
     normal8 = PermGroup(fpf) if fpf else None
-    normal8_ok = (
-        len(fpf) == 7
-        and closed
-        and abelian
-        and normal8 is not None
-        and normal8.order() == 8
-        and group.is_normal(normal8)
-    )
+    # 7 involutions that generate a group of order 8 are, with 1, all of
+    # it: so they are closed under products, and exponent 2 makes it abelian
+    normal8_ok = len(fpf) == 7 and normal8.order() == 8 and group.is_normal(normal8)
 
     labeling = gf8_labeling(_EXCEPTIONAL_CUBICS[variant])
     transported = PermGroup(
@@ -832,23 +816,19 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
             unique_check, lam = check_unique_normalized_swap(dec, p)
             checks.append(unique_check)
             if lam is not None:
-                form_check, analysis = check_swap_power_form(lam, quad)
+                form_check, n = check_swap_power_form(lam, quad)
                 checks.append(form_check)
                 c = lam(1)
                 order3_check, alpha = check_order3_construction(group, lam, c)
                 checks.append(order3_check)
-                if analysis is not None and c == p - 1:
-                    checks.append(
-                        check_fixed_exponent_solutions(p, analysis.exponent)
-                    )
-                    final = check_main_case_inversion(group, lam, analysis.exponent)
+                if n is not None and c == p - 1:
+                    checks.append(check_fixed_exponent_solutions(p, n))
+                    final = check_main_case_inversion(group, lam, n)
                     checks.append(final)
                     if final.passed:
                         dichotomy = Dichotomy("a", group.line.neg_reciprocal())
-                elif analysis is not None:
-                    checks.append(
-                        check_special_power_identities(alpha, c, analysis.exponent, quad)
-                    )
+                elif n is not None:
+                    checks.append(check_special_power_identities(alpha, c, n, quad))
                     checks.append(check_special_constant_relation(c, quad))
                     checks.append(check_special_constant_cubes(c, p))
                     conclusion, normal8 = check_special_case_conclusion(group, lam, c)

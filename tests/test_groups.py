@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import psl2kit
 from psl2kit.fields import CapExceeded, Field, NotPrime, field_of_order, is_prime, primitive_root
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
@@ -16,7 +21,7 @@ from psl2kit.groups import (
     _conjugator,
     closure_images,
 )
-from psl2kit.projline import DomainMismatch, Permutation, ProjLine, compose_images
+from psl2kit.projline import DomainMismatch, NotABijection, Permutation, ProjLine, compose_images
 
 from conftest import (
     brute_closure,
@@ -568,6 +573,58 @@ def test_generators_of_two_degrees_raise():
         PermGroup([Permutation((1, 2, 0))]).contains(Permutation((1, 0, 2, 3)))
     with pytest.raises(DomainMismatch):
         Permutation((1, 0)) * Permutation((1, 2, 0))
+
+
+def test_degree_zero_generator_raises():
+    with pytest.raises(NotABijection, match="n = 0"):
+        PermGroup([Permutation(())])
+
+
+def test_non_bijective_generator_raises_before_any_chain():
+    # unchecked, this generator's chain never closes and grew past 5.8 GB, so
+    # a regression must fail in a child with capped memory and a timeout
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from psl2kit.groups import PermGroup\n"
+        "from psl2kit.projline import NotABijection, Permutation\n"
+        "try:\n"
+        "    PermGroup([Permutation((1, 1, 0))])\n"
+        "except NotABijection as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(psl2kit.__file__).parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "a generator is not a permutation of n >= 1 points, n = 3\n"
+
+
+@st.composite
+def image_tuples(draw):
+    """1 to 3 generators on n <= 7 points: permutations, or any tuples over
+    0..n-1, which are mostly not bijections."""
+    n = draw(st.integers(1, 7))
+    drawn = st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.tuples(*[st.integers(0, n - 1)] * n),
+    )
+    return draw(st.lists(drawn, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(image_tuples())
+def test_generators_are_checked_to_be_bijections(gens):
+    points = list(range(len(gens[0])))
+    if all(sorted(g) == points for g in gens):
+        assert PermGroup(map(Permutation, gens)).order() == len(closure_images(gens))
+    else:
+        # unchecked, such a chain may never close: fail at once if one starts
+        with patch.object(PermGroup, "_extend", side_effect=AssertionError("chain started")):
+            with pytest.raises(NotABijection):
+                PermGroup(map(Permutation, gens))
 
 
 # --- groups on n points that no projective line labels ---------------------

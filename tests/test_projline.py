@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2kit.fields import Field, field_of_order
+from psl2kit.fields import Field, NotPrime, field_of_order
 from psl2kit.projline import (
     DomainMismatch,
     NonUnitDeterminant,
@@ -22,6 +22,12 @@ from psl2kit.projline import (
 from psl2kit.psl2 import Mat2
 
 from conftest import mat_neg, reference_cycle_notation, sl2_matrices
+
+
+def test_over_prime_takes_the_one_field_per_q():
+    assert ProjLine.over_prime(7).field is field_of_order(7)
+    with pytest.raises(NotPrime):
+        ProjLine.over_prime(9)  # GF(9) exists, but 9 is not prime
 
 
 def test_perm_from_images(line7, line5):

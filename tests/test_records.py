@@ -21,7 +21,6 @@ from psl2kit.verify import (
     CheckResult,
     Dichotomy,
     StabilizerDecomposition,
-    TwistAnalysis,
     VerificationReport,
 )
 
@@ -46,12 +45,11 @@ RECORDS = [
      {}, tuple(CERTIFICATE), True),
     (FoundGroup, "element_set_sha256 order verdict contains_neg_reciprocal", {}, tuple(FOUND),
      True),
-    (SearchOutcome, "p mode candidates_examined base_subgroup_order groups elapsed_seconds", {},
-     (5, "constrained", 3, 10, (FOUND,), 0.5), True),
+    (SearchOutcome, "p mode candidates_examined base_subgroup_order groups", {},
+     (5, "constrained", 3, 10, (FOUND,)), True),
     (CheckResult, "id passed witness counterexample", {"counterexample": None},
      ("hypotheses", False, {"order": 60}, {"order": 61}), False),
     (StabilizerDecomposition, "fixing swapping", {}, ((SCALE,), (SHIFT,)), True),
-    (TwistAnalysis, "swap exponent constant", {}, (SHIFT, 2, 3), True),
     (Dichotomy, "verdict witness normal8_generators", {"normal8_generators": None},
      ("b", SHIFT, (SHIFT, SCALE)), True),
     (VerificationReport, "p verdict witness checks dichotomy", {"dichotomy": None},

@@ -25,10 +25,8 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_no_dataclasses_or_typing_imports_in_package():
-    # start-up is most of a short CLI run: dataclasses pulls in inspect, ast
-    # and dis, and typing costs as much again; records are named tuples
-    heavy = {"dataclasses", "typing"}
+def _imports(top_level: set[str]) -> list[str]:
+    """Where a package module imports a module whose top level is named."""
     found = []
     for name, node in _nodes():
         if isinstance(node, ast.Import):
@@ -37,8 +35,33 @@ def test_no_dataclasses_or_typing_imports_in_package():
             modules = [node.module]
         else:
             continue
-        found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in heavy]
-    assert found == []
+        found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in top_level]
+    return found
+
+
+def test_no_dataclasses_or_typing_imports_in_package():
+    # start-up is most of a short CLI run: dataclasses pulls in inspect, ast
+    # and dis, and typing costs as much again; records are named tuples
+    assert _imports({"dataclasses", "typing"}) == []
+
+
+def test_no_module_imports_time():
+    # the package reports results, not timings: a run is timed from outside
+    assert _imports({"time"}) == []
+
+
+def test_iwasawa_builds_no_chain_for_the_translations():
+    # a conjugate's membership in T is read off its map: T needs no chain
+    tree = ast.parse((SOURCE_DIR / "groups.py").read_text())
+    [func] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_iwasawa_holds"
+    ]
+    builds = [
+        node.lineno for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PermGroup"
+    ]
+    assert builds == []
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

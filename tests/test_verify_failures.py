@@ -161,8 +161,8 @@ def test_normalized_swap_shape_names_the_constants_seen():
 
 def test_swap_power_form_reports_a_missing_exponent(line7):
     lam = line7.from_cycles("(0 inf)(1 2)")
-    result, analysis = check_swap_power_form(lam, quadratic_classes(7))
-    assert not result.passed and analysis is None
+    result, exponent = check_swap_power_form(lam, quadratic_classes(7))
+    assert not result.passed and exponent is None
     assert result.witness == {"constant": 2}
     assert result.counterexample == {"reason": "exponent candidate 2 fails at a=2, z=3"}
 
