@@ -26,7 +26,6 @@ from .psl2 import (
 from .search import SearchOutcome, constrained_search, full_search
 from .verify import (
     CheckResult,
-    Dichotomy,
     StabilizerDecomposition,
     VerificationReport,
     build_exceptional,
@@ -44,7 +43,6 @@ __all__ = [
     "CheckResult",
     "ConjugacyClass",
     "DEFAULT_ENUMERATION_CAP",
-    "Dichotomy",
     "Field",
     "Mat2",
     "PermGroup",

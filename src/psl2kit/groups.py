@@ -37,16 +37,17 @@ its degree.  No caller can set another cap.
 Simplicity is enumeration-backed only when two chain tests leave it open.
 ``derived_subgroup``, the normal closure of the generators' commutators,
 refutes it when it is proper and nontrivial.  For a perfect group, Iwasawa's
-criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from the chain and one
-more normal closure: G is 2-transitive, the translations T by the additive
-basis of GF(n-1) are abelian and normal in the stabilizer of inf, which is
-read off each conjugate's map with no chain for T, and their normal closure
-is G.  So PSL(2,q) is proved simple for q > 3 at any order the chain
-reaches, and refuted for q = 2 and 3 and for the two order-168 groups with
-a normal subgroup of order 8 (derived subgroups of order 3, 4 and 56).  Any
-other group, such as an abelian one, a perfect one without those
-translations, or one whose n-1 is not a prime power, falls back to the
-normal closure of each conjugacy class, under the cap.
+criterion (Proc. Imp. Acad. Tokyo 17, 1941) proves it from G's chain alone:
+G is 2-transitive, the translations T by the additive basis of GF(n-1) are
+abelian and normal in the stabilizer of inf, which is read off each
+conjugate's map with no chain for T, and the stabilizer of 0 and inf is
+abelian, so the normal closure of T holds G' = G.  So the chains of G and
+G' alone prove PSL(2,q) simple for q > 3 at any order the chain reaches, and
+refute it for q = 2 and 3 and for the two order-168 groups with a normal
+subgroup of order 8 (derived subgroups of order 3, 4 and 56).  Any other
+group, such as an abelian one, a perfect one without those translations,
+or one whose n-1 is not a prime power, falls back to the normal closure of
+each conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -147,6 +148,13 @@ def _conjugate(x: tuple[int, ...], conjugator) -> tuple[int, ...]:
     # g * x * g^-1: x * g^-1 by the stored itemgetter, then g on the left
     g, right_inv = conjugator
     return compose_images(g, right_inv(x))
+
+
+def _commute(gens: list[tuple[int, ...]]) -> bool:
+    """Whether the image tuples commute pairwise."""
+    return all(
+        compose_images(a, b) == compose_images(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+    )
 
 
 class _Level:
@@ -507,9 +515,10 @@ class PermGroup:
 
     def is_simple(self) -> bool:
         """Refuted by a proper, nontrivial derived subgroup; proved by
-        Iwasawa's criterion (``_iwasawa_holds``) for a perfect group; and
-        otherwise decided by the normal closure of every conjugacy class,
-        which enumerates the group and so keeps the enumeration cap."""
+        Iwasawa's criterion (``_iwasawa_holds``) once the derived subgroup
+        shows the group perfect; and otherwise decided by the normal closure
+        of every conjugacy class, which enumerates the group and so keeps
+        the enumeration cap."""
         n = self.order()
         if n <= 1:
             return False
@@ -527,9 +536,9 @@ class PermGroup:
 
     def _iwasawa_holds(self) -> bool:
         """The conditions of Iwasawa's criterion (Proc. Imp. Acad. Tokyo 17,
-        1941) besides perfectness, with the stabilizer of inf as the point
-        stabilizer and T, the translations by the additive basis, as its
-        abelian normal subgroup:
+        1941) besides perfectness, read off G's chain, with the stabilizer
+        of inf as the point stabilizer and T, the translations by the
+        additive basis, as its abelian normal subgroup:
 
         - n-1 is a prime power, so the translations exist;
         - the chain opens at (0, inf) and G is 2-transitive, so primitive;
@@ -539,9 +548,13 @@ class PermGroup:
           normal in G_inf.  T holds every translation, so a conjugate lies
           in T exactly when it fixes inf and is the translation by its
           image of 0;
-        - the normal closure of T is G.
+        - the strong generators of G_(0,inf) commute, so it is abelian.
 
-        A perfect group for which all of them hold is simple.
+        The last stands in for "the normal closure N of T is G" and needs G
+        perfect, so True proves a perfect group simple and says nothing of
+        any other.  N is a nontrivial normal subgroup of the primitive G, so
+        it is transitive, and G = N G_inf = N T G_(0,inf) = N G_(0,inf).  So
+        G/N is a quotient of the abelian G_(0,inf), G' <= N, and N = G.
         """
         if len(distinct_prime_factors(self.degree - 1)) != 1:
             return False
@@ -553,14 +566,15 @@ class PermGroup:
         if not all(self.contains(t) for t in translations):
             return False
         shifts = [t.images for t in translations]
-        if any(compose_images(a, b) != compose_images(b, a) for a in shifts for b in shifts):
+        if not _commute(shifts):
             return False
-        for h in self.stabilizer_generators(2):
+        fixers = self.stabilizer_generators(2)
+        for h in fixers:
             c = _conjugator(h, self._inverse(h))
             for u in (_conjugate(t, c) for t in shifts):
                 if u[-1] != line.infinity or u != line.translation(u[0]).images:
                     return False
-        return self.normal_closure(translations).order() == self.order()
+        return _commute(fixers)
 
     # -- Sylow counting --
 

@@ -84,13 +84,7 @@ class StabilizerDecomposition(namedtuple("StabilizerDecomposition", "fixing swap
     __slots__ = ()
 
 
-# verdict is "a" or "b"
-Dichotomy = namedtuple("Dichotomy", "verdict witness normal8_generators", defaults=(None,))
-
-
-class VerificationReport(namedtuple(
-    "VerificationReport", "p verdict witness checks dichotomy", defaults=(None,)
-)):
+class VerificationReport(namedtuple("VerificationReport", "p verdict witness checks")):
     """``verdict`` is "a", "b" or "hypotheses-failed"."""
 
     __slots__ = ()
@@ -698,7 +692,7 @@ def _same_group(a: PermGroup, b: PermGroup) -> bool:
     return a.order() == b.order() and all(b.contains(g) for g in a.generators)
 
 
-def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, tuple[Permutation, ...]]:
+def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     """Verify the order-168 presentation, the order-8 normal subgroup, and
     agreement with the transported GF(8) construction."""
     line = group.line
@@ -745,27 +739,24 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict, 
         "simple": not not_simple,
     }
     passed = order_ok and same_set and normal8_ok and transported_ok and not_simple
-    return passed, witness, tuple(fpf)
+    return passed, witness
 
 
-def check_special_case_conclusion(
-    group: PermGroup, lam: Permutation, c: int
-) -> tuple[CheckResult, tuple[Permutation, ...]]:
+def check_special_case_conclusion(group: PermGroup, lam: Permutation, c: int) -> CheckResult:
     p = group.line.field.p
     prime_ok = p == 7
     variant_ok = c in EXCEPTIONAL_INVOLUTIONS
     lam_ok = False
     structure_ok = False
     witness: dict = {"p": p, "constant": c}
-    normal8: tuple[Permutation, ...] = ()
     if prime_ok and variant_ok:
         expected = group.line.from_cycles(EXCEPTIONAL_INVOLUTIONS[c])
         lam_ok = lam == expected
-        structure_ok, structure_witness, normal8 = _exceptional_structure(group, c)
+        structure_ok, structure_witness = _exceptional_structure(group, c)
         witness |= structure_witness
         witness["lambda_matches"] = lam_ok
     passed = prime_ok and variant_ok and lam_ok and structure_ok
-    return CheckResult("prop-5.4", passed, witness), normal8
+    return CheckResult("prop-5.4", passed, witness)
 
 
 # --- the chain --------------------------------------------------------------
@@ -785,10 +776,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
     if p == 3:
         checks.append(p3_case_check(group))
         witness = group.line.from_cycles("(0 inf)(1 2)")
-        dichotomy = Dichotomy("a", witness)
-        return VerificationReport(
-            p, "a", str(witness), tuple(checks), dichotomy
-        )
+        return VerificationReport(p, "a", str(witness), tuple(checks))
 
     quad = quadratic_classes(p)
     checks.append(check_double_transitivity(group))
@@ -799,7 +787,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
     twist_check, exponents = check_twist_exponents(dec, quad)
     checks.append(twist_check)
 
-    dichotomy: Dichotomy | None = None
+    settled = None  # the verdict and its witness
     if dec.swapping:
         if p % 4 == 1:
             checks.append(check_pair_orbit_count(group, p))
@@ -811,7 +799,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
                 final = check_inversion_from_constant(group, lam, constant)
                 checks.append(final)
                 if final.passed:
-                    dichotomy = Dichotomy("a", group.line.neg_reciprocal())
+                    settled = "a", group.line.neg_reciprocal()
         else:
             unique_check, lam = check_unique_normalized_swap(dec, p)
             checks.append(unique_check)
@@ -826,36 +814,31 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
                     final = check_main_case_inversion(group, lam, n)
                     checks.append(final)
                     if final.passed:
-                        dichotomy = Dichotomy("a", group.line.neg_reciprocal())
+                        settled = "a", group.line.neg_reciprocal()
                 elif n is not None:
                     checks.append(check_special_power_identities(alpha, c, n, quad))
                     checks.append(check_special_constant_relation(c, quad))
                     checks.append(check_special_constant_cubes(c, p))
-                    conclusion, normal8 = check_special_case_conclusion(group, lam, c)
+                    conclusion = check_special_case_conclusion(group, lam, c)
                     checks.append(conclusion)
                     if conclusion.passed:
-                        dichotomy = Dichotomy("b", lam, normal8)
+                        settled = "b", lam
 
-    if dichotomy is None:
-        dichotomy = _direct_dichotomy(group, p)
-    return VerificationReport(
-        p, dichotomy.verdict, str(dichotomy.witness), tuple(checks), dichotomy
-    )
+    verdict, witness = settled or _direct_dichotomy(group, p)
+    return VerificationReport(p, verdict, str(witness), tuple(checks))
 
 
-def _direct_dichotomy(group: PermGroup, p: int) -> Dichotomy:
+def _direct_dichotomy(group: PermGroup, p: int) -> tuple[str, Permutation]:
     """Settle the verdict by direct containment tests; reached only when a
     chain check failed before producing it."""
     neg_recip = group.line.neg_reciprocal()
     if group.contains(neg_recip):
-        return Dichotomy("a", neg_recip)
+        return "a", neg_recip
     if p == 7:
         for variant, cycles in EXCEPTIONAL_INVOLUTIONS.items():
             lam = group.line.from_cycles(cycles)
-            if group.contains(lam):
-                ok, _, normal8 = _exceptional_structure(group, variant)
-                if ok:
-                    return Dichotomy("b", lam, normal8)
+            if group.contains(lam) and _exceptional_structure(group, variant)[0]:
+                return "b", lam
     raise SpecialCaseContradiction(
         "group satisfies the hypotheses but matches neither branch"
     )
@@ -976,5 +959,5 @@ def corollary_check(p: int) -> CheckResult:
 def exceptional_report(variant: int) -> CheckResult:
     """Standalone structural audit of one exceptional variant."""
     group = build_exceptional(variant)
-    passed, witness, _ = _exceptional_structure(group, variant)
+    passed, witness = _exceptional_structure(group, variant)
     return CheckResult("exceptional", passed, witness)

@@ -80,8 +80,10 @@ def test_criterion_4_exceptional_case():
             assert report.verdict == "b"
             assert report.all_passed()
             assert report.witness == EXCEPTIONAL_INVOLUTIONS[variant]
-            assert report.dichotomy is not None
-            normal8 = PermGroup(list(report.dichotomy.normal8_generators))
+            [conclusion] = [c for c in report.checks if c.id == "prop-5.4"]
+            normal8 = PermGroup(
+                [group.line.from_cycles(g) for g in conclusion.witness["normal8_generators"]]
+            )
             assert normal8.order() == 8
             assert group.is_normal(normal8)
             audit = exceptional_report(variant)

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 from unittest.mock import patch
 
@@ -9,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import psl2kit
-from psl2kit.fields import CapExceeded, Field, NotPrime, field_of_order, is_prime, primitive_root
+from psl2kit.fields import (
+    CapExceeded, Field, NotPrime, distinct_prime_factors, field_of_order, is_prime, primitive_root
+)
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
     OrderLimitExceeded,
@@ -22,6 +25,7 @@ from psl2kit.groups import (
     closure_images,
 )
 from psl2kit.projline import DomainMismatch, NotABijection, Permutation, ProjLine, compose_images
+from psl2kit.psl2 import psl2_perm_group
 
 from conftest import (
     brute_closure,
@@ -452,6 +456,73 @@ def test_is_simple_past_the_enumeration_cap():
         pgl2 = _psl2_prime(p, primitive_root(p))
         assert pgl2.derived_subgroup().order() == group.order()
         assert not pgl2.is_simple()
+
+
+def _basis_translations(line):
+    return [line.translation(line.field.p**i) for i in range(line.field.degree)]
+
+
+@lru_cache(maxsize=None)
+def _pgaml2(q):
+    """PGammaL(2,q): the basis translations, the scaling by a primitive
+    element, the Frobenius z -> z^p and -1/z."""
+    field = field_of_order(q)
+    line = ProjLine(field)
+    frobenius = line.perm([field.pow(z, field.p) for z in field.elements()] + [line.infinity])
+    extra = [line.scaling(field.primitive_element()), frobenius, line.neg_reciprocal()]
+    return PermGroup(_basis_translations(line) + extra)
+
+
+@pytest.mark.parametrize("q, order", [(4, 120), (8, 1512), (9, 1440)])
+def test_iwasawa_fails_when_the_two_point_stabilizer_is_nonabelian(q, order):
+    # 2-transitive, holding T and normalizing it in the stabilizer of inf,
+    # but the stabilizer of 0 and inf, a semidirect product of the scalings
+    # and the Frobenius, is nonabelian: the condition that stands in for
+    # "the normal closure of T is G" fails
+    group = _pgaml2(q)
+    assert group.order() == order and group.is_doubly_transitive()
+    line = group.line
+    assert all(group.contains(line.translation(a)) for a in range(q))
+    assert not group._iwasawa_holds()
+    assert group.derived_subgroup().order() < order and not group.is_simple()
+
+
+def test_iwasawa_holds_says_nothing_without_perfectness():
+    # the order-168 groups meet every condition the criterion reads off the
+    # chain; is_simple refutes them by their derived subgroup of order 56
+    for variant in (3, 5):
+        group = exceptional_cached(variant)
+        assert group._iwasawa_holds()
+        assert group.derived_subgroup().order() == 56 and not group.is_simple()
+
+
+def test_is_simple_runs_one_normal_closure_on_psl2(monkeypatch):
+    # the derived subgroup's: Iwasawa's criterion reads G's chain alone
+    calls = []
+    closure = PermGroup.normal_closure
+    monkeypatch.setattr(
+        PermGroup, "normal_closure", lambda self, seeds: calls.append(1) or closure(self, seeds)
+    )
+    for q in range(4, 65):
+        if len(distinct_prime_factors(q)) == 1:
+            calls.clear()
+            assert psl2_perm_group(q).is_simple()
+            assert calls == [1], q
+
+
+@st.composite
+def groups_over_translations(draw):
+    """The translations of GF(8) or GF(9) and 1-2 elements of PGammaL(2,q):
+    at most 1512 elements, so the class scan stays under the cap."""
+    q = draw(st.sampled_from((8, 9)))
+    extra = draw(st.lists(st.sampled_from(_pgaml2(q).elements()), min_size=1, max_size=2))
+    return PermGroup(_basis_translations(ProjLine(field_of_order(q))) + extra)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_over_translations())
+def test_is_simple_agrees_with_class_scan_over_translations(group):
+    assert group.is_simple() == reference_is_simple(group)
 
 
 def test_derived_subgroup_against_sympy():

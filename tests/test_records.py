@@ -19,7 +19,6 @@ from psl2kit.psl2 import (
 from psl2kit.search import FoundGroup, SearchOutcome
 from psl2kit.verify import (
     CheckResult,
-    Dichotomy,
     StabilizerDecomposition,
     VerificationReport,
 )
@@ -50,10 +49,7 @@ RECORDS = [
     (CheckResult, "id passed witness counterexample", {"counterexample": None},
      ("hypotheses", False, {"order": 60}, {"order": 61}), False),
     (StabilizerDecomposition, "fixing swapping", {}, ((SCALE,), (SHIFT,)), True),
-    (Dichotomy, "verdict witness normal8_generators", {"normal8_generators": None},
-     ("b", SHIFT, (SHIFT, SCALE)), True),
-    (VerificationReport, "p verdict witness checks dichotomy", {"dichotomy": None},
-     (5, "a", "w", (CHECK,), Dichotomy("a", SHIFT)), False),
+    (VerificationReport, "p verdict witness checks", {}, (5, "a", "w", (CHECK,)), False),
 ]
 IDS = [record.__name__ for record, *_ in RECORDS]
 

@@ -68,8 +68,8 @@ def test_classify_exceptional_groups(variant):
     assert "lemma-4.1" in ids and set(ids) >= SECTION5_IDS
     assert "prop-4.5" not in ids
     assert report.witness == EXCEPTIONAL_INVOLUTIONS[variant]
-    assert report.dichotomy is not None
-    assert len(report.dichotomy.normal8_generators) == 7
+    [conclusion] = [c for c in report.checks if c.id == "prop-5.4"]
+    assert len(conclusion.witness["normal8_generators"]) == 7
 
 
 def test_exceptional_variants_are_distinct_groups():
@@ -675,7 +675,7 @@ def test_build_exceptional():
         assert result.witness["gf8_transport_matches"] is True
         assert result.witness["builtin_exceptional_matches"] is True
         # PSL(2,7) has order 168 too, but it is neither variant
-        passed, witness, _ = _exceptional_structure(psl2_cached(7), variant)
+        passed, witness = _exceptional_structure(psl2_cached(7), variant)
         assert not passed
         assert witness["presentation_matches"] is False
         assert witness["gf8_transport_matches"] is False

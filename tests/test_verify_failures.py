@@ -72,17 +72,26 @@ def test_failed_last_lemma_falls_back_to_containment(monkeypatch, capsys, p, che
 
 def test_failed_special_case_falls_back_to_the_exceptional_structure(monkeypatch):
     _forced_to_fail(monkeypatch, "check_special_case_conclusion")
+    real, audits = verify._exceptional_structure, []
+
+    def spy(group, variant):
+        passed, witness = real(group, variant)
+        audits.append((variant, passed, len(witness["normal8_generators"])))
+        return passed, witness
+
+    monkeypatch.setattr(verify, "_exceptional_structure", spy)
     group = exceptional_cached(3)
     report = classify(group, 7)
     assert report.verdict == "b"
     assert report.witness == verify.EXCEPTIONAL_INVOLUTIONS[3]
     assert [c.id for c in report.checks if not c.passed] == ["prop-5.4"]
-    assert len(report.dichotomy.normal8_generators) == 7
+    # once inside the forced-to-fail check, once more for the fallback's verdict
+    assert audits == [(3, True, 7), (3, True, 7)]
 
 
 def test_no_branch_matching_is_a_special_case_contradiction(monkeypatch, capsys):
     _forced_to_fail(monkeypatch, "check_special_case_conclusion")
-    monkeypatch.setattr(verify, "_exceptional_structure", lambda group, variant: (False, {}, ()))
+    monkeypatch.setattr(verify, "_exceptional_structure", lambda group, variant: (False, {}))
     with pytest.raises(SpecialCaseContradiction):
         classify(exceptional_cached(3), 7)
     assert main(["classify", "--p", "7", "--group", "exceptional:3"]) == 3
