@@ -61,12 +61,6 @@ reuse one stored gather across many elements.
 (the orbit of the identity), point orbits and conjugacy classes all run
 through it.  The chain does not: its orbits resume from earlier state and
 record transversals, and ``closure_images`` must stay independent of it.
-
-A chain built with ``order_limit`` gives up as soon as it proves the group
-larger: while the chain is partial, each level's orbit under the generators
-placed so far lies inside that level's true orbit, so the product of the
-orbit lengths is a lower bound on the order.  Checking it after every orbit
-growth raises ``OrderLimitExceeded`` exactly when the order exceeds the limit.
 """
 
 from __future__ import annotations
@@ -99,10 +93,6 @@ class PrimeDoesNotDivideOrder(ValueError):
 
 class SylowGrowthFails(RuntimeError):
     pass
-
-
-class OrderLimitExceeded(Exception):
-    """A chain built with ``order_limit`` proved its group larger than that."""
 
 
 def orbit(seeds, gens, act, limit: int | None = None) -> frozenset | None:
@@ -182,17 +172,10 @@ class PermGroup:
 
     The chain is built from ``generators``, each checked once to be a
     bijection of n >= 1 points, by Schreier-Sims with in-place orbit
-    extension; see the module docstring.  With ``order_limit`` set,
-    construction raises OrderLimitExceeded if the order would exceed it.
+    extension; see the module docstring.
     """
 
-    def __init__(
-        self,
-        generators,
-        *,
-        base_prefix: tuple[int, ...] | None = None,
-        order_limit: int | None = None,
-    ):
+    def __init__(self, generators, *, base_prefix: tuple[int, ...] | None = None):
         generators = list(generators)
         if not generators:
             raise ValueError("need at least one generator")
@@ -205,7 +188,6 @@ class PermGroup:
             # n images that reach all n points are a bijection
             if not self.degree or not set(g.images).issuperset(self._ident):
                 raise NotABijection(f"a generator is not a permutation of n >= 1 points, n = {self.degree}")
-        self._order_limit = order_limit
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
         if base_prefix is None:
             base_prefix = (0, self.degree - 1)
@@ -250,12 +232,10 @@ class PermGroup:
         self._extend_orbit(idx)
 
     def _extend_orbit(self, idx: int) -> None:
-        """Append the points the level's generators newly reach; raises
-        OrderLimitExceeded once the order's lower bound passes the limit."""
+        """Append the points the level's generators newly reach."""
         gens = self.stabilizer_generators(idx)
         trans = self._levels[idx].transversal
         queue = list(trans)
-        known = len(queue)
         for x in queue:
             ux, ux_inv = trans[x]
             for g in gens:
@@ -263,9 +243,6 @@ class PermGroup:
                 if y not in trans:
                     trans[y] = (compose_images(g, ux), compose_images(ux_inv, self._inverse(g)))
                     queue.append(y)
-        limit = self._order_limit
-        if limit is not None and len(queue) > known and self.order() > limit:
-            raise OrderLimitExceeded(f"order exceeds {limit}")
 
     def _sift_images(self, img: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
         """Reduce img through the chain from level ``start``; returns the residue."""

@@ -1,25 +1,26 @@
 """Brute-force rediscovery of the classification dichotomy.
 
 Any transitive group of order (p^3-p)/2 on Z/p + {inf} containing the
-translations is generated by the translations, the square scalings, and
-any single element swapping 0 and inf: the swap makes the generated
-subgroup transitive, its stabilizer of inf already holds the p*(p-1)/2
-translation-scaling maps, so the subgroup has order at least
-(p+1)*p*(p-1)/2 and must be the whole group.  The search therefore
-enumerates candidate swaps and decides each one in at most three steps.
-First a Lagrange test: s, s*sigma (sigma the square-generator scaling)
-and s*(z+k) for k = 1..p-1 all lie in the group s generates with the
-base, so if the order of any of them does not divide (p^3-p)/2 that
-group cannot have order (p^3-p)/2, and s is rejected after p+1 element
-orders, with no chain built.  A swap that lies in a group already found
-regenerates that group, so one sift into each found group settles it as
-a duplicate; such a swap always passes the Lagrange test.  Otherwise the
-three generators are built into a stabilizer chain capped at (p^3-p)/2:
-the chain gives up as soon as its partial order passes the cap, and a
-complete chain of exactly that order is a new group.  Each new group is
-then closed once by frontier multiplication, independently of the chain:
-the closure must have the chain's order, and it supplies the element-set
-hash and the membership of z -> -1/z.
+translations is generated by the base B -- the translations and square
+scalings, of order p*(p-1)/2, generated by z+1 and the square-generator
+scaling sigma -- and any single element s swapping 0 and inf.  G = <B, s>
+is transitive, since s joins inf to the orbit Z/p of B, so
+|G| = (p+1)*|G_inf| with B <= G_inf, and |G| = (p^3-p)/2 exactly when
+G_inf = B.  The search enumerates candidate swaps and decides that by
+Schreier's lemma (Seress, *Permutation Group Algorithms*, 2003, section
+4.1): with the transversal u_inf = 1 and u_x = (z+x)*s, which maps inf to
+x, G_inf is generated by the u_{g(x)}^-1 * g * u_x over x on the line and
+g in {s, z+1, sigma}, so G_inf = B exactly when each of them sifts through
+B's chain, built once per search.  At x = 0 they are s^2, 1 and
+s^-1*sigma*s; in both candidate spaces at every prime they allow, a
+failing swap is rejected at x = 0 or 1, with no chain built for it.  A
+swap that passes and lies in a group already found regenerates that
+group, so one sift into each found group settles it as a duplicate.  Any
+other is a new group: its three generators are built into a stabilizer
+chain, whose order must be (p^3-p)/2, and closed once by frontier
+multiplication, independently of both: the closure must have the chain's
+order, and it supplies the element-set hash and the membership of
+z -> -1/z.
 
 Two candidate spaces are provided.  The constrained space uses the derived
 shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
@@ -27,8 +28,9 @@ shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
 0 and inf, with arbitrary action on the units; it is feasible for
 p in {3, 5, 7} and exists to confirm that the constrained shape loses
 nothing.  Each found group is re-checked against the hypotheses and
-classified, and the swap-free base subgroup is re-verified to have order
-p*(p-1)/2 so the order argument above is honest.
+classified, and the swap-free base subgroup is re-verified by closure to
+have order p*(p-1)/2, before any candidate, so the order argument above
+is honest.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import hashlib
 import itertools
 import json
 from collections import namedtuple
+from operator import itemgetter
 
 from .fields import (
     MAX_FULL_SEARCH_PRIME,
@@ -46,8 +49,8 @@ from .fields import (
     is_prime,
     quadratic_classes,
 )
-from .groups import OrderLimitExceeded, PermGroup, closure_images
-from .projline import Permutation, ProjLine, compose_images
+from .groups import PermGroup, closure_images
+from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
 from .verify import classify
 
 
@@ -95,8 +98,11 @@ class SearchOutcome(namedtuple(
 
 def element_set_hash(images_set) -> str:
     """Canonical digest of a group's element set: sorted image tuples,
-    comma-joined, semicolon-separated."""
-    blob = ";".join(",".join(map(str, img)) for img in sorted(images_set))
+    comma-joined, semicolon-separated.  Each tuple is joined from the
+    points' strings, made once, by one gather."""
+    images = sorted(images_set)
+    names = tuple(map(str, range(len(images[0])))) if images else ()
+    blob = ";".join(",".join(itemgetter(*img)(names)) for img in images)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
@@ -104,52 +110,55 @@ def _base_generators(line: ProjLine, p: int) -> list[Permutation]:
     return [line.translation(1), line.scaling(quadratic_classes(p).square_generator)]
 
 
-def _lagrange_shifts(base_images: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The square-generator scaling, then z+k for k = 1..p-1, from the base
-    generators z+1 and that scaling."""
-    translation, scaling = base_images
-    shifts = [scaling]
-    power = translation
-    for _ in range(len(translation) - 2):
-        shifts.append(power)
-        power = compose_images(translation, power)
-    return shifts
-
-
-def _fails_lagrange(
-    swap_images: tuple[int, ...], shifts: list[tuple[int, ...]], target: int
-) -> bool:
-    """Whether s or some s*w, w in ``shifts``, has an order not dividing
-    ``target``.  Each of them lies in the group s generates with the base,
-    so by Lagrange that group then cannot have order ``target``."""
-    words = itertools.chain((swap_images,), (compose_images(swap_images, w) for w in shifts))
-    return any(target % Permutation(w).order() for w in words)
+def _stabilizer_is_base(base_group: PermGroup, swap, base_images, shifts) -> bool:
+    """Whether every Schreier generator u_{g(x)}^-1 * g * u_x of G_inf,
+    G = <base, s>, lies in ``base_group``, for x on the line, u_inf = 1,
+    u_x = (z+x)*s and ``shifts[k]`` = z+k.  g runs over s first, whose
+    generator at x = 0 is s^2, then z+1 and sigma; the test stops at the
+    first generator outside the base.  See the module docstring."""
+    inf = len(swap) - 1
+    ident = identity_images(inf + 1)
+    swap_inv = invert_images(swap)
+    coset_inverses = {inf: ident}  # y -> u_y^-1 = s^-1 * (z-y)
+    gens = [swap, *base_images]
+    for x in range(inf + 1):
+        u = ident if x == inf else compose_images(shifts[x], swap)
+        for g in gens:
+            y = g[x]
+            u_inv = coset_inverses.get(y)
+            if u_inv is None:
+                u_inv = coset_inverses[y] = compose_images(swap_inv, shifts[-y])
+            h = compose_images(u_inv, compose_images(g, u))
+            if h != ident and not base_group.contains(Permutation(h)):
+                return False
+    return True
 
 
 def _decide_candidates(base: list[Permutation], target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
-    ``found`` is (chain, closure) for a NEW group and None otherwise.
-    Non-bijective candidates arrive as None and are REJECTED, and so are
-    swaps that fail the Lagrange test, before any sift or chain."""
+    ``found`` is (chain, closure) for a NEW group and None otherwise;
+    ``base`` is z+1 and sigma.  Non-bijective candidates arrive as None and
+    are REJECTED, and so are swaps whose stabilizer of inf is not the base
+    group, before any sift into a found group or chain."""
+    base_group = PermGroup(base)
     base_images = [g.images for g in base]
-    shifts = _lagrange_shifts(base_images)
+    shifts = [identity_images(len(base_images[0]))]  # z+k = (z+1)^k, k = 0..p-1
+    for _ in range(len(base_images[0]) - 2):
+        shifts.append(compose_images(base_images[0], shifts[-1]))
     groups: list[PermGroup] = []
     for swap_images in swap_candidates:
-        if swap_images is None or _fails_lagrange(swap_images, shifts, target):
+        if swap_images is None or not _stabilizer_is_base(
+            base_group, swap_images, base_images, shifts
+        ):
             yield REJECTED, None
             continue
         swap = Permutation(swap_images)
         if any(group.contains(swap) for group in groups):
             yield DUPLICATE, None
             continue
-        try:
-            group = PermGroup(base + [swap], order_limit=target)
-        except OrderLimitExceeded:
-            yield REJECTED, None
-            continue
+        group = PermGroup(base + [swap])
         if group.order() != target:
-            # a group holding the base and a swap has order at least target
-            # (module docstring), and order_limit refused any larger one
+            # the Schreier test proved |G| = (p+1) * |base| (module docstring)
             raise SearchInvariantError(f"complete chain has order {group.order()}, not {target}")
         closure = closure_images(base_images + [swap_images], limit=target)
         if closure is None or len(closure) != group.order():

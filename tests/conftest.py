@@ -32,15 +32,45 @@ def brute_closure(gen_images):
 
 
 def reference_is_simple(group) -> bool:
-    """Simplicity by class enumeration: a nontrivial group is simple when
-    the normal closure of every nonidentity class representative is the
-    whole group.  Enumerates the group, so it keeps the enumeration cap."""
-    if group.order() <= 1:
+    """Simplicity by class enumeration on plain tuple sets: a nontrivial
+    group is simple when each nonidentity conjugacy class generates all of
+    it.  The elements, each class (its closure under conjugation by the
+    generators) and the subgroup a class generates come from
+    ``brute_closure`` and set arithmetic, never from the chain, its class
+    scan or its normal closures.  Enumerates the group, so keep it small."""
+    gens = [g.images for g in group.generators]
+    n = len(gens[0])
+    identity = tuple(range(n))
+    elements = brute_closure(gens)
+    if len(elements) <= 1:
         return False
-    for cls in group.conjugacy_classes():
-        if cls.representative.is_identity():
+    conjugators = []
+    for g in gens:
+        g_inv = [0] * n
+        for i, j in enumerate(g):
+            g_inv[j] = i
+        conjugators.append((g, g_inv))
+    seen = {identity}
+    for x in elements:
+        if x in seen:
             continue
-        if group.normal_closure([cls.representative]).order() != group.order():
+        cls, pending = {x}, [x]
+        while pending:
+            y = pending.pop()
+            for g, g_inv in conjugators:
+                conjugate = tuple(g[y[g_inv[i]]] for i in range(n))
+                if conjugate not in cls:
+                    cls.add(conjugate)
+                    pending.append(conjugate)
+        seen |= cls
+        # the subgroup the class generates, closed again only when a member
+        # falls outside it
+        class_gens, generated = [], {identity}
+        for c in cls:
+            if c not in generated:
+                class_gens.append(c)
+                generated = brute_closure(class_gens)
+        if len(generated) != len(elements):
             return False
     return True
 

@@ -15,7 +15,6 @@ from psl2kit.fields import (
 )
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
-    OrderLimitExceeded,
     PermGroup,
     PrimeDoesNotDivideOrder,
     SeedNotInGroup,
@@ -845,26 +844,6 @@ def test_transitivity_against_definitions(data):
     )
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(random_generators(), st.data())
-def test_order_limit_raises_iff_closure_exceeds(data, draws):
-    line, gens, _ = data
-    perms = [line.perm(g) for g in gens]
-    order = PermGroup(perms).order()
-    limit = draws.draw(
-        st.one_of(st.integers(1, order + 2), st.sampled_from((order - 1, order, order + 1)))
-        .filter(lambda n: n >= 1)
-    )
-    closure = closure_images(gens, limit=limit)
-    try:
-        group = PermGroup(perms, order_limit=limit)
-    except OrderLimitExceeded:
-        assert closure is None
-    else:
-        assert closure is not None
-        assert group.order() == order == len(closure)
-
-
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_generators(), st.data())
 def test_closure_limit_against_brute_closure(data, draws):
@@ -878,18 +857,3 @@ def test_closure_limit_against_brute_closure(data, draws):
     if closure is not None:
         assert closure == frozenset(brute_closure(gens))
 
-
-def test_order_limit_examples(line7, line5):
-    psl = psl2_cached(7)
-    capped = PermGroup(psl.generators, order_limit=psl.order())
-    assert capped.base == psl.base and capped.order() == psl.order() == 168
-    with pytest.raises(OrderLimitExceeded):
-        PermGroup(psl.generators, order_limit=167)
-    # the translations alone reach 7 points; the limit is on the order, not the orbit
-    assert PermGroup([line7.translation(1)], order_limit=7).order() == 7
-    # S6: here the order bound first passes 480 when closing re-extends an
-    # orbit, not when an insertion grows one
-    s6 = [line5.perm(g) for g in ((4, 1, 3, 2, 5, 0), (3, 2, 4, 5, 0, 1), (4, 1, 0, 2, 5, 3))]
-    assert PermGroup(s6).order() == 720
-    with pytest.raises(OrderLimitExceeded):
-        PermGroup(s6, order_limit=480)

@@ -127,8 +127,10 @@ def test_search_input_validation():
                 search_fn(p)
 
 
-def test_found_groups_built_from_three_generators(monkeypatch):
-    # every chain the search builds, kept or not, gets exactly three generators
+@pytest.mark.parametrize("search_fn,p", [(full_search, 7), (constrained_search, 13)])
+def test_chains_built_are_the_base_and_one_per_new_group(monkeypatch, search_fn, p):
+    # the base's chain once, for the Schreier test, then a chain of three
+    # generators per new group: no rejected or duplicate swap builds one
     sizes = []
     real = search.PermGroup
 
@@ -138,67 +140,25 @@ def test_found_groups_built_from_three_generators(monkeypatch):
         return real(generators, **kwargs)
 
     monkeypatch.setattr(search, "PermGroup", spy)
-    found = len(constrained_search(7).groups) + len(full_search(5).groups)
-    assert found == 4
-    assert len(sizes) > found  # rejected candidates build chains too
-    assert all(n == 3 for n in sizes)
-
-
-def lagrange_refusals(p, swap_candidates):
-    """The candidates the Lagrange test refuses, with the base's images and
-    the target order."""
-    line = ProjLine.over_prime(p)
-    base_images = [g.images for g in search._base_generators(line, p)]
-    shifts = search._lagrange_shifts(base_images)
-    target = (p**3 - p) // 2
-    refused = [
-        s for s in swap_candidates
-        if s is not None and search._fails_lagrange(s, shifts, target)
-    ]
-    return refused, base_images, target
-
-
-@pytest.mark.parametrize(
-    "mode,p",
-    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11),
-     ("constrained", 13)],
-)
-def test_lagrange_refusals_generate_no_group_of_the_target_order(mode, p):
-    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
-    refused, base_images, target = lagrange_refusals(p, candidates(p))
-    # at p = 5 every element order of S_6 divides 60, so nothing is refused
-    assert bool(refused) == (p > 5)
-    for s in refused:
-        closure = closure_images(base_images + [s], limit=target)
-        assert closure is None or len(closure) != target
+    found = len(search_fn(p).groups)
+    assert found == expected_group_count(p)
+    assert sizes == [2] + [3] * found
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), p=st.sampled_from([11, 13]))
-def test_lagrange_refusals_sound_on_drawn_swaps(data, p):
-    units = data.draw(st.permutations(range(1, p)))
+def test_schreier_test_accepts_iff_closure_reaches_the_target(data, p):
+    line = ProjLine.over_prime(p)
+    # z -> -1/z generates PSL(2,p) with the base, so acceptance is drawn too
+    units = data.draw(
+        st.one_of(st.just(line.neg_reciprocal().images[1:-1]), st.permutations(range(1, p)))
+    )
     swap = (p, *units, 0)  # 0 -> inf, the units anyhow, inf -> 0
-    refused, base_images, target = lagrange_refusals(p, [swap])
-    if refused:
-        closure = closure_images(base_images + [swap], limit=target)
-        assert closure is None or len(closure) != target
-
-
-@pytest.mark.parametrize(
-    "search_fn,p,budget", [(full_search, 7, 200), (constrained_search, 13, 100)]
-)
-def test_lagrange_test_spares_most_chain_builds(monkeypatch, search_fn, p, budget):
-    # without the Lagrange test, full p = 7 built 714 chains and constrained p = 13 built 277
-    builds = []
-    real = search.PermGroup
-
-    def spy(generators, **kwargs):
-        builds.append(1)
-        return real(generators, **kwargs)
-
-    monkeypatch.setattr(search, "PermGroup", spy)
-    search_fn(p)
-    assert len(builds) <= budget
+    base = search._base_generators(line, p)
+    target = (p**3 - p) // 2
+    [(decision, _)] = search._decide_candidates(base, target, [swap])
+    closure = closure_images([g.images for g in base] + [swap], limit=target)
+    assert (decision == NEW) == (closure is not None and len(closure) == target)
 
 
 def reference_decisions(p, swap_candidates):
@@ -222,7 +182,8 @@ def reference_decisions(p, swap_candidates):
 
 @pytest.mark.parametrize(
     "mode,p",
-    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11)],
+    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11),
+     ("constrained", 13)],
 )
 def test_candidate_decisions_match_closure_reference(mode, p):
     candidates = search._full_candidates if mode == "full" else search._constrained_candidates
@@ -269,8 +230,8 @@ def test_chain_order_disagreeing_with_closure_raises(monkeypatch):
 
 
 def test_complete_chain_of_the_wrong_order_raises(monkeypatch, capsys):
-    # a chain holding the base and a swap that order_limit let finish has
-    # order (p^3-p)/2, 60 at p = 5: one reported one short breaks that
+    # a chain holding the base and a swap that the Schreier test accepted
+    # has order (p^3-p)/2, 60 at p = 5: one reported one short breaks that
     monkeypatch.setattr(search.PermGroup, "order", lambda self: 59)
     with pytest.raises(SearchInvariantError, match="complete chain has order 59, not 60"):
         constrained_search(5)

@@ -287,3 +287,29 @@ def test_no_top_level_name_defined_twice():
                     found.append(f"{path.name}:{node.lineno} {node.name}")
                 seen.add(node.name)
     assert found == []
+
+
+def test_simplicity_oracle_shares_no_code_with_is_simple():
+    # reference_is_simple, and every conftest function it reaches, builds its
+    # classes and closures from plain tuple sets: none of the chain's class
+    # scans, normal closures or orbit searches, which is_simple itself runs
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {
+        "normal_closure", "conjugacy_classes", "conjugacy_class_of", "derived_subgroup",
+        "is_simple", "orbit", "PermGroup",
+    }
+    reached, pending, found = set(), ["reference_is_simple"], []
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if used in forbidden:
+                found.append(f"{name}:{node.lineno} {used}")
+            elif used in functions:
+                pending.append(used)
+    assert found == []
+    assert reached >= {"reference_is_simple", "brute_closure"}
