@@ -8,7 +8,7 @@ from psl2kit import search
 from psl2kit.cli import main
 from psl2kit.fields import CapExceeded, NotOddPrime
 from psl2kit.groups import closure_images
-from psl2kit.projline import ProjLine
+from psl2kit.projline import Permutation, ProjLine, compose_images
 from psl2kit.search import (
     DUPLICATE,
     NEW,
@@ -127,10 +127,8 @@ def test_search_input_validation():
                 search_fn(p)
 
 
-@pytest.mark.parametrize("search_fn,p", [(full_search, 7), (constrained_search, 13)])
-def test_chains_built_are_the_base_and_one_per_new_group(monkeypatch, search_fn, p):
-    # the base's chain once, for the Schreier test, then a chain of three
-    # generators per new group: no rejected or duplicate swap builds one
+def spy_chain_builds(monkeypatch):
+    """The generator count of every chain the search builds, in order."""
     sizes = []
     real = search.PermGroup
 
@@ -140,9 +138,79 @@ def test_chains_built_are_the_base_and_one_per_new_group(monkeypatch, search_fn,
         return real(generators, **kwargs)
 
     monkeypatch.setattr(search, "PermGroup", spy)
+    return sizes
+
+
+def test_found_groups_built_from_three_generators(monkeypatch):
+    # each search builds the base's chain once, for the Schreier test, then
+    # a chain of three generators per new group: no rejected or duplicate
+    # swap builds one
+    sizes = spy_chain_builds(monkeypatch)
+    found_constrained = len(constrained_search(7).groups)
+    found_full = len(full_search(5).groups)
+    assert found_constrained + found_full == 4
+    assert sizes == [2] + [3] * found_constrained + [2] + [3] * found_full
+
+
+@pytest.mark.parametrize(
+    "search_fn,p,budget", [(full_search, 7, 200), (constrained_search, 13, 100)]
+)
+def test_lagrange_test_spares_most_chain_builds(monkeypatch, search_fn, p, budget):
+    # with no test ahead of the chains, full p = 7 built 714 and constrained
+    # p = 13 built 277; the Lagrange filter brought that under the budget, and
+    # the Schreier test at inf now spares every chain but the base's and one
+    # per new group
+    sizes = spy_chain_builds(monkeypatch)
     found = len(search_fn(p).groups)
     assert found == expected_group_count(p)
     assert sizes == [2] + [3] * found
+    assert len(sizes) <= budget
+
+
+def lagrange_refusals(p, swap_candidates):
+    """The candidates Lagrange's theorem refuses: s or some s*w, w the
+    scaling or z+k, k = 1..p-1, has an order not dividing (p^3-p)/2.  Each
+    such word lies in <base, s>, so that group cannot have that order."""
+    line = ProjLine.over_prime(p)
+    base_images = [g.images for g in search._base_generators(line, p)]
+    translation, scaling = base_images
+    shifts = [scaling]
+    power = translation
+    for _ in range(p - 1):
+        shifts.append(power)
+        power = compose_images(translation, power)
+    target = (p**3 - p) // 2
+    return [
+        s
+        for s in swap_candidates
+        if s is not None
+        and any(
+            target % Permutation(w).order()
+            for w in [s] + [compose_images(s, w) for w in shifts]
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11),
+     ("constrained", 13)],
+)
+def test_lagrange_refusals_generate_no_group_of_the_target_order(mode, p):
+    # Lagrange's theorem is an oracle apart from the Schreier test: every
+    # swap it refuses the search must reject, and closure must confirm
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    refused = lagrange_refusals(p, candidates(p))
+    # at p = 5 every element order of S_6 divides 60, so nothing is refused
+    assert bool(refused) == (p > 5)
+    line = ProjLine.over_prime(p)
+    base = search._base_generators(line, p)
+    target = (p**3 - p) // 2
+    decided = search._decide_candidates(base, target, refused)
+    assert [decision for decision, _ in decided] == [REJECTED] * len(refused)
+    for s in refused:
+        closure = closure_images([g.images for g in base] + [s], limit=target)
+        assert closure is None or len(closure) != target
 
 
 @settings(max_examples=40, deadline=None)
