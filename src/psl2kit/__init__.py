@@ -15,7 +15,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import ConjugacyClass, PermGroup, closure_images
-from .projline import Permutation, ProjLine
+from .projline import ProjLine
 from .psl2 import (
     Mat2,
     SimplicityCertificate,
@@ -46,7 +46,6 @@ __all__ = [
     "Field",
     "Mat2",
     "PermGroup",
-    "Permutation",
     "ProjLine",
     "QuadraticClasses",
     "SearchOutcome",

@@ -52,10 +52,10 @@ each conjugacy class, under the cap.
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
 the conjugates of a subgroup (``conjugation_action``, which finds the Sylow
-subgroups) run through it and build no ``Permutation`` per product.
-Products of image tuples go through ``projline.compose_images``, a single
-C-level gather; the right half of a conjugation and ``stabilizer_images``
-reuse one stored gather across many elements.
+subgroups) run through it.  Every permutation is its image tuple, and
+products go through ``projline.compose_images``, a single C-level gather;
+the right half of a conjugation and ``stabilizer_images`` reuse one stored
+gather across many elements.
 
 ``orbit`` is the one breadth-first search over generators: product closures
 (the orbit of the identity), point orbits and conjugacy classes all run
@@ -75,11 +75,12 @@ from .fields import (
 from .projline import (
     DomainMismatch,
     NotABijection,
-    Permutation,
     ProjLine,
     compose_images,
+    cycle_notation,
     identity_images,
     invert_images,
+    perm_order,
 )
 
 
@@ -179,14 +180,14 @@ class PermGroup:
         generators = list(generators)
         if not generators:
             raise ValueError("need at least one generator")
-        self.degree: int = len(generators[0].images)
+        self.degree: int = len(generators[0])
         check_cap("degree", self.degree, "degree cap", MAX_DEGREE)
         self._ident = identity_images(self.degree)
         for g in generators:
-            if len(g.images) != self.degree:
+            if len(g) != self.degree:
                 raise DomainMismatch("generators of different degrees")
             # n images that reach all n points are a bijection
-            if not self.degree or not set(g.images).issuperset(self._ident):
+            if not self.degree or not set(g).issuperset(self._ident):
                 raise NotABijection(f"a generator is not a permutation of n >= 1 points, n = {self.degree}")
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
         if base_prefix is None:
@@ -194,17 +195,16 @@ class PermGroup:
         # a repeated base point, or one the group fixes, opens a level with a
         # one-point orbit
         self._levels = [_Level(pt, self._ident) for pt in dict.fromkeys(base_prefix)]
-        self.generators: tuple[Permutation, ...] = ()
-        self._extend(g.images for g in generators)
+        self.generators: tuple[tuple[int, ...], ...] = ()
+        self._extend(generators)
 
     # -- chain construction --
 
     def _extend(self, images) -> tuple[tuple[int, ...], ...]:
-        """Add generators, given as image tuples, and re-close the chain;
-        returns the new ones."""
-        known = {g.images for g in self.generators}
+        """Add generators and re-close the chain; returns the new ones."""
+        known = set(self.generators)
         fresh = tuple(img for img in dict.fromkeys(images) if img not in known)
-        self.generators += tuple(Permutation(img) for img in fresh)
+        self.generators += fresh
         for img in fresh:
             self._insert(img, 0)
         self._close_chain()
@@ -298,19 +298,18 @@ class PermGroup:
     def order(self) -> int:
         return self.stabilizer_order(0)
 
-    def contains(self, perm: Permutation) -> bool:
-        if len(perm.images) != self.degree:
+    def contains(self, perm: tuple[int, ...]) -> bool:
+        if len(perm) != self.degree:
             raise DomainMismatch("permutation of a different degree")
-        return self._sift_images(perm.images) == self._ident
+        return self._sift_images(perm) == self._ident
 
     def element_images(self) -> tuple[tuple[int, ...], ...]:
         """All elements as image tuples, in canonical (sorted) order: the
         stabilizer below level 0, sorted."""
         return tuple(sorted(self.stabilizer_images(0)))
 
-    def elements(self) -> tuple[Permutation, ...]:
-        """All elements, canonically sorted by image sequence."""
-        return tuple(Permutation(img) for img in self.element_images())
+    # the benchmark tracer wraps ``elements`` by name
+    elements = element_images
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.element_images())
@@ -365,10 +364,7 @@ class PermGroup:
         entry = self._levels[level].transversal.get(point)
         return None if entry is None else entry[0]
 
-    # -- orbits and transitivity --
-
-    def orbit(self, point: int) -> frozenset[int]:
-        return orbit([point], [g.images for g in self.generators], lambda x, g: g[x])
+    # -- transitivity --
 
     def _basic_orbit_length(self, idx: int) -> int:
         """Length of the orbit recorded at chain level ``idx``; a level the
@@ -391,7 +387,7 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         gens = self.rebased((point,)).stabilizer_generators(1)
-        return PermGroup(map(Permutation, gens or [self._ident]))
+        return PermGroup(gens or [self._ident])
 
     # -- conjugacy and normality --
 
@@ -403,20 +399,20 @@ class PermGroup:
                 continue
             members = self._conjugates(e)
             seen.update(members)
-            classes.append(ConjugacyClass(Permutation(e), len(members)))
+            classes.append(ConjugacyClass(e, len(members)))
         return tuple(classes)
 
-    def conjugacy_class_of(self, perm: Permutation) -> frozenset[tuple[int, ...]]:
-        """The class of ``perm`` as image tuples.  A class larger than the
+    def conjugacy_class_of(self, perm: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        """The class of ``perm``.  A class larger than the
         enumeration cap raises ``CapExceeded`` as soon as the search has
         seen cap + 1 members, so the size the message names is a lower bound."""
         if not self.contains(perm):
-            raise SeedNotInGroup(f"{perm} is not in the group")
-        return self._conjugates(perm.images)
+            raise SeedNotInGroup(f"{cycle_notation(perm)} is not in the group")
+        return self._conjugates(perm)
 
     def _conjugators(self) -> list:
         """Per generator g, the pair that ``_conjugate`` needs for g * x * g^-1."""
-        return [_conjugator(g.images, self._inverse(g.images)) for g in self.generators]
+        return [_conjugator(g, self._inverse(g)) for g in self.generators]
 
     def _conjugates(self, img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         cap = DEFAULT_ENUMERATION_CAP
@@ -452,11 +448,11 @@ class PermGroup:
         seeds = list(seeds)
         for s in seeds:
             if not self.contains(s):
-                raise SeedNotInGroup(f"{s} is not in the group")
-        closure_gens = [s for s in dict.fromkeys(seeds) if not s.is_identity()]
-        group = PermGroup(closure_gens or [Permutation(self._ident)])
+                raise SeedNotInGroup(f"{cycle_notation(s)} is not in the group")
+        closure_gens = [s for s in dict.fromkeys(seeds) if s != self._ident]
+        group = PermGroup(closure_gens or [self._ident])
         conjugators = self._conjugators()
-        frontier = tuple(g.images for g in group.generators)
+        frontier = group.generators
         while frontier:
             new = []
             for c in conjugators:
@@ -472,7 +468,7 @@ class PermGroup:
             if not self.contains(h):
                 raise SeedNotInGroup("subgroup is not contained in the group")
         return all(
-            subgroup._sift_images(_conjugate(h.images, c)) == subgroup._ident
+            subgroup._sift_images(_conjugate(h, c)) == subgroup._ident
             for c in self._conjugators()
             for h in subgroup.generators
         )
@@ -481,14 +477,14 @@ class PermGroup:
         """The normal closure of the commutators [a, b] = a^-1 b^-1 a b of
         the generator pairs: the generators commute modulo it, so the
         quotient is abelian and the closure is the derived subgroup."""
-        gens = [g.images for g in self.generators]
+        gens = self.generators
         commutators = [
             # (b a)^-1 (a b)
             compose_images(invert_images(compose_images(b, a)), compose_images(a, b))
             for i, a in enumerate(gens)
             for b in gens[i + 1 :]
         ]
-        return self.normal_closure(Permutation(c) for c in commutators)
+        return self.normal_closure(commutators)
 
     def is_simple(self) -> bool:
         """Refuted by a proper, nontrivial derived subgroup; proved by
@@ -505,7 +501,7 @@ class PermGroup:
         if derived == n and self._iwasawa_holds():
             return True
         for cls in self.conjugacy_classes():
-            if cls.representative.is_identity():
+            if cls.representative == self._ident:
                 continue
             if self.normal_closure([cls.representative]).order() != n:
                 return False
@@ -542,20 +538,19 @@ class PermGroup:
         translations = [line.translation(field.p**i) for i in range(field.degree)]
         if not all(self.contains(t) for t in translations):
             return False
-        shifts = [t.images for t in translations]
-        if not _commute(shifts):
+        if not _commute(translations):
             return False
         fixers = self.stabilizer_generators(2)
         for h in fixers:
             c = _conjugator(h, self._inverse(h))
-            for u in (_conjugate(t, c) for t in shifts):
-                if u[-1] != line.infinity or u != line.translation(u[0]).images:
+            for u in (_conjugate(t, c) for t in translations):
+                if u[-1] != line.infinity or u != line.translation(u[0]):
                     return False
         return _commute(fixers)
 
     # -- Sylow counting --
 
-    def sylow_subgroups(self, ell: int) -> tuple[frozenset[Permutation], ...]:
+    def sylow_subgroups(self, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
         """The Sylow ell-subgroups as element sets, canonically ordered."""
         n = self.order()
         if n % ell:
@@ -566,12 +561,12 @@ class PermGroup:
         elems = self.element_images()
         # Sylow's theorem: every Sylow subgroup is conjugate to the grown one
         found, _ = self.conjugation_action(self._grow_sylow(ell, target, elems))
-        return tuple(frozenset(Permutation(img) for img in s) for s in found)
+        return found
 
     def _grow_sylow(self, ell, target, elems):
         seed = None
         for e in elems:
-            if Permutation(e).order() == ell:
+            if perm_order(e) == ell:
                 seed = e
                 break
         if seed is None:

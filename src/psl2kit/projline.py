@@ -4,8 +4,8 @@ A permutation is its image tuple and nothing else: its degree n is the
 tuple's length, and its points are 0..n-1, of which n-1 is named "inf".
 On the projective line over GF(q), n = q+1: field element indices 0..q-1
 stand for themselves and q is the point at infinity.  Composition follows
-function order: (a * b) applies b first, then a, so that
-(a * b)(x) == a(b(x)).
+function order: compose_images(a, b) applies b first, then a, so that
+compose_images(a, b)[x] == a[b[x]].
 
 Cycle notation is the exchange format: cycles in parentheses, points
 space-separated, infinity spelled "inf".  Canonical form lists cycles by
@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import compress
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .fields import Field, prime_field
 
@@ -84,6 +83,41 @@ def point_names(n: int) -> tuple[str, ...]:
     return (*map(str, range(n - 1)), "inf")
 
 
+def perm_order(images: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths, counted in one walk over the images."""
+    seen = bytearray(len(images))
+    order = 1
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        cur = start
+        while not seen[cur]:
+            seen[cur] = 1
+            cur = images[cur]
+            length += 1
+        order = math.lcm(order, length)
+    return order
+
+
+def cycle_notation(images: tuple[int, ...]) -> str:
+    """Each nontrivial cycle's point names joined in one walk, in canonical
+    form: cycles by smallest member, each starting there."""
+    names = point_names(len(images))
+    seen = bytearray(len(images))
+    parts = []
+    for start, cur in enumerate(images):
+        if seen[start] or cur == start:
+            continue
+        cycle = [names[start]]
+        while cur != start:
+            seen[cur] = 1
+            cycle.append(names[cur])
+            cur = images[cur]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) or "()"
+
+
 class ProjLine:
     """The q+1 points of the projective line over GF(q)."""
 
@@ -99,9 +133,6 @@ class ProjLine:
     def __repr__(self):
         return f"ProjLine({self.field!r})"
 
-    def points(self) -> range:
-        return range(self.size)
-
     @property
     def point_names(self) -> tuple[str, ...]:
         return point_names(self.size)
@@ -111,10 +142,7 @@ class ProjLine:
 
     # -- permutation constructors --
 
-    def identity(self) -> "Permutation":
-        return Permutation(identity_images(self.size))
-
-    def perm(self, images) -> "Permutation":
+    def perm(self, images) -> tuple[int, ...]:
         images = tuple(images)
         if len(images) != self.size:
             raise WrongLength(f"expected {self.size} images, got {len(images)}")
@@ -125,9 +153,9 @@ class ProjLine:
             if seen[x]:
                 raise NotABijection(f"point {self.point_name(x)} repeated")
             seen[x] = True
-        return Permutation(images)
+        return images
 
-    def from_cycles(self, text: str) -> "Permutation":
+    def from_cycles(self, text: str) -> tuple[int, ...]:
         cycles = _parse_cycle_text(text)
         images = list(identity_images(self.size))
         used: set[int] = set()
@@ -147,25 +175,25 @@ class ProjLine:
                 used.add(pt)
             for cur, nxt in zip(pts, pts[1:] + pts[:1]):
                 images[cur] = nxt
-        return Permutation(tuple(images))
+        return tuple(images)
 
     # -- the standard maps --
 
-    def translation(self, a: int) -> "Permutation":
+    def translation(self, a: int) -> tuple[int, ...]:
         f = self.field
         images = [f.add(z, a) for z in f.elements()]
         images.append(self.infinity)
-        return Permutation(tuple(images))
+        return tuple(images)
 
-    def scaling(self, a: int) -> "Permutation":
+    def scaling(self, a: int) -> tuple[int, ...]:
         f = self.field
         if a % f.order == 0:
             raise ZeroScaling("scaling factor must be a unit")
         images = [f.mul(a, z) for z in f.elements()]
         images.append(self.infinity)
-        return Permutation(tuple(images))
+        return tuple(images)
 
-    def moebius(self, a: int, b: int, c: int, d: int) -> "Permutation":
+    def moebius(self, a: int, b: int, c: int, d: int) -> tuple[int, ...]:
         """The determinant-one map z -> (az+b)/(cz+d)."""
         f = self.field
         det = f.sub(f.mul(a, d), f.mul(b, c))
@@ -176,103 +204,11 @@ class ProjLine:
             den = f.add(f.mul(c, z), d)
             images.append(self.infinity if den == 0 else f.div(f.add(f.mul(a, z), b), den))
         images.append(self.infinity if c == 0 else f.div(a, c))
-        return Permutation(tuple(images))
+        return tuple(images)
 
-    def neg_reciprocal(self) -> "Permutation":
+    def neg_reciprocal(self) -> tuple[int, ...]:
         """The involution z -> -1/z."""
         return self.moebius(0, self.field.neg(1), 1, 0)
-
-
-class Permutation:
-    """A bijection of the points 0..n-1, stored as its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        self.images = images
-
-    def __call__(self, pt: int) -> int:
-        return self.images[pt]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self.images) != len(other.images):
-            raise DomainMismatch("permutations of different degrees")
-        return Permutation(compose_images(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert_images(self.images))
-
-    def is_identity(self) -> bool:
-        return self.images == identity_images(len(self.images))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each starting at its smallest member, ordered
-        by smallest member."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
-                continue
-            cycle = [start]
-            seen[start] = True
-            cur = self.images[start]
-            while cur != start:
-                seen[cur] = True
-                cycle.append(cur)
-                cur = self.images[cur]
-            out.append(tuple(cycle))
-        return tuple(out)
-
-    def fixed_points(self) -> frozenset[int]:
-        points = range(len(self.images))
-        return frozenset(compress(points, map(eq, self.images, points)))
-
-    def order(self) -> int:
-        """The lcm of the cycle lengths, counted in one walk over the images."""
-        images = self.images
-        seen = bytearray(len(images))
-        order = 1
-        for start in range(len(images)):
-            if seen[start]:
-                continue
-            length = 0
-            cur = start
-            while not seen[cur]:
-                seen[cur] = 1
-                cur = images[cur]
-                length += 1
-            order = math.lcm(order, length)
-        return order
-
-    def cycle_notation(self) -> str:
-        """Each nontrivial cycle's point names joined in one walk, smallest
-        start first, as ``cycles`` orders them."""
-        images = self.images
-        names = point_names(len(images))
-        seen = bytearray(len(images))
-        parts = []
-        for start, cur in enumerate(images):
-            if seen[start] or cur == start:
-                continue
-            cycle = [names[start]]
-            while cur != start:
-                seen[cur] = 1
-                cycle.append(names[cur])
-                cur = images[cur]
-            parts.append("(" + " ".join(cycle) + ")")
-        return "".join(parts) or "()"
-
-    def __str__(self):
-        return self.cycle_notation()
-
-    def __repr__(self):
-        return f"Permutation({self.cycle_notation()})"
 
 
 _CYCLE_TOKEN_RE = re.compile(r"\(|\)|inf|\d+|\S")

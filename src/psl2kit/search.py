@@ -50,7 +50,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import PermGroup, closure_images
-from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
+from .projline import ProjLine, compose_images, identity_images, invert_images
 from .verify import classify
 
 
@@ -106,11 +106,11 @@ def element_set_hash(images_set) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def _base_generators(line: ProjLine, p: int) -> list[Permutation]:
+def _base_generators(line: ProjLine, p: int) -> list[tuple[int, ...]]:
     return [line.translation(1), line.scaling(quadratic_classes(p).square_generator)]
 
 
-def _stabilizer_is_base(base_group: PermGroup, swap, base_images, shifts) -> bool:
+def _stabilizer_is_base(base_group: PermGroup, swap, base, shifts) -> bool:
     """Whether every Schreier generator u_{g(x)}^-1 * g * u_x of G_inf,
     G = <base, s>, lies in ``base_group``, for x on the line, u_inf = 1,
     u_x = (z+x)*s and ``shifts[k]`` = z+k.  g runs over s first, whose
@@ -120,7 +120,7 @@ def _stabilizer_is_base(base_group: PermGroup, swap, base_images, shifts) -> boo
     ident = identity_images(inf + 1)
     swap_inv = invert_images(swap)
     coset_inverses = {inf: ident}  # y -> u_y^-1 = s^-1 * (z-y)
-    gens = [swap, *base_images]
+    gens = [swap, *base]
     for x in range(inf + 1):
         u = ident if x == inf else compose_images(shifts[x], swap)
         for g in gens:
@@ -129,30 +129,26 @@ def _stabilizer_is_base(base_group: PermGroup, swap, base_images, shifts) -> boo
             if u_inv is None:
                 u_inv = coset_inverses[y] = compose_images(swap_inv, shifts[-y])
             h = compose_images(u_inv, compose_images(g, u))
-            if h != ident and not base_group.contains(Permutation(h)):
+            if h != ident and not base_group.contains(h):
                 return False
     return True
 
 
-def _decide_candidates(base: list[Permutation], target: int, swap_candidates):
+def _decide_candidates(base: list[tuple[int, ...]], target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
     ``found`` is (chain, closure) for a NEW group and None otherwise;
     ``base`` is z+1 and sigma.  Non-bijective candidates arrive as None and
     are REJECTED, and so are swaps whose stabilizer of inf is not the base
     group, before any sift into a found group or chain."""
     base_group = PermGroup(base)
-    base_images = [g.images for g in base]
-    shifts = [identity_images(len(base_images[0]))]  # z+k = (z+1)^k, k = 0..p-1
-    for _ in range(len(base_images[0]) - 2):
-        shifts.append(compose_images(base_images[0], shifts[-1]))
+    shifts = [identity_images(len(base[0]))]  # z+k = (z+1)^k, k = 0..p-1
+    for _ in range(len(base[0]) - 2):
+        shifts.append(compose_images(base[0], shifts[-1]))
     groups: list[PermGroup] = []
-    for swap_images in swap_candidates:
-        if swap_images is None or not _stabilizer_is_base(
-            base_group, swap_images, base_images, shifts
-        ):
+    for swap in swap_candidates:
+        if swap is None or not _stabilizer_is_base(base_group, swap, base, shifts):
             yield REJECTED, None
             continue
-        swap = Permutation(swap_images)
         if any(group.contains(swap) for group in groups):
             yield DUPLICATE, None
             continue
@@ -160,7 +156,7 @@ def _decide_candidates(base: list[Permutation], target: int, swap_candidates):
         if group.order() != target:
             # the Schreier test proved |G| = (p+1) * |base| (module docstring)
             raise SearchInvariantError(f"complete chain has order {group.order()}, not {target}")
-        closure = closure_images(base_images + [swap_images], limit=target)
+        closure = closure_images(base + [swap], limit=target)
         if closure is None or len(closure) != group.order():
             size = "more than the limit" if closure is None else len(closure)
             raise SearchInvariantError(
@@ -179,7 +175,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
     target = (p**3 - p) // 2
     base = _base_generators(line, p)
 
-    base_closure = closure_images([g.images for g in base])
+    base_closure = closure_images(base)
     base_order = len(base_closure)
     if base_order != p * (p - 1) // 2:
         raise SearchInvariantError(f"base subgroup has order {base_order}")
@@ -191,7 +187,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
         if decision == NEW:
             found[element_set_hash(new[1])] = new
 
-    neg_recip = line.neg_reciprocal().images
+    neg_recip = line.neg_reciprocal()
     groups = []
     for digest in sorted(found):
         group, closure = found[digest]

@@ -41,7 +41,14 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import PermGroup, closure_images, orbit
-from .projline import Permutation, ProjLine, compose_images, identity_images, invert_images
+from .projline import (
+    ProjLine,
+    compose_images,
+    cycle_notation,
+    identity_images,
+    invert_images,
+    perm_order,
+)
 from .psl2 import psl2_perm_group
 
 
@@ -79,7 +86,8 @@ class CheckResult(namedtuple(
 
 
 class StabilizerDecomposition(namedtuple("StabilizerDecomposition", "fixing swapping")):
-    """Elements fixing {0, inf} pointwise, and elements swapping the pair."""
+    """Elements fixing {0, inf} pointwise, and elements swapping the pair,
+    as image tuples."""
 
     __slots__ = ()
 
@@ -155,15 +163,12 @@ def decompose_stabilizers(group: PermGroup) -> StabilizerDecomposition:
     fixing = sorted(chain.stabilizer_images(2))
     swap = _pair_swapper(chain)
     swapping = [] if swap is None else sorted(compose_images(swap, h) for h in fixing)
-    return StabilizerDecomposition(
-        tuple(map(Permutation, fixing)),
-        tuple(map(Permutation, swapping)),
-    )
+    return StabilizerDecomposition(tuple(fixing), tuple(swapping))
 
 
 def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
     expected = (p - 1) // 2
-    fixing = {g.images for g in dec.fixing}
+    fixing = set(dec.fixing)
     # a finite set is a subgroup exactly when it is the closure of generators
     # picked greedily from it, each a member the earlier ones do not reach;
     # the limit stops a closure that outgrows the set, so a forged set whose
@@ -171,14 +176,14 @@ def decomposition_check(dec: StabilizerDecomposition, p: int) -> CheckResult:
     gens: list[tuple[int, ...]] = []
     closure: frozenset[tuple[int, ...]] | None = frozenset()
     for g in dec.fixing:
-        if closure is not None and g.images not in closure:
-            gens.append(g.images)
+        if closure is not None and g not in closure:
+            gens.append(g)
             closure = closure_images(gens, limit=len(fixing))
     subgroup = closure == fixing
     coset = True
     if dec.swapping:
-        lead = dec.swapping[0].images
-        coset = {compose_images(lead, k) for k in fixing} == {s.images for s in dec.swapping}
+        lead = dec.swapping[0]
+        coset = {compose_images(lead, k) for k in fixing} == set(dec.swapping)
     passed = (
         len(dec.fixing) == expected
         and len(dec.swapping) == expected
@@ -245,13 +250,13 @@ def check_stabilizer_scalings(
 ) -> CheckResult:
     line = group.line
     # the square scalings are the powers of scaling by the square generator
-    step = line.scaling(quad.square_generator).images
+    step = line.scaling(quad.square_generator)
     power = identity_images(group.degree)
     expected = set()
     for _ in quad.squares:
         expected.add(power)
         power = compose_images(step, power)
-    scalings_ok = {g.images for g in dec.fixing} == expected
+    scalings_ok = set(dec.fixing) == expected
     worst_img: tuple[int, ...] | None = None
     worst_fixed = _max_fixed_points(group)
     if worst_fixed is None:
@@ -272,13 +277,14 @@ def check_stabilizer_scalings(
     }
     counterexample = None
     if not bound_ok:  # so worst_fixed > 2 and worst_img is set
-        worst = Permutation(worst_img)
         counterexample = {
-            "element": str(worst),
-            "fixed_points": sorted(line.point_name(x) for x in worst.fixed_points()),
+            "element": cycle_notation(worst_img),
+            "fixed_points": sorted(
+                line.point_name(x) for x, y in enumerate(worst_img) if x == y
+            ),
         }
     if not scalings_ok:
-        extra = sorted(str(x) for x in set(dec.fixing) if x.images not in expected)
+        extra = sorted(cycle_notation(x) for x in set(dec.fixing) if x not in expected)
         counterexample = (counterexample or {}) | {"non_scaling_stabilizers": extra}
     return CheckResult("lemma-2.4", scalings_ok and bound_ok, witness, counterexample)
 
@@ -293,20 +299,20 @@ def check_square_class_action(
     bad = None
     expected = set(quad.squares if stabilizes else quad.nonsquares)
     for swap in dec.swapping:
-        if set(compose_images(swap.images, quad.squares)) != expected:
+        if set(compose_images(swap, quad.squares)) != expected:
             bad = swap
             break
     witness = {
         "minus_one_is_square": minus_one_square,
         "action": "stabilizes" if stabilizes else "interchanges",
     }
-    counterexample = {"element": str(bad)} if bad is not None else None
+    counterexample = {"element": cycle_notation(bad)} if bad is not None else None
     return CheckResult(
         "lemma-2.5", parity_ok and bad is None, witness, counterexample
     )
 
 
-def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
+def twist_exponent(swap: tuple[int, ...], quad: QuadraticClasses) -> int:
     """The odd exponent n with swap(a*z) = a^n * swap(z) for every square a
     and unit z.
 
@@ -316,13 +322,12 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
     names the first failing pair."""
     p = quad.p
     half = (p - 1) // 2
-    images = swap.images
     for z in range(1, p):
-        if not 1 <= images[z] < p:
+        if not 1 <= swap[z] < p:
             raise NoTwistExponent("element does not permute the units")
     generator = quad.square_generator
-    t1 = images[1]
-    ratio = images[generator] * pow(t1, p - 2, p) % p
+    t1 = swap[1]
+    ratio = swap[generator] * pow(t1, p - 2, p) % p
     j = None
     power = 1
     for cand in range(half):
@@ -333,11 +338,11 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
     if j is None:
         raise NoTwistExponent("no exponent matches on the square generator")
     step = pow(generator, j, p)
-    if any(images[generator * z % p] != step * images[z] % p for z in range(1, p)):
+    if any(swap[generator * z % p] != step * swap[z] % p for z in range(1, p)):
         for a in quad.squares:
             a_pow = pow(a, j, p)
             for z in range(1, p):
-                if images[a * z % p] != a_pow * images[z] % p:
+                if swap[a * z % p] != a_pow * swap[z] % p:
                     raise NoTwistExponent(
                         f"exponent candidate {j} fails at a={a}, z={z}"
                     )
@@ -349,22 +354,22 @@ def twist_exponent(swap: Permutation, quad: QuadraticClasses) -> int:
 
 def check_twist_exponents(
     dec: StabilizerDecomposition, quad: QuadraticClasses
-) -> tuple[CheckResult, dict[Permutation, int]]:
+) -> tuple[CheckResult, dict[tuple[int, ...], int]]:
     half = (quad.p - 1) // 2
-    exponents: dict[Permutation, int] = {}
+    exponents: dict[tuple[int, ...], int] = {}
     failures = []
     for swap in dec.swapping:
         try:
             n = twist_exponent(swap, quad)
         except NoTwistExponent as exc:
-            failures.append({"element": str(swap), "reason": str(exc)})
+            failures.append({"element": cycle_notation(swap), "reason": str(exc)})
             continue
         if (n * n - 1) % half:
-            failures.append({"element": str(swap), "exponent": n})
+            failures.append({"element": cycle_notation(swap), "exponent": n})
             continue
         exponents[swap] = n
     witness = {
-        "exponents": sorted([str(s), n] for s, n in exponents.items()),
+        "exponents": sorted([cycle_notation(s), n] for s, n in exponents.items()),
         "divisibility_modulus": half,
     }
     counterexample = {"failures": failures} if failures else None
@@ -408,8 +413,7 @@ def check_swaps_are_involutions(
     ident = identity_images(group.degree)
     # order 2: s * s is the identity and s is not
     bad = [
-        s for s in dec.swapping
-        if s.images == ident or compose_images(s.images, s.images) != ident
+        s for s in dec.swapping if s == ident or compose_images(s, s) != ident
     ]
     negation = group.line.scaling(p - 1)
     class_size = None
@@ -419,7 +423,10 @@ def check_swaps_are_involutions(
         # -z fixes exactly 0 and inf, and an element commuting with it
         # permutes its fixed points, so the centralizer lies in the
         # stabilizer of {0, inf}: the fixing elements and the swapping coset
-        centralizer = [g for g in (*dec.fixing, *dec.swapping) if g * negation == negation * g]
+        centralizer = [
+            g for g in (*dec.fixing, *dec.swapping)
+            if compose_images(g, negation) == compose_images(negation, g)
+        ]
         class_size = group.order() // len(centralizer)
         bound_ok = class_size >= bound
     witness = {
@@ -428,7 +435,7 @@ def check_swaps_are_involutions(
         "conjugate_lower_bound": bound,
     }
     counterexample = (
-        {"non_involutions": sorted(str(s) for s in bad)} if bad else None
+        {"non_involutions": sorted(map(cycle_notation, bad))} if bad else None
     )
     return CheckResult(
         "lemma-3.3", not bad and bound_ok, witness, counterexample
@@ -436,10 +443,10 @@ def check_swaps_are_involutions(
 
 
 def check_twist_is_negation(
-    exponents: dict[Permutation, int], p: int
+    exponents: dict[tuple[int, ...], int], p: int
 ) -> CheckResult:
     half = (p - 1) // 2
-    bad = [[str(s), n] for s, n in exponents.items() if (n + 1) % half]
+    bad = [[cycle_notation(s), n] for s, n in exponents.items() if (n + 1) % half]
     witness = {"all_exponents_equal_minus_one_mod": half}
     counterexample = {"other_exponents": sorted(bad)} if bad else None
     return CheckResult("corollary-3.4", not bad, witness, counterexample)
@@ -447,43 +454,43 @@ def check_twist_is_negation(
 
 def check_normalized_swap_shape(
     dec: StabilizerDecomposition, quad: QuadraticClasses
-) -> tuple[CheckResult, Permutation | None, int | None]:
+) -> tuple[CheckResult, tuple[int, ...] | None, int | None]:
     """The swap fixing 1 inverts squares and scales inverted non-squares by
     a single constant."""
     p = quad.p
-    fixed_one = [s for s in dec.swapping if s(1) == 1]
+    fixed_one = [s for s in dec.swapping if s[1] == 1]
     if len(fixed_one) != 1:
         witness = {"candidates_fixing_one": len(fixed_one)}
         return CheckResult("corollary-3.5", False, witness), None, None
     lam = fixed_one[0]
-    inverts_squares = all(lam(z) == pow(z, p - 2, p) for z in quad.squares)
-    constants = {lam(z) * z % p for z in quad.nonsquares}
+    inverts_squares = all(lam[z] == pow(z, p - 2, p) for z in quad.squares)
+    constants = {lam[z] * z % p for z in quad.nonsquares}
     constant = constants.pop() if len(constants) == 1 else None
     passed = inverts_squares and constant is not None
     witness = {
-        "lambda": str(lam),
+        "lambda": cycle_notation(lam),
         "inverts_squares": inverts_squares,
         "nonsquare_constant": constant,
     }
     counterexample = None
     if constant is None:
-        counterexample = {"constants_seen": sorted({lam(z) * z % p for z in quad.nonsquares})}
+        counterexample = {"constants_seen": sorted({lam[z] * z % p for z in quad.nonsquares})}
     return CheckResult("corollary-3.5", passed, witness, counterexample), lam, constant
 
 
 def check_inversion_from_constant(
-    group: PermGroup, lam: Permutation, constant: int | None
+    group: PermGroup, lam: tuple[int, ...], constant: int | None
 ) -> CheckResult:
     line = group.line
     p = line.field.p
     neg_recip = line.neg_reciprocal()
     constant_ok = constant == 1
-    composed = line.scaling(p - 1) * lam if constant_ok else None
+    composed = compose_images(line.scaling(p - 1), lam) if constant_ok else None
     composition_ok = composed == neg_recip if composed is not None else False
     contained = group.contains(neg_recip)
     witness = {
         "constant": constant,
-        "witness": str(neg_recip),
+        "witness": cycle_notation(neg_recip),
         "negation_composite_matches": composition_ok,
         "contained": contained,
     }
@@ -497,26 +504,26 @@ def check_inversion_from_constant(
 
 def check_unique_normalized_swap(
     dec: StabilizerDecomposition, p: int
-) -> tuple[CheckResult, Permutation | None]:
-    matches = [s for s in dec.swapping if (p - s(1) * s(p - 1)) % p == 1]
+) -> tuple[CheckResult, tuple[int, ...] | None]:
+    matches = [s for s in dec.swapping if (p - s[1] * s[p - 1]) % p == 1]
     unique = len(matches) == 1
     lam = matches[0] if unique else None
-    involution = lam.order() == 2 if lam is not None else False
+    involution = perm_order(lam) == 2 if lam is not None else False
     witness = {
         "candidates": len(matches),
-        "lambda": str(lam) if lam is not None else None,
+        "lambda": cycle_notation(lam) if lam is not None else None,
         "order_two": involution,
     }
     return CheckResult("lemma-4.1", unique and involution, witness), lam
 
 
 def check_swap_power_form(
-    lam: Permutation, quad: QuadraticClasses
+    lam: tuple[int, ...], quad: QuadraticClasses
 ) -> tuple[CheckResult, int | None]:
     """Corollary 4.2 for the normalized swap, and its twist exponent, or
     None when it has none."""
     p = quad.p
-    c = lam(1)
+    c = lam[1]
     try:
         n = twist_exponent(lam, quad)
     except NoTwistExponent as exc:
@@ -531,9 +538,9 @@ def check_swap_power_form(
         )
     c_nonsquare = not quad.is_square(c)
     c_inv = pow(c, p - 2, p)
-    on_squares = all(lam(z) == c * pow(z, n, p) % p for z in quad.squares)
+    on_squares = all(lam[z] == c * pow(z, n, p) % p for z in quad.squares)
     on_nonsquares = all(
-        lam(z) == c_inv * pow(z, n, p) % p for z in quad.nonsquares
+        lam[z] == c_inv * pow(z, n, p) % p for z in quad.nonsquares
     )
     power_identity = pow(c, n, p) == c
     passed = c_nonsquare and on_squares and on_nonsquares and power_identity
@@ -548,33 +555,36 @@ def check_swap_power_form(
     return CheckResult("corollary-4.2", passed, witness), n
 
 
-def order3_element(group: PermGroup, lam: Permutation, c: int) -> Permutation:
+def order3_element(group: PermGroup, lam: tuple[int, ...], c: int) -> tuple[int, ...]:
     """The map z -> 1 - lam(z)/c as a permutation."""
     line = group.line
     p = line.field.p
     c_inv = pow(c, p - 2, p)
-    return line.translation(1) * line.scaling((p - c_inv) % p) * lam
+    scaled = compose_images(line.scaling((p - c_inv) % p), lam)
+    return compose_images(line.translation(1), scaled)
 
 
 def check_order3_construction(
-    group: PermGroup, lam: Permutation, c: int
-) -> tuple[CheckResult, Permutation]:
+    group: PermGroup, lam: tuple[int, ...], c: int
+) -> tuple[CheckResult, tuple[int, ...]]:
     line = group.line
     p = line.field.p
     alpha = order3_element(group, lam, c)
     contained = group.contains(alpha)
-    order3 = alpha.order() == 3
+    order = perm_order(alpha)
     # z -> lam(c*(1-z)), built inside-out
-    mu = lam * line.scaling(c) * line.scaling(p - 1) * line.translation(p - 1)
-    inverse_ok = mu == alpha.inverse()
+    mu = line.translation(p - 1)
+    for outer in (line.scaling(p - 1), line.scaling(c), lam):
+        mu = compose_images(outer, mu)
+    inverse_ok = mu == invert_images(alpha)
     witness = {
-        "alpha": str(alpha),
+        "alpha": cycle_notation(alpha),
         "contained": contained,
-        "order": alpha.order(),
+        "order": order,
         "inverse_identity": inverse_ok,
     }
     return (
-        CheckResult("lemma-4.3", contained and order3 and inverse_ok, witness),
+        CheckResult("lemma-4.3", contained and order == 3 and inverse_ok, witness),
         alpha,
     )
 
@@ -587,7 +597,7 @@ def check_fixed_exponent_solutions(p: int, n: int) -> CheckResult:
 
 
 def check_main_case_inversion(
-    group: PermGroup, lam: Permutation, n: int
+    group: PermGroup, lam: tuple[int, ...], n: int
 ) -> CheckResult:
     line = group.line
     p = line.field.p
@@ -597,8 +607,8 @@ def check_main_case_inversion(
     contained = group.contains(neg_recip)
     witness = {
         "exponent": n,
-        "lambda": str(lam),
-        "witness": str(neg_recip),
+        "lambda": cycle_notation(lam),
+        "witness": cycle_notation(neg_recip),
         "contained": contained,
     }
     return CheckResult(
@@ -625,10 +635,10 @@ def _special_case_xs(p: int, c: int, quad: QuadraticClasses) -> list[int]:
 
 
 def check_special_power_identities(
-    alpha: Permutation, c: int, n: int, quad: QuadraticClasses
+    alpha: tuple[int, ...], c: int, n: int, quad: QuadraticClasses
 ) -> CheckResult:
     p = quad.p
-    alpha_inv = alpha.inverse()
+    alpha_inv = invert_images(alpha)
     c_inv = pow(c, p - 2, p)
     c2, c_inv2 = c * c % p, c_inv * c_inv % p
     xs = _special_case_xs(p, c, quad)
@@ -637,10 +647,10 @@ def check_special_power_identities(
         x_inv = pow(x, p - 2, p)
         w = pow((1 - x) % p, n, p)
         cases = {
-            "a": alpha(alpha(x)) == (1 - c_inv2 * w) % p,
-            "b": alpha(alpha(x_inv)) == (1 + x_inv * w) % p,
-            "c": alpha_inv(x) == c2 * w % p,
-            "d": alpha_inv(x_inv) == (p - x_inv * w % p) % p,
+            "a": alpha[alpha[x]] == (1 - c_inv2 * w) % p,
+            "b": alpha[alpha[x_inv]] == (1 + x_inv * w) % p,
+            "c": alpha_inv[x] == c2 * w % p,
+            "d": alpha_inv[x_inv] == (p - x_inv * w % p) % p,
         }
         for tag, ok in cases.items():
             if not ok:
@@ -703,12 +713,11 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
 
     # the fixed-point-free involutions: elements moving every point that square to 1
     ident = identity_images(line.size)
-    involutions = [
+    fpf = [
         e
         for e in group.element_images()
         if not any(map(eq, e, ident)) and compose_images(e, e) == ident
     ]
-    fpf = [Permutation(e) for e in involutions]
     normal8 = PermGroup(fpf) if fpf else None
     # 7 involutions that generate a group of order 8 are, with 1, all of
     # it: so they are closed under products, and exponent 2 makes it abelian
@@ -727,12 +736,12 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
 
     witness = {
         "variant": variant,
-        "lambda": str(lam),
+        "lambda": cycle_notation(lam),
         "presented_order": presented.order(),
         "presentation_matches": same_set,
         "fixed_point_free_involutions": len(fpf),
         "normal8_order": normal8.order() if normal8 is not None else None,
-        "normal8_generators": sorted(str(x) for x in fpf),
+        "normal8_generators": sorted(map(cycle_notation, fpf)),
         "gf8_transport_matches": transported_ok,
         # presented is build_exceptional(variant), so this is the same comparison
         "builtin_exceptional_matches": same_set,
@@ -742,7 +751,9 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     return passed, witness
 
 
-def check_special_case_conclusion(group: PermGroup, lam: Permutation, c: int) -> CheckResult:
+def check_special_case_conclusion(
+    group: PermGroup, lam: tuple[int, ...], c: int
+) -> CheckResult:
     p = group.line.field.p
     prime_ok = p == 7
     variant_ok = c in EXCEPTIONAL_INVOLUTIONS
@@ -776,7 +787,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
     if p == 3:
         checks.append(p3_case_check(group))
         witness = group.line.from_cycles("(0 inf)(1 2)")
-        return VerificationReport(p, "a", str(witness), tuple(checks))
+        return VerificationReport(p, "a", cycle_notation(witness), tuple(checks))
 
     quad = quadratic_classes(p)
     checks.append(check_double_transitivity(group))
@@ -806,7 +817,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
             if lam is not None:
                 form_check, n = check_swap_power_form(lam, quad)
                 checks.append(form_check)
-                c = lam(1)
+                c = lam[1]
                 order3_check, alpha = check_order3_construction(group, lam, c)
                 checks.append(order3_check)
                 if n is not None and c == p - 1:
@@ -825,10 +836,10 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
                         settled = "b", lam
 
     verdict, witness = settled or _direct_dichotomy(group, p)
-    return VerificationReport(p, verdict, str(witness), tuple(checks))
+    return VerificationReport(p, verdict, cycle_notation(witness), tuple(checks))
 
 
-def _direct_dichotomy(group: PermGroup, p: int) -> tuple[str, Permutation]:
+def _direct_dichotomy(group: PermGroup, p: int) -> tuple[str, tuple[int, ...]]:
     """Settle the verdict by direct containment tests; reached only when a
     chain check failed before producing it."""
     neg_recip = group.line.neg_reciprocal()
@@ -866,7 +877,7 @@ def p3_case_check(group: PermGroup | None = None) -> CheckResult:
     witness = {
         "order": group.order(),
         "equals_alternating_group": equals_alternating,
-        "contains_swap": str(swap),
+        "contains_swap": cycle_notation(swap),
         "simple": simple,
         "double_transposition_closure_order": closure4,
     }
@@ -881,7 +892,7 @@ def sylow_orbit(group: PermGroup, p: int):
     p^2 does not divide (p^3-p)/2, so <z+1> is a Sylow p-subgroup, and by
     Sylow's theorem every other one is conjugate to it: they are its orbit
     under conjugation by the generators, found with no element scan."""
-    sigma = group.line.translation(1).images
+    sigma = group.line.translation(1)
     powers = [identity_images(group.degree)]
     for _ in range(p - 1):
         powers.append(compose_images(sigma, powers[-1]))
@@ -902,12 +913,12 @@ def corollary_check(p: int) -> CheckResult:
     line = group.line
     simple = group.is_simple()
     ident = identity_images(line.size)
-    sigma = line.translation(1).images
+    sigma = line.translation(1)
     # subgroups are indices into ``sylows``; ``action`` holds, per generator,
     # the index each one is conjugated to
     sylows, action = sylow_orbit(group, p)
     count_ok = len(sylows) == p + 1
-    gens = [g.images for g in group.generators]
+    gens = group.generators
     shift = action[gens.index(sigma)]
 
     # <z+1> is labeled inf, and z+1 walks the others through 0 .. p-1
@@ -935,7 +946,7 @@ def corollary_check(p: int) -> CheckResult:
         relabeled = [tuple(labels[moved[i]] for i in by_label) for moved in action]
         beta_inv = invert_images(beta)
         intertwines = relabeled == [tuple(beta[g[x]] for x in beta_inv) for g in gens]
-        action_group = PermGroup(Permutation(r) for r in relabeled)
+        action_group = PermGroup(relabeled)
         action_doubly_transitive = action_group.is_doubly_transitive()
 
     passed = simple and count_ok and cycle_ok and beta_ok and intertwines

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import pytest
@@ -38,7 +39,7 @@ def reference_is_simple(group) -> bool:
     generators) and the subgroup a class generates come from
     ``brute_closure`` and set arithmetic, never from the chain, its class
     scan or its normal closures.  Enumerates the group, so keep it small."""
-    gens = [g.images for g in group.generators]
+    gens = group.generators
     n = len(gens[0])
     identity = tuple(range(n))
     elements = brute_closure(gens)
@@ -75,14 +76,49 @@ def reference_is_simple(group) -> bool:
     return True
 
 
-def reference_cycle_notation(perm) -> str:
-    """Canonical cycle notation assembled from ``cycles()``, point by
-    point, with the last point named "inf"."""
-    inf = len(perm.images) - 1
+# --- permutation oracles on image tuples --------------------------------------
+# Built on ``reference_cycles`` alone; none calls into psl2kit, which
+# tests/test_source.py checks.
+
+
+def reference_cycles(images) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial cycles of an image tuple, each starting at its smallest
+    member, ordered by smallest member."""
+    seen = set()
+    out = []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
+            continue
+        cycle = [start]
+        cur = images[start]
+        while cur != start:
+            cycle.append(cur)
+            cur = images[cur]
+        seen.update(cycle)
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+def reference_cycle_notation(images) -> str:
+    """Canonical cycle notation assembled from ``reference_cycles``, point
+    by point, with the last point named "inf"."""
+    inf = len(images) - 1
     text = "".join(
-        "(" + " ".join("inf" if pt == inf else str(pt) for pt in c) + ")" for c in perm.cycles()
+        "(" + " ".join("inf" if pt == inf else str(pt) for pt in c) + ")"
+        for c in reference_cycles(images)
     )
     return text or "()"
+
+
+def reference_fixed_points(images) -> frozenset[int]:
+    """The points no cycle of ``reference_cycles`` moves."""
+    moved = {pt for c in reference_cycles(images) for pt in c}
+    return frozenset(range(len(images))) - moved
+
+
+def reference_order(images) -> int:
+    """The lcm of the lengths of ``reference_cycles``."""
+    return math.lcm(1, *map(len, reference_cycles(images)))
 
 
 def sl2_matrices(field: Field) -> tuple[Mat2, ...]:
@@ -129,7 +165,7 @@ def twist_case(p: int, swap) -> str:
     p = 3 mod 4 the main case (swap(1) = -1) or the special one."""
     if p % 4 == 1:
         return "p1mod4"
-    return "p3mod4-main" if swap(1) == p - 1 else "p3mod4-special"
+    return "p3mod4-main" if swap[1] == p - 1 else "p3mod4-special"
 
 
 def symmetric_group(line):
@@ -161,7 +197,9 @@ def regular8_cached() -> PermGroup:
     fixed-point-free involution: regular on the 8 points, so transitive but
     not 2-transitive."""
     group = exceptional_cached(3)
-    involution = next(e for e in group.elements() if e.order() == 2 and not e.fixed_points())
+    involution = next(
+        e for e in group.elements() if reference_order(e) == 2 and not reference_fixed_points(e)
+    )
     return group.normal_closure([involution])
 
 

@@ -11,7 +11,13 @@ from pathlib import Path
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import CUBIC_X3_X_1, Field
 from psl2kit.groups import PermGroup, closure_images
-from psl2kit.projline import ProjLine
+from psl2kit.projline import (
+    ProjLine,
+    compose_images,
+    cycle_notation,
+    identity_images,
+    invert_images,
+)
 from psl2kit.psl2 import Mat2, certify_simplicity, psl2_perm_group
 from psl2kit.search import constrained_search, element_set_hash, full_search
 from psl2kit.verify import (
@@ -22,7 +28,7 @@ from psl2kit.verify import (
     exceptional_report,
 )
 
-from conftest import reference_is_simple
+from conftest import reference_cycles, reference_fixed_points, reference_is_simple
 
 
 @contextmanager
@@ -139,7 +145,7 @@ def test_criterion_7_numeric_spot_checks():
         for p in (5, 13):
             group = psl2_perm_group(p)
             count = sum(
-                sum(1 for c in e.cycles() if len(c) == 2) for e in group.elements()
+                sum(1 for c in reference_cycles(e) if len(c) == 2) for e in group.elements()
             )
             assert count == ((p * p + p) // 2) * ((p - 1) // 2)
 
@@ -151,18 +157,20 @@ def test_criterion_8_property_suites():
         for p in primes:
             line = ProjLine.over_prime(p)
             rng = random.Random(p)
-            points = list(line.points())
+            points = list(range(line.size))
             pool = []
             for _ in range(20):
                 images = points[:]
                 rng.shuffle(images)
                 pool.append(line.perm(images))
-            identity = line.identity()
+            identity = identity_images(line.size)
             for _ in range(10000):
                 a, b, c = (rng.choice(pool) for _ in range(3))
-                assert ((a * b) * c).images == (a * (b * c)).images
-                assert (a * identity).images == a.images
-                assert (a * a.inverse()).images == identity.images
+                assert compose_images(compose_images(a, b), c) == compose_images(
+                    a, compose_images(b, c)
+                )
+                assert compose_images(a, identity) == a
+                assert compose_images(a, invert_images(a)) == identity
         # stabilizer-chain order equals exhaustive closure for built groups
         groups = []
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
@@ -173,7 +181,7 @@ def test_criterion_8_property_suites():
         groups.append(PermGroup([line7.translation(1), line7.scaling(3)]))
         for group in groups:
             if group.order() <= 5000:
-                closure = closure_images([g.images for g in group.generators])
+                closure = closure_images(group.generators)
                 assert group.order() == len(closure)
         # fractional-linear maps give a homomorphism, 10^3 random pairs per prime
         for p in primes:
@@ -184,13 +192,13 @@ def test_criterion_8_property_suites():
                 m2 = _random_sl2(line.field, rng)
                 assert m1.det == m2.det == 1
                 left = line.moebius(*m1.mul(m2).entries())
-                right = line.moebius(*m1.entries()) * line.moebius(*m2.entries())
-                assert left.images == right.images
+                right = compose_images(line.moebius(*m1.entries()), line.moebius(*m2.entries()))
+                assert left == right
         # no non-identity element fixes more than 2 points, exhaustively
         for p in (5, 7, 11, 13):
             for e in psl2_perm_group(p).elements():
-                if not e.is_identity():
-                    assert len(e.fixed_points()) <= 2
+                if e != identity_images(p + 1):
+                    assert len(reference_fixed_points(e)) <= 2
 
 
 def test_criterion_9_generator_files_at_large_primes():
@@ -205,14 +213,21 @@ def test_criterion_9_generator_files_at_large_primes():
             assert branch in {c.id for c in report.checks}
 
 
+def _psl2_generators_file(tmp_path, p) -> str:
+    """A generators file holding z+1 and -1/z over GF(p)."""
+    line = ProjLine.over_prime(p)
+    path = tmp_path / f"psl2_p{p}.gens"
+    gens = [cycle_notation(line.translation(1)), cycle_notation(line.neg_reciprocal())]
+    path.write_text("\n".join([f"p={p}", *gens]) + "\n")
+    return str(path)
+
+
 def test_criterion_10_generator_file_past_the_enumeration_cap(tmp_path):
     # PSL(2,97) has 456,288 elements; classify reads every lemma off the chain
     p = 97
-    line = ProjLine.over_prime(p)
-    path = tmp_path / "psl2_p97.gens"
-    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    path = _psl2_generators_file(tmp_path, p)
     with budget("10 generator-file-p97", 5):
-        group = load_generators_file(str(path), p)
+        group = load_generators_file(path, p)
         report = classify(group, p)
         assert report.verdict == "a"
         assert report.all_passed()
@@ -224,11 +239,9 @@ def test_criterion_11_negation_class_past_the_enumeration_cap(tmp_path):
     # elements, is larger than the enumeration cap; Lemma 3.3 counts it as
     # |G| over the centralizer of -z
     p = 229
-    line = ProjLine.over_prime(p)
-    path = tmp_path / "psl2_p229.gens"
-    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    path = _psl2_generators_file(tmp_path, p)
     with budget("11 negation-class-p229", 5):
-        report = classify(load_generators_file(str(path), p), p)
+        report = classify(load_generators_file(path, p), p)
         assert report.verdict == "a"
         assert report.all_passed()
         (lemma33,) = [c for c in report.checks if c.id == "lemma-3.3"]
@@ -239,11 +252,9 @@ def test_criterion_12_one_chain_at_p1009(tmp_path):
     # the loader's chain is based at (0, inf), so classify reads every
     # count off it and builds no second chain
     p = 1009
-    line = ProjLine.over_prime(p)
-    path = tmp_path / "psl2_p1009.gens"
-    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    path = _psl2_generators_file(tmp_path, p)
     with budget("12 one-chain-p1009", 10):
-        report = classify(load_generators_file(str(path), p), p)
+        report = classify(load_generators_file(path, p), p)
         assert report.verdict == "a"
         assert report.all_passed()
 
@@ -252,11 +263,9 @@ def test_criterion_13_kernel_at_p2003(tmp_path):
     # every product of image tuples in the chain build, the sift and the
     # checks goes through one itemgetter gather in compose_images
     p = 2003
-    line = ProjLine.over_prime(p)
-    path = tmp_path / "psl2_p2003.gens"
-    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    path = _psl2_generators_file(tmp_path, p)
     with budget("13 kernel-p2003", 10):
-        report = classify(load_generators_file(str(path), p), p)
+        report = classify(load_generators_file(path, p), p)
         assert report.verdict == "a"
         assert report.all_passed()
 
@@ -265,11 +274,9 @@ def test_criterion_14_pair_count_at_p2017(tmp_path):
     # 2017 is the first prime p = 1 mod 4 above 2003, so Lemma 3.2 runs:
     # it counts the self-paired suborbits on the loader's own chain
     p = 2017
-    line = ProjLine.over_prime(p)
-    path = tmp_path / "psl2_p2017.gens"
-    path.write_text(f"p={p}\n{line.translation(1)}\n{line.neg_reciprocal()}\n")
+    path = _psl2_generators_file(tmp_path, p)
     with budget("14 pair-count-p2017", 15):
-        report = classify(load_generators_file(str(path), p), p)
+        report = classify(load_generators_file(path, p), p)
         assert report.verdict == "a"
         assert report.all_passed()
         (lemma32,) = [c for c in report.checks if c.id == "lemma-3.2"]

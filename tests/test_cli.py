@@ -11,6 +11,7 @@ import pytest
 from psl2kit import cli, fields, psl2, search
 from psl2kit.cli import main
 from psl2kit.groups import SylowGrowthFails
+from psl2kit.projline import cycle_notation
 from psl2kit.psl2 import psl2_perm_group
 
 
@@ -61,7 +62,7 @@ def test_classify_text_matches_json_verdicts(capsys):
 def test_classify_generators_file(capsys, tmp_path):
     group = psl2_perm_group(7)
     path = tmp_path / "psl2_7.gens"
-    lines = ["p=7"] + [g.cycle_notation() for g in group.generators]
+    lines = ["p=7"] + [cycle_notation(g) for g in group.generators]
     path.write_text("\n".join(lines) + "\n")
     code, out = run_cli(
         capsys, "classify", "--p", "7", "--group", str(path), "--format", "json"

@@ -22,6 +22,7 @@ from psl2kit.fields import (
     primitive_root,
     quadratic_classes,
 )
+from psl2kit.projline import cycle_notation
 
 from conftest import untransport
 
@@ -206,7 +207,7 @@ GF8_DOUBLE = (0, 2, 4, 6, 1, 3, 5, 7)
 def test_gf8_labeling_transports(modulus, expected_involution, line7):
     labeling = gf8_labeling(modulus)
     addition = line7.perm(labeling.transport(labeling.add_one_map()))
-    assert addition.cycle_notation() == expected_involution
+    assert cycle_notation(addition) == expected_involution
     assert labeling.transport(labeling.mul_generator_map()) == GF8_SHIFT
     assert labeling.transport(labeling.frobenius_map()) == GF8_DOUBLE
 

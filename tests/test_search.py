@@ -8,7 +8,7 @@ from psl2kit import search
 from psl2kit.cli import main
 from psl2kit.fields import CapExceeded, NotOddPrime
 from psl2kit.groups import closure_images
-from psl2kit.projline import Permutation, ProjLine, compose_images
+from psl2kit.projline import ProjLine, compose_images
 from psl2kit.search import (
     DUPLICATE,
     NEW,
@@ -20,7 +20,7 @@ from psl2kit.search import (
     full_search,
 )
 
-from conftest import exceptional_cached, psl2_cached
+from conftest import exceptional_cached, psl2_cached, reference_order
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -172,8 +172,7 @@ def lagrange_refusals(p, swap_candidates):
     scaling or z+k, k = 1..p-1, has an order not dividing (p^3-p)/2.  Each
     such word lies in <base, s>, so that group cannot have that order."""
     line = ProjLine.over_prime(p)
-    base_images = [g.images for g in search._base_generators(line, p)]
-    translation, scaling = base_images
+    translation, scaling = search._base_generators(line, p)
     shifts = [scaling]
     power = translation
     for _ in range(p - 1):
@@ -185,7 +184,7 @@ def lagrange_refusals(p, swap_candidates):
         for s in swap_candidates
         if s is not None
         and any(
-            target % Permutation(w).order()
+            target % reference_order(w)
             for w in [s] + [compose_images(s, w) for w in shifts]
         )
     ]
@@ -209,7 +208,7 @@ def test_lagrange_refusals_generate_no_group_of_the_target_order(mode, p):
     decided = search._decide_candidates(base, target, refused)
     assert [decision for decision, _ in decided] == [REJECTED] * len(refused)
     for s in refused:
-        closure = closure_images([g.images for g in base] + [s], limit=target)
+        closure = closure_images(base + [s], limit=target)
         assert closure is None or len(closure) != target
 
 
@@ -219,13 +218,13 @@ def test_schreier_test_accepts_iff_closure_reaches_the_target(data, p):
     line = ProjLine.over_prime(p)
     # z -> -1/z generates PSL(2,p) with the base, so acceptance is drawn too
     units = data.draw(
-        st.one_of(st.just(line.neg_reciprocal().images[1:-1]), st.permutations(range(1, p)))
+        st.one_of(st.just(line.neg_reciprocal()[1:-1]), st.permutations(range(1, p)))
     )
     swap = (p, *units, 0)  # 0 -> inf, the units anyhow, inf -> 0
     base = search._base_generators(line, p)
     target = (p**3 - p) // 2
     [(decision, _)] = search._decide_candidates(base, target, [swap])
-    closure = closure_images([g.images for g in base] + [swap], limit=target)
+    closure = closure_images(base + [swap], limit=target)
     assert (decision == NEW) == (closure is not None and len(closure) == target)
 
 
@@ -233,7 +232,7 @@ def reference_decisions(p, swap_candidates):
     """Decide every candidate the way the search did before it sifted and
     capped chains: close it up to (p^3-p)/2 and compare element-set hashes."""
     line = ProjLine.over_prime(p)
-    base_images = [g.images for g in search._base_generators(line, p)]
+    base_images = search._base_generators(line, p)
     target = (p**3 - p) // 2
     seen = set()
     for swap_images in swap_candidates:

@@ -11,6 +11,7 @@ from pathlib import Path
 import psl2kit
 
 SOURCE_DIR = Path(psl2kit.__file__).parent
+CONFTEST = Path(__file__).parent / "conftest.py"
 
 
 def _nodes():
@@ -180,18 +181,19 @@ def test_one_home_for_the_chain_base():
     assert found == []
 
 
-def test_every_permutation_is_built_from_its_images_alone():
-    # a permutation is its image tuple: no call passes it a second argument,
-    # such as the projective line it once carried
-    calls = [
-        (f"{name}:{node.lineno}", len(node.args) + len(node.keywords))
-        for name, node in _nodes()
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "Permutation"
-    ]
-    assert calls
-    assert [site for site, nargs in calls if nargs != 1] == []
+def test_a_permutation_is_a_plain_image_tuple():
+    # no module defines or imports a Permutation wrapper, or unwraps one by
+    # reading an ``images`` attribute
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Permutation":
+            found.append(f"{name}:{node.lineno} defines Permutation")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "Permutation" for alias in node.names):
+                found.append(f"{name}:{node.lineno} imports Permutation")
+        elif isinstance(node, ast.Attribute) and node.attr == "images":
+            found.append(f"{name}:{node.lineno} .images")
+    assert found == []
 
 
 def test_no_command_reaches_the_sylow_scan():
@@ -289,17 +291,12 @@ def test_no_top_level_name_defined_twice():
     assert found == []
 
 
-def test_simplicity_oracle_shares_no_code_with_is_simple():
-    # reference_is_simple, and every conftest function it reaches, builds its
-    # classes and closures from plain tuple sets: none of the chain's class
-    # scans, normal closures or orbit searches, which is_simple itself runs
-    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+def _conftest_reach(roots, forbidden):
+    """The conftest functions that ``roots`` reach by name, and each use of a
+    ``forbidden`` name or attribute among them."""
+    tree = ast.parse(CONFTEST.read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {
-        "normal_closure", "conjugacy_classes", "conjugacy_class_of", "derived_subgroup",
-        "is_simple", "orbit", "PermGroup",
-    }
-    reached, pending, found = set(), ["reference_is_simple"], []
+    reached, pending, found = set(), list(roots), []
     while pending:
         name = pending.pop()
         if name in reached:
@@ -311,5 +308,33 @@ def test_simplicity_oracle_shares_no_code_with_is_simple():
                 found.append(f"{name}:{node.lineno} {used}")
             elif used in functions:
                 pending.append(used)
+    return reached, found
+
+
+def test_simplicity_oracle_shares_no_code_with_is_simple():
+    # reference_is_simple, and every conftest function it reaches, builds its
+    # classes and closures from plain tuple sets: none of the chain's class
+    # scans, normal closures or orbit searches, which is_simple itself runs
+    forbidden = {
+        "normal_closure", "conjugacy_classes", "conjugacy_class_of", "derived_subgroup",
+        "is_simple", "orbit", "PermGroup",
+    }
+    reached, found = _conftest_reach(["reference_is_simple"], forbidden)
     assert found == []
     assert reached >= {"reference_is_simple", "brute_closure"}
+
+
+def test_permutation_oracles_call_no_package_code():
+    # the cycle, cycle-notation, fixed-point and order oracles walk image
+    # tuples themselves: no name conftest imports from psl2kit is used there
+    imported = {"psl2kit"}
+    for node in ast.walk(ast.parse(CONFTEST.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "psl2kit":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    oracles = [
+        "reference_cycles", "reference_cycle_notation", "reference_fixed_points", "reference_order"
+    ]
+    reached, found = _conftest_reach(oracles, imported)
+    assert found == []
+    assert reached == set(oracles)
+    assert imported >= {"PermGroup", "ProjLine", "psl2"}

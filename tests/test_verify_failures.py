@@ -12,7 +12,7 @@ import pytest
 from psl2kit import verify
 from psl2kit.cli import main
 from psl2kit.fields import quadratic_classes
-from psl2kit.projline import Permutation
+from psl2kit.projline import identity_images
 from psl2kit.verify import (
     NoTwistExponent,
     SpecialCaseContradiction,
@@ -27,12 +27,12 @@ from psl2kit.verify import (
     twist_exponent,
 )
 
-from conftest import exceptional_cached, line_over, psl2_cached
+from conftest import exceptional_cached, line_over, psl2_cached, reference_cycle_notation
 
 
 def _swap(p, unit_images):
     """The map exchanging 0 and inf that sends the unit z to unit_images[z - 1]."""
-    return Permutation((p, *unit_images, 0))
+    return (p, *unit_images, 0)
 
 
 def _forced_to_fail(monkeypatch, name):
@@ -60,7 +60,7 @@ def test_failed_last_lemma_falls_back_to_containment(monkeypatch, capsys, p, che
     _forced_to_fail(monkeypatch, check)
     report = classify(psl2_cached(p), p)
     assert report.verdict == "a"
-    assert report.witness == line_over(p).neg_reciprocal().cycle_notation()
+    assert report.witness == reference_cycle_notation(line_over(p).neg_reciprocal())
     assert not report.all_passed()
     assert [c.id for c in report.checks if not c.passed] == [check_id]
 
@@ -132,7 +132,7 @@ def test_twist_exponents_report_each_failing_swap():
     assert result.witness == {"exponents": [], "divisibility_modulus": 5}
     assert result.counterexample == {
         "failures": [
-            {"element": str(cube), "exponent": 3},
+            {"element": reference_cycle_notation(cube), "exponent": 3},
             {"element": "(0 inf)(1 2)", "reason": "no exponent matches on the square generator"},
         ]
     }
@@ -143,7 +143,7 @@ def test_twist_exponents_report_each_failing_swap():
 
 def test_normalized_swap_shape_needs_one_swap_fixing_one():
     dec = decompose_stabilizers(psl2_cached(13))
-    lam = next(s for s in dec.swapping if s(1) == 1)
+    lam = next(s for s in dec.swapping if s[1] == 1)
     others = tuple(s for s in dec.swapping if s != lam)
     for swapping, candidates in ((others, 0), ((lam, *dec.swapping), 2)):
         result, found, constant = check_normalized_swap_shape(
@@ -184,7 +184,7 @@ def test_special_power_identities_name_the_failing_identity(line7):
     # with c = 3 and n = 1 the only x is 2, where w = (1 - 2)^1 = 6; the
     # identity map keeps 2 and 4 = 1/2, but (a) wants 1 - w/9 = 5 and (c)
     # wants 9w = 5, while (b) and (d) both want 4
-    result = check_special_power_identities(line7.identity(), 3, 1, quad)
+    result = check_special_power_identities(identity_images(line7.size), 3, 1, quad)
     assert not result.passed
     assert result.witness == {"tested_x": [2], "identities": ["a", "b", "c", "d"]}
     assert result.counterexample == {
