@@ -248,25 +248,22 @@ def cmd_psl2(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
 
 
-def cmd_corollary(args) -> int:
-    result = corollary_check(args.p)
-    payload = {"p": args.p, "checks": [result.to_json_dict()]}
-    _emit(payload, args)
+def _emit_check(key: str, value: int, result, args) -> int:
+    """Report one standalone check under ``{key: value}``."""
+    _emit({key: value, "checks": [result.to_json_dict()]}, args)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+
+
+def cmd_corollary(args) -> int:
+    return _emit_check("p", args.p, corollary_check(args.p), args)
 
 
 def cmd_exceptional(args) -> int:
-    result = exceptional_report(args.variant)
-    payload = {"variant": args.variant, "checks": [result.to_json_dict()]}
-    _emit(payload, args)
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    return _emit_check("variant", args.variant, exceptional_report(args.variant), args)
 
 
 def cmd_p3(args) -> int:
-    result = p3_case_check()
-    payload = {"p": 3, "checks": [result.to_json_dict()]}
-    _emit(payload, args)
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
+    return _emit_check("p", 3, p3_case_check(), args)
 
 
 _COMMANDS = {

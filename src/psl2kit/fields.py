@@ -81,15 +81,9 @@ def check_cap(quantity: str, n: int, cap_name: str, cap: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, exact for the sizes used here."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    """Whether n's only prime factor is n itself; trial division, so
+    callers check their cap first."""
+    return distinct_prime_factors(n) == [n]
 
 
 def distinct_prime_factors(n: int) -> list[int]:
@@ -104,6 +98,17 @@ def distinct_prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _smallest_generator(q: int, power) -> int:
+    """The least generator of the unit group of GF(q), whose elements are
+    the indices 1..q-1: the first unit x with no ``power(x, (q-1)/f)``
+    equal to 1, f a prime dividing q-1."""
+    exponents = [(q - 1) // f for f in distinct_prime_factors(q - 1)]
+    for x in range(1, q):
+        if all(power(x, e) != 1 for e in exponents):
+            return x
+    raise NoPrimitiveElement(f"GF({q}) has no generator of its unit group")
 
 
 # --- polynomial helpers over Z/p -----------------------------------------
@@ -236,14 +241,7 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.order
-        factors = distinct_prime_factors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._raw_pow(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        if gen is None:
-            raise NoPrimitiveElement(f"GF({q}) has no generator of its unit group")
+        gen = _smallest_generator(q, self._raw_pow)
         exp = [1] * (q - 1)
         log = [-1] * q
         log[1] = 0
@@ -362,14 +360,9 @@ class Field:
 
     def primitive_element(self) -> int:
         """Smallest-index generator of the multiplicative group."""
-        if self.order == 2:
-            return 1
         if self.degree > 1:
             return self._generator
-        for cand in range(2, self.order):
-            if self.multiplicative_order(cand) == self.order - 1:
-                return cand
-        raise NoPrimitiveElement("unit group has no generator")  # unreachable
+        return _smallest_generator(self.order, self.pow)
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +393,7 @@ def prime_field(p: int) -> Field:
 
 def primitive_root(p: int) -> int:
     """Smallest positive generator of the unit group of Z/p."""
-    field = prime_field(p)
-    return field.primitive_element() if p > 2 else 1
+    return prime_field(p).primitive_element()
 
 
 class QuadraticClasses(namedtuple("QuadraticClasses", "p squares nonsquares")):
@@ -473,16 +465,12 @@ class Gf8Labeling(namedtuple("Gf8Labeling", "field generator to_point")):
 
 
 def gf8_labeling(modulus: tuple[int, ...] = CUBIC_X3_X_1) -> Gf8Labeling:
-    """Build the labeling for one of the two irreducible cubics over GF(2)."""
-    modulus = tuple(c % 2 for c in modulus)
-    if len(modulus) != 4 or modulus[-1] != 1:
-        raise ValueError("modulus must be a monic cubic over GF(2)")
-    if not poly_is_irreducible(modulus, 2):
-        raise ReduciblePolynomial(f"{modulus} is reducible over GF(2)")
+    """Build the labeling for one of the two irreducible cubics over GF(2);
+    ``Field`` refuses any other modulus."""
     field = Field(2, 3, modulus)
     zeta = field.p  # the class of x, a root of the modulus; both cubics are primitive
     if field.multiplicative_order(zeta) != 7:
-        raise Gf8LabelingFails(f"x does not have order 7 modulo {modulus}")
+        raise Gf8LabelingFails(f"x does not have order 7 modulo {field.modulus}")
     to_point = [0] * 8
     to_point[0] = _GF8_POINT_AT_INFINITY
     power = 1

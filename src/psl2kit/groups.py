@@ -44,10 +44,11 @@ conjugate's map with no chain for T, and the stabilizer of 0 and inf is
 abelian, so the normal closure of T holds G' = G.  So the chains of G and
 G' alone prove PSL(2,q) simple for q > 3 at any order the chain reaches, and
 refute it for q = 2 and 3 and for the two order-168 groups with a normal
-subgroup of order 8 (derived subgroups of order 3, 4 and 56).  Any other
-group, such as an abelian one, a perfect one without those translations,
-or one whose n-1 is not a prime power, falls back to the normal closure of
-each conjugacy class, under the cap.
+subgroup of order 8 (derived subgroups of order 3, 4 and 56).  A group
+that is not perfect is simple only when it is abelian of prime order, which
+its order decides.  Any other perfect group, one without those translations
+or whose n-1 is not a prime power, falls back to the normal closure of each
+conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality and
@@ -70,7 +71,8 @@ from functools import cached_property
 from operator import itemgetter
 
 from .fields import (
-    DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap, distinct_prime_factors, field_of_order
+    DEFAULT_ENUMERATION_CAP, MAX_DEGREE, check_cap, distinct_prime_factors, field_of_order,
+    is_prime,
 )
 from .projline import (
     DomainMismatch,
@@ -80,7 +82,6 @@ from .projline import (
     cycle_notation,
     identity_images,
     invert_images,
-    perm_order,
 )
 
 
@@ -89,10 +90,6 @@ class SeedNotInGroup(ValueError):
 
 
 class PrimeDoesNotDivideOrder(ValueError):
-    pass
-
-
-class SylowGrowthFails(RuntimeError):
     pass
 
 
@@ -487,18 +484,19 @@ class PermGroup:
         return self.normal_closure(commutators)
 
     def is_simple(self) -> bool:
-        """Refuted by a proper, nontrivial derived subgroup; proved by
-        Iwasawa's criterion (``_iwasawa_holds``) once the derived subgroup
-        shows the group perfect; and otherwise decided by the normal closure
-        of every conjugacy class, which enumerates the group and so keeps
-        the enumeration cap."""
+        """A group that is not perfect is simple exactly when it is abelian
+        of prime order; a perfect one is proved simple by Iwasawa's
+        criterion (``_iwasawa_holds``), or else decided by the normal
+        closure of every conjugacy class, which enumerates the group and so
+        keeps the enumeration cap."""
         n = self.order()
         if n <= 1:
             return False
         derived = self.derived_subgroup().order()
-        if 1 < derived < n:
-            return False
-        if derived == n and self._iwasawa_holds():
+        if derived != n:
+            # the primes dividing n are at most the degree, which bounds the trial division
+            return derived == 1 and is_prime(n)
+        if self._iwasawa_holds():
             return True
         for cls in self.conjugacy_classes():
             if cls.representative == self._ident:
@@ -551,46 +549,37 @@ class PermGroup:
     # -- Sylow counting --
 
     def sylow_subgroups(self, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
-        """The Sylow ell-subgroups as element sets, canonically ordered."""
+        """The Sylow ell-subgroups as element sets, canonically ordered.
+
+        One pass over the elements grows an ell-subgroup P, taking g
+        whenever <P, g> is still an ell-group; by Sylow's theorem every
+        Sylow subgroup is conjugate to the P it ends with.  That P is
+        Sylow, and one pass is enough, because a g refused once stays
+        refused: <P, g> only grows with P.  Were the final P not Sylow, ell
+        would divide [N(P) : P], so N(P) would hold an ell-element x
+        outside P with <P, x> = P<x> an ell-group.  But the pass met x
+        while P was some P' <= P, and <P', x> <= <P, x> is then an
+        ell-group too, so the pass took x into P."""
         n = self.order()
         if n % ell:
             raise PrimeDoesNotDivideOrder(f"{ell} does not divide {n}")
         target = 1
         while n % (target * ell) == 0:
             target *= ell
-        elems = self.element_images()
-        # Sylow's theorem: every Sylow subgroup is conjugate to the grown one
-        found, _ = self.conjugation_action(self._grow_sylow(ell, target, elems))
-        return found
-
-    def _grow_sylow(self, ell, target, elems):
-        seed = None
-        for e in elems:
-            if perm_order(e) == ell:
-                seed = e
+        gens: list[tuple[int, ...]] = []
+        current = frozenset([self._ident])
+        for g in self.element_images():
+            if len(current) == target:
                 break
-        if seed is None:
-            raise SylowGrowthFails(f"no element of order {ell} to start from")
-        gens = [seed]
-        current = closure_images(gens)
-        while len(current) < target:
-            normalizer = []
-            for g in elems:
-                c = _conjugator(g, invert_images(g))
-                if all(_conjugate(x, c) in current for x in gens):
-                    normalizer.append(g)
-            for y in normalizer:
-                if y in current:
-                    continue
-                grown = closure_images(gens + [y], limit=target)
-                # the divisors of the ell-power target are the powers of ell
-                if grown is not None and target % len(grown) == 0:
-                    gens.append(y)
-                    current = grown
-                    break
-            else:
-                raise SylowGrowthFails("Sylow growth stalled")  # unreachable
-        return frozenset(current)
+            if g in current:
+                continue
+            grown = closure_images(gens + [g], limit=target)
+            # the divisors of the ell-power target are the powers of ell
+            if grown is not None and target % len(grown) == 0:
+                gens.append(g)
+                current = grown
+        found, _ = self.conjugation_action(current)
+        return found
 
     def sylow_count(self, ell: int) -> int:
         return len(self.sylow_subgroups(ell))

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from collections import namedtuple
 from operator import itemgetter
 
@@ -51,6 +50,7 @@ from .fields import (
 )
 from .groups import PermGroup, closure_images
 from .projline import ProjLine, compose_images, identity_images, invert_images
+from .psl2 import psl2_expected_order
 from .verify import classify
 
 
@@ -62,18 +62,9 @@ class SearchInvariantError(RuntimeError):
 NEW, DUPLICATE, REJECTED = "new", "duplicate", "rejected"
 
 
-class FoundGroup(namedtuple(
+FoundGroup = namedtuple(
     "FoundGroup", "element_set_sha256 order verdict contains_neg_reciprocal"
-)):
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "element_set_sha256": self.element_set_sha256,
-            "order": self.order,
-            "verdict": self.verdict,
-            "contains_neg_reciprocal": self.contains_neg_reciprocal,
-        }
+)
 
 
 class SearchOutcome(namedtuple(
@@ -84,16 +75,7 @@ class SearchOutcome(namedtuple(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "mode": self.mode,
-            "candidates_examined": self.candidates_examined,
-            "base_subgroup_order": self.base_subgroup_order,
-            "groups": [g.to_json_dict() for g in self.groups],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return {**self._asdict(), "groups": [g._asdict() for g in self.groups]}
 
 
 def element_set_hash(images_set) -> str:
@@ -172,7 +154,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
     if not is_prime(p) or p == 2:
         raise NotOddPrime(f"{p} is not an odd prime")
     line = ProjLine.over_prime(p)
-    target = (p**3 - p) // 2
+    target = psl2_expected_order(p)
     base = _base_generators(line, p)
 
     base_closure = closure_images(base)

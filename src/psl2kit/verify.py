@@ -26,7 +26,6 @@ yields a maximal diagnostic report rather than an exception.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import namedtuple
 from operator import eq
 
@@ -49,7 +48,7 @@ from .projline import (
     invert_images,
     perm_order,
 )
-from .psl2 import psl2_perm_group
+from .psl2 import psl2_expected_order, psl2_perm_group
 
 
 class NoTwistExponent(RuntimeError):
@@ -101,15 +100,7 @@ class VerificationReport(namedtuple("VerificationReport", "p verdict witness che
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return {**self._asdict(), "checks": [c.to_json_dict() for c in self.checks]}
 
 
 # --- hypotheses and the shared groundwork ----------------------------------
@@ -117,7 +108,7 @@ class VerificationReport(namedtuple("VerificationReport", "p verdict witness che
 
 def check_hypotheses(group: PermGroup, p: int) -> CheckResult:
     line = group.line
-    expected = (p**3 - p) // 2
+    expected = psl2_expected_order(p)
     order_ok = group.order() == expected
     transitive = group.is_transitive()
     # over Z/p, z + 1 generates every translation and any z + a with a != 0
@@ -289,9 +280,7 @@ def check_stabilizer_scalings(
     return CheckResult("lemma-2.4", scalings_ok and bound_ok, witness, counterexample)
 
 
-def check_square_class_action(
-    group: PermGroup, dec: StabilizerDecomposition, quad: QuadraticClasses
-) -> CheckResult:
+def check_square_class_action(dec: StabilizerDecomposition, quad: QuadraticClasses) -> CheckResult:
     p = quad.p
     minus_one_square = quad.is_square(p - 1)
     parity_ok = minus_one_square == (p % 4 == 1)
@@ -485,8 +474,7 @@ def check_inversion_from_constant(
     p = line.field.p
     neg_recip = line.neg_reciprocal()
     constant_ok = constant == 1
-    composed = compose_images(line.scaling(p - 1), lam) if constant_ok else None
-    composition_ok = composed == neg_recip if composed is not None else False
+    composition_ok = constant_ok and compose_images(line.scaling(p - 1), lam) == neg_recip
     contained = group.contains(neg_recip)
     witness = {
         "constant": constant,
@@ -725,11 +713,10 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
 
     labeling = gf8_labeling(_EXCEPTIONAL_CUBICS[variant])
     transported = PermGroup(
-        [
-            line.perm(labeling.transport(labeling.add_one_map())),
-            line.perm(labeling.transport(labeling.mul_generator_map())),
-            line.perm(labeling.transport(labeling.frobenius_map())),
-        ]
+        labeling.transport(field_map)
+        for field_map in (
+            labeling.add_one_map(), labeling.mul_generator_map(), labeling.frobenius_map()
+        )
     )
     transported_ok = _same_group(transported, group)
     not_simple = not group.is_simple()
@@ -794,7 +781,7 @@ def classify(group: PermGroup, p: int) -> VerificationReport:
     dec = decompose_stabilizers(group)
     checks.append(decomposition_check(dec, p))
     checks.append(check_stabilizer_scalings(group, dec, quad))
-    checks.append(check_square_class_action(group, dec, quad))
+    checks.append(check_square_class_action(dec, quad))
     twist_check, exponents = check_twist_exponents(dec, quad)
     checks.append(twist_check)
 

@@ -10,7 +10,6 @@ import pytest
 
 from psl2kit import cli, fields, psl2, search
 from psl2kit.cli import main
-from psl2kit.groups import SylowGrowthFails
 from psl2kit.projline import cycle_notation
 from psl2kit.psl2 import psl2_perm_group
 
@@ -157,9 +156,7 @@ def test_every_runtime_invariant_maps_to_exit_3():
         )
         if issubclass(cls, RuntimeError) and cls.__module__.startswith("psl2kit.")
     }
-    # SylowGrowthFails is raised only under PermGroup.sylow_subgroups, which
-    # no command calls (test_source.test_no_command_reaches_the_sylow_scan)
-    assert defined - {SylowGrowthFails} == set(cli.INVARIANT_ERRORS)
+    assert defined == set(cli.INVARIANT_ERRORS)
 
 
 def test_certificate_step_that_misses_exits_3(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from psl2kit.groups import (
     PermGroup,
     PrimeDoesNotDivideOrder,
     SeedNotInGroup,
-    SylowGrowthFails,
     _conjugate,
     _conjugator,
     closure_images,
@@ -460,6 +459,25 @@ def test_is_simple_scans_no_classes(monkeypatch):
     assert calls == [60]
 
 
+def test_is_simple_decides_abelian_groups_by_their_order(monkeypatch):
+    # an abelian group is simple exactly when its order is prime, and
+    # is_simple reads that off the order, with no class scan
+    def refuse(self):
+        pytest.fail("an abelian group reached the class scan")
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", refuse)
+    for p in (101, 211, 401):
+        cycle = tuple(range(1, p)) + (0,)
+        assert PermGroup([cycle]).is_simple()
+    # C2^15 on 30 points: 32768 elements, past the enumeration cap
+    swaps = [tuple(j ^ 1 if j // 2 == i else j for j in range(30)) for i in range(15)]
+    c2_15 = PermGroup(swaps)
+    assert c2_15.order() == 2**15 > DEFAULT_ENUMERATION_CAP
+    assert not c2_15.is_simple()
+    c2_c3 = PermGroup([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)])
+    assert c2_c3.order() == 6 and not c2_c3.is_simple()
+
+
 def test_is_simple_past_the_enumeration_cap():
     for p in (37, 101):
         group = _psl2_prime(p)
@@ -797,6 +815,28 @@ def _cyclic_sylows(group, ell):
 
 @pytest.mark.parametrize(
     "build,arg",
+    [(psl2_cached, q) for q in (3, 4, 5, 7, 8, 9, 11, 13)]
+    + [(exceptional_cached, 3), (exceptional_cached, 5)],
+    ids=[f"psl2-{q}" for q in (3, 4, 5, 7, 8, 9, 11, 13)] + ["exceptional-3", "exceptional-5"],
+)
+def test_sylow_subgroups_against_sympy(build, arg):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = build(arg)
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in group.generators]
+    )
+    elements = list(oracle.elements)
+    for ell in distinct_prime_factors(group.order()):
+        sylow = list(oracle.sylow_subgroup(ell).elements)
+        # every Sylow subgroup is a conjugate of sympy's, by sympy's products
+        conjugates = {
+            frozenset(tuple((~g * x * g).array_form) for x in sylow) for g in elements
+        }
+        assert set(group.sylow_subgroups(ell)) == conjugates
+
+
+@pytest.mark.parametrize(
+    "build,arg",
     [(psl2_cached, 5), (psl2_cached, 7), (psl2_cached, 11), (psl2_cached, 13),
      (exceptional_cached, 3), (exceptional_cached, 5)],
     ids=["psl2-5", "psl2-7", "psl2-11", "psl2-13", "exceptional-3", "exceptional-5"],
@@ -808,13 +848,6 @@ def test_sylow_subgroups_match_cyclic_definition(build, arg):
     assert once
     for ell in once:
         assert list(group.sylow_subgroups(ell)) == _cyclic_sylows(group, ell)
-
-
-def test_sylow_growth_without_seed_raises(monkeypatch):
-    # no element reports order 2, so the growth has nothing to start from
-    monkeypatch.setattr("psl2kit.groups.perm_order", lambda images: 1)
-    with pytest.raises(SylowGrowthFails):
-        psl2_cached(7).sylow_subgroups(2)
 
 
 @st.composite

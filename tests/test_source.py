@@ -196,10 +196,22 @@ def test_a_permutation_is_a_plain_image_tuple():
     assert found == []
 
 
+def test_cli_is_the_only_report_writer():
+    # a report is rendered as indented JSON in one place, cli._emit
+    writers = [
+        name
+        for name, node in _nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert writers == ["cli.py"]
+
+
 def test_no_command_reaches_the_sylow_scan():
-    # the Sylow scan and its SylowGrowthFails stay inside groups.py: no other
-    # module calls it, so cli.INVARIANT_ERRORS need not catch that error
-    scan = {"sylow_subgroups", "sylow_count", "_grow_sylow", "SylowGrowthFails"}
+    # the Sylow scan stays inside groups.py: no other module calls it
+    scan = {"sylow_subgroups", "sylow_count"}
     found = [
         f"{name}:{node.lineno} {node.attr if isinstance(node, ast.Attribute) else node.id}"
         for name, node in _nodes()

@@ -66,7 +66,7 @@ def test_failed_last_lemma_falls_back_to_containment(monkeypatch, capsys, p, che
 
     assert main(["classify", "--p", str(p), "--group", "psl2", "--format", "json"]) == 3
     out = capsys.readouterr()
-    assert json.loads(out.out) == json.loads(report.to_json())
+    assert out.out == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     assert out.err == ""
 
 
