@@ -34,7 +34,7 @@ MAX_DEGREE = 8192
 # The prime of a constrained search, and of a full search, which tries all
 # (p-1)! candidate swaps.
 MAX_SEARCH_PRIME = 31
-MAX_FULL_SEARCH_PRIME = 7
+MAX_FULL_SEARCH_PRIME = 11
 
 
 class NotPrime(ValueError):

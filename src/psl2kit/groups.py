@@ -115,16 +115,28 @@ def orbit(seeds, gens, act, limit: int | None = None) -> frozenset | None:
 
 def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]] | None:
     """Exhaustive product closure of image tuples: the orbit of the identity
-    under right multiplication by the generators.
+    under multiplication by the generators.
 
     Returns the full element set, or None as soon as it outgrows ``limit``.
     Independent of the stabilizer chain; used as its order oracle and by the
     classification search.
+
+    Up to 256 points each element is a ``bytes`` while the orbit grows, and
+    ``x.translate(table)`` multiplies it on the left by a generator, whose
+    256-byte table is its images padded with the fixed points up to 255;
+    the elements become image tuples once, on return.  Past 256 points
+    they stay image tuples throughout.
     """
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
-    return orbit([identity_images(len(gens[0]))], gens, compose_images, limit)
+    n = len(gens[0])
+    if n > 256:
+        return orbit([identity_images(n)], gens, compose_images, limit)
+    pad = bytes(range(n, 256))
+    tables = [bytes(g) + pad for g in gens]
+    closure = orbit([bytes(range(n))], tables, bytes.translate, limit)
+    return None if closure is None else frozenset(map(tuple, closure))
 
 
 def _conjugator(g: tuple[int, ...], g_inv: tuple[int, ...]):

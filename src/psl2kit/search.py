@@ -10,24 +10,36 @@ G_inf = B.  The search enumerates candidate swaps and decides that by
 Schreier's lemma (Seress, *Permutation Group Algorithms*, 2003, section
 4.1): with the transversal u_inf = 1 and u_x = (z+x)*s, which maps inf to
 x, G_inf is generated by the u_{g(x)}^-1 * g * u_x over x on the line and
-g in {s, z+1, sigma}, so G_inf = B exactly when each of them sifts through
-B's chain, built once per search.  At x = 0 they are s^2, 1 and
-s^-1*sigma*s; in both candidate spaces at every prime they allow, a
-failing swap is rejected at x = 0 or 1, with no chain built for it.  A
-swap that passes and lies in a group already found regenerates that
-group, so one sift into each found group settles it as a duplicate.  Any
-other is a new group: its three generators are built into a stabilizer
-chain, whose order must be (p^3-p)/2, and closed once by frontier
-multiplication, independently of both: the closure must have the chain's
-order, and it supplies the element-set hash and the membership of
-z -> -1/z.
+g in {s, z+1, sigma}.  Only p + 1 of those 3(p+1) generators can lie
+outside B:
+
+- z+1 gives 1 at each finite x, as (z-x-1)*(z+1)*(z+x) = 1, and z+1 at inf;
+- sigma gives s^-1*sigma*s at each finite x, as sigma(z+x) - sigma(x) =
+  sigma(z), and sigma at inf;
+- s gives 1 at inf, s^2 at 0, and s^-1*(z-s(x))*s*(z+x)*s at each unit x.
+
+So G_inf = B exactly when s^2, s^-1*sigma*s and the p - 1 unit words lie
+in B.  The search tests them in that order by lookup in B's element set,
+closed once per search.  Once s^2 is in B, a word s^-1*w is in B exactly
+when s*w = s^2 * s^-1*w is, so each later word is tested as s*w and no
+inverse is formed.  Most failing swaps fail at s^2 or s^-1*sigma*s.
+
+A swap that passes those two and lies in a group G already found is a
+duplicate: it regenerates G, because <B, s> <= G is transitive and its
+stabilizer of inf lies between B and G_inf = B, so <B, s> has G's order.
+That takes one lookup in each found group's element set, and no unit
+word.  Any other swap that passes every word is a new group: its three
+generators are built into a stabilizer chain, whose order must be
+(p^3-p)/2, and closed once, independently of both: the closure must have
+the chain's order, and it supplies the element-set hash and the
+membership of z -> -1/z.
 
 Two candidate spaces are provided.  The constrained space uses the derived
 shape of a swap -- c*z^n on squares, d*z^n on non-squares, with n odd and
 (p-1)/2 dividing n^2-1.  The full space tries every bijection exchanging
-0 and inf, with arbitrary action on the units; it is feasible for
-p in {3, 5, 7} and exists to confirm that the constrained shape loses
-nothing.  Each found group is re-checked against the hypotheses and
+0 and inf, with arbitrary action on the units; it is feasible up to
+p = 11, (p-1)! candidates, and exists to confirm that the constrained
+shape loses nothing.  Each found group is re-checked against the hypotheses and
 classified, and the swap-free base subgroup is re-verified by closure to
 have order p*(p-1)/2, before any candidate, so the order argument above
 is honest.
@@ -49,7 +61,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import PermGroup, closure_images
-from .projline import ProjLine, compose_images, identity_images, invert_images
+from .projline import ProjLine, compose_images, identity_images
 from .psl2 import psl2_expected_order
 from .verify import classify
 
@@ -92,47 +104,44 @@ def _base_generators(line: ProjLine, p: int) -> list[tuple[int, ...]]:
     return [line.translation(1), line.scaling(quadratic_classes(p).square_generator)]
 
 
-def _stabilizer_is_base(base_group: PermGroup, swap, base, shifts) -> bool:
-    """Whether every Schreier generator u_{g(x)}^-1 * g * u_x of G_inf,
-    G = <base, s>, lies in ``base_group``, for x on the line, u_inf = 1,
-    u_x = (z+x)*s and ``shifts[k]`` = z+k.  g runs over s first, whose
-    generator at x = 0 is s^2, then z+1 and sigma; the test stops at the
-    first generator outside the base.  See the module docstring."""
-    inf = len(swap) - 1
-    ident = identity_images(inf + 1)
-    swap_inv = invert_images(swap)
-    coset_inverses = {inf: ident}  # y -> u_y^-1 = s^-1 * (z-y)
-    gens = [swap, *base]
-    for x in range(inf + 1):
-        u = ident if x == inf else compose_images(shifts[x], swap)
-        for g in gens:
-            y = g[x]
-            u_inv = coset_inverses.get(y)
-            if u_inv is None:
-                u_inv = coset_inverses[y] = compose_images(swap_inv, shifts[-y])
-            h = compose_images(u_inv, compose_images(g, u))
-            if h != ident and not base_group.contains(h):
-                return False
-    return True
+def _unit_words(swap, shifts):
+    """s^2 * u_{s(x)}^-1 * s * u_x = s*(z-s(x))*s*(z+x)*s for each unit x, in
+    order, with ``shifts[k]`` = z+k: once s^2 lies in B, each lies in B
+    exactly when the Schreier generator of s at x does (module docstring).
+    Lazy, so a test that stops at the first word outside B builds no more."""
+    for x in range(1, len(shifts)):
+        word = compose_images(swap, compose_images(shifts[x], swap))
+        yield compose_images(swap, compose_images(shifts[-swap[x]], word))
 
 
-def _decide_candidates(base: list[tuple[int, ...]], target: int, swap_candidates):
+def _decide_candidates(base: list[tuple[int, ...]], base_elements, target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
     ``found`` is (chain, closure) for a NEW group and None otherwise;
-    ``base`` is z+1 and sigma.  Non-bijective candidates arrive as None and
-    are REJECTED, and so are swaps whose stabilizer of inf is not the base
-    group, before any sift into a found group or chain."""
-    base_group = PermGroup(base)
-    shifts = [identity_images(len(base[0]))]  # z+k = (z+1)^k, k = 0..p-1
-    for _ in range(len(base[0]) - 2):
-        shifts.append(compose_images(base[0], shifts[-1]))
-    groups: list[PermGroup] = []
+    ``base`` is z+1 and sigma, and ``base_elements`` the group B they
+    generate.  Non-bijective candidates arrive as None and are REJECTED.
+    A swap is tested by the Schreier generators of G_inf that can lie
+    outside B, in the module docstring's order: s^2, then s^-1*sigma*s as
+    s*sigma*s, then the unit words.  One outside B rejects it.  A swap
+    whose first two lie in B is a DUPLICATE when a found group holds it,
+    before any unit word is built."""
+    translation, sigma = base
+    shifts = [identity_images(len(translation))]  # z+k = (z+1)^k, k = 0..p-1
+    for _ in range(len(translation) - 2):
+        shifts.append(compose_images(translation, shifts[-1]))
+    closures: list[frozenset] = []
     for swap in swap_candidates:
-        if swap is None or not _stabilizer_is_base(base_group, swap, base, shifts):
+        if (
+            swap is None
+            or compose_images(swap, swap) not in base_elements
+            or compose_images(swap, compose_images(sigma, swap)) not in base_elements
+        ):
             yield REJECTED, None
             continue
-        if any(group.contains(swap) for group in groups):
+        if any(swap in closure for closure in closures):
             yield DUPLICATE, None
+            continue
+        if not all(word in base_elements for word in _unit_words(swap, shifts)):
+            yield REJECTED, None
             continue
         group = PermGroup(base + [swap])
         if group.order() != target:
@@ -144,7 +153,7 @@ def _decide_candidates(base: list[tuple[int, ...]], target: int, swap_candidates
             raise SearchInvariantError(
                 f"chain order {group.order()} disagrees with closure size {size}"
             )
-        groups.append(group)
+        closures.append(closure)
         yield NEW, (group, closure)
 
 
@@ -164,7 +173,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
 
     examined = 0
     found: dict[str, tuple[PermGroup, frozenset]] = {}
-    for decision, new in _decide_candidates(base, target, swap_candidates):
+    for decision, new in _decide_candidates(base, base_closure, target, swap_candidates):
         examined += 1
         if decision == NEW:
             found[element_set_hash(new[1])] = new
@@ -197,44 +206,26 @@ def _constrained_candidates(p: int):
     """Swap maps c*z^n on squares, d*z^n on non-squares, lexicographic in
     (n, c, d).  Non-bijective combinations yield None but still count as
     examined candidates."""
-    quad = quadratic_classes(p)
     half = (p - 1) // 2
-    inf = p
+    units = range(1, p)
+    squares = set(quadratic_classes(p).squares)
+    square_mask = [z in squares for z in units]
     exponents = [
         n for n in range(1, p - 1, 2) if (n * n - 1) % half == 0
     ]
     for n in exponents:
-        square_powers = {z: pow(z, n, p) for z in range(1, p)}
-        for c in range(1, p):
-            for d in range(1, p):
-                images = [0] * (p + 1)
-                images[0] = inf
-                images[inf] = 0
-                seen = set()
-                ok = True
-                for z in range(1, p):
-                    scale = c if quad.is_square(z) else d
-                    y = scale * square_powers[z] % p
-                    if y == 0 or y in seen:
-                        ok = False
-                        break
-                    seen.add(y)
-                    images[z] = y
-                yield tuple(images) if ok else None
+        powers = [pow(z, n, p) for z in units]
+        for c in units:
+            for d in units:
+                row = [(c if square else d) * w % p for square, w in zip(square_mask, powers)]
+                yield (p, *row, 0) if len(set(row)) == p - 1 else None
 
 
 def _full_candidates(p: int):
     """Every bijection with 0 and inf exchanged, lexicographic over the
     arrangements of the units."""
-    inf = p
-    units = range(1, p)
-    for arrangement in itertools.permutations(units):
-        images = [0] * (p + 1)
-        images[0] = inf
-        images[inf] = 0
-        for z, y in zip(units, arrangement):
-            images[z] = y
-        yield tuple(images)
+    for arrangement in itertools.permutations(range(1, p)):
+        yield (p, *arrangement, 0)
 
 
 def constrained_search(p: int) -> SearchOutcome:
@@ -244,7 +235,7 @@ def constrained_search(p: int) -> SearchOutcome:
 
 
 def full_search(p: int) -> SearchOutcome:
-    """Search every 0/inf-exchanging bijection; feasible for p in {3, 5, 7}."""
+    """Search every 0/inf-exchanging bijection; feasible up to p = 11."""
     check_cap("full search prime", p, "full search cap", MAX_FULL_SEARCH_PRIME)
     return _run_search(p, "full", _full_candidates(p))
 

@@ -680,9 +680,13 @@ def build_exceptional(variant: int) -> PermGroup:
     of order 8, generated by z->z+1, z->2z and the variant's involution."""
     if variant not in EXCEPTIONAL_INVOLUTIONS:
         raise BadVariant(f"variant must be 3 or 5, got {variant}")
+    return PermGroup(_exceptional_generators(variant))
+
+
+def _exceptional_generators(variant: int) -> list[tuple[int, ...]]:
     line = ProjLine.over_prime(7)
     lam = line.from_cycles(EXCEPTIONAL_INVOLUTIONS[variant])
-    return PermGroup([line.translation(1), line.scaling(2), lam])
+    return [line.translation(1), line.scaling(2), lam]
 
 
 def _same_group(a: PermGroup, b: PermGroup) -> bool:
@@ -694,8 +698,10 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     """Verify the order-168 presentation, the order-8 normal subgroup, and
     agreement with the transported GF(8) construction."""
     line = group.line
-    lam = line.from_cycles(EXCEPTIONAL_INVOLUTIONS[variant])
-    presented = build_exceptional(variant)
+    presentation = _exceptional_generators(variant)
+    lam = presentation[-1]
+    # a group built from the presentation's generators is the presented group
+    presented = group if list(group.generators) == presentation else PermGroup(presentation)
     order_ok = presented.order() == 168
     same_set = _same_group(presented, group)
 

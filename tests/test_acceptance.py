@@ -19,7 +19,7 @@ from psl2kit.projline import (
     invert_images,
 )
 from psl2kit.psl2 import Mat2, certify_simplicity, psl2_perm_group
-from psl2kit.search import constrained_search, element_set_hash, full_search
+from psl2kit.search import constrained_search, element_set_hash, expected_group_count, full_search
 from psl2kit.verify import (
     EXCEPTIONAL_INVOLUTIONS,
     build_exceptional,
@@ -310,6 +310,23 @@ def test_criterion_17_simplicity_certificate_q4096():
         assert certificate.verdict
         assert len(certificate.entries) == 4096
         assert certificate.reverify()
+
+
+def test_criterion_18_full_search_p11():
+    # all 10! swaps, decided by the Schreier words on the base's element set;
+    # the one group found is the constrained search's PSL(2,11)
+    golden = Path(__file__).parent / "golden"
+    with budget("18 full-search-p11", 15):
+        outcome = full_search(11)
+    assert outcome.candidates_examined == 3628800
+    assert len(outcome.groups) == expected_group_count(11) == 1
+    report = json.dumps(outcome.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert report == (golden / "search_p11_full.json").read_text()
+    constrained = json.loads((golden / "search_p11_constrained.json").read_text())
+    assert [g.element_set_sha256 for g in outcome.groups] == [
+        g["element_set_sha256"] for g in constrained["groups"]
+    ]
+    assert outcome.groups[0].verdict == "a"
 
 
 def _random_sl2(field, rng) -> Mat2:

@@ -123,7 +123,7 @@ def test_search_command(capsys):
 def test_search_rejects_bad_p(capsys):
     code, _ = run_cli(capsys, "search", "--p", "9")
     assert code == 4
-    code, _ = run_cli(capsys, "search", "--p", "11", "--mode", "full")
+    code, _ = run_cli(capsys, "search", "--p", "13", "--mode", "full")
     assert code == 4
 
 

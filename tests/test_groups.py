@@ -102,6 +102,30 @@ def test_library_closure_matches_oracle(line7):
     assert closure_images(gens, limit=168) is not None
 
 
+def _cycle_on(n):
+    """The n-cycle z -> z+1 mod n on the points 0..n-1."""
+    return tuple((i + 1) % n for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        psl2_cached(13).generators,
+        [_cycle_on(256)],
+        [_cycle_on(257)],
+        [ProjLine.over_prime(257).translation(1)],
+    ],
+    ids=["psl2-13", "cycle-256", "cycle-257", "translations-gf257"],
+)
+def test_closure_on_both_sides_of_256_points(gens):
+    # up to 256 points the closure grows on bytes, past them on image tuples:
+    # both stop one element past the limit and return the same tuples
+    oracle = frozenset(brute_closure(list(gens)))
+    assert closure_images(gens) == oracle
+    assert closure_images(gens, limit=len(oracle)) == oracle
+    assert closure_images(gens, limit=len(oracle) - 1) is None
+
+
 def test_deterministic_rebuild(line7):
     a = PermGroup([line7.translation(1), line7.neg_reciprocal()])
     b = PermGroup([line7.translation(1), line7.neg_reciprocal()])

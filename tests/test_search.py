@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from psl2kit import search
 from psl2kit.cli import main
 from psl2kit.fields import CapExceeded, NotOddPrime
-from psl2kit.groups import closure_images
-from psl2kit.projline import ProjLine, compose_images
+from psl2kit.groups import PermGroup, closure_images
+from psl2kit.projline import ProjLine, compose_images, identity_images, invert_images
 from psl2kit.search import (
     DUPLICATE,
     NEW,
@@ -122,7 +122,7 @@ def test_search_input_validation():
     # past its cap each mode refuses p, prime or not; below it, non-odd-primes
     for search_fn, too_large, not_odd_prime in (
         (constrained_search, (33, 37), (1, 2, 9)),
-        (full_search, (9, 11), (1, 2, 6)),
+        (full_search, (13, 15), (1, 2, 6, 9)),
     ):
         for p in too_large:
             with pytest.raises(CapExceeded):
@@ -147,14 +147,14 @@ def spy_chain_builds(monkeypatch):
 
 
 def test_found_groups_built_from_three_generators(monkeypatch):
-    # each search builds the base's chain once, for the Schreier test, then
-    # a chain of three generators per new group: no rejected or duplicate
-    # swap builds one
+    # the Schreier test looks its words up in the base's element set, so a
+    # search builds only a chain of three generators per new group: no base
+    # chain, and none for a rejected or duplicate swap
     sizes = spy_chain_builds(monkeypatch)
     found_constrained = len(constrained_search(7).groups)
     found_full = len(full_search(5).groups)
     assert found_constrained + found_full == 4
-    assert sizes == [2] + [3] * found_constrained + [2] + [3] * found_full
+    assert sizes == [3] * found_constrained + [3] * found_full
 
 
 @pytest.mark.parametrize(
@@ -163,12 +163,12 @@ def test_found_groups_built_from_three_generators(monkeypatch):
 def test_lagrange_test_spares_most_chain_builds(monkeypatch, search_fn, p, budget):
     # with no test ahead of the chains, full p = 7 built 714 and constrained
     # p = 13 built 277; the Lagrange filter brought that under the budget, and
-    # the Schreier test at inf now spares every chain but the base's and one
-    # per new group
+    # the Schreier test at inf, on the base's element set, now spares every
+    # chain but one per new group
     sizes = spy_chain_builds(monkeypatch)
     found = len(search_fn(p).groups)
     assert found == expected_group_count(p)
-    assert sizes == [2] + [3] * found
+    assert sizes == [3] * found
     assert len(sizes) <= budget
 
 
@@ -210,7 +210,7 @@ def test_lagrange_refusals_generate_no_group_of_the_target_order(mode, p):
     line = ProjLine.over_prime(p)
     base = search._base_generators(line, p)
     target = (p**3 - p) // 2
-    decided = search._decide_candidates(base, target, refused)
+    decided = search._decide_candidates(base, closure_images(base), target, refused)
     assert [decision for decision, _ in decided] == [REJECTED] * len(refused)
     for s in refused:
         closure = closure_images(base + [s], limit=target)
@@ -228,7 +228,7 @@ def test_schreier_test_accepts_iff_closure_reaches_the_target(data, p):
     swap = (p, *units, 0)  # 0 -> inf, the units anyhow, inf -> 0
     base = search._base_generators(line, p)
     target = (p**3 - p) // 2
-    [(decision, _)] = search._decide_candidates(base, target, [swap])
+    [(decision, _)] = search._decide_candidates(base, closure_images(base), target, [swap])
     closure = closure_images(base + [swap], limit=target)
     assert (decision == NEW) == (closure is not None and len(closure) == target)
 
@@ -254,8 +254,9 @@ def reference_decisions(p, swap_candidates):
 
 @pytest.mark.parametrize(
     "mode,p",
+    # past p = 19 the closure reference takes seconds a prime
     [("full", 5), ("full", 7), ("constrained", 5), ("constrained", 7), ("constrained", 11),
-     ("constrained", 13)],
+     ("constrained", 13), ("constrained", 17), ("constrained", 19)],
 )
 def test_candidate_decisions_match_closure_reference(mode, p):
     candidates = search._full_candidates if mode == "full" else search._constrained_candidates
@@ -263,11 +264,78 @@ def test_candidate_decisions_match_closure_reference(mode, p):
     base = search._base_generators(line, p)
     decided = [
         decision
-        for decision, _ in search._decide_candidates(base, (p**3 - p) // 2, candidates(p))
+        for decision, _ in search._decide_candidates(
+            base, closure_images(base), (p**3 - p) // 2, candidates(p)
+        )
     ]
     assert decided == list(reference_decisions(p, candidates(p)))
     assert decided.count(NEW) == expected_group_count(p)
     assert {NEW, DUPLICATE, REJECTED} <= set(decided)
+
+
+def schreier_reference(p):
+    """The Schreier test as the search ran it when it sifted all 3(p+1)
+    generators u_{g(x)}^-1 * g * u_x of G_inf, x on the line, g in
+    {s, z+1, sigma}, u_inf = 1 and u_x = (z+x)*s, into a chain of the base:
+    whether the swap's G_inf is the base."""
+    line = ProjLine.over_prime(p)
+    base = search._base_generators(line, p)
+    base_group = PermGroup(base)
+    shifts = [line.translation(k) for k in range(p)]
+    ident = identity_images(p + 1)
+
+    def accepts(swap):
+        swap_inv = invert_images(swap)
+        coset = {p: (ident, ident)}  # x -> (u_x, u_x^-1)
+        for x in range(p):
+            coset[x] = (compose_images(shifts[x], swap), compose_images(swap_inv, shifts[-x]))
+        return all(
+            base_group.contains(compose_images(coset[g[x]][1], compose_images(g, coset[x][0])))
+            for x in range(p + 1)
+            for g in [swap, *base]
+        )
+
+    return accepts
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 3), ("full", 5), ("full", 7)]
+    + [("constrained", p) for p in (3, 5, 7, 11, 13, 17, 19, 23)],
+)
+def test_schreier_words_decide_as_all_schreier_generators(mode, p):
+    # the p + 1 words on the base's element set reject exactly the swaps
+    # that the 3(p+1) generators sifted into the base's chain reject
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    base = search._base_generators(ProjLine.over_prime(p), p)
+    decided = search._decide_candidates(
+        base, closure_images(base), (p**3 - p) // 2, candidates(p)
+    )
+    accepts = schreier_reference(p)
+    expected = [swap is not None and accepts(swap) for swap in candidates(p)]
+    assert [decision != REJECTED for decision, _ in decided] == expected
+    assert any(expected) and not all(expected)
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 5), ("full", 7), ("constrained", 7), ("constrained", 11), ("constrained", 13)],
+)
+def test_every_duplicate_regenerates_a_found_group(mode, p):
+    # a duplicate is decided before its unit words: its closure is a found group's
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    base = search._base_generators(ProjLine.over_prime(p), p)
+    target = (p**3 - p) // 2
+    found, duplicates = [], []
+    decided = search._decide_candidates(base, closure_images(base), target, candidates(p))
+    for swap, (decision, new) in zip(candidates(p), decided):
+        if decision == NEW:
+            found.append(new[1])
+        elif decision == DUPLICATE:
+            duplicates.append(swap)
+    assert duplicates
+    for swap in duplicates:
+        assert closure_images(base + [swap], limit=target) in found
 
 
 @pytest.mark.parametrize("p", [17, 19, 23])

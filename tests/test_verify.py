@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psl2kit import fields, search
+from psl2kit import verify as verify_module
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
 from psl2kit.groups import PermGroup
@@ -689,6 +690,26 @@ def test_build_exceptional():
         assert not passed
         assert witness["presentation_matches"] is False
         assert witness["gf8_transport_matches"] is False
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_exceptional_report_builds_the_presented_group_once(monkeypatch, variant):
+    # the audit reuses the group it builds as the presented group, so it
+    # builds three chains: that group, the order-8 subgroup and the group
+    # transported from GF(8), and only the first from the presentation
+    built = []
+    real = verify_module.PermGroup
+
+    def spy(generators, **kwargs):
+        generators = list(generators)
+        built.append(generators)
+        return real(generators, **kwargs)
+
+    monkeypatch.setattr(verify_module, "PermGroup", spy)
+    result = exceptional_report(variant)
+    assert result.passed and result.witness["presentation_matches"] is True
+    presentation = list(exceptional_cached(variant).generators)
+    assert [gens == presentation for gens in built] == [True, False, False]
 
 
 def test_classify_requires_matching_line():
