@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 # Size caps, each in the unit it counts.  Elements of one field: GF(p^k)
 # builds its exp/log tables eagerly, so they stay at desk scale.
 MAX_FIELD_ORDER = 1 << 16
-# Group elements held in memory at once: enumerations, the corollary's
-# Sylow subgroups, and which SL(2,q) get built as matrices.
+# Group elements held in memory at once: enumerations of a group, a point
+# stabilizer or a conjugacy class, and which SL(2,q) get built as matrices.
 DEFAULT_ENUMERATION_CAP = 20000
 # Points a stabilizer chain acts on: its memory grows as the degree squared,
 # 634 MiB for PSL(2,4001) and so about 3.7 GiB at the cap.

@@ -51,9 +51,10 @@ or whose n-1 is not a prime power, falls back to the normal closure of each
 conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
-``_conjugator`` builds: conjugacy classes, normal closures, normality and
-the conjugates of a subgroup (``conjugation_action``, which finds the Sylow
-subgroups) run through it.  Every permutation is its image tuple, and
+``_conjugator`` builds: conjugacy classes, normal closures, normality, the
+conjugates of a subgroup (``conjugation_action``, which ``sylow_subgroups``
+ends with) and the corollary's Sylow generators (``verify.sylow_orbit``)
+run through it.  Every permutation is its image tuple, and
 products go through ``projline.compose_images``, a single C-level gather;
 the right half of a conjugation and ``stabilizer_images`` reuse one stored
 gather across many elements.
@@ -500,7 +501,13 @@ class PermGroup:
         of prime order; a perfect one is proved simple by Iwasawa's
         criterion (``_iwasawa_holds``), or else decided by the normal
         closure of every conjugacy class, which enumerates the group and so
-        keeps the enumeration cap."""
+        keeps the enumeration cap.
+
+        No command reaches the class scan: each passes PSL(2,q) with q > 3,
+        which Iwasawa's criterion decides, or a group that is not perfect.
+        It stays for the library's groups off the projective line, such as
+        GL(3,2) on the 7 nonzero vectors of GF(2)^3, whose n-1 is not a
+        prime power, so no translations exist for the criterion."""
         n = self.order()
         if n <= 1:
             return False

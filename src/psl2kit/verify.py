@@ -32,14 +32,14 @@ from operator import eq
 from .fields import (
     CUBIC_X3_X2_1,
     CUBIC_X3_X_1,
-    DEFAULT_ENUMERATION_CAP,
+    MAX_DEGREE,
     QuadraticClasses,
     check_cap,
     gf8_labeling,
     is_prime,
     quadratic_classes,
 )
-from .groups import PermGroup, closure_images, orbit
+from .groups import PermGroup, _conjugate, _conjugator, closure_images, orbit
 from .projline import (
     ProjLine,
     compose_images,
@@ -700,16 +700,20 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     line = group.line
     presentation = _exceptional_generators(variant)
     lam = presentation[-1]
-    # a group built from the presentation's generators is the presented group
-    presented = group if list(group.generators) == presentation else PermGroup(presentation)
-    order_ok = presented.order() == 168
-    same_set = _same_group(presented, group)
+    elements = group.element_images()
+    # the presented group by product closure, which shares no code with the chain
+    presented = closure_images(presentation)
+    order_ok = len(presented) == 168
+    presentation_ok = presented == frozenset(elements)
+    # a group built from the presentation's generators is build_exceptional(variant)
+    builtin = group if list(group.generators) == presentation else PermGroup(presentation)
+    builtin_ok = _same_group(builtin, group)
 
     # the fixed-point-free involutions: elements moving every point that square to 1
     ident = identity_images(line.size)
     fpf = [
         e
-        for e in group.element_images()
+        for e in elements
         if not any(map(eq, e, ident)) and compose_images(e, e) == ident
     ]
     normal8 = PermGroup(fpf) if fpf else None
@@ -730,17 +734,19 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     witness = {
         "variant": variant,
         "lambda": cycle_notation(lam),
-        "presented_order": presented.order(),
-        "presentation_matches": same_set,
+        "presented_order": len(presented),
+        "presentation_matches": presentation_ok,
         "fixed_point_free_involutions": len(fpf),
         "normal8_order": normal8.order() if normal8 is not None else None,
         "normal8_generators": sorted(map(cycle_notation, fpf)),
         "gf8_transport_matches": transported_ok,
-        # presented is build_exceptional(variant), so this is the same comparison
-        "builtin_exceptional_matches": same_set,
+        "builtin_exceptional_matches": builtin_ok,
         "simple": not not_simple,
     }
-    passed = order_ok and same_set and normal8_ok and transported_ok and not_simple
+    passed = (
+        order_ok and presentation_ok and builtin_ok and normal8_ok and transported_ok
+        and not_simple
+    )
     return passed, witness
 
 
@@ -878,44 +884,69 @@ def p3_case_check(group: PermGroup | None = None) -> CheckResult:
     return CheckResult("p3-case", passed, witness)
 
 
+def _fixed_points(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i, y in enumerate(x) if i == y)
+
+
 def sylow_orbit(group: PermGroup, p: int):
-    """The Sylow p-subgroups of a group of order (p^3-p)/2 holding z+1, and
-    how its generators permute them (``PermGroup.conjugation_action``).
+    """One generator of each Sylow p-subgroup of a transitive group of
+    order (p^3-p)/2 holding z+1, ordered by the points it fixes, and for
+    each group generator g the permutation of their indices that
+    H -> g * H * g^-1 induces.
 
     p^2 does not divide (p^3-p)/2, so <z+1> is a Sylow p-subgroup, and by
-    Sylow's theorem every other one is conjugate to it: they are its orbit
-    under conjugation by the generators, found with no element scan."""
+    Sylow's theorem every other one is conjugate to it: they are generated
+    by the conjugates of z+1, found as its orbit under conjugation by the
+    generators, with no element scan.  A conjugate is keyed by its fixed
+    points, and the first one met for a key generates that key's subgroup.
+    The key names the subgroup: one that fixes f lies in G_f, of order
+    p(p-1)/2, and G_f has only one Sylow p-subgroup, since their number
+    divides (p-1)/2 and is 1 mod p.  It is normal there, the conjugate of
+    the translations."""
+    conjugators = [_conjugator(g, invert_images(g)) for g in group.generators]
     sigma = group.line.translation(1)
-    powers = [identity_images(group.degree)]
-    for _ in range(p - 1):
-        powers.append(compose_images(sigma, powers[-1]))
-    return group.conjugation_action(powers)
+    reps = {_fixed_points(sigma): sigma}
+    moves = {}
+
+    def act(x, i):
+        y = _conjugate(x, conjugators[i])
+        moves[x, i] = key = _fixed_points(y)
+        return reps.setdefault(key, y)
+
+    gens = range(len(conjugators))
+    orbit([sigma], gens, act)
+    keys = sorted(reps)
+    index = {key: k for k, key in enumerate(keys)}
+    found = tuple(reps[key] for key in keys)
+    return found, [tuple(index[moves[x, i]] for x in found) for i in gens]
 
 
 def corollary_check(p: int) -> CheckResult:
     """Simplicity forces the projective group: verify the Sylow count and
     that relabeling the conjugation action on Sylow subgroups reproduces
-    the projective-line action.  The p(p+1) elements of the Sylow
-    subgroups are all it holds, so they meet the enumeration cap."""
+    the projective-line action.  Each subgroup is one generator from
+    ``sylow_orbit``, named by its fixed point, so the check holds p+1
+    permutations and builds two chains, G's and its derived subgroup's;
+    only the degree cap bounds it."""
     if p <= 3:
         raise ValueError("the corollary pipeline runs for p > 3")
-    check_cap("Sylow subgroup elements", p * (p + 1), "enumeration cap", DEFAULT_ENUMERATION_CAP)
+    check_cap("degree", p + 1, "degree cap", MAX_DEGREE)  # before any trial division
     if not is_prime(p):
         raise ValueError(f"the corollary needs a prime p, got {p}")
     group = psl2_perm_group(p)
     line = group.line
     simple = group.is_simple()
-    ident = identity_images(line.size)
     sigma = line.translation(1)
     # subgroups are indices into ``sylows``; ``action`` holds, per generator,
     # the index each one is conjugated to
     sylows, action = sylow_orbit(group, p)
+    keys = [_fixed_points(x) for x in sylows]
     count_ok = len(sylows) == p + 1
     gens = group.generators
     shift = action[gens.index(sigma)]
 
     # <z+1> is labeled inf, and z+1 walks the others through 0 .. p-1
-    home = next(i for i, sub in enumerate(sylows) if sigma in sub)
+    home = keys.index((line.infinity,))
     labels = {home: line.infinity}
     cur = start = min(i for i in range(len(sylows)) if i != home)
     for i in range(p):
@@ -926,21 +957,19 @@ def corollary_check(p: int) -> CheckResult:
     # each subgroup fixes one point, which takes the subgroup's label
     beta: list[int | None] = [None] * line.size
     if cycle_ok:
-        for idx, sub in enumerate(sylows):
-            member = min(x for x in sub if x != ident)
-            fixed = [x for x, y in enumerate(member) if x == y]
+        for idx, fixed in enumerate(keys):
             if len(fixed) == 1 and beta[fixed[0]] is None:
                 beta[fixed[0]] = labels[idx]
     beta_ok = cycle_ok and None not in beta
 
-    intertwines = action_doubly_transitive = False
+    intertwines = False
     if beta_ok:
         by_label = sorted(labels, key=labels.get)
         relabeled = [tuple(labels[moved[i]] for i in by_label) for moved in action]
         beta_inv = invert_images(beta)
         intertwines = relabeled == [tuple(beta[g[x]] for x in beta_inv) for g in gens]
-        action_group = PermGroup(relabeled)
-        action_doubly_transitive = action_group.is_doubly_transitive()
+    # an intertwined action is beta * G * beta^-1, as 2-transitive as G
+    action_doubly_transitive = intertwines and group.is_doubly_transitive()
 
     passed = simple and count_ok and cycle_ok and beta_ok and intertwines
     witness = {

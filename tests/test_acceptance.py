@@ -329,6 +329,17 @@ def test_criterion_18_full_search_p11():
     assert outcome.groups[0].verdict == "a"
 
 
+def test_criterion_19_corollary_p1009():
+    # one generator per Sylow subgroup, so only the degree cap bounds the
+    # corollary; most of the time is G's chain and is_simple's
+    with budget("19 corollary-p1009", 10):
+        result = corollary_check(1009)
+    assert result.passed
+    assert result.witness["sylow_count"] == 1010
+    assert result.witness["sylow_action_doubly_transitive"] is True
+    relabeling = result.witness["point_relabeling"]
+    assert all(x == y for x, y in relabeling) and len(relabeling) == 1010
+
 def _random_sl2(field, rng) -> Mat2:
     while True:
         a, b, c = (rng.randrange(field.order) for _ in range(3))

@@ -10,6 +10,7 @@ import pytest
 
 from psl2kit import cli, fields, psl2, search
 from psl2kit.cli import main
+from psl2kit.groups import PermGroup
 from psl2kit.projline import cycle_notation
 from psl2kit.psl2 import psl2_perm_group
 
@@ -273,8 +274,7 @@ def _gens_file(tmp_path, p):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["corollary", "--p", "149"],
-         "Sylow subgroup elements 22350 exceeds enumeration cap 20000"),
+        (["corollary", "--p", "8209"], "degree 8210 exceeds degree cap 8192"),
         (["classify", "--p", "65521", "--group", "psl2"], "degree 65522 exceeds degree cap 8192"),
         (["psl2", "--q", "65521", "--check", "order"], "degree 65522 exceeds degree cap 8192"),
         # 8209 is the first prime whose line has more points than the degree cap
@@ -318,14 +318,16 @@ def test_degree_cap_refuses_before_any_field_is_built(monkeypatch, capsys, argv)
     "argv",
     [
         ["corollary", "--p", "139"],
+        ["corollary", "--p", "257"],
         ["classify", "--p", "199", "--group", "psl2"],
         ["psl2", "--q", "1009", "--check", "order"],
     ],
-    ids=["corollary-139", "classify-199", "psl2-order-1009"],
+    ids=["corollary-139", "corollary-257", "classify-199", "psl2-order-1009"],
 )
 def test_prime_chains_run_past_the_enumeration_cap(capsys, argv):
-    """PSL(2,p) for prime p is a chain that enumerates nothing, so only the
-    degree cap bounds it, and the corollary only its p(p+1) Sylow elements."""
+    """PSL(2,p) for prime p is a chain that enumerates nothing, and the
+    corollary holds one generator per Sylow subgroup, so only the degree cap
+    bounds them."""
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0  # every check passed
     assert json.loads(out)
@@ -399,9 +401,11 @@ def test_corollary_command(capsys):
     check = payload["checks"][0]
     assert check["pass"] is True
     assert check["witness"]["sylow_count"] == 8
-    # 149 * 150 Sylow subgroup elements exceed the enumeration cap; 139 * 140 do not
-    code, _ = run_cli(capsys, "corollary", "--p", "149")
-    assert code == 4
+    # the corollary holds p + 1 Sylow generators, not their p(p + 1) elements,
+    # so p = 149 is no longer refused by the enumeration cap
+    code, out = run_cli(capsys, "corollary", "--p", "149", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witness"]["sylow_count"] == 150
 
 
 @pytest.mark.parametrize("p", ["4", "8", "9"])
@@ -487,63 +491,94 @@ def test_usage_errors(capsys):
     assert exc.value.code == 4
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("psl2_q8_simplicity", ["psl2", "--q", "8", "--check", "simplicity"]),
-        ("psl2_q9_simplicity", ["psl2", "--q", "9", "--check", "simplicity"]),
-        ("psl2_q13_simplicity", ["psl2", "--q", "13", "--check", "simplicity"]),
-        ("classify_p13_psl2", ["classify", "--p", "13", "--group", "psl2"]),
-        ("classify_p7_exceptional3", ["classify", "--p", "7", "--group", "exceptional:3"]),
-        ("psl2_q4_simplicity", ["psl2", "--q", "4", "--check", "simplicity"]),
-        ("psl2_q5_simplicity", ["psl2", "--q", "5", "--check", "simplicity"]),
-        ("psl2_q7_simplicity", ["psl2", "--q", "7", "--check", "simplicity"]),
-        ("psl2_q11_simplicity", ["psl2", "--q", "11", "--check", "simplicity"]),
-        ("classify_p11_psl2", ["classify", "--p", "11", "--group", "psl2"]),
-        ("classify_p17_psl2", ["classify", "--p", "17", "--group", "psl2"]),
-        ("classify_p7_exceptional5", ["classify", "--p", "7", "--group", "exceptional:5"]),
-        # these files hold conjugated PSL(2,p) generators; --group psl2 gives the
-        # same reports (the last two cases)
-        ("classify_p29_gens",
-         ["classify", "--p", "29", "--group", str(GOLDEN_DIR / "classify_p29.gens")]),
-        ("classify_p31_gens",
-         ["classify", "--p", "31", "--group", str(GOLDEN_DIR / "classify_p31.gens")]),
-        ("corollary_p5", ["corollary", "--p", "5"]),
-        ("corollary_p7", ["corollary", "--p", "7"]),
-        ("corollary_p11", ["corollary", "--p", "11"]),
-        ("corollary_p13", ["corollary", "--p", "13"]),
-        ("exceptional_variant3", ["exceptional", "--variant", "3"]),
-        ("exceptional_variant5", ["exceptional", "--variant", "5"]),
-        ("p3", ["p3"]),
-        ("psl2_q16_simplicity", ["psl2", "--q", "16", "--check", "simplicity"]),
-        ("psl2_q17_simplicity", ["psl2", "--q", "17", "--check", "simplicity"]),
-        ("psl2_q25_simplicity", ["psl2", "--q", "25", "--check", "simplicity"]),
-        ("psl2_q31_simplicity", ["psl2", "--q", "31", "--check", "simplicity"]),
-        ("corollary_p17", ["corollary", "--p", "17"]),
-        ("corollary_p31", ["corollary", "--p", "31"]),
-        ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
-        ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
-        # past p = 31 the group exceeds the enumeration cap, which classify does
-        # not need: it enumerates no more than the stabilizer of {0, inf}
-        *(
-            (f"classify_p{p}_gens",
-             ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")])
-            for p in (37, 41, 43)
-        ),
-        *(
-            (f"classify_p{p}_gens", ["classify", "--p", str(p), "--group", "psl2"])
-            for p in (37, 41, 43)
-        ),
-        # the corollary holds p(p+1) Sylow elements, not the group
-        ("corollary_p61", ["corollary", "--p", "61"]),
-        # with these, every prime power 3 < q <= 31 has a simplicity golden
-        *(
-            (f"psl2_q{q}_simplicity", ["psl2", "--q", str(q), "--check", "simplicity"])
-            for q in (19, 23, 27, 29)
-        ),
-    ],
-)
+GOLDEN_REPORTS = [
+    ("psl2_q8_simplicity", ["psl2", "--q", "8", "--check", "simplicity"]),
+    ("psl2_q9_simplicity", ["psl2", "--q", "9", "--check", "simplicity"]),
+    ("psl2_q13_simplicity", ["psl2", "--q", "13", "--check", "simplicity"]),
+    ("classify_p13_psl2", ["classify", "--p", "13", "--group", "psl2"]),
+    ("classify_p7_exceptional3", ["classify", "--p", "7", "--group", "exceptional:3"]),
+    ("psl2_q4_simplicity", ["psl2", "--q", "4", "--check", "simplicity"]),
+    ("psl2_q5_simplicity", ["psl2", "--q", "5", "--check", "simplicity"]),
+    ("psl2_q7_simplicity", ["psl2", "--q", "7", "--check", "simplicity"]),
+    ("psl2_q11_simplicity", ["psl2", "--q", "11", "--check", "simplicity"]),
+    ("classify_p11_psl2", ["classify", "--p", "11", "--group", "psl2"]),
+    ("classify_p17_psl2", ["classify", "--p", "17", "--group", "psl2"]),
+    ("classify_p7_exceptional5", ["classify", "--p", "7", "--group", "exceptional:5"]),
+    # these files hold conjugated PSL(2,p) generators; --group psl2 gives the
+    # same reports (the last two cases)
+    ("classify_p29_gens",
+     ["classify", "--p", "29", "--group", str(GOLDEN_DIR / "classify_p29.gens")]),
+    ("classify_p31_gens",
+     ["classify", "--p", "31", "--group", str(GOLDEN_DIR / "classify_p31.gens")]),
+    ("corollary_p5", ["corollary", "--p", "5"]),
+    ("corollary_p7", ["corollary", "--p", "7"]),
+    ("corollary_p11", ["corollary", "--p", "11"]),
+    ("corollary_p13", ["corollary", "--p", "13"]),
+    ("exceptional_variant3", ["exceptional", "--variant", "3"]),
+    ("exceptional_variant5", ["exceptional", "--variant", "5"]),
+    ("p3", ["p3"]),
+    ("psl2_q16_simplicity", ["psl2", "--q", "16", "--check", "simplicity"]),
+    ("psl2_q17_simplicity", ["psl2", "--q", "17", "--check", "simplicity"]),
+    ("psl2_q25_simplicity", ["psl2", "--q", "25", "--check", "simplicity"]),
+    ("psl2_q31_simplicity", ["psl2", "--q", "31", "--check", "simplicity"]),
+    ("corollary_p17", ["corollary", "--p", "17"]),
+    ("corollary_p31", ["corollary", "--p", "31"]),
+    ("classify_p29_gens", ["classify", "--p", "29", "--group", "psl2"]),
+    ("classify_p31_gens", ["classify", "--p", "31", "--group", "psl2"]),
+    # past p = 31 the group exceeds the enumeration cap, which classify does
+    # not need: it enumerates no more than the stabilizer of {0, inf}
+    *(
+        (f"classify_p{p}_gens",
+         ["classify", "--p", str(p), "--group", str(GOLDEN_DIR / f"classify_p{p}.gens")])
+        for p in (37, 41, 43)
+    ),
+    *(
+        (f"classify_p{p}_gens", ["classify", "--p", str(p), "--group", "psl2"])
+        for p in (37, 41, 43)
+    ),
+    # the corollary holds one generator per Sylow subgroup, not the group
+    ("corollary_p61", ["corollary", "--p", "61"]),
+    # with these, every prime power 3 < q <= 31 has a simplicity golden
+    *(
+        (f"psl2_q{q}_simplicity", ["psl2", "--q", str(q), "--check", "simplicity"])
+        for q in (19, 23, 27, 29)
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_REPORTS)
 def test_golden_reports(capsys, name, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+# the search goldens are reports of the search itself; the command adds the
+# predicted group count to them
+SEARCH_GOLDENS = [
+    (path.stem, ["search", "--p", p, "--mode", mode])
+    for path in sorted(GOLDEN_DIR.glob("search_p*.json"))
+    for p, mode in [path.stem.removeprefix("search_p").split("_")]
+]
+
+
+def test_no_command_reaches_the_class_scan_or_the_set_conjugation(monkeypatch, capsys):
+    """With the conjugacy class scan, the conjugation of element sets and
+    the Sylow scan refused, every golden's command still exits 0 with its
+    golden bytes: no command needs them."""
+    def refuse(self, *args):
+        raise AssertionError("a command reached a scan no command needs")
+
+    for name in ("conjugacy_classes", "conjugation_action", "sylow_subgroups"):
+        monkeypatch.setattr(PermGroup, name, refuse)
+    cases = GOLDEN_REPORTS + SEARCH_GOLDENS
+    assert {name for name, _ in cases} == {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    for name, argv in cases:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert (name, code) == (name, 0)
+        if argv[0] == "search":
+            payload = json.loads(out)
+            assert payload.pop("matches_prediction") is True
+            del payload["expected_groups"]
+            out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert out == (GOLDEN_DIR / f"{name}.json").read_text(), name

@@ -210,8 +210,9 @@ def test_cli_is_the_only_report_writer():
 
 
 def test_no_command_reaches_the_sylow_scan():
-    # the Sylow scan stays inside groups.py: no other module calls it
-    scan = {"sylow_subgroups", "sylow_count"}
+    # the Sylow scan, and the conjugation of element sets it ends with, stay
+    # inside groups.py: no other module calls them
+    scan = {"sylow_subgroups", "sylow_count", "conjugation_action"}
     found = [
         f"{name}:{node.lineno} {node.attr if isinstance(node, ast.Attribute) else node.id}"
         for name, node in _nodes()

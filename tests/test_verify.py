@@ -10,7 +10,7 @@ from psl2kit import fields, search
 from psl2kit import verify as verify_module
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
-from psl2kit.groups import PermGroup
+from psl2kit.groups import PermGroup, closure_images
 from psl2kit.projline import compose_images, identity_images, invert_images
 from psl2kit.psl2 import psl2_perm_group
 from psl2kit.verify import (
@@ -41,6 +41,7 @@ from conftest import (
     line_over,
     psl2_cached,
     reference_cycle_notation,
+    reference_fixed_points,
     regular8_cached,
     twist_case,
 )
@@ -620,8 +621,9 @@ def test_corollary_pipeline(p):
 def test_corollary_range():
     with pytest.raises(ValueError):
         corollary_check(3)
-    with pytest.raises(ValueError):
-        corollary_check(149)
+    # 8209 is the first prime whose line has more points than the degree cap
+    with pytest.raises(ValueError, match="^degree 8210 exceeds degree cap 8192$"):
+        corollary_check(8209)
 
 
 def test_corollary_enumerates_nothing(monkeypatch):
@@ -630,16 +632,100 @@ def test_corollary_enumerates_nothing(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "element_images", refuse)
     monkeypatch.setattr(PermGroup, "sylow_subgroups", refuse)
+    monkeypatch.setattr(PermGroup, "conjugation_action", refuse)
     for p in (5, 7, 11, 37):
         assert corollary_check(p).passed
+
+
+def _set_based_corollary(p):
+    """The corollary checked on element sets, as it was before each Sylow
+    subgroup became one generator: the subgroups are the p-element
+    conjugates of <z+1> from ``conjugation_action``, each is named by the
+    fixed points of its least non-identity member, and the relabeled action
+    builds its own chain."""
+    group = psl2_perm_group(p)
+    line = group.line
+    simple = group.is_simple()
+    ident = identity_images(line.size)
+    sigma = line.translation(1)
+    powers = [ident]
+    for _ in range(p - 1):
+        powers.append(compose_images(sigma, powers[-1]))
+    sylows, action = group.conjugation_action(powers)
+    count_ok = len(sylows) == p + 1
+    gens = group.generators
+    shift = action[gens.index(sigma)]
+    home = next(i for i, sub in enumerate(sylows) if sigma in sub)
+    labels = {home: line.infinity}
+    cur = start = min(i for i in range(len(sylows)) if i != home)
+    for i in range(p):
+        labels.setdefault(cur, i)
+        cur = shift[cur]
+    cycle_ok = cur == start and len(labels) == p + 1
+    beta = [None] * line.size
+    if cycle_ok:
+        for idx, sub in enumerate(sylows):
+            member = min(x for x in sub if x != ident)
+            fixed = [x for x, y in enumerate(member) if x == y]
+            if len(fixed) == 1 and beta[fixed[0]] is None:
+                beta[fixed[0]] = labels[idx]
+    beta_ok = cycle_ok and None not in beta
+    intertwines = action_doubly_transitive = False
+    if beta_ok:
+        by_label = sorted(labels, key=labels.get)
+        relabeled = [tuple(labels[moved[i]] for i in by_label) for moved in action]
+        beta_inv = invert_images(beta)
+        intertwines = relabeled == [tuple(beta[g[x]] for x in beta_inv) for g in gens]
+        action_doubly_transitive = PermGroup(relabeled).is_doubly_transitive()
+    passed = simple and count_ok and cycle_ok and beta_ok and intertwines
+    witness = {
+        "simple": simple,
+        "sylow_count": len(sylows),
+        "expected_sylow_count": p + 1,
+        "translation_cycle_labels": cycle_ok,
+        "point_relabeling": [
+            [line.point_name(x), line.point_name(beta[x])] for x in range(line.size)
+        ]
+        if beta_ok
+        else None,
+        "conjugation_action_matches": intertwines,
+        "sylow_action_doubly_transitive": action_doubly_transitive,
+    }
+    return passed, witness
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if fields.is_prime(p)])
+def test_corollary_matches_the_set_based_check(p):
+    result = corollary_check(p)
+    assert (result.passed, result.witness) == _set_based_corollary(p)
+
+
+def test_corollary_builds_two_chains(monkeypatch):
+    # G's chain and is_simple's derived subgroup; the Sylow action is
+    # checked against G's own, so it builds none
+    built = []
+    real = PermGroup.__init__
+
+    def spy(self, generators, **kwargs):
+        built.append(kwargs)
+        real(self, generators, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", spy)
+    for p in (5, 7, 13, 61):
+        built.clear()
+        assert corollary_check(p).passed
+        assert len(built) == 2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_sylow_orbit_is_every_sylow_subgroup(p):
     group = psl2_cached(p)
-    sylows, action = sylow_orbit(group, p)
-    assert sylows == group.sylow_subgroups(p)
+    gens, action = sylow_orbit(group, p)
+    sylows = [closure_images([x]) for x in gens]
+    assert set(sylows) == set(group.sylow_subgroups(p))
     assert len(sylows) == p + 1
+    # each generator fixes one point, and they come in the order of those points
+    assert [sorted(reference_fixed_points(x)) for x in gens] == [[f] for f in range(p + 1)]
     # each generator permutes the subgroups as conjugation does
     for g, moved in zip(group.generators, action):
         for sub, image in zip(sylows, moved):
@@ -667,8 +753,8 @@ def test_sylow_orbit_against_sympy(p):
             if image not in conjugates:
                 conjugates.add(image)
                 queue.append(image)
-    sylows, _ = sylow_orbit(group, p)
-    assert set(sylows) == conjugates
+    gens, _ = sylow_orbit(group, p)
+    assert {closure_images([x]) for x in gens} == conjugates
     assert len(conjugates) == p + 1
 
 
@@ -710,6 +796,42 @@ def test_exceptional_report_builds_the_presented_group_once(monkeypatch, variant
     assert result.passed and result.witness["presentation_matches"] is True
     presentation = list(exceptional_cached(variant).generators)
     assert [gens == presentation for gens in built] == [True, False, False]
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_exceptional_matches_come_from_two_comparisons(monkeypatch, variant):
+    # presentation_matches compares the presentation's product closure with
+    # the group's elements, and builtin_exceptional_matches the chains of
+    # build_exceptional(variant) and the group: breaking one method turns
+    # only its own key false
+    group = exceptional_cached(variant)
+    presentation = list(group.generators)
+    passed, honest = _exceptional_structure(group, variant)
+    assert passed
+    real_closure = verify_module.closure_images
+    real_same = verify_module._same_group
+    # an odd permutation, outside the group, whose elements are all even
+    outsider = (1, 0, *range(2, 8))
+    assert not group.contains(outsider)
+
+    def forged_closure(gens, limit=None):
+        closure = set(real_closure(gens, limit))
+        closure.remove(max(closure))
+        return frozenset(closure | {outsider})
+
+    def forged_same(a, b):
+        return list(a.generators) != presentation and real_same(a, b)
+
+    for name, forgery, key in (
+        ("closure_images", forged_closure, "presentation_matches"),
+        ("_same_group", forged_same, "builtin_exceptional_matches"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, name, forgery)
+            passed, witness = _exceptional_structure(group, variant)
+        assert not passed
+        assert {k for k in honest if witness[k] != honest[k]} == {key}
+        assert witness[key] is False
 
 
 def test_classify_requires_matching_line():
