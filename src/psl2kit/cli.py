@@ -14,11 +14,12 @@ import sys
 
 from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
 from .fields import MAX_DEGREE, MAX_FIELD_ORDER, check_cap, is_prime
-from .groups import PermGroup
+from .groups import OrderBoundExceeded, PermGroup
 from .projline import ProjLine
 from .psl2 import (
     ProofStepFails,
     certify_simplicity,
+    moebius_order_bound,
     psl2_expected_order,
     psl2_perm_group,
 )
@@ -49,6 +50,7 @@ INVARIANT_ERRORS = (
     NoIrreduciblePolynomial,
     NoPrimitiveElement,
     NoTwistExponent,
+    OrderBoundExceeded,
     ProofStepFails,
     SearchInvariantError,
     SpecialCaseContradiction,
@@ -171,7 +173,9 @@ def load_generators_file(path: str, p: int) -> PermGroup:
     perms = [line_obj.from_cycles(text) for text in lines[1:]]
     if not perms:
         raise ValueError("generators file lists no permutations")
-    return PermGroup(perms)
+    # Moebius maps of square determinant generate a subgroup of PSL(2,p),
+    # which bounds the order the chain may stop at; any other file gets none
+    return PermGroup(perms, order=moebius_order_bound(perms, p))
 
 
 def _resolve_group(args) -> PermGroup:

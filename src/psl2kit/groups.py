@@ -6,7 +6,8 @@ an element list).  A group is generators on n points, n the length of their
 image tuples, and point n-1 is named inf.  The base opens at 0 and then inf,
 the points Frobenius' argument stabilizes, or at ``base_prefix`` if given,
 and then takes the smallest moved points encountered; every Schreier
-generator is sifted until the chain is closed, and each strong generator's
+generator is sifted until the chain is closed, or until its order reaches a
+proven bound (known-order termination, below), and each strong generator's
 inverse is computed once.  Orbits grow in place: a new strong generator
 appends the points it reaches to the transversals and leaves every existing
 entry as it was, so an element that sifted once keeps sifting, and each
@@ -63,6 +64,30 @@ gather across many elements.
 (the orbit of the identity), point orbits and conjugacy classes all run
 through it.  The chain does not: its orbits resume from earlier state and
 record transversals, and ``closure_images`` must stay independent of it.
+
+Known-order termination (Seress, section 4.5): ``PermGroup(gens, order=N)``
+takes a proven upper bound N on |G| and stops building the chain once the
+product of its orbit lengths reaches N.  The stop is exact.  At every
+moment of the build, level i's transversal entries fix the earlier base
+points and map the level's base point to distinct orbit points, so the
+products u_1 * u_2 * ... * u_k, one entry per level, are distinct elements
+of G (u_1 alone decides the image of the first base point, and so on down):
+a partial chain's orbit product is at most |G|.  At equality with N >= |G|
+these products are all of G, so every element of G sifts to 1 and every
+level generates its full stabilizer: the chain is complete.  Every Schreier
+generator the full build would still test sifts to 1 and inserts nothing,
+and no orbit can grow.  Generators given after that point are still
+inserted, as the full build inserts them, and only the closing is skipped.
+So the stopped chain has the full build's base, strong generators and
+transversals, and every query answers as it would.  An orbit product above
+N refutes the bound and raises ``OrderBoundExceeded``.  The bound is
+checked where orbits grow, ``_extend_orbit``, since closing a level
+re-extends its orbit as well as inserting a generator does.  A group that
+never reaches N is built in full; an N that is not proven can stop an
+incomplete chain, so each caller states its proof beside the call.  A
+normal closure lies in its group, whose chain is complete, so it takes
+that group's order as its bound: the derived subgroup of a perfect group
+stops as soon as it reaches the group.
 """
 
 from __future__ import annotations
@@ -90,6 +115,14 @@ class SeedNotInGroup(ValueError):
     pass
 
 
+class OrderBoundExceeded(RuntimeError):
+    """A chain's orbit product passed the order bound its caller proved."""
+
+
+class _ChainComplete(Exception):
+    """Raised inside a build once the orbit product equals the proven bound."""
+
+
 class PrimeDoesNotDivideOrder(ValueError):
     pass
 
@@ -114,19 +147,21 @@ def orbit(seeds, gens, act, limit: int | None = None) -> frozenset | None:
     return frozenset(seen)
 
 
-def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]] | None:
-    """Exhaustive product closure of image tuples: the orbit of the identity
+def closure_images(gens, limit: int | None = None) -> frozenset | None:
+    """Exhaustive product closure of permutations: the orbit of the identity
     under multiplication by the generators.
 
     Returns the full element set, or None as soon as it outgrows ``limit``.
     Independent of the stabilizer chain; used as its order oracle and by the
     classification search.
 
-    Up to 256 points each element is a ``bytes`` while the orbit grows, and
-    ``x.translate(table)`` multiplies it on the left by a generator, whose
-    256-byte table is its images padded with the fixed points up to 255;
-    the elements become image tuples once, on return.  Past 256 points
-    they stay image tuples throughout.
+    The generators are image tuples or ``bytes``, and the elements come
+    back in the first generator's type.  Up to 256 points each element is a
+    ``bytes`` while the orbit grows, and ``x.translate(table)`` multiplies
+    it on the left by a generator, whose 256-byte table is its images
+    padded with the fixed points up to 255; for tuple generators the
+    elements become image tuples once, on return.  Past 256 points they
+    stay image tuples throughout.
     """
     gens = list(dict.fromkeys(gens))
     if not gens:
@@ -137,7 +172,9 @@ def closure_images(gens, limit: int | None = None) -> frozenset[tuple[int, ...]]
     pad = bytes(range(n, 256))
     tables = [bytes(g) + pad for g in gens]
     closure = orbit([bytes(range(n))], tables, bytes.translate, limit)
-    return None if closure is None else frozenset(map(tuple, closure))
+    if closure is None or isinstance(gens[0], bytes):
+        return closure
+    return frozenset(map(tuple, closure))
 
 
 def _conjugator(g: tuple[int, ...], g_inv: tuple[int, ...]):
@@ -181,13 +218,18 @@ class PermGroup:
     """Permutation group on the points 0..n-1, n its generators' degree,
     queried through its chain.
 
-    The chain is built from ``generators``, each checked once to be a
-    bijection of n >= 1 points, by Schreier-Sims with in-place orbit
-    extension; see the module docstring.
+    The chain is built from ``generators``, image tuples or ``bytes``, each
+    kept as an image tuple and checked once to be a bijection of n >= 1
+    points, by Schreier-Sims with in-place orbit extension; see the module
+    docstring.  ``order``, when given, must be a proven upper bound on the
+    group's order: the build stops once the orbit product reaches it
+    (known-order termination, module docstring).
     """
 
-    def __init__(self, generators, *, base_prefix: tuple[int, ...] | None = None):
-        generators = list(generators)
+    def __init__(
+        self, generators, *, base_prefix: tuple[int, ...] | None = None, order: int | None = None
+    ):
+        generators = [tuple(g) for g in generators]  # image tuples or bytes
         if not generators:
             raise ValueError("need at least one generator")
         self.degree: int = len(generators[0])
@@ -200,6 +242,7 @@ class PermGroup:
             if not self.degree or not set(g).issuperset(self._ident):
                 raise NotABijection(f"a generator is not a permutation of n >= 1 points, n = {self.degree}")
         self._inverses: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._order_bound = order
         if base_prefix is None:
             base_prefix = (0, self.degree - 1)
         # a repeated base point, or one the group fixes, opens a level with a
@@ -211,13 +254,23 @@ class PermGroup:
     # -- chain construction --
 
     def _extend(self, images) -> tuple[tuple[int, ...], ...]:
-        """Add generators and re-close the chain; returns the new ones."""
+        """Add generators and re-close the chain; returns the new ones.
+        Every new generator is inserted, as a full build would; a chain at
+        its order bound is complete, so closing it would change nothing."""
         known = set(self.generators)
         fresh = tuple(img for img in dict.fromkeys(images) if img not in known)
         self.generators += fresh
+        complete = self.order() == self._order_bound
         for img in fresh:
-            self._insert(img, 0)
-        self._close_chain()
+            try:
+                self._insert(img, 0)
+            except _ChainComplete:
+                complete = True
+        if not complete:
+            try:
+                self._close_chain()
+            except _ChainComplete:
+                pass
         return fresh
 
     def _inverse(self, img: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,10 +295,13 @@ class PermGroup:
         self._extend_orbit(idx)
 
     def _extend_orbit(self, idx: int) -> None:
-        """Append the points the level's generators newly reach."""
+        """Append the points the level's generators newly reach, then hold
+        the orbit product against the order bound, if any: at the bound
+        the chain is complete and the build stops."""
         gens = self.stabilizer_generators(idx)
         trans = self._levels[idx].transversal
         queue = list(trans)
+        known = len(queue)
         for x in queue:
             ux, ux_inv = trans[x]
             for g in gens:
@@ -253,6 +309,14 @@ class PermGroup:
                 if y not in trans:
                     trans[y] = (compose_images(g, ux), compose_images(ux_inv, self._inverse(g)))
                     queue.append(y)
+        bound = self._order_bound
+        # the orbit product changes only where an orbit grows
+        if bound is not None and len(queue) > known:
+            reached = self.order()
+            if reached > bound:
+                raise OrderBoundExceeded(f"orbit product {reached} exceeds the proven order {bound}")
+            if reached == bound:
+                raise _ChainComplete
 
     def _sift_images(self, img: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
         """Reduce img through the chain from level ``start``; returns the residue."""
@@ -460,7 +524,8 @@ class PermGroup:
             if not self.contains(s):
                 raise SeedNotInGroup(f"{cycle_notation(s)} is not in the group")
         closure_gens = [s for s in dict.fromkeys(seeds) if s != self._ident]
-        group = PermGroup(closure_gens or [self._ident])
+        # the closure lies in this group, whose chain is complete
+        group = PermGroup(closure_gens or [self._ident], order=self.order())
         conjugators = self._conjugators()
         frontier = group.generators
         while frontier:

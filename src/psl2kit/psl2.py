@@ -216,11 +216,50 @@ def psl2_perm_group(q: int) -> PermGroup:
     field = field_of_order(q)
     line = ProjLine(field)
     translations = [line.translation(field.p**i) for i in range(field.degree)]
-    return PermGroup(translations + [line.neg_reciprocal()])
+    # the generators are the determinant-1 maps (1 b; 0 1) and (0 -1; 1 0),
+    # so G <= PSL(2,q) by construction and the chain may stop at its order
+    return PermGroup(translations + [line.neg_reciprocal()], order=psl2_expected_order(q))
 
 
 def psl2_expected_order(q: int) -> int:
     return (q**3 - q) // (2 if q % 2 else 1)
+
+
+def moebius_order_bound(generators, p: int) -> int | None:
+    """|PSL(2,p)| when every generator, an image tuple on the projective
+    line over GF(p), p prime, is a Moebius map z -> (az+b)/(cz+d) whose
+    determinant is a nonzero square: such maps lie in PSL(2,p), so they
+    generate a subgroup of it.  None otherwise.
+
+    A Moebius map is fixed by its images A, B, C of inf, 0 and 1.  With
+    v(X) = (X, 1) and v(inf) = (1, 0), the matrix with columns
+    det(v(C), v(B)) * v(A) and det(v(A), v(C)) * v(B) sends inf to A, 0 to
+    B and (1, 1) to det(v(A), v(B)) * v(C) (Cramer's rule), so to C.  Its
+    determinant is the product of the three 2x2 determinants, and scaling
+    a matrix keeps the square class of its determinant.  The map is then
+    checked at every finite point, O(p) per generator; inf holds by
+    construction."""
+    inf = p
+
+    def v(x):
+        return (1, 0) if x == inf else (x, 1)
+
+    def det(u, w):
+        return (u[0] * w[1] - u[1] * w[0]) % p
+
+    for g in generators:
+        va, vb, vc = v(g[inf]), v(g[0]), v(g[1])
+        lam, mu = det(vc, vb), det(va, vc)
+        a, c, b, d = lam * va[0], lam * va[1], mu * vb[0], mu * vb[1]
+        determinant = lam * mu * det(va, vb) % p
+        if not determinant or pow(determinant, (p - 1) // 2, p) != 1:
+            return None
+        # g(z) * (cz + d) = az + b, with g(z) = inf exactly where cz + d = 0
+        for z in range(p):
+            den = (c * z + d) % p
+            if (g[z] == inf) != (den == 0) or den and (g[z] * den - a * z - b) % p:
+                return None
+    return psl2_expected_order(p)
 
 
 def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozenset[int] | None:

@@ -43,6 +43,19 @@ shape loses nothing.  Each found group is re-checked against the hypotheses and
 classified, and the swap-free base subgroup is re-verified by closure to
 have order p*(p-1)/2, before any candidate, so the order argument above
 is honest.
+
+The search runs on ``bytes`` from candidate to digest: p + 1 <= 256, so
+each permutation is a ``bytes`` of its images.  ``bytes.translate`` takes
+a table of exactly 256 bytes, so a permutation's table is its images
+padded with the fixed points p + 1 .. 255, and ``x.translate(table_b)`` is
+the product b*x (x first), one C-level pass.  The tables of z+k and sigma
+are built once per search, one per candidate for s.  B's element set and
+each found group's closure are sets of ``bytes`` from
+``groups.closure_images``, the one closure routine, and only a found
+group's chain turns its three generators into image tuples.  That chain
+is built with the order the Schreier test proved, (p^3-p)/2, and stops
+there (``groups``, known-order termination).  Its order must still be
+(p^3-p)/2, and the closure must still have its order.
 """
 
 from __future__ import annotations
@@ -50,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import namedtuple
-from operator import itemgetter
 
 from .fields import (
     MAX_FULL_SEARCH_PRIME,
@@ -61,7 +73,7 @@ from .fields import (
     quadratic_classes,
 )
 from .groups import PermGroup, closure_images
-from .projline import ProjLine, compose_images, identity_images
+from .projline import ProjLine
 from .psl2 import psl2_expected_order
 from .verify import classify
 
@@ -90,64 +102,95 @@ class SearchOutcome(namedtuple(
         return {**self._asdict(), "groups": [g._asdict() for g in self.groups]}
 
 
+# the decimal digits of the point names 0..255, hundreds, tens and ones;
+# NUL marks a digit a name does not have.  Built from a few byte strings,
+# so that importing the module stays cheap.
+_TEN_OF_EACH = b"".join(bytes([d]) * 10 for d in b"0123456789")  # tens of 0..99
+_HUNDREDS = bytes(100) + b"1" * 100 + b"2" * 56
+_TENS = (bytes(10) + _TEN_OF_EACH[10:] + _TEN_OF_EACH * 2)[:256]
+_ONES = (b"0123456789" * 26)[:256]
+
+
 def element_set_hash(images_set) -> str:
-    """Canonical digest of a group's element set: sorted image tuples,
-    comma-joined, semicolon-separated.  Each tuple is joined from the
-    points' strings, made once, by one gather."""
-    images = sorted(images_set)
-    names = tuple(map(str, range(len(images[0])))) if images else ()
-    blob = ";".join(",".join(itemgetter(*img)(names)) for img in images)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    """Canonical digest of a group's element set on up to 256 points, given
+    as image tuples or ``bytes``: the SHA-256 of the sorted elements' point
+    names, comma-joined, semicolon-separated.  Sorted ``bytes`` order is
+    sorted tuple order at equal length.  The text is built for all elements
+    at once: the concatenated elements are translated into their hundreds,
+    tens and ones digit columns, which are interleaved with the separators
+    by slice assignment, and the NULs of missing digits are dropped."""
+    elements = sorted(images_set)
+    n = len(elements[0]) if elements else 0
+    if elements and not isinstance(elements[0], bytes):
+        elements = list(map(bytes, elements))
+    flat = b"".join(elements)
+    text = bytearray(4 * len(flat))
+    text[0::4] = flat.translate(_HUNDREDS)
+    text[1::4] = flat.translate(_TENS)
+    text[2::4] = flat.translate(_ONES)
+    text[3::4] = (b"," * (n - 1) + b";") * len(elements)
+    return hashlib.sha256(text[:-1].translate(None, b"\0")).hexdigest()
 
 
-def _base_generators(line: ProjLine, p: int) -> list[tuple[int, ...]]:
-    return [line.translation(1), line.scaling(quadratic_classes(p).square_generator)]
+def _base_generators(line: ProjLine, p: int) -> list[bytes]:
+    return [
+        bytes(line.translation(1)),
+        bytes(line.scaling(quadratic_classes(p).square_generator)),
+    ]
 
 
-def _unit_words(swap, shifts):
+def _unit_words(swap: bytes, table: bytes, shifts: list[bytes]):
     """s^2 * u_{s(x)}^-1 * s * u_x = s*(z-s(x))*s*(z+x)*s for each unit x, in
-    order, with ``shifts[k]`` = z+k: once s^2 lies in B, each lies in B
-    exactly when the Schreier generator of s at x does (module docstring).
-    Lazy, so a test that stops at the first word outside B builds no more."""
+    order, with ``table`` the swap's and ``shifts[k]`` the table of z+k:
+    once s^2 lies in B, each lies in B exactly when the Schreier generator
+    of s at x does (module docstring).  Lazy, so a test that stops at the
+    first word outside B builds no more."""
     for x in range(1, len(shifts)):
-        word = compose_images(swap, compose_images(shifts[x], swap))
-        yield compose_images(swap, compose_images(shifts[-swap[x]], word))
+        word = swap.translate(shifts[x]).translate(table)
+        yield word.translate(shifts[-swap[x]]).translate(table)
 
 
-def _decide_candidates(base: list[tuple[int, ...]], base_elements, target: int, swap_candidates):
+def _decide_candidates(base: list[bytes], base_elements, target: int, swap_candidates):
     """Decide each candidate swap in turn, yielding (decision, found):
     ``found`` is (chain, closure) for a NEW group and None otherwise;
     ``base`` is z+1 and sigma, and ``base_elements`` the group B they
-    generate.  Non-bijective candidates arrive as None and are REJECTED.
-    A swap is tested by the Schreier generators of G_inf that can lie
-    outside B, in the module docstring's order: s^2, then s^-1*sigma*s as
-    s*sigma*s, then the unit words.  One outside B rejects it.  A swap
-    whose first two lie in B is a DUPLICATE when a found group holds it,
-    before any unit word is built."""
+    generate, all as ``bytes``.  Non-bijective candidates arrive as None
+    and are REJECTED.  A swap is tested by the Schreier generators of G_inf
+    that can lie outside B, in the module docstring's order: s^2, then
+    s^-1*sigma*s as s*sigma*s, then the unit words.  One outside B rejects
+    it.  A swap whose first two lie in B is a DUPLICATE when a found group
+    holds it, before any unit word is built."""
     translation, sigma = base
-    shifts = [identity_images(len(translation))]  # z+k = (z+1)^k, k = 0..p-1
+    pad = bytes(range(len(translation), 256))
+    shifts = [bytes(range(256))]  # the tables of z+k = (z+1)^k, k = 0..p-1
     for _ in range(len(translation) - 2):
-        shifts.append(compose_images(translation, shifts[-1]))
+        shifts.append(shifts[-1].translate(translation + pad))
+    sigma_table = sigma + pad
     closures: list[frozenset] = []
     for swap in swap_candidates:
+        if swap is None:
+            yield REJECTED, None
+            continue
+        table = swap + pad
         if (
-            swap is None
-            or compose_images(swap, swap) not in base_elements
-            or compose_images(swap, compose_images(sigma, swap)) not in base_elements
+            swap.translate(table) not in base_elements
+            or swap.translate(sigma_table).translate(table) not in base_elements
         ):
             yield REJECTED, None
             continue
         if any(swap in closure for closure in closures):
             yield DUPLICATE, None
             continue
-        if not all(word in base_elements for word in _unit_words(swap, shifts)):
+        if not all(word in base_elements for word in _unit_words(swap, table, shifts)):
             yield REJECTED, None
             continue
-        group = PermGroup(base + [swap])
+        gens = [*base, swap]
+        # the Schreier test proved |<B, s>| = (p+1) * |B| = target (module
+        # docstring), so the chain may stop there
+        group = PermGroup(gens, order=target)
         if group.order() != target:
-            # the Schreier test proved |G| = (p+1) * |base| (module docstring)
             raise SearchInvariantError(f"complete chain has order {group.order()}, not {target}")
-        closure = closure_images(base + [swap], limit=target)
+        closure = closure_images(gens, limit=target)
         if closure is None or len(closure) != group.order():
             size = "more than the limit" if closure is None else len(closure)
             raise SearchInvariantError(
@@ -178,7 +221,7 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
         if decision == NEW:
             found[element_set_hash(new[1])] = new
 
-    neg_recip = line.neg_reciprocal()
+    neg_recip = bytes(line.neg_reciprocal())
     groups = []
     for digest in sorted(found):
         group, closure = found[digest]
@@ -204,28 +247,34 @@ def _run_search(p: int, mode: str, swap_candidates) -> SearchOutcome:
 
 def _constrained_candidates(p: int):
     """Swap maps c*z^n on squares, d*z^n on non-squares, lexicographic in
-    (n, c, d).  Non-bijective combinations yield None but still count as
-    examined candidates."""
+    (n, c, d), as ``bytes``.  Non-bijective combinations yield None but
+    still count as examined candidates.
+
+    Per exponent one ``bytes`` holds z^n at each unit z, offset by p on
+    the non-squares, so one ``translate`` through a table of c*x for x < p
+    and d*x for the next p values makes the units' row for (c, d)."""
     half = (p - 1) // 2
-    units = range(1, p)
     squares = set(quadratic_classes(p).squares)
-    square_mask = [z in squares for z in units]
     exponents = [
         n for n in range(1, p - 1, 2) if (n * n - 1) % half == 0
     ]
+    head, tail = bytes([p]), bytes([0])  # 0 -> inf, inf -> 0
+    scaled = [bytes(c * x % p for x in range(p)) for c in range(p)]
+    padded = [row + bytes(256 - 2 * p) for row in scaled]
     for n in exponents:
-        powers = [pow(z, n, p) for z in units]
-        for c in units:
-            for d in units:
-                row = [(c if square else d) * w % p for square, w in zip(square_mask, powers)]
-                yield (p, *row, 0) if len(set(row)) == p - 1 else None
+        powers = bytes(pow(z, n, p) + (0 if z in squares else p) for z in range(1, p))
+        for c in range(1, p):
+            for d in range(1, p):
+                row = powers.translate(scaled[c] + padded[d])
+                yield head + row + tail if len(set(row)) == p - 1 else None
 
 
 def _full_candidates(p: int):
     """Every bijection with 0 and inf exchanged, lexicographic over the
-    arrangements of the units."""
+    arrangements of the units, as ``bytes``."""
+    head, tail = bytes([p]), bytes([0])
     for arrangement in itertools.permutations(range(1, p)):
-        yield (p, *arrangement, 0)
+        yield head + bytes(arrangement) + tail
 
 
 def constrained_search(p: int) -> SearchOutcome:

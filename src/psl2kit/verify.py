@@ -729,7 +729,9 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
         )
     )
     transported_ok = _same_group(transported, group)
-    not_simple = not group.is_simple()
+    # a proper nontrivial normal subgroup refutes simplicity, with no
+    # derived subgroup to build
+    not_simple = normal8_ok or not group.is_simple()
 
     witness = {
         "variant": variant,

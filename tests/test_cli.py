@@ -169,6 +169,53 @@ def test_certificate_step_that_misses_exits_3(capsys, monkeypatch):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_forged_order_bound_exits_3(capsys, monkeypatch, tmp_path):
+    # a bound the orbit product passes without equalling it is refuted by
+    # the chain, whether the construction or the loader supplied it
+    monkeypatch.setattr(psl2, "psl2_expected_order", lambda q: 167)
+    assert main(["psl2", "--q", "7", "--check", "order"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("psl2kit: invariant violated: OrderBoundExceeded: orbit product ")
+    assert captured.err.endswith(" exceeds the proven order 167\n")
+    monkeypatch.undo()
+    path = tmp_path / "psl2_7.gens"
+    path.write_text("p=7\n(0 1 2 3 4 5 6)\n(0 inf)(1 6)(2 3)(4 5)\n")
+    monkeypatch.setattr(cli, "moebius_order_bound", lambda gens, p: 167)
+    assert main(["classify", "--p", "7", "--group", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("psl2kit: invariant violated: OrderBoundExceeded: ")
+
+
+@pytest.mark.parametrize(
+    "cycles,bound",
+    [
+        (["(0 1 2 3 4 5 6)", "(0 inf)(1 6)(2 3)(4 5)"], 168),  # z+1, -1/z
+        (["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)"], None),  # z+1, 3z: PGL(2,7)'s affine group
+        (["(0 1 2 3 4 5 6)", "(0 inf)(1 3)(2 6)(4 5)"], None),  # exceptional:3's generators
+    ],
+)
+def test_generators_file_bounds_its_chain_only_for_moebius_maps(
+    capsys, monkeypatch, tmp_path, cycles, bound
+):
+    # Moebius maps of square determinant generate a subgroup of PSL(2,p):
+    # the loader passes its order to the chain, and any other file no bound
+    path = tmp_path / "g.gens"
+    path.write_text("\n".join(["p=7", *cycles]) + "\n")
+    orders = []
+    real = cli.PermGroup
+
+    def spy(generators, **kwargs):
+        orders.append(kwargs.get("order"))
+        return real(generators, **kwargs)
+
+    monkeypatch.setattr(cli, "PermGroup", spy)
+    group = cli.load_generators_file(str(path), 7)
+    assert orders == [bound]
+    assert group.order() == (168 if bound else PermGroup(group.generators).order())
+
+
 def test_shared_parser_matches_fresh_processes(capsys):
     """main reuses one parser per process; a run of calls, a usage error
     among them, must each match the same call in a fresh interpreter."""

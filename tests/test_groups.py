@@ -15,6 +15,7 @@ from psl2kit.fields import (
 )
 from psl2kit.groups import (
     DEFAULT_ENUMERATION_CAP,
+    OrderBoundExceeded,
     PermGroup,
     PrimeDoesNotDivideOrder,
     SeedNotInGroup,
@@ -32,7 +33,7 @@ from psl2kit.projline import (
     invert_images,
     perm_order,
 )
-from psl2kit.psl2 import psl2_perm_group
+from psl2kit.psl2 import psl2_expected_order, psl2_perm_group
 
 from conftest import (
     brute_closure,
@@ -114,13 +115,17 @@ def _cycle_on(n):
         [_cycle_on(256)],
         [_cycle_on(257)],
         [ProjLine.over_prime(257).translation(1)],
+        [bytes(g) for g in psl2_cached(13).generators],
+        [bytes(_cycle_on(256))],
     ],
-    ids=["psl2-13", "cycle-256", "cycle-257", "translations-gf257"],
+    ids=["psl2-13", "cycle-256", "cycle-257", "translations-gf257", "psl2-13-bytes",
+         "cycle-256-bytes"],
 )
 def test_closure_on_both_sides_of_256_points(gens):
     # up to 256 points the closure grows on bytes, past them on image tuples:
-    # both stop one element past the limit and return the same tuples
-    oracle = frozenset(brute_closure(list(gens)))
+    # both stop one element past the limit and return elements of the
+    # generators' type, bytes for bytes and image tuples for tuples
+    oracle = frozenset(map(type(gens[0]), brute_closure(list(gens))))
     assert closure_images(gens) == oracle
     assert closure_images(gens, limit=len(oracle)) == oracle
     assert closure_images(gens, limit=len(oracle) - 1) is None
@@ -919,3 +924,142 @@ def test_closure_limit_against_brute_closure(data, draws):
     if closure is not None:
         assert closure == frozenset(brute_closure(gens))
 
+
+
+def chain_levels(group):
+    """Everything a chain holds per level: base point, strong generators,
+    and the transversal's points and entries in discovery order."""
+    return [
+        (level.point, level.gens, list(level.transversal.items()))
+        for level in group._levels
+    ]
+
+
+def random_moebius(field, rng):
+    """A uniformly drawn matrix of SL(2,q) as its map on the line."""
+    while True:
+        a, b, c = (rng.randrange(field.order) for _ in range(3))
+        if a:
+            # ad - bc = 1
+            return ProjLine(field).moebius(a, b, c, field.div(field.add(1, field.mul(b, c)), a))
+        if b:
+            d = rng.randrange(field.order)
+            return ProjLine(field).moebius(0, b, field.neg(field.inv(b)), d)
+
+
+PRIME_POWERS_TO_32 = [q for q in range(2, 33) if len(distinct_prime_factors(q)) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(PRIME_POWERS_TO_32),
+    count=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_chain_stopped_at_the_order_bound_is_the_full_chain(q, count, seed):
+    # a subset of PSL(2,q)'s Moebius maps generates a subgroup of it, so
+    # |PSL(2,q)| is a proven bound: the chain that stops there has the full
+    # chain's base, strong generators, transversals, order and membership
+    field = field_of_order(q)
+    rng = random.Random(seed)
+    gens = [random_moebius(field, rng) for _ in range(count)]
+    bounded = PermGroup(gens, order=psl2_expected_order(q))
+    full = PermGroup(gens)
+    assert bounded.base == full.base
+    assert chain_levels(bounded) == chain_levels(full)
+    assert bounded.order() == full.order()
+    members = [compose_images(rng.choice(gens), rng.choice(gens)) for _ in range(10)]
+    strangers = [tuple(rng.sample(range(q + 1), q + 1)) for _ in range(10)]
+    for perm in members + strangers:
+        assert bounded.contains(perm) == full.contains(perm)
+    assert all(bounded.contains(perm) for perm in members)
+
+
+@pytest.mark.parametrize("q", [7, 16, 27, 31])
+def test_chain_stops_once_the_orbit_product_reaches_the_bound(monkeypatch, q):
+    # PSL(2,q)'s chain reaches its order long before every Schreier
+    # generator is sifted: the stopped build sifts fewer
+    field = field_of_order(q)
+    line = ProjLine(field)
+    gens = [line.translation(field.p**i) for i in range(field.degree)] + [line.neg_reciprocal()]
+    sifts = []
+    real = PermGroup._sift_images
+
+    def counting(self, img, start=0):
+        sifts.append(start)
+        return real(self, img, start)
+
+    monkeypatch.setattr(PermGroup, "_sift_images", counting)
+    bounded = PermGroup(gens, order=psl2_expected_order(q))
+    stopped = len(sifts)
+    full = PermGroup(gens)
+    assert stopped < len(sifts) - stopped
+    assert chain_levels(bounded) == chain_levels(full)
+
+
+def test_an_order_bound_the_orbit_product_jumps_past_raises(line7):
+    # PSL(2,7) has orbit lengths at most 8, so no orbit product is the
+    # prime 167: the product passes 167 without equalling it
+    gens = [line7.translation(1), line7.neg_reciprocal()]
+    with pytest.raises(OrderBoundExceeded, match="exceeds the proven order 167"):
+        PermGroup(gens, order=167)
+
+
+@pytest.mark.parametrize("bound", [169, 336, 10**9])
+def test_an_order_bound_above_the_order_builds_the_full_chain(line7, bound):
+    gens = [line7.translation(1), line7.neg_reciprocal()]
+    assert chain_levels(PermGroup(gens, order=bound)) == chain_levels(PermGroup(gens))
+
+
+def test_a_group_below_its_bound_is_built_in_full(line7):
+    # the translations and scalings never reach |PSL(2,7)| = 168
+    gens = [line7.translation(1), line7.scaling(2)]
+    bounded = PermGroup(gens, order=168)
+    assert bounded.order() == 21
+    assert chain_levels(bounded) == chain_levels(PermGroup(gens))
+
+
+def test_generators_after_the_bound_are_inserted_as_in_a_full_build():
+    # z+1, z/(z+1), 4z and -1/z fill every orbit of PSL(2,11)'s chain as
+    # they are inserted; the fifth generator is still a strong generator
+    line = ProjLine.over_prime(11)
+    gens = [line.translation(1), line.moebius(1, 0, 1, 1), line.scaling(4),
+            line.neg_reciprocal(), compose_images(line.translation(1), line.neg_reciprocal())]
+    closes = []
+    real = PermGroup._close_chain
+    with patch.object(PermGroup, "_close_chain", lambda self: closes.append(1) or real(self)):
+        bounded = PermGroup(gens, order=660)
+        assert closes == []
+        full = PermGroup(gens)
+    assert chain_levels(bounded) == chain_levels(full)
+    assert sum(len(level.gens) for level in bounded._levels) == 5
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, 16, 25])
+def test_normal_closure_stopped_at_the_group_order_is_the_full_closure(q):
+    # a normal closure takes its group's order as its bound; built without
+    # it, the closure's chain is the same
+    group = psl2_cached(q)
+    line = group.line
+    seeds_list = [[line.translation(1)], [line.neg_reciprocal()], [group.generators[-1]]]
+    bounded = [group.normal_closure(seeds) for seeds in seeds_list]
+    real = PermGroup.__init__
+
+    def unbounded(self, generators, *, base_prefix=None, order=None):
+        real(self, generators, base_prefix=base_prefix)
+
+    with patch.object(PermGroup, "__init__", unbounded):
+        full = [group.normal_closure(seeds) for seeds in seeds_list]
+        derived_full = group.derived_subgroup()
+    assert [chain_levels(g) for g in bounded] == [chain_levels(g) for g in full]
+    assert chain_levels(group.derived_subgroup()) == chain_levels(derived_full)
+    assert group.derived_subgroup().order() == group.order()
+
+
+def test_bytes_generators_build_the_tuple_chain(line7):
+    # a chain keeps image tuples, whichever sequence type its generators come in
+    gens = [line7.translation(1), line7.neg_reciprocal()]
+    group = PermGroup([bytes(g) for g in gens], order=168)
+    assert group.generators == tuple(gens)
+    assert chain_levels(group) == chain_levels(PermGroup(gens))
+    assert PermGroup([bytes(line7.translation(1)), bytes(range(8))]).order() == 7

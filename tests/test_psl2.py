@@ -31,6 +31,7 @@ from psl2kit.psl2 import (
     mat_closure,
     mat_identity,
     certify_simplicity,
+    moebius_order_bound,
     psl2_expected_order,
     psl2_perm_group,
     sl2_generators,
@@ -1077,3 +1078,53 @@ def test_reverify_rejects_forgeries(q, draws):
         D = Mat2(f, l, 0, 0, f.inv(l))
         forged = certificate._replace(entries=tuple(e._replace(word=(D,)) for e in entries))
     assert forged.reverify() is False
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_moebius_bound_holds_for_every_element_of_psl2(p):
+    group = conftest.psl2_cached(p)
+    target = psl2_expected_order(p)
+    assert all(moebius_order_bound([g], p) == target for g in group.element_images())
+    assert moebius_order_bound(group.generators, p) == target
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_moebius_bound_refuses_what_lies_outside_psl2(p):
+    line = ProjLine.over_prime(p)
+    field = line.field
+    non_square = next(a for a in field.units() if pow(a, (p - 1) // 2, p) != 1)
+    scaling = line.scaling(non_square)
+    group = conftest.psl2_cached(p)
+    # PGL(2,p) outside PSL(2,p): the non-square scaling times each element
+    assert all(
+        moebius_order_bound([compose_images(scaling, g)], p) is None
+        for g in group.element_images()
+    )
+    # affine maps with a non-square factor; with a square one they are in
+    affine = compose_images(line.translation(1), scaling)
+    assert moebius_order_bound([affine], p) is None
+    assert moebius_order_bound([line.translation(1), affine], p) is None
+    square_affine = compose_images(line.translation(1), line.scaling(field.mul(non_square, non_square)))
+    assert moebius_order_bound([square_affine], p) == psl2_expected_order(p)
+    # a Moebius map with two images swapped is no Moebius map
+    for g in (line.neg_reciprocal(), line.translation(1)):
+        for x, y in ((0, 1), (2, p), (p - 1, 3)):
+            swapped = list(g)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            assert moebius_order_bound([tuple(swapped)], p) is None
+            assert moebius_order_bound([g, tuple(swapped)], p) is None
+
+
+def test_moebius_bound_refuses_the_exceptional_groups():
+    for variant in (3, 5):
+        group = conftest.exceptional_cached(variant)
+        assert moebius_order_bound(group.generators, 7) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_moebius_bound_exactly_when_in_psl2(p, data):
+    # against membership in PSL(2,p)'s chain, which shares no code with it
+    perm = tuple(data.draw(st.permutations(range(p + 1))))
+    in_psl2 = conftest.psl2_cached(p).contains(perm)
+    assert (moebius_order_bound([perm], p) is not None) == in_psl2

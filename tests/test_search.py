@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from psl2kit import search
 from psl2kit.cli import main
-from psl2kit.fields import CapExceeded, NotOddPrime
+from psl2kit.fields import CapExceeded, NotOddPrime, quadratic_classes
 from psl2kit.groups import PermGroup, closure_images
 from psl2kit.projline import ProjLine, compose_images, identity_images, invert_images
 from psl2kit.search import (
@@ -177,7 +180,7 @@ def lagrange_refusals(p, swap_candidates):
     scaling or z+k, k = 1..p-1, has an order not dividing (p^3-p)/2.  Each
     such word lies in <base, s>, so that group cannot have that order."""
     line = ProjLine.over_prime(p)
-    translation, scaling = search._base_generators(line, p)
+    translation, scaling = map(tuple, search._base_generators(line, p))
     shifts = [scaling]
     power = translation
     for _ in range(p - 1):
@@ -190,7 +193,7 @@ def lagrange_refusals(p, swap_candidates):
         if s is not None
         and any(
             target % reference_order(w)
-            for w in [s] + [compose_images(s, w) for w in shifts]
+            for w in [tuple(s)] + [compose_images(tuple(s), w) for w in shifts]
         )
     ]
 
@@ -225,7 +228,7 @@ def test_schreier_test_accepts_iff_closure_reaches_the_target(data, p):
     units = data.draw(
         st.one_of(st.just(line.neg_reciprocal()[1:-1]), st.permutations(range(1, p)))
     )
-    swap = (p, *units, 0)  # 0 -> inf, the units anyhow, inf -> 0
+    swap = bytes((p, *units, 0))  # 0 -> inf, the units anyhow, inf -> 0
     base = search._base_generators(line, p)
     target = (p**3 - p) // 2
     [(decision, _)] = search._decide_candidates(base, closure_images(base), target, [swap])
@@ -279,12 +282,13 @@ def schreier_reference(p):
     {s, z+1, sigma}, u_inf = 1 and u_x = (z+x)*s, into a chain of the base:
     whether the swap's G_inf is the base."""
     line = ProjLine.over_prime(p)
-    base = search._base_generators(line, p)
+    base = [tuple(g) for g in search._base_generators(line, p)]
     base_group = PermGroup(base)
     shifts = [line.translation(k) for k in range(p)]
     ident = identity_images(p + 1)
 
     def accepts(swap):
+        swap = tuple(swap)
         swap_inv = invert_images(swap)
         coset = {p: (ident, ident)}  # x -> (u_x, u_x^-1)
         for x in range(p):
@@ -394,3 +398,133 @@ def test_found_group_failing_hypotheses_raises(monkeypatch):
     monkeypatch.setattr(search, "classify", failing)
     with pytest.raises(SearchInvariantError):
         constrained_search(5)
+
+
+def tuple_element_set_hash(images_set) -> str:
+    """The digest as the search computed it on image tuples, joining each
+    tuple's cached point strings."""
+    images = sorted(images_set)
+    names = tuple(map(str, range(len(images[0])))) if images else ()
+    blob = ";".join(",".join(itemgetter(*img)(names)) for img in images)
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    elements=st.integers(min_value=2, max_value=256).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), max_size=6)
+    )
+)
+def test_element_set_hash_matches_the_joined_text(elements):
+    # the byte-column text is the joined text, on tuples and bytes alike,
+    # for one-, two- and three-digit point names
+    tuples = frozenset(map(tuple, elements))
+    expected = tuple_element_set_hash(tuples)
+    assert element_set_hash(tuples) == expected
+    assert element_set_hash(frozenset(map(bytes, tuples))) == expected
+
+
+def test_element_set_hash_of_named_sets():
+    for n in (2, 10, 11, 100, 101, 255, 256):
+        cycle = tuple((i + 1) % n for i in range(n))
+        powers = closure_images([cycle])
+        assert element_set_hash(powers) == tuple_element_set_hash(powers)
+        assert element_set_hash(closure_images([bytes(cycle)])) == tuple_element_set_hash(powers)
+    assert element_set_hash(frozenset()) == hashlib.sha256(b"").hexdigest()
+
+
+def tuple_decisions(p, mode):
+    """The search's decisions as it made them on image tuples: candidates,
+    words and closures built with ``compose_images``."""
+    line = ProjLine.over_prime(p)
+    translation = line.translation(1)
+    sigma = line.scaling(quadratic_classes(p).square_generator)
+    base = [translation, sigma]
+    base_elements = closure_images(base)
+    target = (p**3 - p) // 2
+    if mode == "full":
+        candidates = ((p, *arrangement, 0) for arrangement in itertools.permutations(range(1, p)))
+    else:
+        squares = set(quadratic_classes(p).squares)
+        mask = [z in squares for z in range(1, p)]
+        half = (p - 1) // 2
+
+        def constrained():
+            for n in [n for n in range(1, p - 1, 2) if (n * n - 1) % half == 0]:
+                powers = [pow(z, n, p) for z in range(1, p)]
+                for c in range(1, p):
+                    for d in range(1, p):
+                        row = [(c if sq else d) * w % p for sq, w in zip(mask, powers)]
+                        yield (p, *row, 0) if len(set(row)) == p - 1 else None
+
+        candidates = constrained()
+    shifts = [identity_images(p + 1)]
+    for _ in range(p - 1):
+        shifts.append(compose_images(translation, shifts[-1]))
+
+    def unit_words(swap):
+        for x in range(1, p):
+            word = compose_images(swap, compose_images(shifts[x], swap))
+            yield compose_images(swap, compose_images(shifts[-swap[x]], word))
+
+    closures = []
+    for swap in candidates:
+        if (
+            swap is None
+            or compose_images(swap, swap) not in base_elements
+            or compose_images(swap, compose_images(sigma, swap)) not in base_elements
+        ):
+            yield swap, REJECTED, None
+        elif any(swap in closure for closure in closures):
+            yield swap, DUPLICATE, None
+        elif not all(word in base_elements for word in unit_words(swap)):
+            yield swap, REJECTED, None
+        else:
+            closures.append(closure_images(base + [swap], limit=target))
+            yield swap, NEW, closures[-1]
+
+
+@pytest.mark.parametrize(
+    "mode,p",
+    [("full", 3), ("full", 5), ("full", 7)]
+    + [("constrained", p) for p in (3, 5, 7, 11, 13, 17, 19, 23)],
+)
+def test_byte_decisions_match_the_tuple_search(mode, p):
+    # candidate for candidate, the bytes search yields the tuple search's
+    # swap, decision and closure
+    candidates = search._full_candidates if mode == "full" else search._constrained_candidates
+    base = search._base_generators(ProjLine.over_prime(p), p)
+    decided = search._decide_candidates(base, closure_images(base), (p**3 - p) // 2, candidates(p))
+    expected = list(tuple_decisions(p, mode))
+    got = [
+        (None if swap is None else tuple(swap), decision, found and frozenset(map(tuple, found[1])))
+        for swap, (decision, found) in zip(candidates(p), decided)
+    ]
+    assert got == expected
+    assert len(got) == search._run_search(p, mode, candidates(p)).candidates_examined
+
+
+def test_found_chains_stop_at_the_proven_order(monkeypatch):
+    # each found group's chain is built with the order the Schreier test
+    # proved, and holds the same levels as a chain built in full
+    orders = []
+    real = search.PermGroup
+
+    def spy(generators, **kwargs):
+        orders.append(kwargs.get("order"))
+        return real(generators, **kwargs)
+
+    monkeypatch.setattr(search, "PermGroup", spy)
+    outcome = constrained_search(7)
+    assert orders == [168] * len(outcome.groups) == [168] * 3
+    monkeypatch.undo()
+    line = ProjLine.over_prime(7)
+    base = search._base_generators(line, 7)
+    for decision, found in search._decide_candidates(
+        base, closure_images(base), 168, search._constrained_candidates(7)
+    ):
+        if decision == NEW:
+            full = PermGroup(found[0].generators)
+            assert found[0].base == full.base
+            assert found[0].stabilizer_generators(0) == full.stabilizer_generators(0)
+            assert found[0].order() == full.order() == 168

@@ -69,6 +69,27 @@ def test_iwasawa_builds_no_chain_for_the_translations():
     assert builds == []
 
 
+def test_search_closes_groups_only_through_closure_images():
+    # the benchmark tracer counts the search's closures in
+    # groups.closure_images, so search.py calls no orbit and defines no
+    # closure or breadth-first search of its own
+    tree = ast.parse((SOURCE_DIR / "search.py").read_text())
+    found = [
+        f"{node.lineno} {getattr(node, 'id', None) or getattr(node, 'attr', None) or node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "orbit"
+        or isinstance(node, ast.Attribute) and node.attr == "orbit"
+        or isinstance(node, ast.alias) and node.name == "orbit"
+        or isinstance(node, ast.FunctionDef) and re.search("closure|orbit|bfs", node.name)
+    ]
+    assert found == []
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "closure_images"
+    ]
+    assert len(calls) == 2  # B's element set and each found group's
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # -S skips site, which may import typing itself through a .pth file
     code = (

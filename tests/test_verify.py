@@ -834,6 +834,45 @@ def test_exceptional_matches_come_from_two_comparisons(monkeypatch, variant):
         assert witness[key] is False
 
 
+def _spy_simplicity(monkeypatch):
+    """Record each derived subgroup built and each is_simple call."""
+    calls = []
+    real_derived, real_simple = PermGroup.derived_subgroup, PermGroup.is_simple
+
+    def derived(self):
+        calls.append("derived")
+        return real_derived(self)
+
+    def simple(self):
+        calls.append("is_simple")
+        return real_simple(self)
+
+    monkeypatch.setattr(PermGroup, "derived_subgroup", derived)
+    monkeypatch.setattr(PermGroup, "is_simple", simple)
+    return calls
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_exceptional_audit_reads_non_simplicity_off_the_normal_subgroup(monkeypatch, variant):
+    # the normal subgroup of order 8 refutes simplicity, so the audit builds
+    # no derived subgroup
+    calls = _spy_simplicity(monkeypatch)
+    passed, witness = _exceptional_structure(exceptional_cached(variant), variant)
+    assert passed and witness["simple"] is False and witness["normal8_order"] == 8
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_exceptional_audit_without_the_normal_subgroup_asks_is_simple(monkeypatch, variant):
+    # a forged normality test leaves normal8_ok false: simplicity is then
+    # decided by is_simple, which refutes it through the derived subgroup
+    calls = _spy_simplicity(monkeypatch)
+    monkeypatch.setattr(PermGroup, "is_normal", lambda self, subgroup: False)
+    passed, witness = _exceptional_structure(exceptional_cached(variant), variant)
+    assert not passed and witness["simple"] is False
+    assert calls == ["is_simple", "derived"]
+
+
 def test_classify_requires_matching_line():
     with pytest.raises(ValueError):
         classify(psl2_cached(7), 11)
