@@ -122,6 +122,20 @@ def _poly_trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:i]
 
 
+def _poly_rem(f, d, p):
+    """The remainder of f modulo the monic d over Z/p, f's coefficients
+    reduced mod p."""
+    rem = list(f)
+    deg = len(d) - 1
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            for j in range(deg):
+                rem[i - deg + j] = (rem[i - deg + j] - c * d[j]) % p
+    return _poly_trim(tuple(rem))
+
+
 def _poly_mul_mod(u, v, modulus, p):
     prod = [0] * (len(u) + len(v) - 1) if u and v else []
     for i, ui in enumerate(u):
@@ -129,28 +143,7 @@ def _poly_mul_mod(u, v, modulus, p):
             continue
         for j, vj in enumerate(v):
             prod[i + j] = (prod[i + j] + ui * vj) % p
-    # reduce by the monic modulus
-    deg = len(modulus) - 1
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(deg):
-                prod[i - deg + j] = (prod[i - deg + j] - c * modulus[j]) % p
-    return _poly_trim(tuple(prod))
-
-
-def _poly_divides(d, f, p):
-    """Whether monic d divides f over Z/p."""
-    rem = list(f)
-    dd = len(d) - 1
-    while len(_poly_trim(tuple(rem))) - 1 >= dd:
-        rem = list(_poly_trim(tuple(rem)))
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
-        for j in range(len(d)):
-            rem[shift + j] = (rem[shift + j] - lead * d[j]) % p
-    return len(_poly_trim(tuple(rem))) == 0
+    return _poly_rem(prod, modulus, p)
 
 
 def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -165,7 +158,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
             divisor = lower + (1,)
-            if _poly_divides(divisor, coeffs, p):
+            if not _poly_rem(coeffs, divisor, p):
                 return False
     return True
 

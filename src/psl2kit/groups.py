@@ -53,12 +53,12 @@ conjugacy class, under the cap.
 
 Conjugation on image tuples is one routine, ``_conjugate`` with the pair
 ``_conjugator`` builds: conjugacy classes, normal closures, normality, the
-conjugates of a subgroup (``conjugation_action``, which ``sylow_subgroups``
-ends with) and the corollary's Sylow generators (``verify.sylow_orbit``)
-run through it.  Every permutation is its image tuple, and
-products go through ``projline.compose_images``, a single C-level gather;
-the right half of a conjugation and ``stabilizer_images`` reuse one stored
-gather across many elements.
+conjugates of a Sylow subgroup that ``sylow_subgroups`` ends with, and
+``conjugation_orbit``, the corollary's orbit of z+1 (``verify.sylow_orbit``)
+run through it.  Every permutation is its image tuple, and products go
+through ``projline.compose_images``, a single C-level gather; the right
+half of a conjugation and ``stabilizer_images`` reuse one stored gather
+across many elements.
 
 ``orbit`` is the one breadth-first search over generators: product closures
 (the orbit of the identity), point orbits and conjugacy classes all run
@@ -399,7 +399,8 @@ class PermGroup:
         prefix = tuple(prefix)
         if self.base[: len(prefix)] == prefix:
             return self
-        return PermGroup(self.generators, base_prefix=prefix)
+        # the same generators, so the same group, and this chain is complete
+        return PermGroup(self.generators, base_prefix=prefix, order=self.order())
 
     def stabilizer_generators(self, level: int) -> list[tuple[int, ...]]:
         """The strong generators from ``level`` on: they generate the
@@ -495,26 +496,28 @@ class PermGroup:
             check_cap("conjugacy class size", cap + 1, "enumeration cap", cap)
         return members
 
-    def conjugation_action(
-        self, subgroup
-    ) -> tuple[tuple[frozenset[tuple[int, ...]], ...], list[tuple[int, ...]]]:
-        """The conjugates of ``subgroup``, a set of image tuples, ordered by
-        their sorted elements, and for each generator g the permutation of
-        their indices that H -> g * H * g^-1 induces.
-
-        The conjugates are the orbit of ``subgroup`` under conjugation by
-        the generators, so none is found by scanning the group."""
+    def conjugation_orbit(self, perm: tuple[int, ...], name) -> tuple[tuple, list[tuple]]:
+        """The orbit of ``perm`` under conjugation by the generators, one
+        representative per value of ``name`` (the first one met), sorted by
+        name, and for each generator g the permutation of their indices that
+        x -> g * x * g^-1 induces.  Only representatives are conjugated on,
+        so equal names must stay equal under conjugation; names that sort
+        totally, such as tuples, give a canonical order."""
         conjugators = self._conjugators()
-        gens = range(len(conjugators))
+        reps = {name(perm): perm}
         moves = {}
 
-        def act(s, i):
-            moves[s, i] = t = frozenset(_conjugate(x, conjugators[i]) for x in s)
-            return t
+        def act(x, i):
+            y = _conjugate(x, conjugators[i])
+            moves[x, i] = key = name(y)
+            return reps.setdefault(key, y)
 
-        found = sorted(orbit([frozenset(subgroup)], gens, act), key=sorted)
-        index = {s: k for k, s in enumerate(found)}
-        return tuple(found), [tuple(index[moves[s, i]] for s in found) for i in gens]
+        gens = range(len(conjugators))
+        orbit([perm], gens, act)
+        keys = sorted(reps)
+        index = {key: k for k, key in enumerate(keys)}
+        found = tuple(reps[key] for key in keys)
+        return found, [tuple(index[moves[x, i]] for x in found) for i in gens]
 
     def normal_closure(self, seeds) -> "PermGroup":
         """Smallest normal subgroup containing the seeds: one chain, grown
@@ -662,8 +665,8 @@ class PermGroup:
             if grown is not None and target % len(grown) == 0:
                 gens.append(g)
                 current = grown
-        found, _ = self.conjugation_action(current)
-        return found
+        found = orbit([current], self._conjugators(), lambda s, c: frozenset(_conjugate(x, c) for x in s))
+        return tuple(sorted(found, key=sorted))
 
     def sylow_count(self, ell: int) -> int:
         return len(self.sylow_subgroups(ell))

@@ -31,10 +31,6 @@ class NotABijection(ValueError):
     pass
 
 
-class WrongLength(ValueError):
-    pass
-
-
 class ParseError(ValueError):
     pass
 
@@ -141,19 +137,6 @@ class ProjLine:
         return self.point_names[pt]
 
     # -- permutation constructors --
-
-    def perm(self, images) -> tuple[int, ...]:
-        images = tuple(images)
-        if len(images) != self.size:
-            raise WrongLength(f"expected {self.size} images, got {len(images)}")
-        seen = [False] * self.size
-        for x in images:
-            if not isinstance(x, int) or not 0 <= x < self.size:
-                raise NotABijection(f"image {x!r} is not a point")
-            if seen[x]:
-                raise NotABijection(f"point {self.point_name(x)} repeated")
-            seen[x] = True
-        return images
 
     def from_cycles(self, text: str) -> tuple[int, ...]:
         cycles = _parse_cycle_text(text)

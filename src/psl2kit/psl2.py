@@ -133,9 +133,6 @@ class Mat2(namedtuple("Mat2", "field a b c d")):
             f.mul(det_inv, self.a),
         )
 
-    def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
     def __repr__(self):
         return f"Mat2({self.a},{self.b};{self.c},{self.d})"
 

@@ -39,7 +39,7 @@ from .fields import (
     is_prime,
     quadratic_classes,
 )
-from .groups import PermGroup, _conjugate, _conjugator, closure_images, orbit
+from .groups import PermGroup, closure_images, orbit
 from .projline import (
     ProjLine,
     compose_images,
@@ -905,22 +905,7 @@ def sylow_orbit(group: PermGroup, p: int):
     p(p-1)/2, and G_f has only one Sylow p-subgroup, since their number
     divides (p-1)/2 and is 1 mod p.  It is normal there, the conjugate of
     the translations."""
-    conjugators = [_conjugator(g, invert_images(g)) for g in group.generators]
-    sigma = group.line.translation(1)
-    reps = {_fixed_points(sigma): sigma}
-    moves = {}
-
-    def act(x, i):
-        y = _conjugate(x, conjugators[i])
-        moves[x, i] = key = _fixed_points(y)
-        return reps.setdefault(key, y)
-
-    gens = range(len(conjugators))
-    orbit([sigma], gens, act)
-    keys = sorted(reps)
-    index = {key: k for k, key in enumerate(keys)}
-    found = tuple(reps[key] for key in keys)
-    return found, [tuple(index[moves[x, i]] for x in found) for i in gens]
+    return group.conjugation_orbit(group.line.translation(1), _fixed_points)
 
 
 def corollary_check(p: int) -> CheckResult:

@@ -148,6 +148,11 @@ def mat_neg(m: Mat2) -> Mat2:
     return Mat2(f, f.neg(m.a), f.neg(m.b), f.neg(m.c), f.neg(m.d))
 
 
+def is_scalar(m: Mat2) -> bool:
+    """Whether m is a scalar matrix: zero off the diagonal, equal on it."""
+    return m.b == 0 and m.c == 0 and m.a == m.d
+
+
 def untransport(labeling, point_map):
     """Carry a self-map of the 8 projective points back to GF(8), through
     the inverse of the labeling's ``to_point``."""
@@ -171,8 +176,8 @@ def twist_case(p: int, swap) -> str:
 def symmetric_group(line):
     """The full symmetric group on the line's points."""
     n = line.size
-    swap = line.perm((1, 0) + tuple(range(2, n)))
-    cycle = line.perm(tuple(range(1, n)) + (0,))
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
     return PermGroup([swap, cycle])
 
 
@@ -415,7 +420,7 @@ def reference_certificate(q: int) -> dict:
     derived: dict[frozenset[int], dict] = {}
     classes = []
     for rep, _ in conjugacy_classes(sl2):
-        if rep.is_scalar():
+        if is_scalar(rep):
             continue
         closure = matrix_normal_closure(sl2, [rep])
         if closure not in derived:

@@ -162,7 +162,7 @@ def test_criterion_8_property_suites():
             for _ in range(20):
                 images = points[:]
                 rng.shuffle(images)
-                pool.append(line.perm(images))
+                pool.append(tuple(images))
             identity = identity_images(line.size)
             for _ in range(10000):
                 a, b, c = (rng.choice(pool) for _ in range(3))

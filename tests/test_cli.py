@@ -610,13 +610,13 @@ SEARCH_GOLDENS = [
 
 
 def test_no_command_reaches_the_class_scan_or_the_set_conjugation(monkeypatch, capsys):
-    """With the conjugacy class scan, the conjugation of element sets and
-    the Sylow scan refused, every golden's command still exits 0 with its
-    golden bytes: no command needs them."""
+    """With the conjugacy class scan and the Sylow scan, which ends with the
+    conjugation of element sets, refused, every golden's command still exits
+    0 with its golden bytes: no command needs them."""
     def refuse(self, *args):
         raise AssertionError("a command reached a scan no command needs")
 
-    for name in ("conjugacy_classes", "conjugation_action", "sylow_subgroups"):
+    for name in ("conjugacy_classes", "sylow_subgroups"):
         monkeypatch.setattr(PermGroup, name, refuse)
     cases = GOLDEN_REPORTS + SEARCH_GOLDENS
     assert {name for name, _ in cases} == {path.stem for path in GOLDEN_DIR.glob("*.json")}

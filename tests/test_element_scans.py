@@ -132,8 +132,7 @@ def assert_scans_match_references(group: PermGroup) -> None:
 
 
 def conjugated(group: PermGroup, images) -> PermGroup:
-    line = group.line
-    m = line.perm(images)
+    m = tuple(images)
     m_inv = invert_images(m)
     return PermGroup([compose_images(compose_images(m, g), m_inv) for g in group.generators])
 
@@ -158,14 +157,14 @@ def scan_groups(draw):
         )
         return conjugated(base, draw(st.permutations(range(n))))
     if kind == "cyclic":
-        return PermGroup([line.perm(draw(st.permutations(range(n))))])
+        return PermGroup([draw(st.permutations(range(n)))])
     moved = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
     gens = []
     for perm in draw(st.lists(st.permutations(moved), min_size=1, max_size=3)):
         images = list(range(n))
         for x, y in zip(moved, perm):
             images[x] = y
-        gens.append(line.perm(images))
+        gens.append(images)
     return PermGroup(gens)
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from psl2kit import fields
@@ -131,6 +134,89 @@ def test_default_modulus_is_lex_smallest_irreducible():
     assert not poly_is_irreducible((1, 2, 1), 3)  # (x+1)^2
 
 
+def _divides_by_subtraction(d, f, p):
+    """Whether monic d divides f over Z/p: the leading term is cancelled,
+    and the remainder re-trimmed, until its degree is below d's."""
+    rem = list(f)
+    dd = len(d) - 1
+    while len(fields._poly_trim(tuple(rem))) - 1 >= dd:
+        rem = list(fields._poly_trim(tuple(rem)))
+        lead = rem[-1]
+        shift = len(rem) - 1 - dd
+        for j in range(len(d)):
+            rem[shift + j] = (rem[shift + j] - lead * d[j]) % p
+    return len(fields._poly_trim(tuple(rem))) == 0
+
+
+def _mul_then_reduce(u, v, modulus, p):
+    """u * v over Z/p, then reduced by the monic modulus in place."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            prod[i + j] = (prod[i + j] + ui * vj) % p
+    deg = len(modulus) - 1
+    for i in range(len(prod) - 1, deg - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(deg):
+                prod[i - deg + j] = (prod[i - deg + j] - c * modulus[j]) % p
+    return fields._poly_trim(tuple(prod))
+
+
+def _irreducible_by_subtraction(coeffs, p):
+    deg = len(fields._poly_trim(coeffs)) - 1
+    if deg < 2:
+        return deg == 1
+    divisors = (
+        lower + (1,) for d in range(1, deg // 2 + 1) for lower in itertools.product(range(p), repeat=d)
+    )
+    return not any(_divides_by_subtraction(d, coeffs, p) for d in divisors)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_by_remainder_matches_repeated_subtraction(p):
+    # every polynomial of degree at most 4 over Z/p
+    for coeffs in itertools.product(range(p), repeat=5):
+        assert poly_is_irreducible(coeffs, p) == _irreducible_by_subtraction(coeffs, p), coeffs
+
+
+EXTENSION_ORDERS = [
+    (p, k) for p in range(2, 257) if is_prime(p) for k in range(2, 17) if p**k <= fields.MAX_FIELD_ORDER
+]
+
+
+def test_default_modulus_matches_repeated_subtraction():
+    for p, k in EXTENSION_ORDERS:
+        lowest = next(
+            cand
+            for descending in itertools.product(range(p), repeat=k)
+            if _irreducible_by_subtraction(cand := tuple(reversed(descending)) + (1,), p)
+        )
+        assert default_modulus(p, k) == lowest, (p, k)
+
+
+def test_field_tables_match_multiplication_then_reduction():
+    # the exp/log tables of every extension field up to q = 4096, rebuilt by
+    # powering the field's generator, which must be the least unit whose
+    # log is prime to q - 1
+    for p, k in EXTENSION_ORDERS:
+        q = p**k
+        if q > 4096:
+            continue
+        field = field_of_order(q)
+        gen = field.primitive_element()
+        exp = [1]
+        for _ in range(q - 2):
+            u = field._idx_to_poly(exp[-1])
+            exp.append(field._poly_to_idx(_mul_then_reduce(u, field._idx_to_poly(gen), field.modulus, p)))
+        assert exp == field._exp, q
+        assert sorted(exp) == list(range(1, q))
+        log = {x: i for i, x in enumerate(exp)}
+        assert gen == min(x for x in range(1, q) if math.gcd(log[x], q - 1) == 1)
+        assert field._log[1:] == [log[x] for x in range(1, q)]
+
+
 def test_max_order_field_builds():
     f = Field(2, 16)
     g = f.primitive_element()
@@ -206,7 +292,7 @@ GF8_DOUBLE = (0, 2, 4, 6, 1, 3, 5, 7)
 )
 def test_gf8_labeling_transports(modulus, expected_involution, line7):
     labeling = gf8_labeling(modulus)
-    addition = line7.perm(labeling.transport(labeling.add_one_map()))
+    addition = labeling.transport(labeling.add_one_map())
     assert cycle_notation(addition) == expected_involution
     assert labeling.transport(labeling.mul_generator_map()) == GF8_SHIFT
     assert labeling.transport(labeling.frobenius_map()) == GF8_DOUBLE

@@ -80,13 +80,7 @@ def test_order_against_closure_oracle(line7, line5):
         psl2_cached(7).point_stabilizer(line7.infinity),
         # the second level's orbit grows after that level was closed once, so
         # its old generators must be re-tested on the new orbit points
-        PermGroup(
-            [
-                line5.perm((0, 4, 2, 3, 1, 5)),
-                line5.perm((3, 4, 2, 5, 1, 0)),
-                line5.perm((0, 1, 3, 2, 4, 5)),
-            ]
-        ),
+        PermGroup([(0, 4, 2, 3, 1, 5), (3, 4, 2, 5, 1, 0), (0, 1, 3, 2, 4, 5)]),
     ]
     for group in catalog:
         if group.order() > 5000:
@@ -155,7 +149,7 @@ def test_membership(line7):
         images = points[:]
         rng.shuffle(images)
         if tuple(images) not in element_set:
-            assert not group.contains(line7.perm(images))
+            assert not group.contains(tuple(images))
             rejected += 1
 
 
@@ -192,10 +186,10 @@ def test_conjugacy_class_capped():
     # of 11! elements, its transpositions one of 66
     line11 = line_over(11)
     group = symmetric_group(line11)
-    cycle = line11.perm(tuple(range(1, 12)) + (0,))
+    cycle = tuple(range(1, 12)) + (0,)
     with pytest.raises(CapExceeded, match="^conjugacy class size 20001 exceeds enumeration cap 20000$"):
         group.conjugacy_class_of(cycle)
-    swap = line11.perm((1, 0) + tuple(range(2, 12)))
+    swap = (1, 0) + tuple(range(2, 12))
     members = group.conjugacy_class_of(swap)
     assert len(members) == 66 and swap in members
 
@@ -370,7 +364,7 @@ def groups_with_seeds(draw):
     every element), and 1-3 seeds drawn from it."""
     if draw(st.booleans()):
         line = line_over(5)
-        perms = st.permutations(range(line.size)).map(lambda img: line.perm(tuple(img)))
+        perms = st.permutations(range(line.size)).map(tuple)
     else:
         perms = st.sampled_from(psl2_cached(7).elements())
     group = PermGroup(draw(st.lists(perms, min_size=1, max_size=3)))
@@ -415,10 +409,9 @@ def _psl2_5_without_translations():
     """PSL(2,5) conjugated by the transposition (0 1): still 2-transitive
     and perfect, but it holds no translation, so Iwasawa's test cannot
     decide it."""
-    line = line_over(5)
     swap = (1, 0, 2, 3, 4, 5)
     conj = _conjugator(swap, swap)
-    return PermGroup(line.perm(_conjugate(g, conj)) for g in psl2_cached(5).generators)
+    return PermGroup(_conjugate(g, conj) for g in psl2_cached(5).generators)
 
 
 def _simplicity_catalog():
@@ -451,7 +444,7 @@ def small_generator_sets(draw):
     class scan stays under the enumeration cap."""
     if draw(st.booleans()):
         line = line_over(5)
-        perms = st.permutations(range(line.size)).map(lambda img: line.perm(tuple(img)))
+        perms = st.permutations(range(line.size)).map(tuple)
     else:
         source = draw(st.sampled_from(("psl2", "pgl2", "exceptional")))
         ambient = {
@@ -527,7 +520,7 @@ def _pgaml2(q):
     element, the Frobenius z -> z^p and -1/z."""
     field = field_of_order(q)
     line = ProjLine(field)
-    frobenius = line.perm([field.pow(z, field.p) for z in field.elements()] + [line.infinity])
+    frobenius = (*(field.pow(z, field.p) for z in field.elements()), line.infinity)
     extra = [line.scaling(field.primitive_element()), frobenius, line.neg_reciprocal()]
     return PermGroup(_basis_translations(line) + extra)
 
@@ -885,14 +878,14 @@ def random_generators(draw):
     line = line_over(draw(st.sampled_from((5, 7))))
     gens = draw(st.lists(st.permutations(range(line.size)), min_size=1, max_size=4))
     non_members = draw(st.lists(st.permutations(range(line.size)), max_size=5))
-    return line, [tuple(g) for g in gens], [tuple(x) for x in non_members]
+    return [tuple(g) for g in gens], [tuple(x) for x in non_members]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_generators())
 def test_chain_against_brute_closure(data):
-    line, gens, others = data
-    group = PermGroup([line.perm(g) for g in gens])
+    gens, others = data
+    group = PermGroup(gens)
     oracle = brute_closure(gens)
     assert group.order() == len(oracle)
     assert all(group.contains(img) for img in oracle)
@@ -904,8 +897,8 @@ def test_chain_against_brute_closure(data):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_generators())
 def test_transitivity_against_definitions(data):
-    line, gens, _ = data
-    group = PermGroup([line.perm(g) for g in gens])
+    gens, _ = data
+    group = PermGroup(gens)
     assert (group.is_transitive(), group.is_doubly_transitive()) == (
         _transitivity_by_definition(group)
     )
@@ -914,7 +907,7 @@ def test_transitivity_against_definitions(data):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_generators(), st.data())
 def test_closure_limit_against_brute_closure(data, draws):
-    _, gens, _ = data
+    gens, _ = data
     size = len(brute_closure(gens))
     limit = draws.draw(
         st.one_of(st.integers(0, size + 2), st.sampled_from((size - 1, size, size + 1)))
@@ -959,20 +952,27 @@ PRIME_POWERS_TO_32 = [q for q in range(2, 33) if len(distinct_prime_factors(q)) 
 def test_chain_stopped_at_the_order_bound_is_the_full_chain(q, count, seed):
     # a subset of PSL(2,q)'s Moebius maps generates a subgroup of it, so
     # |PSL(2,q)| is a proven bound: the chain that stops there has the full
-    # chain's base, strong generators, transversals, order and membership
+    # chain's base, strong generators, transversals, order and membership.
+    # A rebased chain stops at the order of the complete chain it rebases,
+    # and equals the full build on a random base prefix
     field = field_of_order(q)
     rng = random.Random(seed)
     gens = [random_moebius(field, rng) for _ in range(count)]
     bounded = PermGroup(gens, order=psl2_expected_order(q))
     full = PermGroup(gens)
-    assert bounded.base == full.base
-    assert chain_levels(bounded) == chain_levels(full)
-    assert bounded.order() == full.order()
+    prefix = tuple(rng.sample(range(q + 1), rng.randint(1, 3)))
+    rebased = bounded.rebased(prefix)
+    # a prefix the base already starts with rebases to the chain itself
+    rebuilt = full if rebased is bounded else PermGroup(gens, base_prefix=prefix)
     members = [compose_images(rng.choice(gens), rng.choice(gens)) for _ in range(10)]
     strangers = [tuple(rng.sample(range(q + 1), q + 1)) for _ in range(10)]
-    for perm in members + strangers:
-        assert bounded.contains(perm) == full.contains(perm)
-    assert all(bounded.contains(perm) for perm in members)
+    for stopped, whole in ((bounded, full), (rebased, rebuilt)):
+        assert stopped.base == whole.base
+        assert chain_levels(stopped) == chain_levels(whole)
+        assert stopped.order() == whole.order()
+        for perm in members + strangers:
+            assert stopped.contains(perm) == whole.contains(perm)
+        assert all(stopped.contains(perm) for perm in members)
 
 
 @pytest.mark.parametrize("q", [7, 16, 27, 31])

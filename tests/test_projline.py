@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from psl2kit.fields import Field, NotPrime, field_of_order
 from psl2kit.projline import (
     NonUnitDeterminant,
-    NotABijection,
     OverlappingCycles,
     ParseError,
     ProjLine,
     UnknownPoint,
-    WrongLength,
     ZeroScaling,
     compose_images,
     cycle_notation,
@@ -38,16 +36,6 @@ def test_over_prime_takes_the_one_field_per_q():
     assert ProjLine.over_prime(7).field is field_of_order(7)
     with pytest.raises(NotPrime):
         ProjLine.over_prime(9)  # GF(9) exists, but 9 is not prime
-
-
-def test_perm_from_images(line7, line5):
-    assert line5.perm(range(6)) == identity_images(6)
-    involution = line7.perm((7, 3, 6, 1, 5, 4, 2, 0))
-    assert cycle_notation(involution) == "(0 inf)(1 3)(2 6)(4 5)"
-    with pytest.raises(NotABijection):
-        line7.perm((0, 0, 2, 3, 4, 5, 6, 7))
-    with pytest.raises(WrongLength):
-        line7.perm((0, 1, 2))
 
 
 def test_from_cycles(line7):
@@ -147,7 +135,7 @@ def test_cycles_canonical_form(line7):
 @given(images=st.permutations(tuple(range(8))))
 def test_cycle_notation_round_trip(images):
     line = ProjLine.over_prime(7)
-    perm = line.perm(images)
+    perm = tuple(images)
     assert line.from_cycles(cycle_notation(perm)) == perm
 
 
@@ -156,7 +144,7 @@ def test_cycle_notation_round_trip(images):
 def test_cycle_notation_and_order_match_cycles(data, q):
     # lines over GF(p), GF(4) and GF(9)
     line = ProjLine(field_of_order(q))
-    perm = line.perm(data.draw(st.permutations(tuple(range(line.size)))))
+    perm = data.draw(st.permutations(tuple(range(line.size))))
     assert cycle_notation(perm) == reference_cycle_notation(perm)
     assert perm_order(perm) == reference_order(perm)
     assert line.point_names == tuple(
@@ -255,7 +243,7 @@ def test_group_axioms_random_triples(p):
     for _ in range(30):
         images = points[:]
         rng.shuffle(images)
-        perms.append(line.perm(images))
+        perms.append(tuple(images))
     identity = identity_images(line.size)
     for _ in range(1000):
         a, b, c = (rng.choice(perms) for _ in range(3))

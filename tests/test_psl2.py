@@ -47,6 +47,7 @@ from conftest import (
     entries_of,
     factor_with_lower_shear,
     find_nonzero_corner_witness,
+    is_scalar,
     mat_neg,
     matrix_conjugacy_representatives,
     matrix_normal_closure,
@@ -69,8 +70,8 @@ def test_mat2_algebra():
     assert m.det == 1
     assert m.mul(m.inverse()) == mat_identity(f)
     assert m.inverse().entries() == (2, 4, 6, 2)
-    assert not m.is_scalar()
-    assert Mat2(f, 3, 0, 0, 3).is_scalar()
+    assert not is_scalar(m)
+    assert is_scalar(Mat2(f, 3, 0, 0, 3))
     assert mat_neg(m).entries() == (5, 4, 6, 5)
 
 
@@ -439,7 +440,7 @@ def test_matrix_conjugacy_representatives():
         assert reps == _reference_class_representatives(data.field)
         # SL2(q) has q+4 classes for odd q, q+1 for even q
         assert len(reps) == (q + 4 if q % 2 else q + 1)
-        scalars = [r for r in reps if r.is_scalar()]
+        scalars = [r for r in reps if is_scalar(r)]
         assert len(scalars) == (2 if q % 2 else 1)
 
 
@@ -584,7 +585,7 @@ def test_genuine_certificates_reverify_to_q31(q):
     certificate = certify_simplicity(q)
     assert certificate.verdict and certificate.reverify()
     reps = [e.representative for e in certificate.entries]
-    assert len(set(reps)) == len(reps) and not any(r.is_scalar() for r in reps)
+    assert len(set(reps)) == len(reps) and not any(is_scalar(r) for r in reps)
 
 
 def test_certificate_json_round_trip():
@@ -916,7 +917,7 @@ def test_closed_form_classes_and_words_match_the_oracle(q):
     members, in order, and each class's word, replayed by the oracle's own
     arithmetic, ends at the certificate's target."""
     data = psl2.SL2Group(field_of_order(q))  # not cached: SL(2,64) holds 262080 codes
-    oracle = [rep for rep in matrix_conjugacy_representatives(data) if not rep.is_scalar()]
+    oracle = [rep for rep in matrix_conjugacy_representatives(data) if not is_scalar(rep)]
     reps = class_representatives(data.field)
     assert list(reps) == oracle
     certificate = certify_simplicity(q)

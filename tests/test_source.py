@@ -40,6 +40,19 @@ def _imports(top_level: set[str]) -> list[str]:
     return found
 
 
+def test_no_private_names_imported_across_modules():
+    # an underscore name is its module's own: no package module imports one
+    # from another, so a second module never leans on a private routine
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, node in _nodes()
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "psl2kit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_no_dataclasses_or_typing_imports_in_package():
     # start-up is most of a short CLI run: dataclasses pulls in inspect, ast
     # and dis, and typing costs as much again; records are named tuples
@@ -231,9 +244,9 @@ def test_cli_is_the_only_report_writer():
 
 
 def test_no_command_reaches_the_sylow_scan():
-    # the Sylow scan, and the conjugation of element sets it ends with, stay
-    # inside groups.py: no other module calls them
-    scan = {"sylow_subgroups", "sylow_count", "conjugation_action"}
+    # the Sylow scan, which ends with the conjugation of element sets, stays
+    # inside groups.py: no other module calls it
+    scan = {"sylow_subgroups", "sylow_count"}
     found = [
         f"{name}:{node.lineno} {node.attr if isinstance(node, ast.Attribute) else node.id}"
         for name, node in _nodes()

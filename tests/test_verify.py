@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psl2kit import fields, search
+from psl2kit import groups as groups_module
 from psl2kit import verify as verify_module
 from psl2kit.cli import load_generators_file, main
 from psl2kit.fields import quadratic_classes
-from psl2kit.groups import PermGroup, closure_images
+from psl2kit.groups import PermGroup, closure_images, orbit
 from psl2kit.projline import compose_images, identity_images, invert_images
 from psl2kit.psl2 import psl2_perm_group
 from psl2kit.verify import (
@@ -19,6 +20,7 @@ from psl2kit.verify import (
     NoTwistExponent,
     StabilizerDecomposition,
     _exceptional_structure,
+    _fixed_points,
     build_exceptional,
     check_hypotheses,
     check_pair_orbit_count,
@@ -221,8 +223,8 @@ def test_stabilizer_scalings_check(line7):
 def test_forced_failure_on_symmetric_group(line5):
     # wrong group entirely: S6 on the 6 points of the p=5 line
     n = line5.size
-    swap = line5.perm((1, 0) + tuple(range(2, n)))
-    cycle = line5.perm(tuple(range(1, n)) + (0,))
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
     group = PermGroup([swap, cycle])
     quad = quadratic_classes(5)
     assert not check_hypotheses(group, 5).passed
@@ -284,8 +286,8 @@ def test_find_normalized_swap():
     # normalization, so uniqueness fails
     line5 = line_over(5)
     n = line5.size
-    swap = line5.perm((1, 0) + tuple(range(2, n)))
-    cycle = line5.perm(tuple(range(1, n)) + (0,))
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
     dec = decompose_stabilizers(PermGroup([swap, cycle]))
     result, lam = check_unique_normalized_swap(dec, 5)
     assert result.witness["candidates"] != 1
@@ -632,17 +634,64 @@ def test_corollary_enumerates_nothing(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "element_images", refuse)
     monkeypatch.setattr(PermGroup, "sylow_subgroups", refuse)
-    monkeypatch.setattr(PermGroup, "conjugation_action", refuse)
     for p in (5, 7, 11, 37):
         assert corollary_check(p).passed
+
+
+def _conjugate_by(g, g_inv, x):
+    # g * x * g^-1
+    return compose_images(compose_images(g, x), g_inv)
+
+
+def _set_conjugation_action(group, subgroup):
+    """The conjugates of ``subgroup``, a set of image tuples, ordered by
+    their sorted elements, and for each generator g the permutation of
+    their indices that H -> g * H * g^-1 induces, each conjugate composed
+    element by element."""
+    pairs = [(g, invert_images(g)) for g in group.generators]
+    gens = range(len(pairs))
+    moves = {}
+
+    def act(s, i):
+        moves[s, i] = t = frozenset(_conjugate_by(*pairs[i], x) for x in s)
+        return t
+
+    found = sorted(orbit([frozenset(subgroup)], gens, act), key=sorted)
+    index = {s: k for k, s in enumerate(found)}
+    return tuple(found), [tuple(index[moves[s, i]] for s in found) for i in gens]
+
+
+def _generator_sylow_orbit(group):
+    """The reference for ``conjugation_orbit`` on z+1: its conjugates keyed
+    by their fixed points, the first met per key, with every generator
+    inverted afresh and each conjugate composed directly."""
+    def fixed(x):
+        return tuple(sorted(reference_fixed_points(x)))
+
+    pairs = [(g, invert_images(g)) for g in group.generators]
+    sigma = group.line.translation(1)
+    reps = {fixed(sigma): sigma}
+    moves = {}
+
+    def act(x, i):
+        y = _conjugate_by(*pairs[i], x)
+        moves[x, i] = key = fixed(y)
+        return reps.setdefault(key, y)
+
+    gens = range(len(pairs))
+    orbit([sigma], gens, act)
+    keys = sorted(reps)
+    index = {key: k for k, key in enumerate(keys)}
+    found = tuple(reps[key] for key in keys)
+    return found, [tuple(index[moves[x, i]] for x in found) for i in gens]
 
 
 def _set_based_corollary(p):
     """The corollary checked on element sets, as it was before each Sylow
     subgroup became one generator: the subgroups are the p-element
-    conjugates of <z+1> from ``conjugation_action``, each is named by the
-    fixed points of its least non-identity member, and the relabeled action
-    builds its own chain."""
+    conjugates of <z+1> from ``_set_conjugation_action``, each is named by
+    the fixed points of its least non-identity member, and the relabeled
+    action builds its own chain."""
     group = psl2_perm_group(p)
     line = group.line
     simple = group.is_simple()
@@ -651,7 +700,7 @@ def _set_based_corollary(p):
     powers = [ident]
     for _ in range(p - 1):
         powers.append(compose_images(sigma, powers[-1]))
-    sylows, action = group.conjugation_action(powers)
+    sylows, action = _set_conjugation_action(group, powers)
     count_ok = len(sylows) == p + 1
     gens = group.generators
     shift = action[gens.index(sigma)]
@@ -756,6 +805,52 @@ def test_sylow_orbit_against_sympy(p):
     gens, _ = sylow_orbit(group, p)
     assert {closure_images([x]) for x in gens} == conjugates
     assert len(conjugates) == p + 1
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    [(psl2_cached, p) for p in range(5, 62) if fields.is_prime(p)]
+    + [(exceptional_cached, 3), (exceptional_cached, 5)],
+)
+def test_conjugation_orbit_is_the_generator_sylow_orbit(build, arg):
+    # PSL(2,p) at every prime 5 <= p <= 61, and the two order-168 groups at p = 7
+    group = build(arg)
+    sigma = group.line.translation(1)
+    expected = _generator_sylow_orbit(group)
+    assert group.conjugation_orbit(sigma, _fixed_points) == expected
+    assert sylow_orbit(group, group.degree - 1) == expected
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_conjugation_orbit_named_by_subgroup_is_the_sylow_scan(p):
+    group = psl2_cached(p)
+    found, action = group.conjugation_orbit(
+        group.line.translation(1), lambda y: frozenset(closure_images([y]))
+    )
+    subgroups = [closure_images([y]) for y in found]
+    assert len(subgroups) == p + 1
+    assert set(subgroups) == set(group.sylow_subgroups(p))
+    for g, moved in zip(group.generators, action):
+        g_inv = invert_images(g)
+        for sub, image in zip(subgroups, moved):
+            assert subgroups[image] == frozenset(_conjugate_by(g, g_inv, x) for x in sub)
+
+
+@pytest.mark.parametrize("p", [5, 7, 31])
+def test_sylow_orbit_inverts_no_generator(monkeypatch, p):
+    # the built chain holds each generator's inverse, and the orbit reuses it
+    group = psl2_perm_group(p)
+    calls = []
+    real = invert_images
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (groups_module, verify_module):
+        monkeypatch.setattr(module, "invert_images", spy)
+    sylow_orbit(group, p)
+    assert calls == []
 
 
 def test_build_exceptional():
