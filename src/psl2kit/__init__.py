@@ -4,13 +4,10 @@ projective line containing the translations, and a brute-force search
 that rediscovers the dichotomy."""
 
 from .fields import (
-    CUBIC_X3_X2_1,
-    CUBIC_X3_X_1,
     DEFAULT_ENUMERATION_CAP,
     Field,
     QuadraticClasses,
     field_of_order,
-    gf8_labeling,
     primitive_root,
     quadratic_classes,
 )
@@ -38,8 +35,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CUBIC_X3_X2_1",
-    "CUBIC_X3_X_1",
     "CheckResult",
     "ConjugacyClass",
     "DEFAULT_ENUMERATION_CAP",
@@ -60,7 +55,6 @@ __all__ = [
     "decompose_stabilizers",
     "field_of_order",
     "full_search",
-    "gf8_labeling",
     "p3_case_check",
     "primitive_root",
     "certify_simplicity",

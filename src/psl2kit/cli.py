@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .fields import Gf8LabelingFails, NoIrreduciblePolynomial, NoPrimitiveElement
+from .fields import NoIrreduciblePolynomial, NoPrimitiveElement
 from .fields import MAX_DEGREE, MAX_FIELD_ORDER, check_cap, is_prime
 from .groups import OrderBoundExceeded, PermGroup
 from .projline import ProjLine
@@ -30,6 +30,7 @@ from .search import (
     full_search,
 )
 from .verify import (
+    Gf8LabelingFails,
     NoTwistExponent,
     SpecialCaseContradiction,
     build_exceptional,

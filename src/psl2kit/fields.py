@@ -65,10 +65,6 @@ class NoPrimitiveElement(RuntimeError):
     pass
 
 
-class Gf8LabelingFails(RuntimeError):
-    pass
-
-
 class NoIrreduciblePolynomial(RuntimeError):
     pass
 
@@ -340,17 +336,6 @@ class Field:
     def units(self) -> range:
         return range(1, self.order)
 
-    def multiplicative_order(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise InversionOfZero("0 has no multiplicative order")
-        n = self.order - 1
-        order = n
-        for f in distinct_prime_factors(n):
-            while order % f == 0 and self.pow(x, order // f) == 1:
-                order //= f
-        return order
-
     def primitive_element(self) -> int:
         """Smallest-index generator of the multiplicative group."""
         if self.degree > 1:
@@ -416,63 +401,3 @@ def quadratic_classes(p: int) -> QuadraticClasses:
     squares = sorted({a * a % p for a in range(1, p)})
     nonsquares = sorted(set(range(1, p)) - set(squares))
     return QuadraticClasses(p, tuple(squares), tuple(nonsquares))
-
-
-# --- the 8-element field and its identification with Z/7 + infinity -------
-
-CUBIC_X3_X_1 = (1, 1, 0, 1)  # x^3 + x + 1
-CUBIC_X3_X2_1 = (1, 0, 1, 1)  # x^3 + x^2 + 1
-
-_GF8_POINT_AT_INFINITY = 7
-_GF8_SHIFT = (1, 2, 3, 4, 5, 6, 0, 7)  # z -> z+1 on Z/7, fixing infinity
-_GF8_DOUBLE = (0, 2, 4, 6, 1, 3, 5, 7)  # z -> 2z on Z/7, fixing infinity
-
-
-class Gf8Labeling(namedtuple("Gf8Labeling", "field generator to_point")):
-    """Bijection GF(8) -> Z/7 + {inf}: zero to inf, i-th power of the
-    generator to i.  Point 7 encodes inf.  Transporting multiplication by
-    the generator yields z->z+1 and transporting squaring yields z->2z;
-    both are checked at construction."""
-
-    __slots__ = ()
-
-    INFINITY = _GF8_POINT_AT_INFINITY
-
-    def transport(self, field_map: tuple[int, ...]) -> tuple[int, ...]:
-        """Carry a self-map of GF(8) (as an index map) to a point map."""
-        if len(field_map) != 8:
-            raise ValueError("expected a map on the 8 field elements")
-        images = [0] * 8
-        for e in range(8):
-            images[self.to_point[e]] = self.to_point[field_map[e]]
-        return tuple(images)
-
-    def add_one_map(self) -> tuple[int, ...]:
-        return tuple(self.field.add(e, 1) for e in range(8))
-
-    def mul_generator_map(self) -> tuple[int, ...]:
-        return tuple(self.field.mul(self.generator, e) for e in range(8))
-
-    def frobenius_map(self) -> tuple[int, ...]:
-        return tuple(self.field.mul(e, e) for e in range(8))
-
-
-def gf8_labeling(modulus: tuple[int, ...] = CUBIC_X3_X_1) -> Gf8Labeling:
-    """Build the labeling for one of the two irreducible cubics over GF(2);
-    ``Field`` refuses any other modulus."""
-    field = Field(2, 3, modulus)
-    zeta = field.p  # the class of x, a root of the modulus; both cubics are primitive
-    if field.multiplicative_order(zeta) != 7:
-        raise Gf8LabelingFails(f"x does not have order 7 modulo {field.modulus}")
-    to_point = [0] * 8
-    to_point[0] = _GF8_POINT_AT_INFINITY
-    power = 1
-    for i in range(7):
-        to_point[power] = i
-        power = field.mul(power, zeta)
-    labeling = Gf8Labeling(field, zeta, tuple(to_point))
-    if labeling.transport(labeling.mul_generator_map()) != _GF8_SHIFT:
-        raise Gf8LabelingFails("generator multiplication did not transport to z->z+1")
-    if labeling.transport(labeling.frobenius_map()) != _GF8_DOUBLE:
-        raise Gf8LabelingFails("squaring did not transport to z->2z")
-    return labeling

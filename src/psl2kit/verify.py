@@ -19,6 +19,13 @@ contains z -> -1/z and is the projective group, or p = 7 and the group is
 one of the two exceptional order-168 groups with a normal subgroup of
 order 8.
 
+The Prop. 5.4 audit also compares each exceptional group with the group
+generated by e -> e+1, e -> xe and e -> e^2 on GF(8) = GF(2)[x] modulo
+x^3 + x + 1 (variant 3) or x^3 + x^2 + 1 (variant 5), carried to
+Z/7 + {inf} by 0 -> inf and x^i -> i.  The labeling must carry xe and e^2
+to z+1 and 2z, or ``Gf8LabelingFails`` is raised; e+1 becomes the
+variant's involution.
+
 Checks record failures instead of aborting, so a defective candidate group
 yields a maximal diagnostic report rather than an exception.
 """
@@ -30,12 +37,10 @@ from collections import namedtuple
 from operator import eq
 
 from .fields import (
-    CUBIC_X3_X2_1,
-    CUBIC_X3_X_1,
     MAX_DEGREE,
+    Field,
     QuadraticClasses,
     check_cap,
-    gf8_labeling,
     is_prime,
     quadratic_classes,
 )
@@ -63,11 +68,41 @@ class BadVariant(ValueError):
     pass
 
 
+class Gf8LabelingFails(RuntimeError):
+    pass
+
+
 EXCEPTIONAL_INVOLUTIONS = {
     3: "(0 inf)(1 3)(2 6)(4 5)",
     5: "(0 inf)(1 5)(2 3)(4 6)",
 }
-_EXCEPTIONAL_CUBICS = {3: CUBIC_X3_X_1, 5: CUBIC_X3_X2_1}
+# x^3 + x + 1 and x^3 + x^2 + 1, coefficients by ascending degree
+_EXCEPTIONAL_CUBICS = {3: (1, 1, 0, 1), 5: (1, 0, 1, 1)}
+
+
+def _gf8_maps(variant: int) -> list[tuple[int, ...]]:
+    """The point maps of e -> e+1, e -> xe and e -> e^2 on the variant's
+    GF(8), in that order, carried as the module docstring says."""
+    field = Field(2, 3, _EXCEPTIONAL_CUBICS[variant])
+    x = field.p  # the index of x, a root of the cubic
+    to_point = [7] * 8  # point 7 is inf
+    power = 1
+    for i in range(7):
+        to_point[power] = i
+        power = field.mul(power, x)
+    maps = []
+    for field_map in (
+        [field.add(e, 1) for e in range(8)],
+        [field.mul(x, e) for e in range(8)],
+        [field.mul(e, e) for e in range(8)],
+    ):
+        images = [0] * 8
+        for e, image in enumerate(field_map):
+            images[to_point[e]] = to_point[image]
+        maps.append(tuple(images))
+    if maps[1:] != [(1, 2, 3, 4, 5, 6, 0, 7), (0, 2, 4, 6, 1, 3, 5, 7)]:
+        raise Gf8LabelingFails(f"x and squaring modulo {field.modulus} are not z+1 and 2z")
+    return maps
 
 
 class CheckResult(namedtuple(
@@ -241,12 +276,7 @@ def check_stabilizer_scalings(
 ) -> CheckResult:
     line = group.line
     # the square scalings are the powers of scaling by the square generator
-    step = line.scaling(quad.square_generator)
-    power = identity_images(group.degree)
-    expected = set()
-    for _ in quad.squares:
-        expected.add(power)
-        power = compose_images(step, power)
+    expected = closure_images([line.scaling(quad.square_generator)])
     scalings_ok = set(dec.fixing) == expected
     worst_img: tuple[int, ...] | None = None
     worst_fixed = _max_fixed_points(group)
@@ -610,13 +640,7 @@ def check_main_case_inversion(
 def _special_case_xs(p: int, c: int, quad: QuadraticClasses) -> list[int]:
     """Powers x of -c with 1-x a non-square."""
     neg_c = (p - c) % p
-    powers = []
-    cur = 1
-    while True:
-        powers.append(cur)
-        cur = cur * neg_c % p
-        if cur == 1:
-            break
+    powers = orbit([1], [neg_c], lambda x, a: x * a % p)
     return sorted(
         x for x in powers if (1 - x) % p != 0 and not quad.is_square((1 - x) % p)
     )
@@ -721,13 +745,7 @@ def _exceptional_structure(group: PermGroup, variant: int) -> tuple[bool, dict]:
     # it: so they are closed under products, and exponent 2 makes it abelian
     normal8_ok = len(fpf) == 7 and normal8.order() == 8 and group.is_normal(normal8)
 
-    labeling = gf8_labeling(_EXCEPTIONAL_CUBICS[variant])
-    transported = PermGroup(
-        labeling.transport(field_map)
-        for field_map in (
-            labeling.add_one_map(), labeling.mul_generator_map(), labeling.frobenius_map()
-        )
-    )
+    transported = PermGroup(_gf8_maps(variant))
     transported_ok = _same_group(transported, group)
     # a proper nontrivial normal subgroup refutes simplicity, with no
     # derived subgroup to build

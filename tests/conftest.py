@@ -153,16 +153,14 @@ def is_scalar(m: Mat2) -> bool:
     return m.b == 0 and m.c == 0 and m.a == m.d
 
 
-def untransport(labeling, point_map):
-    """Carry a self-map of the 8 projective points back to GF(8), through
-    the inverse of the labeling's ``to_point``."""
-    from_point = [0] * 8
-    for e, pt in enumerate(labeling.to_point):
-        from_point[pt] = e
-    images = [0] * 8
-    for pt in range(8):
-        images[from_point[pt]] = from_point[point_map[pt]]
-    return tuple(images)
+def brute_multiplicative_order(field: Field, x: int) -> int:
+    """The least n >= 1 with x^n = 1 in the field, by multiplying x in one
+    factor at a time; x must be a unit."""
+    n, power = 1, x
+    while power != 1:
+        power = field.mul(power, x)
+        n += 1
+    return n
 
 
 def twist_case(p: int, swap) -> str:

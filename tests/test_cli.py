@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ from psl2kit.cli import main
 from psl2kit.groups import PermGroup
 from psl2kit.projline import cycle_notation
 from psl2kit.psl2 import psl2_perm_group
+from psl2kit.verify import Gf8LabelingFails, _gf8_maps
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -146,6 +148,26 @@ def test_missing_irreducible_polynomial_exits_3(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("psl2kit: invariant violated: NoIrreduciblePolynomial: ")
+
+
+def test_gf8_maps_that_miss_z_plus_1_exit_3(capsys, monkeypatch):
+    # x * 1 comes out as 1 in GF(8), so e -> xe sends 0 to 0, not to 1
+    real = fields.Field.mul
+
+    def forged(self, a, b):
+        return 1 if (self.order, a, b) == (8, 2, 1) else real(self, a, b)
+
+    monkeypatch.setattr(fields.Field, "mul", forged)
+    with pytest.raises(Gf8LabelingFails):
+        _gf8_maps(3)
+    code = main(["exceptional", "--variant", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "psl2kit: invariant violated: Gf8LabelingFails: "
+        "x and squaring modulo (1, 1, 0, 1) are not z+1 and 2z\n"
+    )
 
 
 def test_every_runtime_invariant_maps_to_exit_3():
@@ -607,6 +629,20 @@ SEARCH_GOLDENS = [
     for path in sorted(GOLDEN_DIR.glob("search_p*.json"))
     for p, mode in [path.stem.removeprefix("search_p").split("_")]
 ]
+
+
+def test_sweep_lists_every_golden_command():
+    # tools/sweep.py hashes the reports of its commands to compare two
+    # commits; every golden's command is among them, with golden paths
+    # relative to the repository root.  Nothing is run here.
+    root = GOLDEN_DIR.parent.parent
+    spec = importlib.util.spec_from_file_location("sweep", root / "tools" / "sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    swept = {tuple(argv) for argv in sweep.commands()}
+    for _, argv in GOLDEN_REPORTS + SEARCH_GOLDENS:
+        relative = [str(Path(a).relative_to(root)) if a.endswith(".gens") else a for a in argv]
+        assert tuple(relative) in swept
 
 
 def test_no_command_reaches_the_class_scan_or_the_set_conjugation(monkeypatch, capsys):

@@ -5,11 +5,8 @@ import pytest
 
 from psl2kit import fields
 from psl2kit.fields import (
-    CUBIC_X3_X2_1,
-    CUBIC_X3_X_1,
     CapExceeded,
     Field,
-    Gf8LabelingFails,
     IndexOutOfRange,
     InversionOfZero,
     NoIrreduciblePolynomial,
@@ -19,15 +16,13 @@ from psl2kit.fields import (
     ReduciblePolynomial,
     default_modulus,
     field_of_order,
-    gf8_labeling,
     is_prime,
     poly_is_irreducible,
     primitive_root,
     quadratic_classes,
 )
-from psl2kit.projline import cycle_notation
 
-from conftest import untransport
+from conftest import brute_multiplicative_order
 
 PRIMES_TO_101 = [p for p in range(3, 102) if is_prime(p)]
 
@@ -77,7 +72,7 @@ def test_inverse_by_scan_gf7():
 
 
 def test_gf8_generator_relations():
-    f = Field(2, 3, CUBIC_X3_X_1)
+    f = Field(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
     zeta = 2
     assert f.add(1, zeta) == f.pow(zeta, 3)
     assert f.add(1, f.pow(zeta, 2)) == f.pow(zeta, 6)
@@ -128,7 +123,7 @@ def test_field_construction_errors():
 
 
 def test_default_modulus_is_lex_smallest_irreducible():
-    assert default_modulus(2, 3) == CUBIC_X3_X_1
+    assert default_modulus(2, 3) == (1, 1, 0, 1)  # x^3 + x + 1
     assert default_modulus(3, 2) == (1, 0, 1)  # x^2 + 1 over GF(3)
     assert poly_is_irreducible((1, 0, 1), 3)
     assert not poly_is_irreducible((1, 2, 1), 3)  # (x+1)^2
@@ -220,7 +215,7 @@ def test_field_tables_match_multiplication_then_reduction():
 def test_max_order_field_builds():
     f = Field(2, 16)
     g = f.primitive_element()
-    assert f.multiplicative_order(g) == f.order - 1
+    assert brute_multiplicative_order(f, g) == f.order - 1
     assert f.mul(g, f.inv(g)) == 1
 
 
@@ -274,59 +269,25 @@ def test_primitive_roots():
         primitive_root(8)
     for p in PRIMES_TO_101[:10]:
         g = primitive_root(p)
-        assert Field(p).multiplicative_order(g) == p - 1
+        assert brute_multiplicative_order(Field(p), g) == p - 1
         for smaller in range(2, g):
-            assert Field(p).multiplicative_order(smaller) < p - 1
-
-
-GF8_SHIFT = (1, 2, 3, 4, 5, 6, 0, 7)
-GF8_DOUBLE = (0, 2, 4, 6, 1, 3, 5, 7)
-
-
-@pytest.mark.parametrize(
-    "modulus,expected_involution",
-    [
-        (CUBIC_X3_X_1, "(0 inf)(1 3)(2 6)(4 5)"),
-        (CUBIC_X3_X2_1, "(0 inf)(1 5)(2 3)(4 6)"),
-    ],
-)
-def test_gf8_labeling_transports(modulus, expected_involution, line7):
-    labeling = gf8_labeling(modulus)
-    addition = labeling.transport(labeling.add_one_map())
-    assert cycle_notation(addition) == expected_involution
-    assert labeling.transport(labeling.mul_generator_map()) == GF8_SHIFT
-    assert labeling.transport(labeling.frobenius_map()) == GF8_DOUBLE
-
-
-def test_gf8_labeling_round_trip():
-    for modulus in (CUBIC_X3_X_1, CUBIC_X3_X2_1):
-        labeling = gf8_labeling(modulus)
-        for field_map in (
-            labeling.add_one_map(),
-            labeling.mul_generator_map(),
-            labeling.frobenius_map(),
-        ):
-            assert untransport(labeling, labeling.transport(field_map)) == field_map
+            assert brute_multiplicative_order(Field(p), smaller) < p - 1
 
 
 def test_gf8_labeling_rejects_reducible_cubic():
+    # GF(8) for the exceptional groups is Field(2, 3, cubic), which refuses
+    # a modulus that is reducible or not a cubic
     with pytest.raises(ReduciblePolynomial):
-        gf8_labeling((1, 1, 1, 1))
+        Field(2, 3, (1, 1, 1, 1))
     with pytest.raises(ValueError):
-        gf8_labeling((1, 1, 1))  # not a cubic
+        Field(2, 3, (1, 1, 1))
 
 
 def test_missing_primitive_element_raises(monkeypatch):
     # every candidate then looks like it has a proper-divisor order
     monkeypatch.setattr(Field, "_raw_pow", lambda self, x, e: 1)
     with pytest.raises(NoPrimitiveElement):
-        Field(2, 3, CUBIC_X3_X_1)
-
-
-def test_gf8_labeling_with_wrong_root_order_raises(monkeypatch):
-    monkeypatch.setattr(Field, "multiplicative_order", lambda self, x: 1)
-    with pytest.raises(Gf8LabelingFails):
-        gf8_labeling(CUBIC_X3_X_1)
+        Field(2, 3, (1, 1, 0, 1))
 
 
 def test_missing_irreducible_polynomial_raises(monkeypatch):

@@ -6,7 +6,7 @@ import copy
 
 import pytest
 
-from psl2kit.fields import Field, Gf8Labeling, QuadraticClasses, gf8_labeling
+from psl2kit.fields import Field, QuadraticClasses
 from psl2kit.groups import ConjugacyClass
 from psl2kit.projline import ProjLine
 from psl2kit.psl2 import (
@@ -33,7 +33,6 @@ CHECK = CheckResult("hypotheses", True, {"order": 60})
 # whether it hashes (a record holding a dict does not)
 RECORDS = [
     (QuadraticClasses, "p squares nonsquares", {}, (7, (1, 2, 4), (3, 5, 6)), True),
-    (Gf8Labeling, "field generator to_point", {}, tuple(gf8_labeling()), True),
     (ConjugacyClass, "representative size", {}, (SHIFT, 5), True),
     (Mat2, "field a b c d", {}, (Field(5), 1, 2, 3, 0), True),
     (SL2Group, "field", {}, (Field(5),), True),

@@ -853,6 +853,47 @@ def test_sylow_orbit_inverts_no_generator(monkeypatch, p):
     assert calls == []
 
 
+def _carryless_gf8_maps(cubic: int) -> list[tuple[int, ...]]:
+    """e -> e+1, e -> xe and e -> e^2 on GF(8), carried to the 8 points by
+    0 -> inf (point 7) and x^i -> i.  An element is a 3-bit polynomial over
+    GF(2), bit i the coefficient of x^i, as in ``Field``'s indices, and
+    products are carry-less, reduced by the cubic's bits: no ``Field``
+    arithmetic."""
+
+    def mul(a: int, b: int) -> int:
+        out = 0
+        for i in range(3):
+            if b >> i & 1:
+                out ^= a << i
+        for i in (4, 3):
+            if out >> i & 1:
+                out ^= cubic << (i - 3)
+        return out
+
+    to_point = {0: 7}
+    power = 1
+    for i in range(7):
+        to_point[power] = i
+        power = mul(power, 0b10)
+    maps = []
+    for field_map in (lambda e: e ^ 1, lambda e: mul(0b10, e), lambda e: mul(e, e)):
+        images = [0] * 8
+        for e in range(8):
+            images[to_point[e]] = to_point[field_map(e)]
+        maps.append(tuple(images))
+    return maps
+
+
+@pytest.mark.parametrize("variant", [3, 5])
+def test_gf8_maps_match_carryless_gf8(variant, line7):
+    # variant 3 is built on x^3 + x + 1, variant 5 on x^3 + x^2 + 1; adding
+    # 1 gives the variant's involution, x and squaring give z+1 and 2z
+    maps = verify_module._gf8_maps(variant)
+    assert maps == _carryless_gf8_maps({3: 0b1011, 5: 0b1101}[variant])
+    assert reference_cycle_notation(maps[0]) == EXCEPTIONAL_INVOLUTIONS[variant]
+    assert maps[1:] == [line7.translation(1), line7.scaling(2)]
+
+
 def test_build_exceptional():
     with pytest.raises(BadVariant):
         build_exceptional(4)
