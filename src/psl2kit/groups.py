@@ -19,7 +19,7 @@ Transitivity is read off the closed chain rather than recomputed: level 0
 records the orbit of the first base point under G, and level 1 the orbit of
 the second under that point's stabilizer (Seress, *Permutation Group
 Algorithms*, 2003, section 4.1).  ``point_stabilizer`` builds a separate
-group and is kept for callers that need that subgroup itself.
+group; no package module calls it, only the tests and the benchmark tracer.
 
 ``rebased`` gives a chain of the same group whose base starts with a given
 prefix, so the pointwise stabilizer of those points is a chain level: its
@@ -27,8 +27,8 @@ strong generators, order and elements (``stabilizer_generators``,
 ``stabilizer_order``, ``stabilizer_images``) come without enumerating the
 group.  For a prefix of the group's own base that chain is the group.
 
-Enumeration-backed queries (elements, point stabilizers, conjugacy classes,
-Sylow counting) refuse to run past
+Enumeration-backed queries (elements, ``stabilizer_images``, conjugacy
+classes, Sylow counting) refuse to run past
 ``fields.DEFAULT_ENUMERATION_CAP`` rather than degrade;
 ``conjugacy_class_of`` stops its search once the class outgrows the cap.
 A chain itself is bounded by its degree: ``fields.MAX_DEGREE`` is checked

@@ -23,13 +23,14 @@ part of SL(2,q):
   entry d != 0.  So every element is a product of at most four shears.
 
 Each class carries only its representative, word and conjugator; the
-certificate holds the rest once: E with its sweep, w, and the report's
-diagonal entry a, the smallest element outside {0, 1, -1}, with the sweep
-of diag(a, 1/a).  The report writes every class in the layout of the
-enumerating certificate this replaced, from those shared fields: w, u = I,
-closure member diag(a, 1/a), its sweep, and the closure order q**3 - q.
-``SimplicityCertificate.reverify`` replays every word and both sweeps once,
-with its own ``Mat2`` arithmetic.
+certificate holds the rest once: E, w, and the report's diagonal entry a,
+the smallest element outside {0, 1, -1}.  The verdict is whether the sweep
+of diag(a, 1/a) is all the lower shears.  The report writes every class in
+the layout of the enumerating certificate this replaced, from those shared
+fields: w, u = I, closure member diag(a, 1/a), the verdict as whether its
+commutators cover the shears, and the closure order q**3 - q.
+``SimplicityCertificate.reverify`` builds both sweeps itself and replays
+every word once, with its own ``Mat2`` arithmetic.
 
 SL(2,q) as a set of packed codes (``SL2Group``, the closure of its shears
 under ``mat_closure``) is built by no command; it is there for tests and
@@ -165,25 +166,12 @@ def sl2_generators(field: Field) -> tuple[Mat2, ...]:
 
 class SL2Group(namedtuple("SL2Group", "field")):
     """SL(2,q) from its shears, closed lazily.  No ``__slots__``: the
-    cached properties live in the instance dict."""
+    cached property lives in the instance dict."""
 
     @cached_property
     def codes(self) -> frozenset[int]:
         """The codes of all of SL(2,q), the closure of the shears."""
-        return mat_closure(sl2_generators(self.field), row_map=self.row_map)
-
-    @cached_property
-    def _row_maps(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    def row_map(self, g: Mat2) -> tuple[int, ...]:
-        """``_row_map(g)``, built once per matrix of this group's field."""
-        if g.field is not self.field and g.field != self.field:
-            raise DomainMismatch("matrix over a different field")
-        rho = self._row_maps.get(g.code)
-        if rho is None:
-            rho = self._row_maps[g.code] = _row_map(g)
-        return rho
+        return mat_closure(sl2_generators(self.field))
 
 
 def check_psl2_cap(q: int) -> None:
@@ -259,12 +247,12 @@ def moebius_order_bound(generators, p: int) -> int | None:
     return psl2_expected_order(p)
 
 
-def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozenset[int] | None:
+def mat_closure(gens, limit: int | None = None) -> frozenset[int] | None:
     """Product closure of matrices as codes, the orbit of the identity's code
     under right multiplication; None once it exceeds ``limit``.
 
     Right multiplication by g maps each row v of a matrix to v*g, so the
-    product of a code with g is two lookups in g's row map, ``row_map(g)``."""
+    product of a code with g is two lookups in g's row map, ``_row_map(g)``."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one matrix")
@@ -276,7 +264,7 @@ def mat_closure(gens, limit: int | None = None, *, row_map=_row_map) -> frozense
     def act(x, rho):
         return rho[x // qq] * qq + rho[x % qq]
 
-    return orbit([mat_identity(field).code], [row_map(g) for g in gens], act, limit)
+    return orbit([mat_identity(field).code], [_row_map(g) for g in gens], act, limit)
 
 
 # --- the simplicity certificate ----------------------------------------------
@@ -291,14 +279,13 @@ class ClosureCertificate(namedtuple("ClosureCertificate", "representative word c
 
 
 class SimplicityCertificate(namedtuple("SimplicityCertificate", (
-    "q group_order entries verdict target target_sweep witness"
-    " diagonal_entry diagonal_sweep"
+    "q entries verdict target witness diagonal_entry"
 ))):
     """One entry per non-scalar class, each carried to the target E, and the
-    evidence every class shares, once: E's sweep, the witness w that carries
-    it to the upper shears, and the report's diagonal entry a with the sweep
-    of diag(a, 1/a).  A sweep of a diagonal D is L_r*D*L_r^-1*D^-1 for the
-    lower shears L_r, in order of r."""
+    witnesses every class shares, once: E, the w that carries E's sweep to
+    the upper shears, and the report's diagonal entry a.  A sweep of a
+    diagonal D, the set of L_r*D*L_r^-1*D^-1 over the lower shears L_r, is
+    not stored: ``reverify`` builds those of E and diag(a, 1/a) itself."""
 
     __slots__ = ()
 
@@ -309,20 +296,18 @@ class SimplicityCertificate(namedtuple("SimplicityCertificate", (
         docstring with distinct invariants, the trace and, at trace 2 or -2,
         whether b is a square; with one entry per non-scalar class, q + 2
         for odd q and q for even q, that makes them a complete set of
-        classes.  Every word must end at the target, both sweeps must be
-        what they claim and all the lower shears, and the witness must carry
-        the target's sweep to all the upper shears.  The diagonal entry must
-        lie outside {0, 1, -1}.  Every matrix must be over GF(q), and every
-        one that is inverted of determinant 1, so a forgery reads False, not
-        an error, and so does a q that is not a prime power above 3 within
-        the field cap.
+        classes.  Every word must end at the target.  The sweeps of the
+        target and of diag(a, 1/a), built here, must each be all the lower
+        shears, and the witness must carry the target's sweep to all the
+        upper shears.  The diagonal entry a must lie outside {0, 1, -1}.
+        Every stored matrix must be over GF(q) and of determinant 1, so a
+        forgery reads False, not an error, and so does a q that is not a
+        prime power above 3 within the field cap.
         """
         q = self.q
         if not isinstance(q, int) or q <= 3 or q > MAX_FIELD_ORDER:
             return False
         if len(distinct_prime_factors(q)) != 1:
-            return False
-        if self.group_order != q**3 - q:
             return False
         if len(self.entries) != (q + 2 if q % 2 else q):
             return False
@@ -336,21 +321,16 @@ class SimplicityCertificate(namedtuple("SimplicityCertificate", (
         inverted = [E, w]
         for entry in self.entries:
             inverted += [entry.representative, *entry.word, entry.conjugator]
-        if any(m.field != field for m in [*inverted, *self.target_sweep, *self.diagonal_sweep]):
+        if any(m.field != field for m in inverted):
             return False  # no product mixes fields
         if any(m.det != 1 for m in inverted):  # each inverse exists and lies in SL(2,q)
             return False
-        lower = [Mat2(field, 1, 0, r, 1) for r in field.elements()]
+        lower = {Mat2(field, 1, 0, r, 1) for r in field.elements()}
         upper = {Mat2(field, 1, r, 0, 1) for r in field.elements()}
 
-        def is_sweep(sweep, diagonal: Mat2) -> bool:
+        def sweep(diagonal: Mat2) -> set[Mat2]:
             diagonal_inv = diagonal.inverse()
-            return (
-                len(sweep) == q
-                and set(sweep) == set(lower)
-                and all(s.mul(diagonal).mul(s.inverse()).mul(diagonal_inv) == comm
-                        for s, comm in zip(lower, sweep))
-            )
+            return {s.mul(diagonal).mul(s.inverse()).mul(diagonal_inv) for s in lower}
 
         squares = {field.mul(x, x) for x in field.units()}
         nonsquare = min(set(field.units()) - squares, default=None)
@@ -371,34 +351,34 @@ class SimplicityCertificate(namedtuple("SimplicityCertificate", (
                 return False
         if len(invariants) != len(self.entries):
             return False
-        if not is_sweep(self.target_sweep, E):
+        target_sweep = sweep(E)
+        if target_sweep != lower:
             return False
         w_inv = w.inverse()
-        if {w.mul(comm).mul(w_inv) for comm in self.target_sweep} != upper:
+        if {w.mul(comm).mul(w_inv) for comm in target_sweep} != upper:
             return False
-        if not is_sweep(self.diagonal_sweep, Mat2(field, a, 0, 0, field.inv(a))):
+        if sweep(Mat2(field, a, 0, 0, field.inv(a))) != lower:
             return False
         return self.verdict
 
     def to_json_dict(self) -> dict:
         """The report, one class per entry, each with the shared evidence in
         the layout of the enumerating certificate this replaced: u = I, so
-        the closure member is diag(a, 1/a), and the closure is SL(2,q)."""
+        the closure member is diag(a, 1/a), and the closure is SL(2,q).
+        Whether its commutators cover the shears is the verdict."""
         a = self.diagonal_entry
-        # the entries of the lower shears (1 0; r 1), sorted
-        lower_shears = [[1, 0, r, 1] for r in range(self.q)]
+        order = self.q**3 - self.q
         shared = {
             "nonzero_corner_witness": list(self.witness.entries()),
             "diagonal_entry": a,
             "unitriangular": [1, 0, 0, 1],
             "closure_member": [a, 0, 0, self.witness.field.inv(a)],
-            "closure_order": self.group_order,
-            "commutators_cover_shears": sorted(list(c.entries()) for c in self.diagonal_sweep)
-            == lower_shears,
+            "closure_order": order,
+            "commutators_cover_shears": self.verdict,
         }
         return {
             "q": self.q,
-            "group_order": self.group_order,
+            "group_order": order,
             "verdict": self.verdict,
             "classes": [
                 {"representative": list(e.representative.entries()), **shared}
@@ -463,7 +443,7 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     Each class representative is carried by its word to the one target
     E = diag(m, 1/m); E's commutators with the lower shears are all of
     them, and the witness w = (0 1; -1 0) carries those to the upper
-    shears, which together generate SL(2,q) (module docstring).  The sweep
+    shears, which together generate SL(2,q) (module docstring).  The sweeps
     and w's conjugates are formed once per certificate, so the whole proof
     is O(q) matrix products.  A step that misses raises ``ProofStepFails``.
     """
@@ -484,22 +464,21 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
     lower = frozenset(shear for shear, _ in lower_shears)
     upper = frozenset(Mat2(f, 1, r, 0, 1) for r in f.elements())
 
-    def sweep(diagonal: Mat2) -> tuple[Mat2, ...]:
+    def sweep(diagonal: Mat2) -> frozenset[Mat2]:
         diagonal_inv = diagonal.inverse()
-        return tuple(
+        return frozenset(
             shear.mul(diagonal).mul(shear_inv).mul(diagonal_inv)
             for shear, shear_inv in lower_shears
         )
 
     target_sweep = sweep(target)
-    if frozenset(target_sweep) != lower:
+    if target_sweep != lower:
         raise ProofStepFails(f"the commutators of {target} miss a lower shear")
     w = Mat2(f, 0, 1, f.neg(1), 0)
     w_inv = w.inverse()
     if frozenset(w.mul(comm).mul(w_inv) for comm in target_sweep) != upper:
         raise ProofStepFails(f"{w} misses an upper shear")
     a = next(x for x in f.elements() if x not in (0, 1, f.neg(1)))
-    diagonal_sweep = sweep(Mat2(f, a, 0, 0, f.inv(a)))
     entries = []
     for rep, word in zip(reps, words, strict=True):
         x = rep
@@ -511,12 +490,9 @@ def certify_simplicity(q: int) -> SimplicityCertificate:
         entries.append(ClosureCertificate(representative=rep, word=word, conjugator=h))
     return SimplicityCertificate(
         q=q,
-        group_order=q**3 - q,
         entries=tuple(entries),
-        verdict=frozenset(diagonal_sweep) == lower,
+        verdict=sweep(Mat2(f, a, 0, 0, f.inv(a))) == lower,
         target=target,
-        target_sweep=target_sweep,
         witness=w,
         diagonal_entry=a,
-        diagonal_sweep=diagonal_sweep,
     )

@@ -294,7 +294,7 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
         raise SeedsOutsideSL2("a seed lies outside SL(2,q)")
     half = len(sl2.codes) // 2
     maps, act = conjugation(f)
-    closure = psl2.mat_closure(gens, half, row_map=sl2.row_map)
+    closure = psl2.mat_closure(gens, half)
     while closure is not None:
         added = False
         for m in maps:
@@ -302,7 +302,7 @@ def matrix_normal_closure(sl2: SL2Group, seeds) -> frozenset[int]:
                 t = act(x, m)
                 if t not in closure:
                     gens.append(Mat2(f, *entries_of(t, f.order)))
-                    closure = psl2.mat_closure(gens, half, row_map=sl2.row_map)
+                    closure = psl2.mat_closure(gens, half)
                     if closure is None:
                         return sl2.codes
                     added = True
