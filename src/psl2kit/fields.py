@@ -5,10 +5,14 @@ field the index is the residue itself.  In GF(p^k) the index encodes the
 representative polynomial's coefficients in base p with the constant term
 in the least significant digit, so index 0 is the additive zero and index 1
 the multiplicative one.  Multiplication, inversion and powers run through
-exp/log tables over a fixed primitive element; addition is digit-wise,
-which in characteristic 2 is the XOR of the indices.  These validated
-operations are the package's only field arithmetic: the 2x2 matrix kernel in
-``psl2`` calls them too, and ``field_of_order`` builds one ``Field`` per q.
+exp/log tables over a fixed primitive element.  Addition in characteristic
+2 is the XOR of the indices; for odd p^k it goes through Zech logarithms,
+log(1 + g^i) tabled beside exp and log, so x + y = x * (1 + y/x) is three
+lookups.  The public operations range-check their operands.  The entries of
+2x2 matrix products in ``psl2`` go through ``Field._dot``, one fused kernel
+x1*y1 + x2*y2 that each field builds once over its own tables and that
+checks no range: ``Mat2`` has checked the entries it is given.
+``field_of_order`` builds one ``Field`` per q.
 
 Every size cap of the package is defined here, each in the unit it
 counts, and ``check_cap`` enforces them all with one exception,
@@ -192,10 +196,13 @@ class Field:
         if degree > 1 and not poly_is_irreducible(modulus, p):
             raise ReduciblePolynomial(f"{modulus} is reducible over GF({p})")
         self.modulus = modulus
+        self._hash = hash((p, degree, modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         if degree > 1:
             self._build_tables()
+        self._dot = self._fused_dot()
 
     # -- construction internals --
 
@@ -242,6 +249,37 @@ class Field:
         self._exp = exp
         self._log = log
         self._generator = gen
+        if self.p != 2:
+            # 1 + g^i adds 1 to the constant digit only; log[0] is -1, the
+            # mark of 1 + g^i = 0
+            p = self.p
+            self._zech = [log[e - e % p + (e % p + 1) % p] for e in exp]
+
+    def _fused_dot(self):
+        """The kernel (x1, y1, x2, y2) -> x1*y1 + x2*y2, a closure over this
+        field's tables with no range check and no branch on the field's
+        kind: ``Mat2`` has checked every entry it passes."""
+        p, n = self.p, self.order - 1
+        if self.degree == 1:
+            def dot(x1, y1, x2, y2):
+                return (x1 * y1 + x2 * y2) % p
+            return dot
+        exp, log, zech = self._exp, self._log, self._zech
+        if p == 2:
+            def dot(x1, y1, x2, y2):
+                u = exp[(log[x1] + log[y1]) % n] if x1 and y1 else 0
+                return u ^ exp[(log[x2] + log[y2]) % n] if x2 and y2 else u
+            return dot
+
+        def dot(x1, y1, x2, y2):
+            if not (x1 and y1):
+                return exp[(log[x2] + log[y2]) % n] if x2 and y2 else 0
+            u = log[x1] + log[y1]
+            if not (x2 and y2):
+                return exp[u % n]
+            z = zech[(log[x2] + log[y2] - u) % n]
+            return 0 if z < 0 else exp[(u + z) % n]
+        return dot
 
     # -- identity / comparison --
 
@@ -252,7 +290,10 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.p, self.degree, self.modulus))
+        return self._hash
+
+    def __reduce__(self):  # the kernel is a closure, so rebuild, not copy
+        return (Field, (self.p, self.degree, self.modulus))
 
     def __repr__(self):
         if self.degree == 1:
@@ -273,26 +314,21 @@ class Field:
             return (x + y) % self.p
         if self.p == 2:
             return x ^ y
-        out, mult = 0, 1
-        while x or y:
-            out += ((x % self.p + y % self.p) % self.p) * mult
-            x //= self.p
-            y //= self.p
-            mult *= self.p
-        return out
+        if x == 0 or y == 0:
+            return x or y
+        n, lx = self.order - 1, self._log[x]
+        z = self._zech[(self._log[y] - lx) % n]
+        return 0 if z < 0 else self._exp[(lx + z) % n]
 
     def neg(self, x: int) -> int:
-        self._check(x)
+        if not 0 <= x < self.order:
+            self._check(x)
         if self.degree == 1:
             return (-x) % self.p
-        if self.p == 2:
+        if self.p == 2 or x == 0:
             return x
-        out, mult = 0, 1
-        while x:
-            out += ((self.p - x % self.p) % self.p) * mult
-            x //= self.p
-            mult *= self.p
-        return out
+        n = self.order - 1  # -1 = g^(n/2)
+        return self._exp[(self._log[x] + n // 2) % n]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

@@ -73,8 +73,10 @@ class Mat2(namedtuple("Mat2", "field a b c d")):
     """A 2x2 matrix over a finite field, entries as element indices.
 
     An immutable value: equal entries over equal fields compare equal.  The
-    constructor range-checks the entries; ``mul`` computes with the field's
-    ``add`` and ``mul``.
+    constructor range-checks the entries.  ``mul`` and ``det`` compute each
+    entry with the field's fused kernel ``_dot``, which checks no range:
+    entries from in-range factors are in range, so a product, like the
+    adjugate in ``inverse``, is built without the constructor's re-check.
     """
 
     __slots__ = ()
@@ -91,8 +93,8 @@ class Mat2(namedtuple("Mat2", "field a b c d")):
 
     @property
     def det(self) -> int:
-        f = self.field
-        return f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
+        f, a, b, c, d = self
+        return f._dot(a, d, f.neg(b), c)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -106,32 +108,28 @@ class Mat2(namedtuple("Mat2", "field a b c d")):
         return ((self.a * q + self.b) * q + self.c) * q + self.d
 
     def mul(self, other: "Mat2") -> "Mat2":
-        f = self.field
-        if other.field is not f and other.field != f:
+        f, a, b, c, d = self
+        g_field, e, g, h, k = other
+        if g_field is not f and g_field != f:
             raise DomainMismatch("matrices over different fields")
-        add, mul = f.add, f.mul
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, g, h, k = other.a, other.b, other.c, other.d
-        return Mat2(
-            f,
-            add(mul(a, e), mul(b, h)),
-            add(mul(a, g), mul(b, k)),
-            add(mul(c, e), mul(d, h)),
-            add(mul(c, g), mul(d, k)),
-        )
+        dot = f._dot
+        return tuple.__new__(Mat2, (
+            f, dot(a, e, b, h), dot(a, g, b, k), dot(c, e, d, h), dot(c, g, d, k)
+        ))
 
     def inverse(self) -> "Mat2":
-        f = self.field
-        det = self.det
+        f, a, b, c, d = self
+        neg_b, neg_c = f.neg(b), f.neg(c)
+        det = f._dot(a, d, neg_b, c)
         if det == 1:  # the adjugate
-            return Mat2(f, self.d, f.neg(self.b), f.neg(self.c), self.a)
+            return tuple.__new__(Mat2, (f, d, neg_b, neg_c, a))
         det_inv = f.inv(det)
         return Mat2(
             f,
-            f.mul(det_inv, self.d),
-            f.mul(det_inv, f.neg(self.b)),
-            f.mul(det_inv, f.neg(self.c)),
-            f.mul(det_inv, self.a),
+            f.mul(det_inv, d),
+            f.mul(det_inv, neg_b),
+            f.mul(det_inv, neg_c),
+            f.mul(det_inv, a),
         )
 
     def __repr__(self):
@@ -299,8 +297,10 @@ class SimplicityCertificate(namedtuple("SimplicityCertificate", (
         classes.  Every word must end at the target.  The sweeps of the
         target and of diag(a, 1/a), built here, must each be all the lower
         shears, and the witness must carry the target's sweep to all the
-        upper shears.  The diagonal entry a must lie outside {0, 1, -1}.
-        Every stored matrix must be over GF(q) and of determinant 1, so a
+        upper shears.  The diagonal entry a must be the smallest element
+        outside {0, 1, -1}, as the module docstring names it, so a
+        reverified certificate pins its report's closure member.  Every
+        stored matrix must be over GF(q) and of determinant 1, so a
         forgery reads False, not an error, and so does a q that is not a
         prime power above 3 within the field cap.
         """
@@ -315,8 +315,8 @@ class SimplicityCertificate(namedtuple("SimplicityCertificate", (
         field = E.field
         if field != field_of_order(q):
             return False
-        a = self.diagonal_entry
-        if a not in range(2, q) or a == field.neg(1):  # not 0, 1 or -1
+        a = min(set(field.elements()) - {0, 1, field.neg(1)})
+        if self.diagonal_entry != a:
             return False
         inverted = [E, w]
         for entry in self.entries:

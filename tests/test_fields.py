@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psl2kit import fields
 from psl2kit.fields import (
@@ -105,8 +107,9 @@ def test_index_bounds_checked():
                         op(good, bad)
                 with pytest.raises(IndexOutOfRange):
                     op(bad, bad)
-        with pytest.raises(IndexOutOfRange):
-            f.neg(f.order)
+        for bad in (-1, f.order, f.order + 1):
+            with pytest.raises(IndexOutOfRange):
+                f.neg(bad)
 
 
 def test_field_construction_errors():
@@ -297,8 +300,74 @@ def test_missing_irreducible_polynomial_raises(monkeypatch):
 
 
 def test_field_of_order_returns_one_field_per_q():
-    # add and mul are the only arithmetic: no q*q operation table is built
+    # every table is linear in q: no q*q operation table is built
     for q in BUILT_ORDERS:
         f = field_of_order(q)
         assert f is field_of_order(q)
         assert not hasattr(f, "add_table") and not hasattr(f, "mul_table")
+
+
+# the default field of each order up to 16, and a second modulus of GF(8)
+# and GF(9)
+SMALL_FIELDS = [field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+    Field(2, 3, (1, 0, 1, 1)),
+    Field(3, 2, (2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=repr)
+def test_fused_kernel_matches_checked_arithmetic_exhaustive(f):
+    add, mul, dot = f.add, f.mul, f._dot
+    for x1, y1, x2, y2 in itertools.product(range(f.order), repeat=4):
+        assert dot(x1, y1, x2, y2) == add(mul(x1, y1), mul(x2, y2))
+
+
+KERNEL_DRAW_ORDERS = (25, 27, 81, 125, 243, 256, 2187, 65521)
+
+
+def _operands(q):
+    return st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+
+
+@pytest.mark.parametrize("q", KERNEL_DRAW_ORDERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fused_kernel_matches_checked_arithmetic_on_draws(q, data):
+    f = field_of_order(q)
+    x1, y1, x2, y2 = (data.draw(_operands(q)) for _ in range(4))
+    assert f._dot(x1, y1, x2, y2) == f.add(f.mul(x1, y1), f.mul(x2, y2))
+
+
+def _digitwise_add(p, x, y):
+    """Coefficient-wise addition of the base-p digits of two indices."""
+    out, mult = 0, 1
+    while x or y:
+        out += (x % p + y % p) % p * mult
+        x, y, mult = x // p, y // p, mult * p
+    return out
+
+
+def _digitwise_neg(p, x):
+    out, mult = 0, 1
+    while x:
+        out += (p - x % p) % p * mult
+        x, mult = x // p, mult * p
+    return out
+
+
+@pytest.mark.parametrize("q", (9, 25, 27))
+def test_zech_addition_matches_digits_exhaustive(q):
+    f = field_of_order(q)
+    for x in range(q):
+        assert f.neg(x) == _digitwise_neg(f.p, x)
+        for y in range(q):
+            assert f.add(x, y) == _digitwise_add(f.p, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_operands(3**7), y=_operands(3**7))
+def test_zech_addition_matches_digits_on_draws(x, y):
+    f = field_of_order(3**7)
+    assert f.add(x, y) == _digitwise_add(3, x, y)
+    assert f.neg(x) == _digitwise_neg(3, x)
+    assert f.sub(x, y) == _digitwise_add(3, x, _digitwise_neg(3, y))

@@ -132,6 +132,19 @@ def test_mat2_is_immutable():
     assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
 
 
+def test_field_and_matrix_survive_pickle_and_deepcopy():
+    f = Field(3, 2)
+    m = Mat2(f, 2, 3, 1, 2)
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert copied == m and copied.field == f and hash(copied.field) == hash(f)
+        assert copied.mul(m.inverse()) == mat_identity(f) and copied.det == m.det
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and g is not f and hash(g) == hash(f)
+        assert all(g.add(x, y) == f.add(x, y) and g.mul(x, y) == f.mul(x, y)
+                   and g._dot(x, y, y, x) == f._dot(x, y, y, x)
+                   for x in range(9) for y in range(9))
+
+
 def test_mat2_cross_field_product_raises():
     x, y = Mat2(Field(5), 1, 1, 0, 1), Mat2(Field(7), 1, 1, 0, 1)
     with pytest.raises(DomainMismatch):
@@ -540,6 +553,19 @@ def test_reverify_rejects_a_diagonal_entry_outside_the_field():
     certificate = certify_simplicity(7)
     for a in (50, 7, -1, 0, 1, 6):  # outside GF(7), then 0, 1 and -1
         assert certificate._replace(diagonal_entry=a).reverify() is False
+
+
+def test_reverify_pins_the_diagonal_entry():
+    """Only the smallest a outside {0, 1, -1} reverifies, though any a with
+    a*a != 1 sweeps the lower shears."""
+    forged = certify_simplicity(7)._replace(diagonal_entry=3)
+    assert forged.reverify() is False
+    for q in (4, 5, 7, 8, 9, 11, 13, 16):
+        certificate = certify_simplicity(q)
+        assert certificate.reverify()
+        for a in range(q):
+            if a != certificate.diagonal_entry:
+                assert certificate._replace(diagonal_entry=a).reverify() is False
 
 
 def test_a_false_verdict_reverifies_and_reports_false():
@@ -1005,10 +1031,10 @@ def test_reverify_rejects_forgeries(q, draws):
         assume({w.mul(c).mul(w.inverse()) for c in sweep} != upper)
         forged = certificate._replace(witness=w)
     elif kind == "diagonal entry":
-        # any a in GF(q) with a*a != 1 sweeps all the lower shears, so only
-        # an entry outside GF(q) or in {0, 1, -1} is a forgery
+        # the entry is pinned: any value but the smallest a outside
+        # {0, 1, -1} is a forgery, though every a with a*a != 1 sweeps
         other = draws.draw(st.integers(-q, 2 * q).filter(
-            lambda x: x not in range(2, q) or x == f.neg(1)))
+            lambda x: x != certificate.diagonal_entry))
         forged = certificate._replace(diagonal_entry=other)
     else:
         # another root l: its commutators with the classes have another trace

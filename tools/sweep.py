@@ -8,12 +8,12 @@ sweep at both commits and comparing the two outputs with ``diff``:
 
     python3 tools/sweep.py > after.txt
 
-There are 404 runs, 202 commands in both formats; the sweep took about
-25 s on 2 vCPU with CPython 3.11.7.  To sweep another checkout, run a
-copy of this file placed in its ``tools/``.  Commands run from the repository root with ``src`` on the
-path, at most two at a time; golden paths are relative to the root, so
-the output does not depend on where the checkout lives.  Only the
-standard library is used.
+There are 408 runs, 204 commands in both formats; the sweep took about
+25-28 s on 2 vCPU with CPython 3.11.7.  To sweep another checkout, run a
+copy of this file placed in its ``tools/``.  Commands run from the
+repository root with ``src`` on the path, at most two at a time; golden
+paths are relative to the root, so the output does not depend on where
+the checkout lives.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -51,8 +51,11 @@ def commands() -> list[list[str]]:
         if _is_prime_power(q)
         for check in ("simplicity", "order")
     ]
-    # the simplicity certificate and its report past 256 points
-    out += [["psl2", "--q", str(q), "--check", "simplicity"] for q in (257, 512, 1024)]
+    # the simplicity certificate and its report past 256 points, in prime,
+    # even and odd extension fields
+    out += [
+        ["psl2", "--q", str(q), "--check", "simplicity"] for q in (257, 512, 625, 729, 1024)
+    ]
     out += [["exceptional", "--variant", "3"], ["exceptional", "--variant", "5"], ["p3"]]
     # a generator file names its prime: classify_p<P>.gens
     out += [
