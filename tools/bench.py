@@ -43,7 +43,7 @@ from psl2kit.psl2 import Mat2, certify_simplicity  # noqa: E402
 
 CERTIFICATE_ORDERS = (13, 256, 1024, 2187, 4096)
 CERTIFICATE_REPEATS = 10
-OP_REPEATS = 25
+OP_REPEATS = 100
 OPERANDS = 2000  # calls per repeat of a per-call row
 WORKLOADS = ("search-sweep", "classify-gens", "psl2-simplicity")
 WORKLOAD_RUNS = 10
@@ -70,20 +70,12 @@ def certificate_rows() -> list[dict]:
     return rows
 
 
-def _per_call(call, operands) -> dict:
-    """Seconds per call of ``call(*args)`` over the operand list."""
-    samples = []
-    for _ in range(OP_REPEATS):
-        start = time.perf_counter()
-        for args in operands:
-            call(*args)
-        samples.append((time.perf_counter() - start) / len(operands))
-    return summary(samples)
-
-
 def op_rows() -> list[dict]:
+    """Seconds per call of each operation over a fixed operand list.  The
+    repeats go round all the rows in turn, so a slow stretch of the host
+    falls on every row alike."""
     rng = random.Random(0)
-    rows = []
+    cases = []
     for q in (13, 8, 9):
         f = field_of_order(q)
         pairs = [
@@ -91,17 +83,20 @@ def op_rows() -> list[dict]:
              Mat2(f, *(rng.randrange(q) for _ in range(4))))
             for _ in range(OPERANDS)
         ]
-        rows.append({"row": f"Mat2.mul GF({q})", "unit": "s/call",
-                     **_per_call(Mat2.mul, pairs)})
+        cases.append((f"Mat2.mul GF({q})", Mat2.mul, pairs))
     for q in (13, 9, 2187):
         f = field_of_order(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(OPERANDS)]
-        for name in ("add", "mul"):
-            rows.append({"row": f"Field.{name} GF({q})", "unit": "s/call",
-                         **_per_call(getattr(f, name), pairs)})
-        rows.append({"row": f"Field.neg GF({q})", "unit": "s/call",
-                     **_per_call(f.neg, [(x,) for x, _ in pairs])})
-    return rows
+        cases += [(f"Field.add GF({q})", f.add, pairs), (f"Field.mul GF({q})", f.mul, pairs),
+                  (f"Field.neg GF({q})", f.neg, [(x,) for x, _ in pairs])]
+    samples = {row: [] for row, _, _ in cases}
+    for _ in range(OP_REPEATS):
+        for row, call, operands in cases:
+            start = time.perf_counter()
+            for args in operands:
+                call(*args)
+            samples[row].append((time.perf_counter() - start) / len(operands))
+    return [{"row": row, "unit": "s/call", **summary(samples[row])} for row, _, _ in cases]
 
 
 def _env() -> dict:
