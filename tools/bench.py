@@ -18,7 +18,7 @@ The file also records the host, the Python version and the commit
 the standard library and the package's public names are used, and nothing
 is imported from ``benchmarks/``, so a copy of this file placed in an
 older checkout's ``tools/`` measures that checkout.  Compare two files
-only when they were written in one session on one host.
+only when they were written back to back on one host.
 """
 
 from __future__ import annotations
